@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke trace-smoke campaign-smoke diff-smoke replay-smoke eval examples cover clean
 
 all: build vet test
 
@@ -44,18 +44,6 @@ obsv-smoke:
 	$(GO) run ./cmd/obsvlint -schema profile /tmp/fire-profile.jsonl
 	@echo obsv-smoke OK
 
-# Chaos soak smoke: a small seeded fault sweep (fail-stop + fail-silent,
-# all five apps) under the full recovery escalation ladder, with the
-# campaign-global span log linted. The campaign itself fails if any
-# incarnation death is not attributed to a ladder rung or the stats /
-# metrics / span accounting surfaces disagree.
-chaos-smoke:
-	$(GO) run ./cmd/firebench -experiment chaos -requests 30 -faults 2 \
-		-concurrency 2 -parallel 4 \
-		-trace-out /tmp/fire-chaos.jsonl > /dev/null
-	$(GO) run ./cmd/obsvlint -schema trace /tmp/fire-chaos.jsonl
-	@echo chaos-smoke OK
-
 # Request-tracing smoke: the full round trip. A chaos soak exports the
 # campaign-global span log; obsvlint validates schema AND trace-ID
 # causality (every req-start reaches exactly one terminal, no orphaned
@@ -91,70 +79,30 @@ trace-smoke:
 	cmp /tmp/fire-trace-chrome.json /tmp/fire-trace-chrome2.json
 	@echo trace-smoke OK
 
-# Fleet tier smoke: the replica-scaling experiment (chaos matrix behind
-# the deterministic L4 balancer) at 1 and 2 replicas, serial vs
-# -parallel 4 — the rendered table and the experiment-global span log
-# must compare byte-for-byte, and the span log must pass the trace
-# schema AND trace-ID causality (every balancer-level req-start reaches
-# exactly one terminal across fail-overs and drain hand-offs). The
+# Campaign smoke: one row per span-log experiment, each run at
+# -parallel 4 with its experiment-global span log linted for the trace
+# schema and the shared causality rules (obsv.Causality: every req-start
+# reaches exactly one terminal across fail-overs, drain hand-offs and
+# shed arrivals; the heap-domain ordering rules hold). Rows: the fleet
+# replica-scaling chaos matrix, the open-loop offered-load sweep, and the
+# heap-domain undo-vs-discard ablation plus containment matrix. Each
 # experiment itself fails on any stats/metrics/span reconciliation
-# mismatch or silent incarnation death.
-fleet-smoke:
+# mismatch, silent incarnation death or cross-request taint leak. The
+# serial-vs-parallel byte-compare of every experiment is the Go test
+# TestSerialEqualsParallel (internal/bench).
+campaign-smoke:
 	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
 	$(GO) build -o /tmp/obsvlint-bin ./cmd/obsvlint
-	/tmp/firebench-bin -experiment fleet -requests 30 -concurrency 2 \
-		-replicas 1,2 \
-		-trace-out /tmp/fire-fleet.jsonl > /tmp/fire-fleet-report.txt
-	/tmp/obsvlint-bin -schema trace -causality /tmp/fire-fleet.jsonl
-	/tmp/firebench-bin -experiment fleet -requests 30 -concurrency 2 \
-		-replicas 1,2 -parallel 4 \
-		-trace-out /tmp/fire-fleet2.jsonl > /tmp/fire-fleet-report2.txt
-	cmp /tmp/fire-fleet-report.txt /tmp/fire-fleet-report2.txt
-	cmp /tmp/fire-fleet.jsonl /tmp/fire-fleet2.jsonl
-	@echo fleet-smoke OK
-
-# Open-loop workload smoke: the offered-load sweep (Poisson arrivals at
-# fixed multiples of the calibrated service rate, 20k-client population
-# with churn, slow readers, fragmentation and pipelining), serial vs
-# -parallel 4 — the rendered latency-vs-load ladder and the
-# experiment-global span log must compare byte-for-byte, and the span
-# log must pass the trace schema AND trace-ID causality (every offered
-# arrival reaches exactly one terminal, shed arrivals included). The
-# experiment itself fails on any stats/metrics/span reconciliation
-# mismatch or silent incarnation death.
-openloop-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	$(GO) build -o /tmp/obsvlint-bin ./cmd/obsvlint
-	/tmp/firebench-bin -experiment openloop -requests 60 \
-		-trace-out /tmp/fire-openloop.jsonl > /tmp/fire-openloop-report.txt
-	/tmp/obsvlint-bin -schema trace -causality /tmp/fire-openloop.jsonl
-	/tmp/firebench-bin -experiment openloop -requests 60 -parallel 4 \
-		-trace-out /tmp/fire-openloop2.jsonl > /tmp/fire-openloop-report2.txt
-	cmp /tmp/fire-openloop-report.txt /tmp/fire-openloop-report2.txt
-	cmp /tmp/fire-openloop.jsonl /tmp/fire-openloop2.jsonl
-	@echo openloop-smoke OK
-
-# Heap-domain smoke: the undo-vs-discard ablation plus the fail-silent
-# containment matrix on the arena-pooled servers, serial vs -parallel 4
-# — the rendered tables and the containment span log must compare
-# byte-for-byte, and the span log must pass the trace schema AND
-# causality, including the domain ordering rules (a discard only after a
-# crash, a switch before any non-zero-domain discard, every violation
-# resolved by its crash). The experiment itself fails on any cross-
-# request taint leak or stats/metrics/span reconciliation mismatch.
-domains-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	$(GO) build -o /tmp/obsvlint-bin ./cmd/obsvlint
-	/tmp/firebench-bin -experiment domains -requests 60 -faults 4 \
-		-concurrency 2 \
-		-trace-out /tmp/fire-domains.jsonl > /tmp/fire-domains-report.txt
-	/tmp/obsvlint-bin -schema trace -causality /tmp/fire-domains.jsonl
-	/tmp/firebench-bin -experiment domains -requests 60 -faults 4 \
-		-concurrency 2 -parallel 4 \
-		-trace-out /tmp/fire-domains2.jsonl > /tmp/fire-domains-report2.txt
-	cmp /tmp/fire-domains-report.txt /tmp/fire-domains-report2.txt
-	cmp /tmp/fire-domains.jsonl /tmp/fire-domains2.jsonl
-	@echo domains-smoke OK
+	set -e; for row in \
+		"fleet -requests 30 -concurrency 2 -replicas 1,2" \
+		"openloop -requests 60" \
+		"domains -requests 60 -faults 4 -concurrency 2"; do \
+		set -- $$row; exp=$$1; shift; \
+		/tmp/firebench-bin -experiment $$exp "$$@" -parallel 4 \
+			-trace-out /tmp/fire-$$exp.jsonl > /tmp/fire-$$exp-report.txt; \
+		/tmp/obsvlint-bin -schema trace -causality /tmp/fire-$$exp.jsonl; \
+	done
+	@echo campaign-smoke OK
 
 # Differential-execution smoke: the default firebench suite under the
 # tree-walking interpreter and the compiled bytecode backend must render

@@ -178,7 +178,7 @@ func BenchmarkFigure7Bytecode(b *testing.B) {
 
 // BenchmarkFigure7Parallel runs the same campaign with the worker pool
 // sized to the host; output is byte-identical to the serial run (see
-// TestParallelHarnessMatchesSerial), only wall-clock changes.
+// TestSerialEqualsParallel), only wall-clock changes.
 func BenchmarkFigure7Parallel(b *testing.B) {
 	r := benchRunner()
 	r.Parallelism = runtime.NumCPU()

@@ -22,9 +22,11 @@
 // sheds stay visible), and p50/p90/p99/p999 in cycles — and the
 // campaign cycle breakdown (tx-committed, tx-aborted, rollback,
 // reboot-wait). -timeline N prints the N slowest terminated requests
-// with their full span sequences. -strict exits non-zero if any request
-// is unterminated, any trace reference is orphaned, or any trace has a
-// duplicated start/terminal.
+// with their full span sequences. -strict exits non-zero on any finding
+// of obsv.Causality, the one causality checker that obsvlint -causality
+// and every firebench campaign also run: a request without exactly one
+// start and one terminal, a req-done without a req-start, an orphaned
+// trace reference, or a broken heap-domain ordering rule.
 //
 // -chrome writes Chrome trace_event JSON (load via chrome://tracing or
 // https://ui.perfetto.dev): requests are "X" slices on pid 1, crash
@@ -73,7 +75,7 @@ func run() int {
 	var (
 		breakdown = flag.Bool("breakdown", false, "print the per-rung latency table and cycle breakdown")
 		timeline  = flag.Int("timeline", 0, "print the N slowest completed requests as span timelines")
-		strict    = flag.Bool("strict", false, "exit non-zero on unterminated requests or causality violations")
+		strict    = flag.Bool("strict", false, "exit non-zero on any causality violation (the obsvlint -causality rules)")
 		chrome    = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
 		folded    = flag.String("folded", "", "write flamegraph folded stacks to this file (needs -profile)")
 		profile   = flag.String("profile", "", "guest profile JSONL (firebench -profile export) for -folded")
@@ -253,12 +255,12 @@ type report struct {
 	Spans    []obsv.SpanEvent
 	Requests []*request // first-appearance order
 	Orphans  []int64    // traces referenced by non-request spans but never started
-	dupErrs  []string   // duplicated start/terminal findings
+	causal   *obsv.Causality
 }
 
 // analyze reconstructs every request chain from the span stream.
 func analyze(spans []obsv.SpanEvent) *report {
-	rep := &report{Spans: spans}
+	rep := &report{Spans: spans, causal: obsv.NewCausality()}
 	byTrace := map[int64]*request{}
 	get := func(tr int64) *request {
 		r := byTrace[tr]
@@ -269,22 +271,16 @@ func analyze(spans []obsv.SpanEvent) *report {
 		}
 		return r
 	}
-	referenced := map[int64]bool{}
-	for _, e := range spans {
+	for i, e := range spans {
+		rep.causal.Observe(i+1, e)
 		switch e.Kind {
 		case obsv.SpanReqStart:
 			r := get(e.Trace)
-			if r.Start >= 0 {
-				rep.dupErrs = append(rep.dupErrs, fmt.Sprintf("trace %d: duplicate req-start", e.Trace))
-			}
 			r.Start = e.Cycles
 			r.Replica = e.Replica
 			r.Spans = append(r.Spans, e)
 		case obsv.SpanReqDone, obsv.SpanReqLost:
 			r := get(e.Trace)
-			if r.End >= 0 {
-				rep.dupErrs = append(rep.dupErrs, fmt.Sprintf("trace %d: duplicate terminal span", e.Trace))
-			}
 			r.End = e.Cycles
 			if e.Kind == obsv.SpanReqLost {
 				r.Outcome = outLost
@@ -299,7 +295,6 @@ func analyze(spans []obsv.SpanEvent) *report {
 			if e.Trace == 0 {
 				continue
 			}
-			referenced[e.Trace] = true
 			r := get(e.Trace)
 			r.Spans = append(r.Spans, e)
 			if rung := rungOf(e.Kind); rung != "" && rungRank(rung) < rungRank(r.Rung) {
@@ -307,12 +302,7 @@ func analyze(spans []obsv.SpanEvent) *report {
 			}
 		}
 	}
-	for tr := range referenced {
-		if r := byTrace[tr]; r.Start < 0 {
-			rep.Orphans = append(rep.Orphans, tr)
-		}
-	}
-	sort.Slice(rep.Orphans, func(i, j int) bool { return rep.Orphans[i] < rep.Orphans[j] })
+	rep.Orphans = rep.causal.Orphans()
 	// A trace that was only ever referenced is an orphan, not a request:
 	// it has no lifecycle of its own to report an outcome for.
 	kept := rep.Requests[:0]
@@ -325,20 +315,9 @@ func analyze(spans []obsv.SpanEvent) *report {
 	return rep
 }
 
-// violations returns the findings -strict fails on.
-func (rep *report) violations() []string {
-	var errs []string
-	errs = append(errs, rep.dupErrs...)
-	for _, r := range rep.Requests {
-		if r.Outcome == outUnterminated {
-			errs = append(errs, fmt.Sprintf("trace %d: no terminal span", r.Trace))
-		}
-	}
-	for _, tr := range rep.Orphans {
-		errs = append(errs, fmt.Sprintf("trace %d: orphaned trace reference (no req-start)", tr))
-	}
-	return errs
-}
+// violations returns the findings -strict fails on: everything the
+// shared causality checker reports.
+func (rep *report) violations() []string { return rep.causal.Errors() }
 
 // outcomes tallies terminal outcomes.
 func (rep *report) outcomes() map[string]int {

@@ -156,21 +156,29 @@ func TestFleetReplicaAttribution(t *testing.T) {
 	}
 }
 
+// TestViolations pins -strict to the full shared rule set, in the
+// canonical wording obsvlint -causality prints: the request-chain rules
+// plus the heap-domain ordering rules.
 func TestViolations(t *testing.T) {
 	rep := loadSpans(t, "testdata/violations.jsonl")
 	errs := rep.violations()
 	joined := strings.Join(errs, "\n")
-	for _, w := range []string{
-		"trace 10: no terminal span",
-		"trace 11: orphaned trace reference",
-		"trace 12: duplicate terminal span",
-	} {
-		if !strings.Contains(joined, w) {
-			t.Errorf("missing violation %q in:\n%s", w, joined)
-		}
+	wants := []string{
+		`line 10: domain-discard after "commit", want crash`,
+		"line 12: domain-discard of dom 2 with no prior domain-switch",
+		`line 14: domain-violation (line 13) followed by "retry", want crash/shed/unrecovered`,
+		"line 15: domain-violation with no following span",
+		"trace 10: 0 terminal spans, want 1",
+		"trace 12: 2 terminal spans, want 1",
+		"trace 13: req-done without req-start",
+		"trace 11: orphaned trace reference (no req-start)",
 	}
-	if len(errs) != 3 {
-		t.Errorf("got %d violations, want 3:\n%s", len(errs), joined)
+	if joined != strings.Join(wants, "\n") {
+		t.Errorf("violations:\n%s\nwant:\n%s", joined, strings.Join(wants, "\n"))
+	}
+	// The summary still counts the orphan the same way.
+	if sum := rep.summary("v"); !strings.Contains(sum, "orphaned trace refs: 1") {
+		t.Errorf("summary:\n%s", sum)
 	}
 }
 

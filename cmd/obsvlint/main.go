@@ -19,20 +19,14 @@
 // continues past each one, so a corrupt line cannot mask later damage;
 // any error makes the exit status non-zero.
 //
-// -causality additionally validates the trace-ID causal chains of a
-// trace file: every req-start reaches exactly one terminal (req-done or
-// req-lost), a req-done never appears for a request that was never
-// started, and no other span references a trace with no req-start. A
-// req-lost without a req-start is legal — the request was delivered but
-// the server died before reading it.
-//
-// -causality also enforces the heap-domain ordering contracts: a
-// domain-discard's domain must have been switched to first (dom=0 is
-// exempt — a crash before the request's first allocation discards an
-// empty arena), a discard is legal on a thread only while its most
-// recent transaction boundary is a crash (so a discard can never follow
-// the same transaction's commit), and a domain-violation's very next
-// span on that thread must be the crash, shed or unrecovered it becomes.
+// -causality additionally runs the trace through obsv.Causality, the
+// one causality checker: the trace-ID chain rules (every req-start
+// reaches exactly one terminal, no req-done without a req-start, no
+// orphaned trace reference) and the heap-domain ordering rules (a
+// discard only after a crash and only of a domain switched to, every
+// domain-violation followed by its crash). firetrace -strict and every
+// firebench campaign run the same checker, so all three enforce the same
+// rules and report them in the same words.
 package main
 
 import (
@@ -41,9 +35,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // maxErrors caps the per-file error report so a thoroughly corrupt file
@@ -84,150 +77,6 @@ func run() int {
 	return 0
 }
 
-// causalState accumulates the trace-ID chains of one file.
-type causalState struct {
-	started   map[int64]int
-	terminals map[int64]int
-	lostOnly  map[int64]bool // terminal was req-lost (legal without a start)
-	refs      map[int64]bool
-}
-
-func newCausalState() *causalState {
-	return &causalState{
-		started:   map[int64]int{},
-		terminals: map[int64]int{},
-		lostOnly:  map[int64]bool{},
-		refs:      map[int64]bool{},
-	}
-}
-
-// observe folds one span into the causal state.
-func (c *causalState) observe(kind string, trace int64) {
-	switch kind {
-	case "req-start":
-		c.started[trace]++
-	case "req-done":
-		c.terminals[trace]++
-	case "req-lost":
-		c.terminals[trace]++
-		c.lostOnly[trace] = true
-	default:
-		if trace != 0 {
-			c.refs[trace] = true
-		}
-	}
-}
-
-// errors reports every causal violation, in ascending trace order.
-func (c *causalState) errors(report func(format string, args ...any)) {
-	for _, tr := range sortedKeys(c.started) {
-		if n := c.started[tr]; n != 1 {
-			report("trace %d: %d req-start spans, want 1", tr, n)
-		}
-		if n := c.terminals[tr]; n != 1 {
-			report("trace %d: %d terminal spans, want 1", tr, n)
-		}
-	}
-	for _, tr := range sortedKeys(c.terminals) {
-		if c.started[tr] == 0 && !c.lostOnly[tr] {
-			report("trace %d: req-done without req-start", tr)
-		}
-	}
-	refs := map[int64]int{}
-	for tr := range c.refs {
-		refs[tr] = 1
-	}
-	for _, tr := range sortedKeys(refs) {
-		if c.started[tr] == 0 {
-			report("trace %d: orphaned trace reference (no req-start)", tr)
-		}
-	}
-}
-
-// domainState tracks the heap-domain ordering rules of one trace file.
-// Unlike the trace-ID chains these are order-sensitive, so violations
-// are reported at the offending line rather than at end of file.
-type domainState struct {
-	switched map[int64]bool   // domains a domain-switch has made current
-	boundary map[int64]string // last transaction-boundary kind per thread
-	pending  map[int64]int    // domain-violation line awaiting its crash, per thread
-}
-
-func newDomainState() *domainState {
-	return &domainState{
-		switched: map[int64]bool{},
-		boundary: map[int64]string{},
-		pending:  map[int64]int{},
-	}
-}
-
-// observe folds one span into the domain state, reporting any ordering
-// violation at the current line.
-func (d *domainState) observe(lineNo int, thread int64, kind, detail string, report func(format string, args ...any)) {
-	if from, ok := d.pending[thread]; ok {
-		switch kind {
-		case "crash", "shed", "unrecovered":
-		default:
-			report("line %d: domain-violation (line %d) followed by %q, want crash/shed/unrecovered",
-				lineNo, from, kind)
-		}
-		delete(d.pending, thread)
-	}
-	switch kind {
-	case "begin", "commit", "abort", "crash":
-		d.boundary[thread] = kind
-	case "domain-switch":
-		if dom, ok := detailDom(detail); ok {
-			d.switched[dom] = true
-		}
-	case "domain-discard":
-		if b := d.boundary[thread]; b != "crash" {
-			if b == "" {
-				b = "no transaction boundary"
-			}
-			report("line %d: domain-discard after %q, want crash", lineNo, b)
-		}
-		if dom, ok := detailDom(detail); ok && dom != 0 && !d.switched[dom] {
-			report("line %d: domain-discard of dom %d with no prior domain-switch", lineNo, dom)
-		}
-	case "domain-violation":
-		d.pending[thread] = lineNo
-	}
-}
-
-// finish reports violations still awaiting their crash at end of file.
-func (d *domainState) finish(report func(format string, args ...any)) {
-	lines := map[int64]int{}
-	for _, ln := range d.pending {
-		lines[int64(ln)] = 1
-	}
-	for _, ln := range sortedKeys(lines) {
-		report("line %d: domain-violation with no following span", ln)
-	}
-}
-
-// detailDom extracts the dom=N token of a domain span's detail field.
-func detailDom(detail string) (int64, bool) {
-	for _, field := range strings.Fields(detail) {
-		if rest, ok := strings.CutPrefix(field, "dom="); ok {
-			dom, err := strconv.ParseInt(rest, 10, 64)
-			return dom, err == nil
-		}
-	}
-	return 0, false
-}
-
-// sortedKeys returns the map's keys in ascending order (deterministic
-// error output).
-func sortedKeys(m map[int64]int) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // lintFile validates one file and returns every finding (nil = clean).
 // It never stops at the first bad line: schema state resynchronizes past
 // each error so the rest of the file is still checked.
@@ -257,8 +106,7 @@ func lintFile(path, schema string, causality bool) []string {
 		lastCycles int64
 		totals     int
 	)
-	causal := newCausalState()
-	domains := newDomainState()
+	causal := obsv.NewCausality()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -297,10 +145,12 @@ func lintFile(path, schema string, causality bool) []string {
 			}
 			if causality {
 				trace, _ := num(obj["trace"])
-				causal.observe(kind, trace)
 				thread, _ := num(obj["thread"])
+				replica, _ := num(obj["replica"])
 				detail, _ := obj["detail"].(string)
-				domains.observe(lineNo, thread, kind, detail, report)
+				causal.Observe(lineNo, obsv.SpanEvent{
+					Kind: kind, Trace: trace, Thread: int(thread), Replica: int(replica), Detail: detail,
+				})
 			}
 		case "metrics":
 			typ, _ := obj["type"].(string)
@@ -339,8 +189,9 @@ func lintFile(path, schema string, causality bool) []string {
 		report("%d total rows, want exactly 1", totals)
 	}
 	if causality {
-		domains.finish(report)
-		causal.errors(report)
+		for _, e := range causal.Errors() {
+			report("%s", e)
+		}
 	}
 	if suppressed > 0 {
 		errs = append(errs, fmt.Sprintf("... %d more errors suppressed", suppressed))

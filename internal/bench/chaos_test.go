@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
@@ -55,7 +56,7 @@ func TestChaosAttributesEveryFault(t *testing.T) {
 	// After cycle/trace rebasing the merged log must stay causally valid:
 	// every traced request reaches exactly one terminal and no span
 	// references a trace that was never delivered.
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		if len(errs) > 10 {
 			errs = errs[:10]
 		}
@@ -85,37 +86,6 @@ func TestChaosAttributesEveryFault(t *testing.T) {
 		t.Errorf("trace has %d lines, %d spans", got, len(res.Spans))
 	}
 	t.Logf("\n%s", res.Render())
-}
-
-func TestChaosRenderDeterministic(t *testing.T) {
-	run := func(parallelism int) (string, string) {
-		r := chaosRunner()
-		r.Parallelism = parallelism
-		res, err := r.Chaos()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res.Render(), buf.String()
-	}
-	r1, t1 := run(1)
-	r2, t2 := run(1)
-	if r1 != r2 || t1 != t2 {
-		t.Fatal("repeat serial runs differ")
-	}
-	if testing.Short() {
-		t.Skip("parallel cross-check skipped in -short")
-	}
-	r4, t4 := run(4)
-	if r1 != r4 {
-		t.Errorf("render differs between -parallel 1 and 4:\n%s\nvs\n%s", r1, r4)
-	}
-	if t1 != t4 {
-		t.Error("combined trace differs between -parallel 1 and 4")
-	}
 }
 
 // TestLadderCountsBreakerResidualAsFailed is the regression test for the
@@ -153,5 +123,26 @@ func TestLadderCountsBreakerResidualAsFailed(t *testing.T) {
 	}
 	if errs := lr.reconcile(); len(errs) > 0 {
 		t.Errorf("accounting did not reconcile:\n  %s", strings.Join(errs, "\n  "))
+	}
+}
+
+// TestLadderReconcileAppliesDomainOrdering: a campaign span log whose
+// domain-discard follows a commit breaks the rewind-and-discard ordering
+// rules. The in-process reconciliation must report it, not only the CLI
+// linter — with every counter consistent, it is the only finding.
+func TestLadderReconcileAppliesDomainOrdering(t *testing.T) {
+	st := core.Stats{DomainBegins: 1, DomainCommits: 1, DomainDiscards: 1}
+	lr := &ladderRun{Registry: obsv.NewRegistry(), Spans: []obsv.SpanEvent{
+		{Cycles: 10, Kind: obsv.SpanBegin, Variant: "domain"},
+		{Cycles: 20, Kind: obsv.SpanCommit, Variant: "domain"},
+		{Cycles: 30, Kind: obsv.SpanDomainDiscard, Variant: "domain", Detail: "dom=0 mark=0"},
+	}}
+	core.AddTotals(&lr.Totals, &st)
+	core.Metrics.Publish(lr.Registry, &st)
+	core.DomainMetrics.Publish(lr.Registry, &st)
+	errs := lr.reconcile()
+	want := `line 3: domain-discard after "commit", want crash`
+	if len(errs) != 1 || errs[0] != want {
+		t.Errorf("reconcile = %q, want [%q]", errs, want)
 	}
 }

@@ -312,17 +312,13 @@ func (r Runner) Containment() (ContainResult, error) {
 			row.Survived++
 			out.Survived++
 		}
-		row.Crashes += lr.Crashes
-		row.Violations += lr.DomainViolations
-		row.Discards += lr.DomainDiscards
-		row.Retires += lr.DomainRetires
+		row.Crashes += lr.Totals.Get("core.crashes")
+		row.Violations += lr.Totals.Get("core.domain_violations")
+		row.Discards += lr.Totals.Get("core.domain_discards")
+		row.Retires += lr.Totals.Get("core.domain_retires")
 		row.Writes += lr.Taints
 		row.Leaks += len(lr.Leaks)
-		var breaker int64
-		if lr.Sup.BreakerOpen {
-			breaker = 1
-		}
-		row.Silent += int64(lr.Sup.StateLost) - int64(lr.Sup.Restarts) - breaker
+		row.Silent += int64(lr.Sup.StateLost) - int64(lr.Sup.Restarts) - obsv.Flag(lr.Sup.BreakerOpen)
 		out.Writes += lr.Taints
 		for _, e := range lr.Spans {
 			e.Cycles += clock

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // domainsRunner keeps the heap-domain campaigns small enough for unit
@@ -119,7 +121,7 @@ func TestContainmentZeroLeaks(t *testing.T) {
 			t.Fatalf("span %d cycles %d < previous %d", i, e.Cycles, res.Spans[i-1].Cycles)
 		}
 	}
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		if len(errs) > 10 {
 			errs = errs[:10]
 		}
@@ -133,41 +135,4 @@ func TestContainmentZeroLeaks(t *testing.T) {
 		t.Errorf("trace has %d lines, %d spans", got, len(res.Spans))
 	}
 	t.Logf("\n%s", res.Render())
-}
-
-// TestDomainsRenderDeterministic locks byte-identical output across
-// repeats and -parallel, for both tables and the exported trace.
-func TestDomainsRenderDeterministic(t *testing.T) {
-	run := func(parallelism int) (string, string) {
-		r := domainsRunner()
-		r.Parallelism = parallelism
-		ab, err := r.AblationDomains()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := r.Containment()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ct.WriteTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return ab.Render() + ct.Render(), buf.String()
-	}
-	r1, t1 := run(1)
-	r2, t2 := run(1)
-	if r1 != r2 || t1 != t2 {
-		t.Fatal("repeat serial runs differ")
-	}
-	if testing.Short() {
-		t.Skip("parallel cross-check skipped in -short")
-	}
-	r4, t4 := run(4)
-	if r1 != r4 {
-		t.Errorf("render differs between -parallel 1 and 4:\n%s\nvs\n%s", r1, r4)
-	}
-	if t1 != t4 {
-		t.Error("combined trace differs between -parallel 1 and 4")
-	}
 }

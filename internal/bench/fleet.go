@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
@@ -109,87 +110,38 @@ func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed in
 // every incarnation death must be attributed to a reboot or a breaker,
 // and every traced request to exactly one terminal.
 func (fr *fleetRun) reconcile() []string {
-	var errs []string
-	check := func(name string, got, want int64) {
-		if got != want {
-			errs = append(errs, fmt.Sprintf("%s: %d != %d", name, got, want))
-		}
+	st := fr.St
+	tot := slices.Clone(st.Runtime)
+	fleet.Metrics.AddTo(&tot, &st)
+	for i := range fr.Sups {
+		supervisor.Metrics.AddTo(&tot, &fr.Sups[i])
 	}
-	st, reg := fr.St, fr.Reg
+	errs := tot.CheckMetrics(fr.Reg)
 
-	for name, want := range map[string]int64{
-		"fleet.replicas":       int64(st.Replicas),
-		"fleet.boots":          int64(st.Boots),
-		"fleet.deaths":         int64(st.Deaths),
-		"fleet.handoffs":       int64(st.Handoffs),
-		"fleet.failovers":      int64(st.Failovers),
-		"fleet.drains":         int64(st.Drains),
-		"fleet.drain_expired":  int64(st.DrainExpired),
-		"fleet.parked":         int64(st.Parked),
-		"fleet.drains_started": int64(st.DrainsStarted),
-		"fleet.breakers_open":  int64(st.BreakersOpen),
-		"fleet.conns_closed":   int64(st.ConnsClosed),
-		"fleet.conns_lost":     int64(st.ConnsLost),
-		"fleet.req_done":       st.ReqsDone,
-		"fleet.req_lost":       st.ReqsLost,
+	// Cross-surface identities: the supervisors' view of each event vs
+	// the balancer's, zero silent deaths (every incarnation death is a
+	// reboot or a breaker), and one terminal per traced request.
+	for _, id := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"supervisor incarnations vs fleet boots", tot.Get("supervisor.incarnations"), tot.Get("fleet.boots")},
+		{"supervisor state_lost vs fleet deaths", tot.Get("supervisor.state_lost"), tot.Get("fleet.deaths")},
+		{"supervisor conns_lost vs fleet conns_lost", tot.Get("supervisor.conns_lost"), tot.Get("fleet.conns_lost")},
+		{"fleet breakers vs supervisor breakers", tot.Get("fleet.breakers_open"), tot.Get("supervisor.breaker_open")},
+		{"silent deaths (state_lost vs restarts+breakers)", tot.Get("supervisor.state_lost"),
+			tot.Get("supervisor.restarts") + tot.Get("supervisor.breaker_open")},
+		{"terminals vs sent", st.ReqsDone + st.ReqsLost, int64(fr.Res.Sent)},
 	} {
-		check("metric "+name, reg.Total(name), want)
-	}
-
-	// Harvested runtime counters, summed across replica labels by Total.
-	check("metric core.crashes", reg.Total("core.crashes"), st.Crashes)
-	check("metric core.retries", reg.Total("core.retries"), st.Retries)
-	check("metric core.injections", reg.Total("core.injections"), st.Injections)
-	check("metric core.unrecovered", reg.Total("core.unrecovered"), st.Unrecovered)
-	check("metric core.sheds", reg.Total("core.sheds"), st.Sheds)
-	check("metric core.req_starts", reg.Total("core.req_starts"), st.ReqStarts)
-
-	// Supervisor surface vs the balancer's view of the same events.
-	var incs, restarts, stateLost, connsLost, backoffs, window, breakers int64
-	for _, s := range fr.Sups {
-		incs += int64(s.Incarnations)
-		restarts += int64(s.Restarts)
-		stateLost += int64(s.StateLost)
-		connsLost += int64(s.ConnsLost)
-		backoffs += s.LastBackoff
-		window += int64(s.Window)
-		if s.BreakerOpen {
-			breakers++
+		if id.got != id.want {
+			errs = append(errs, fmt.Sprintf("%s: %d != %d", id.name, id.got, id.want))
 		}
 	}
-	check("supervisor incarnations vs fleet boots", incs, int64(st.Boots))
-	check("supervisor state_lost vs fleet deaths", stateLost, int64(st.Deaths))
-	check("supervisor conns_lost vs fleet conns_lost", connsLost, int64(st.ConnsLost))
-	check("metric supervisor.incarnations", reg.Total("supervisor.incarnations"), incs)
-	check("metric supervisor.state_lost", reg.Total("supervisor.state_lost"), stateLost)
-	check("metric supervisor.breaker_open", reg.Total("supervisor.breaker_open"), breakers)
-	check("metric supervisor.backoff_cycles", reg.Total("supervisor.backoff_cycles"), backoffs)
-	check("metric supervisor.breaker_window", reg.Total("supervisor.breaker_window"), window)
-	check("fleet breakers vs supervisor breakers", int64(st.BreakersOpen), breakers)
-
-	// Zero silent deaths: every incarnation death is a reboot or a breaker.
-	check("silent deaths (state_lost vs restarts+breakers)", stateLost, restarts+breakers)
-
-	// Every traced request reaches exactly one terminal at the balancer.
-	check("terminals vs sent", st.ReqsDone+st.ReqsLost, int64(fr.Res.Sent))
 
 	// Span-log cross-check (skipped when the bounded log overflowed).
 	if st.Dropped == 0 {
-		counts := map[string]int64{}
-		for _, e := range fr.Spans {
-			counts[e.Kind]++
-		}
-		check("span replica-up vs boots", counts[obsv.SpanReplicaUp], int64(st.Boots))
-		check("span replica-down vs deaths", counts[obsv.SpanReplicaDown], int64(st.Deaths))
-		check("span handoff vs handoffs", counts[obsv.SpanHandoff], int64(st.Handoffs))
-		check("span reboot vs restarts", counts[obsv.SpanReboot], restarts)
-		check("span breaker-open vs breakers", counts[obsv.SpanBreakerOpen], breakers)
-		check("span shed vs sheds", counts[obsv.SpanShed], st.Sheds)
-		check("span unrecovered", counts[obsv.SpanUnrecovered], st.Unrecovered)
-		check("span req-start vs req_starts", counts[obsv.SpanReqStart], st.ReqStarts)
-		check("span req-done vs req_done", counts[obsv.SpanReqDone], st.ReqsDone)
-		check("span req-lost vs req_lost", counts[obsv.SpanReqLost], st.ReqsLost)
-		errs = append(errs, traceCausality(fr.Spans)...)
+		errs = append(errs, tot.CheckSpans(fr.Spans)...)
+		errs = append(errs, obsv.CheckCausality(fr.Spans)...)
 	}
 	return errs
 }

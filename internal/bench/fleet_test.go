@@ -1,54 +1,13 @@
 package bench
 
 import (
-	"bytes"
-	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/faultinj"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
-
-// The fleet experiment is the determinism tentpole: for a fixed seed the
-// rendered table, the merged span log and the trace bytes are
-// byte-identical across repeats and across harness parallelism.
-func TestFleetDeterministicAcrossRepeatsAndParallelism(t *testing.T) {
-	base := Runner{Requests: 30, Concurrency: 2, Seed: 3}
-	run := func(r Runner) (string, FleetResult) {
-		res, err := r.Fleet(1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Render(), res
-	}
-	r1, res1 := run(base)
-	r2, res2 := run(base)
-	if r1 != r2 {
-		t.Errorf("repeat render diverged:\n%s\nvs\n%s", r1, r2)
-	}
-	if !reflect.DeepEqual(res1.Spans, res2.Spans) {
-		t.Error("repeat span logs diverged")
-	}
-
-	par := base
-	par.Parallelism = 4
-	r3, res3 := run(par)
-	if r1 != r3 {
-		t.Errorf("parallel render diverged:\n%s\nvs\n%s", r1, r3)
-	}
-	if !reflect.DeepEqual(res1.Spans, res3.Spans) {
-		t.Error("parallel span log diverged from serial")
-	}
-
-	var tr1, tr3 bytes.Buffer
-	if err := res1.WriteTrace(&tr1); err != nil {
-		t.Fatal(err)
-	}
-	if err := res3.WriteTrace(&tr3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tr1.Bytes(), tr3.Bytes()) {
-		t.Error("trace bytes diverged across parallelism")
-	}
-}
 
 // The experiment-global span log (rebased across campaigns) must stay
 // causally valid: exactly one terminal per started trace, no orphaned
@@ -59,7 +18,7 @@ func TestFleetGlobalSpanLogIsCausal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		t.Fatalf("global span log causality:\n  %s", strings.Join(errs, "\n  "))
 	}
 	if len(res.Rows) != 2 || res.Rows[0].Replicas != 1 || res.Rows[1].Replicas != 2 {
@@ -77,5 +36,30 @@ func TestFleetGlobalSpanLogIsCausal(t *testing.T) {
 	if res.Rows[1].Boots < 2*res.Rows[1].Campaigns {
 		t.Errorf("2-replica row booted %d times across %d campaigns",
 			res.Rows[1].Boots, res.Rows[1].Campaigns)
+	}
+}
+
+// TestFleetReconcileChecksShedConnsLost is the regression test for a
+// counter the fleet harvested from every replica runtime but never
+// reconciled: a published core.shed_conns_lost that disagrees with the
+// harvested stats must now be reported.
+func TestFleetReconcileChecksShedConnsLost(t *testing.T) {
+	r := Runner{Requests: 20, Concurrency: 2, Seed: 3}.withDefaults()
+	app := apps.Nginx()
+	faults, err := r.planFaults(app, faultinj.FailStop, 1)
+	if err != nil || len(faults) == 0 {
+		t.Fatalf("plan: %v (%d faults)", err, len(faults))
+	}
+	fr, err := r.fleetRun(app, &faults[0], 1, r.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := fr.reconcile(); len(errs) > 0 {
+		t.Fatalf("clean campaign did not reconcile:\n  %s", strings.Join(errs, "\n  "))
+	}
+	fr.Reg.Counter("core.shed_conns_lost", obsv.L("replica", "1")).Inc()
+	errs := fr.reconcile()
+	if !strings.Contains(strings.Join(errs, "\n"), "core.shed_conns_lost") {
+		t.Errorf("corrupted core.shed_conns_lost not reported: %v", errs)
 	}
 }

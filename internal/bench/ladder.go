@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
@@ -21,40 +22,19 @@ type ladderRun struct {
 	Failed    int
 	Cycles    int64 // workload cycles across incarnations (throughput accounting)
 
-	// Runtime recovery counters summed across incarnations (zero for
-	// vanilla campaigns, which have no runtime).
-	Crashes       int64
-	Retries       int64
-	Injections    int64
-	Unrecovered   int64
-	Sheds         int64
-	ShedConnsLost int64
+	// Totals sums every incarnation's runtime accounting tables, plus the
+	// supervisor's, exactly as they were published into Registry (empty
+	// runtime rows for vanilla campaigns, which have no runtime). Traces
+	// is the total trace IDs the drivers consumed — the campaign's ID
+	// space is [1, Traces], which Chaos rebases per campaign.
+	Totals obsv.Totals
+	Traces int64
 
-	// Request-trace accounting summed across incarnations (hardened
-	// campaigns only): starts and terminal outcomes as the runtime saw
-	// them, plus the total trace IDs the drivers consumed — the campaign's
-	// ID space is [1, Traces], which Chaos rebases per campaign.
-	ReqStarts int64
-	ReqsDone  int64
-	ReqsLost  int64
-	Traces    int64
-
-	// Heap-domain accounting (all zero unless the campaign enabled the
-	// rewind-and-discard strategy): runtime domain counters, libsim arena
-	// counters, and the corruption-reach audit over every connection
-	// write — Taints writes checked, Leaks the (must-be-empty) verdicts.
-	DomainBegins     int64
-	DomainCommits    int64
-	DomainSwitches   int64
-	DomainRetires    int64
-	DomainDiscards   int64
-	DomainViolations int64
-	DomainLatches    int64
-	ArenaAllocs      int64
-	ArenaFallbacks   int64
-	ArenaRetires     int64
-	Taints           int64
-	Leaks            []faultinj.Leak
+	// The corruption-reach audit over every connection write of a
+	// heap-domain campaign: Taints writes checked, Leaks the
+	// (must-be-empty) verdicts.
+	Taints int64
+	Leaks  []faultinj.Leak
 
 	Sup supervisor.Stats
 
@@ -65,8 +45,7 @@ type ladderRun struct {
 	Dropped int64
 
 	// Registry accumulates each incarnation's published runtime metrics
-	// plus the supervisor's; reconcile() checks it against the counters
-	// above.
+	// plus the supervisor's; reconcile() checks it against Totals.
 	Registry *obsv.Registry
 
 	// Recordings holds the flight-recorder captures (Runner.RecordDir
@@ -141,27 +120,8 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 		rr := supervisor.RunResult{Cycles: inst.m.Cycles}
 		if inst.rt != nil {
 			st := inst.rt.Stats()
-			lr.Crashes += st.Crashes
-			lr.Retries += st.Retries
-			lr.Injections += st.Injections
-			lr.Unrecovered += st.Unrecovered
-			lr.Sheds += st.Sheds
-			lr.ShedConnsLost += st.ShedConnsLost
-			lr.ReqStarts += st.ReqStarts
-			lr.ReqsDone += st.ReqsDone
-			lr.ReqsLost += st.ReqsLost
-			lr.DomainBegins += st.DomainBegins
-			lr.DomainCommits += st.DomainCommits
-			lr.DomainSwitches += st.DomainSwitches
-			lr.DomainRetires += st.DomainRetires
-			lr.DomainDiscards += st.DomainDiscards
-			lr.DomainViolations += st.DomainViolations
-			lr.DomainLatches += st.DomainLatches
+			core.AddTotals(&lr.Totals, &st)
 			if inst.os.ArenasEnabled() {
-				ast := inst.os.ArenaStats()
-				lr.ArenaAllocs += ast.Allocs
-				lr.ArenaFallbacks += ast.Fallbacks
-				lr.ArenaRetires += ast.Retires
 				taints := inst.os.WriteTaints()
 				lr.Taints += int64(len(taints))
 				lr.Leaks = append(lr.Leaks, faultinj.CheckReach(taints)...)
@@ -221,6 +181,7 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 		lr.Failed += remaining
 	}
 	sup.PublishMetrics(lr.Registry)
+	supervisor.Metrics.AddTo(&lr.Totals, &lr.Sup)
 	lr.Spans = mergeSpans(lr.Spans, sup.Spans())
 	// Keep the failing incarnations' recordings: every unrecovered one,
 	// plus the final incarnation when the crash-loop breaker gave up.
@@ -266,11 +227,11 @@ func (l *ladderRun) rung() string {
 		return "breaker-open"
 	case l.Sup.Restarts > 0:
 		return "rebooted"
-	case l.Sheds > 0:
+	case l.Totals.Get("core.sheds") > 0:
 		return "shed"
-	case l.Injections > 0:
+	case l.Totals.Get("core.injections") > 0:
 		return "injected"
-	case l.Crashes > 0:
+	case l.Totals.Get("core.crashes") > 0:
 		return "recovered"
 	default:
 		return "none"
@@ -282,123 +243,19 @@ func (l *ladderRun) rung() string {
 // and the span log — and returns every discrepancy. An empty slice means
 // the ladder accounted for every fault on every surface.
 func (l *ladderRun) reconcile() []string {
-	var errs []string
-	check := func(name string, got, want int64) {
-		if got != want {
-			errs = append(errs, fmt.Sprintf("%s: metric %d != stat %d", name, got, want))
-		}
-	}
-	check("core.crashes", l.Registry.Total("core.crashes"), l.Crashes)
-	check("core.retries", l.Registry.Total("core.retries"), l.Retries)
-	check("core.injections", l.Registry.Total("core.injections"), l.Injections)
-	check("core.unrecovered", l.Registry.Total("core.unrecovered"), l.Unrecovered)
-	check("core.sheds", l.Registry.Total("core.sheds"), l.Sheds)
-	check("core.shed_conns_lost", l.Registry.Total("core.shed_conns_lost"), l.ShedConnsLost)
-	check("supervisor.incarnations", l.Registry.Total("supervisor.incarnations"), int64(l.Sup.Incarnations))
-	check("supervisor.restarts", l.Registry.Total("supervisor.restarts"), int64(l.Sup.Restarts))
-	check("supervisor.state_lost", l.Registry.Total("supervisor.state_lost"), int64(l.Sup.StateLost))
-	check("supervisor.conns_lost", l.Registry.Total("supervisor.conns_lost"), int64(l.Sup.ConnsLost))
-	check("supervisor.backoff_cycles_total", l.Registry.Total("supervisor.backoff_cycles_total"), l.Sup.BackoffCycles)
-	var breaker int64
-	if l.Sup.BreakerOpen {
-		breaker = 1
-	}
-	check("supervisor.breaker_open", l.Registry.Total("supervisor.breaker_open"), breaker)
-
-	// Health-surface gauges (current backoff delay, breaker window
-	// occupancy) reconcile against the Stats snapshot like every counter.
-	check("supervisor.backoff_cycles", l.Registry.Total("supervisor.backoff_cycles"), l.Sup.LastBackoff)
-	check("supervisor.breaker_window", l.Registry.Total("supervisor.breaker_window"), int64(l.Sup.Window))
+	errs := l.Totals.CheckMetrics(l.Registry)
 
 	// Zero silent deaths: every incarnation that died is attributed to a
 	// reboot or to the breaker opening.
+	breaker := obsv.Flag(l.Sup.BreakerOpen)
 	if got, want := int64(l.Sup.StateLost), int64(l.Sup.Restarts)+breaker; got != want {
 		errs = append(errs, fmt.Sprintf("silent deaths: state_lost %d != restarts %d + breaker %d", got, int64(l.Sup.Restarts), breaker))
 	}
 
-	check("core.req_starts", l.Registry.Total("core.req_starts"), l.ReqStarts)
-	check("core.req_done", l.Registry.Total("core.req_done"), l.ReqsDone)
-	check("core.req_lost", l.Registry.Total("core.req_lost"), l.ReqsLost)
-
-	// Heap-domain surfaces. Domains-off campaigns publish none of these
-	// metrics and accumulate zero stats, so every check degrades to 0 == 0.
-	check("core.domain_begins", l.Registry.Total("core.domain_begins"), l.DomainBegins)
-	check("core.domain_commits", l.Registry.Total("core.domain_commits"), l.DomainCommits)
-	check("core.domain_switches", l.Registry.Total("core.domain_switches"), l.DomainSwitches)
-	check("core.domain_retires", l.Registry.Total("core.domain_retires"), l.DomainRetires)
-	check("core.domain_discards", l.Registry.Total("core.domain_discards"), l.DomainDiscards)
-	check("core.domain_violations", l.Registry.Total("core.domain_violations"), l.DomainViolations)
-	check("core.domain_latches", l.Registry.Total("core.domain_latches"), l.DomainLatches)
-	check("core.arena_allocs", l.Registry.Total("core.arena_allocs"), l.ArenaAllocs)
-	check("core.arena_fallbacks", l.Registry.Total("core.arena_fallbacks"), l.ArenaFallbacks)
-	check("core.arena_retires", l.Registry.Total("core.arena_retires"), l.ArenaRetires)
-
 	// Span log cross-check (skipped if the bounded log overflowed).
 	if l.Dropped == 0 {
-		counts := map[string]int64{}
-		for _, e := range l.Spans {
-			counts[e.Kind]++
-		}
-		check("span:"+obsv.SpanShed, counts[obsv.SpanShed], l.Sheds)
-		check("span:"+obsv.SpanReboot, counts[obsv.SpanReboot], int64(l.Sup.Restarts))
-		check("span:"+obsv.SpanBreakerOpen, counts[obsv.SpanBreakerOpen], breaker)
-		check("span:"+obsv.SpanUnrecovered, counts[obsv.SpanUnrecovered], l.Unrecovered)
-		check("span:"+obsv.SpanReqStart, counts[obsv.SpanReqStart], l.ReqStarts)
-		check("span:"+obsv.SpanReqDone, counts[obsv.SpanReqDone], l.ReqsDone)
-		check("span:"+obsv.SpanReqLost, counts[obsv.SpanReqLost], l.ReqsLost)
-		check("span:"+obsv.SpanDomainSwitch, counts[obsv.SpanDomainSwitch], l.DomainSwitches)
-		check("span:"+obsv.SpanDomainDiscard, counts[obsv.SpanDomainDiscard], l.DomainDiscards)
-		check("span:"+obsv.SpanDomainViolation, counts[obsv.SpanDomainViolation], l.DomainViolations)
-		check("span:"+obsv.SpanLatchDomains, counts[obsv.SpanLatchDomains], l.DomainLatches)
-		errs = append(errs, traceCausality(l.Spans)...)
-	}
-	return errs
-}
-
-// traceCausality validates the trace-ID causal chains of a span log:
-// every req-start has exactly one terminal (req-done or req-lost), a
-// req-done never appears for a request the server never started reading,
-// and no recovery/transaction span references a trace with no req-start
-// (orphaned trace reference). A req-lost without a req-start is legal —
-// the request was delivered but the server died before reading it.
-func traceCausality(spans []obsv.SpanEvent) []string {
-	var errs []string
-	started := map[int64]int{}
-	terminals := map[int64]int{}
-	doneNoStartOK := map[int64]bool{}
-	refs := map[int64]bool{}
-	for _, e := range spans {
-		switch e.Kind {
-		case obsv.SpanReqStart:
-			started[e.Trace]++
-		case obsv.SpanReqDone:
-			terminals[e.Trace]++
-		case obsv.SpanReqLost:
-			terminals[e.Trace]++
-			doneNoStartOK[e.Trace] = true
-		default:
-			if e.Trace != 0 {
-				refs[e.Trace] = true
-			}
-		}
-	}
-	for tr, n := range started {
-		if n != 1 {
-			errs = append(errs, fmt.Sprintf("trace %d: %d req-start spans, want 1", tr, n))
-		}
-		if terminals[tr] != 1 {
-			errs = append(errs, fmt.Sprintf("trace %d: %d terminal spans, want 1", tr, terminals[tr]))
-		}
-	}
-	for tr := range terminals {
-		if started[tr] == 0 && !doneNoStartOK[tr] {
-			errs = append(errs, fmt.Sprintf("trace %d: req-done without req-start", tr))
-		}
-	}
-	for tr := range refs {
-		if started[tr] == 0 {
-			errs = append(errs, fmt.Sprintf("trace %d: orphaned trace reference (no req-start)", tr))
-		}
+		errs = append(errs, l.Totals.CheckSpans(l.Spans)...)
+		errs = append(errs, obsv.CheckCausality(l.Spans)...)
 	}
 	return errs
 }

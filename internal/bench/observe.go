@@ -6,7 +6,10 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/core"
+	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/obsv"
+	"github.com/firestarter-go/firestarter/internal/stm"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -90,38 +93,20 @@ func (o *ObserveResult) reconcile(inst *instance) {
 			o.errors = append(o.errors, fmt.Sprintf("%s: %d != %d", name, got, want))
 		}
 	}
-	st := inst.rt.Stats()
-	hs := inst.rt.HTMStats()
-	reg := o.Registry
-	check("metrics core.crashes vs Stats", reg.Total("core.crashes"), st.Crashes)
-	check("metrics core.injections vs Stats", reg.Total("core.injections"), st.Injections)
-	check("metrics core.htm_begins vs Stats", reg.Total("core.htm_begins"), st.HTMBegins)
-	check("metrics htm.begins vs HTMStats", reg.Total("htm.begins"), hs.Begins)
-	check("metrics htm.aborts vs HTMStats", reg.Total("htm.aborts"), hs.Aborts)
-	check("metrics workload.completed vs Result",
-		reg.Total("workload.completed"), int64(o.Workload.Completed))
-
-	// Spans: one begin per transaction begin, one commit per commit.
-	var begins, commits int64
-	for _, e := range o.Spans {
-		switch e.Kind {
-		case obsv.SpanBegin:
-			begins++
-		case obsv.SpanCommit:
-			commits++
-		}
-	}
+	st, hs, ss := inst.rt.Stats(), inst.rt.HTMStats(), inst.rt.STMStats()
+	var tot obsv.Totals
+	core.AddTotals(&tot, &st)
+	htm.Metrics.AddTo(&tot, &hs)
+	stm.Metrics.AddTo(&tot, &ss)
+	workload.Metrics.AddTo(&tot, &o.Workload)
+	o.errors = append(o.errors, tot.CheckMetrics(o.Registry)...)
 	if o.Dropped == 0 {
-		check("span begins vs begin counters", begins, st.HTMBegins+st.STMBegins)
-		check("span commits vs commit counters", commits, st.HTMCommits+st.STMCommits)
+		o.errors = append(o.errors, tot.CheckSpans(o.Spans)...)
 	}
 
-	// Request tracing: every span surface must agree with the runtime's
-	// request counters, and the driver's latency split must account for
-	// exactly the requests that reached a terminal req-done.
-	check("metrics core.req_starts vs Stats", reg.Total("core.req_starts"), st.ReqStarts)
-	check("metrics core.req_done vs Stats", reg.Total("core.req_done"), st.ReqsDone)
-	check("metrics core.req_lost vs Stats", reg.Total("core.req_lost"), st.ReqsLost)
+	// Request tracing: every request reaches one terminal, and the
+	// driver's latency split must account for exactly the requests that
+	// reached a terminal req-done.
 	check("req terminals vs sent", st.ReqsDone+st.ReqsLost, int64(o.Workload.Sent))
 	clean, recovered := o.Workload.CleanLatency, o.Workload.RecoveryLatency
 	check("latency split count vs req_done", clean.Count()+recovered.Count(), st.ReqsDone)
@@ -130,28 +115,16 @@ func (o *ObserveResult) reconcile(inst *instance) {
 		// recovery-touched split iff a recovery span referenced its trace
 		// before its terminal req-done — the same order-sensitive rule the
 		// runtime applies live, reproduced here purely from the log.
-		var reqStarts, reqDone, reqLost, touchedDone int64
+		var touchedDone int64
 		touched := map[int64]bool{}
 		for _, e := range o.Spans {
-			switch e.Kind {
-			case obsv.SpanReqStart:
-				reqStarts++
-			case obsv.SpanReqDone:
-				reqDone++
-				if touched[e.Trace] {
-					touchedDone++
-				}
-			case obsv.SpanReqLost:
-				reqLost++
-			default:
-				if e.Trace != 0 && recoverySpanKind(e.Kind) {
-					touched[e.Trace] = true
-				}
+			switch {
+			case e.Kind == obsv.SpanReqDone && touched[e.Trace]:
+				touchedDone++
+			case e.Trace != 0 && obsv.RecoveryKind(e.Kind):
+				touched[e.Trace] = true
 			}
 		}
-		check("span req-start vs Stats", reqStarts, st.ReqStarts)
-		check("span req-done vs Stats", reqDone, st.ReqsDone)
-		check("span req-lost vs Stats", reqLost, st.ReqsLost)
 		check("recovery-touched req-done vs latency split", touchedDone, recovered.Count())
 	}
 
@@ -184,17 +157,6 @@ func histOf(samples []int64) *obsv.Hist {
 		h.Observe(v)
 	}
 	return h
-}
-
-// recoverySpanKind reports whether a span kind marks recovery machinery
-// acting on a request (mirrors the runtime's touched-trace marking).
-func recoverySpanKind(kind string) bool {
-	switch kind {
-	case obsv.SpanAbort, obsv.SpanCrash, obsv.SpanRetry, obsv.SpanInject,
-		obsv.SpanLatchSTM, obsv.SpanRecovered, obsv.SpanUnrecovered, obsv.SpanShed:
-		return true
-	}
-	return false
 }
 
 // WriteTrace writes the span log as JSONL.

@@ -1,45 +1,17 @@
 package bench
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// TestOpenLoopDeterministicAcrossParallelism runs the offered-load sweep
-// serially and with a worker pool: rendered report, span log and every
-// row must be byte-identical, the knee must be visible (the top rungs
-// offer multiples of the calibrated service rate, so shedding must
-// appear), and the overload rungs must still offer their full schedule.
-func TestOpenLoopDeterministicAcrossParallelism(t *testing.T) {
+// TestOpenLoopShowsKneeAtFullOffer checks the sweep's shape: the knee
+// must be visible (the top rungs offer multiples of the calibrated
+// service rate, so shedding must appear), and the overload rungs must
+// still offer their full schedule.
+func TestOpenLoopShowsKneeAtFullOffer(t *testing.T) {
 	serial := Runner{Requests: 60, Seed: 1}
-	parallel := Runner{Requests: 60, Seed: 1, Parallelism: 4}
-
 	a, err := serial.OpenLoop()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.OpenLoop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Errorf("rendered reports diverge:\n--- serial ---\n%s--- parallel ---\n%s", a.Render(), b.Render())
-	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Error("rows diverge between serial and parallel runs")
-	}
-	var ta, tb bytes.Buffer
-	if err := a.WriteTrace(&ta); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteTrace(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
-		t.Error("span logs diverge between serial and parallel runs")
-	}
-
 	if a.ServiceRate <= 0 {
 		t.Fatalf("service rate = %v", a.ServiceRate)
 	}

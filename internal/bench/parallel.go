@@ -11,7 +11,7 @@ import "sync"
 // preserved by construction: each indexed job writes its result into a
 // pre-sized slot and the caller assembles output in index order, so the
 // rendered tables and figures are byte-identical to a serial run (a
-// property locked in by TestParallelHarnessMatchesSerial).
+// property locked in by TestSerialEqualsParallel).
 
 // forEach runs jobs 0..n-1, in order when Parallelism <= 1, otherwise
 // spread across min(Parallelism, n) workers. With workers, every job runs

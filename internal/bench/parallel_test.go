@@ -6,63 +6,6 @@ import (
 	"testing"
 )
 
-// TestParallelHarnessMatchesSerial is the determinism guarantee of the
-// parallel harness: for a fixed seed, fanning a campaign's measurement
-// runs across a worker pool must render byte-identical output to the
-// serial campaign. Figure 6 covers the flattened multi-stage sweep,
-// Figure 7 the per-server/per-variant fan-out, and Table IV the
-// fault-campaign reduction.
-func TestParallelHarnessMatchesSerial(t *testing.T) {
-	serial := Runner{Requests: 60, Concurrency: 4, Seed: 5, FaultsPerServer: 3}
-	parallel := serial
-	parallel.Parallelism = 4
-
-	t.Run("figure6", func(t *testing.T) {
-		s, err := serial.Figure6()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := parallel.Figure6()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Render() != p.Render() {
-			t.Errorf("parallel Figure6 diverged from serial:\nserial:\n%s\nparallel:\n%s", s.Render(), p.Render())
-		}
-	})
-
-	t.Run("figure7", func(t *testing.T) {
-		s, err := serial.Figure7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := parallel.Figure7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Render() != p.Render() {
-			t.Errorf("parallel Figure7 diverged from serial:\nserial:\n%s\nparallel:\n%s", s.Render(), p.Render())
-		}
-		if s.RenderFigure8() != p.RenderFigure8() {
-			t.Errorf("parallel Figure8 diverged from serial")
-		}
-	})
-
-	t.Run("tableIV", func(t *testing.T) {
-		s, err := serial.TableIV()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := parallel.TableIV()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Render() != p.Render() {
-			t.Errorf("parallel TableIV diverged from serial:\nserial:\n%s\nparallel:\n%s", s.Render(), p.Render())
-		}
-	})
-}
-
 // TestForEach covers the pool mechanics: order-independent completion,
 // full coverage, and lowest-index error reporting.
 func TestForEach(t *testing.T) {

@@ -98,7 +98,7 @@ func (l *ladderRun) row(strategy string) RestartRow {
 		Failed:    l.Failed,
 		Restarts:  l.Sup.Restarts,
 		StateLost: l.Sup.StateLost,
-		Sheds:     int(l.Sheds),
+		Sheds:     int(l.Totals.Get("core.sheds")),
 	}
 	row.CyclesPerReq = workload.Result{Cycles: l.Cycles, Completed: l.Completed}.CyclesPerRequest()
 	return row

@@ -284,6 +284,10 @@ type Stats struct {
 	DomainViolations int64
 	DomainLatches    int64
 
+	// Arena is libsim's per-request arena accounting at snapshot time
+	// (all zero unless EnableDomains switched arenas on).
+	Arena libsim.ArenaStats
+
 	// Sheds counts requests dropped by the shedding rung: otherwise-fatal
 	// crashes absorbed by resetting the offending connection and resuming
 	// at the quiesce point. ShedConnsLost counts the sheds that actually
@@ -477,13 +481,23 @@ func cloneSiteSet(src map[int]bool) map[int]bool {
 // field is deep-copied — the sample slices and the site-set maps — so the
 // snapshot stays frozen while the runtime keeps executing.
 func (rt *Runtime) Stats() Stats {
-	s := rt.stats
+	s := rt.snapshot()
 	s.LatencyCycles = append([]int64(nil), rt.stats.LatencyCycles...)
 	s.TxSteps = append([]int64(nil), rt.stats.TxSteps...)
 	s.TxWriteLines = append([]int64(nil), rt.stats.TxWriteLines...)
 	s.GateSites = cloneSiteSet(rt.stats.GateSites)
 	s.EmbedSites = cloneSiteSet(rt.stats.EmbedSites)
 	s.BreakSites = cloneSiteSet(rt.stats.BreakSites)
+	return s
+}
+
+// snapshot returns the counters with the arena accounting filled in; its
+// sample slices and site sets alias the live ones.
+func (rt *Runtime) snapshot() Stats {
+	s := rt.stats
+	if rt.os != nil {
+		s.Arena = rt.os.ArenaStats()
+	}
 	return s
 }
 

@@ -1,6 +1,58 @@
 package core
 
-import "github.com/firestarter-go/firestarter/internal/obsv"
+import (
+	"github.com/firestarter-go/firestarter/internal/htm"
+	"github.com/firestarter-go/firestarter/internal/obsv"
+	"github.com/firestarter-go/firestarter/internal/stm"
+)
+
+// Metrics is the runtime's accounting schema: every Stats counter the
+// registry carries, with the span kind whose count mirrors it.
+var Metrics = obsv.Table[Stats]{
+	{Name: "core.gate_execs", Get: func(s *Stats) int64 { return s.GateExecs }},
+	{Name: "core.htm_begins", Get: func(s *Stats) int64 { return s.HTMBegins }, Span: obsv.SpanBegin},
+	{Name: "core.htm_commits", Get: func(s *Stats) int64 { return s.HTMCommits }, Span: obsv.SpanCommit},
+	{Name: "core.stm_begins", Get: func(s *Stats) int64 { return s.STMBegins }, Span: obsv.SpanBegin},
+	{Name: "core.stm_commits", Get: func(s *Stats) int64 { return s.STMCommits }, Span: obsv.SpanCommit},
+	{Name: "core.unprotected", Get: func(s *Stats) int64 { return s.Unprotected }},
+	{Name: "core.htm_aborts", Get: func(s *Stats) int64 { return s.HTMAborts }},
+	{Name: "core.crashes", Get: func(s *Stats) int64 { return s.Crashes }},
+	{Name: "core.retries", Get: func(s *Stats) int64 { return s.Retries }},
+	{Name: "core.injections", Get: func(s *Stats) int64 { return s.Injections }},
+	{Name: "core.unrecovered", Get: func(s *Stats) int64 { return s.Unrecovered }, Span: obsv.SpanUnrecovered},
+	{Name: "core.deferred_runs", Get: func(s *Stats) int64 { return s.DeferredRuns }},
+	{Name: "core.sheds", Get: func(s *Stats) int64 { return s.Sheds }, Span: obsv.SpanShed},
+	{Name: "core.shed_conns_lost", Get: func(s *Stats) int64 { return s.ShedConnsLost }},
+	{Name: "core.req_starts", Get: func(s *Stats) int64 { return s.ReqStarts }, Span: obsv.SpanReqStart},
+	{Name: "core.req_done", Get: func(s *Stats) int64 { return s.ReqsDone }, Span: obsv.SpanReqDone},
+	{Name: "core.req_lost", Get: func(s *Stats) int64 { return s.ReqsLost }, Span: obsv.SpanReqLost},
+}
+
+// DomainMetrics is the heap-domain half of the schema: the
+// rewind-and-discard counters and libsim's arena counters. They are
+// published only under Config.EnableDomains, so a domains-off run
+// exports byte-identical metrics to a build without the feature; with
+// domains off every value is zero, so summing and reconciling the table
+// still holds.
+var DomainMetrics = obsv.Table[Stats]{
+	{Name: "core.domain_begins", Get: func(s *Stats) int64 { return s.DomainBegins }, Span: obsv.SpanBegin},
+	{Name: "core.domain_commits", Get: func(s *Stats) int64 { return s.DomainCommits }, Span: obsv.SpanCommit},
+	{Name: "core.domain_switches", Get: func(s *Stats) int64 { return s.DomainSwitches }, Span: obsv.SpanDomainSwitch},
+	{Name: "core.domain_retires", Get: func(s *Stats) int64 { return s.DomainRetires }},
+	{Name: "core.domain_discards", Get: func(s *Stats) int64 { return s.DomainDiscards }, Span: obsv.SpanDomainDiscard},
+	{Name: "core.domain_violations", Get: func(s *Stats) int64 { return s.DomainViolations }, Span: obsv.SpanDomainViolation},
+	{Name: "core.domain_latches", Get: func(s *Stats) int64 { return s.DomainLatches }, Span: obsv.SpanLatchDomains},
+	{Name: "core.arena_allocs", Get: func(s *Stats) int64 { return s.Arena.Allocs }},
+	{Name: "core.arena_fallbacks", Get: func(s *Stats) int64 { return s.Arena.Fallbacks }},
+	{Name: "core.arena_retires", Get: func(s *Stats) int64 { return s.Arena.Retires }},
+}
+
+// AddTotals folds one runtime snapshot into tot: both schema tables,
+// whether or not the runtime published the domain half.
+func AddTotals(tot *obsv.Totals, s *Stats) {
+	Metrics.AddTo(tot, s)
+	DomainMetrics.AddTo(tot, s)
+}
 
 // PublishMetrics copies the runtime's accumulated counters — recovery
 // statistics, the hardware and software transaction models, the Table III
@@ -13,42 +65,11 @@ import "github.com/firestarter-go/firestarter/internal/obsv"
 // program runs. The published totals reconcile exactly with Stats(),
 // HTMStats() and STMStats().
 func (rt *Runtime) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
-	s := rt.stats
-	reg.Counter("core.gate_execs", labels...).Add(s.GateExecs)
-	reg.Counter("core.htm_begins", labels...).Add(s.HTMBegins)
-	reg.Counter("core.htm_commits", labels...).Add(s.HTMCommits)
-	reg.Counter("core.stm_begins", labels...).Add(s.STMBegins)
-	reg.Counter("core.stm_commits", labels...).Add(s.STMCommits)
-	reg.Counter("core.unprotected", labels...).Add(s.Unprotected)
-	reg.Counter("core.htm_aborts", labels...).Add(s.HTMAborts)
-	reg.Counter("core.crashes", labels...).Add(s.Crashes)
-	reg.Counter("core.retries", labels...).Add(s.Retries)
-	reg.Counter("core.injections", labels...).Add(s.Injections)
-	reg.Counter("core.unrecovered", labels...).Add(s.Unrecovered)
-	reg.Counter("core.deferred_runs", labels...).Add(s.DeferredRuns)
-	reg.Counter("core.sheds", labels...).Add(s.Sheds)
-	reg.Counter("core.shed_conns_lost", labels...).Add(s.ShedConnsLost)
-	reg.Counter("core.req_starts", labels...).Add(s.ReqStarts)
-	reg.Counter("core.req_done", labels...).Add(s.ReqsDone)
-	reg.Counter("core.req_lost", labels...).Add(s.ReqsLost)
-
+	s := rt.snapshot()
+	Metrics.Publish(reg, &s, labels...)
 	if rt.cfg.EnableDomains {
-		// The heap-domain surface exists only when the feature is on, so
-		// a domains-off run publishes byte-identical metrics to a build
-		// without it. All seven reconcile exactly with Stats(), and the
-		// arena counters with libsim's ArenaStats().
-		reg.Counter("core.domain_begins", labels...).Add(s.DomainBegins)
-		reg.Counter("core.domain_commits", labels...).Add(s.DomainCommits)
-		reg.Counter("core.domain_switches", labels...).Add(s.DomainSwitches)
-		reg.Counter("core.domain_retires", labels...).Add(s.DomainRetires)
-		reg.Counter("core.domain_discards", labels...).Add(s.DomainDiscards)
-		reg.Counter("core.domain_violations", labels...).Add(s.DomainViolations)
-		reg.Counter("core.domain_latches", labels...).Add(s.DomainLatches)
-		ast := rt.os.ArenaStats()
-		reg.Counter("core.arena_allocs", labels...).Add(ast.Allocs)
-		reg.Counter("core.arena_fallbacks", labels...).Add(ast.Fallbacks)
-		reg.Counter("core.arena_retires", labels...).Add(ast.Retires)
-		reg.Gauge("core.arena_slabs", labels...).Add(ast.Slabs)
+		DomainMetrics.Publish(reg, &s, labels...)
+		reg.Gauge("core.arena_slabs", labels...).Add(s.Arena.Slabs)
 	}
 
 	reg.Gauge("core.sites_gate", labels...).Add(int64(len(s.GateSites)))
@@ -71,7 +92,8 @@ func (rt *Runtime) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
 		lines.Observe(v)
 	}
 
-	rt.HTMStats().Publish(reg, labels...)
-	rt.STMStats().Publish(reg, labels...)
+	hs, ss := rt.HTMStats(), rt.STMStats()
+	htm.Metrics.Publish(reg, &hs, labels...)
+	stm.Metrics.Publish(reg, &ss, labels...)
 	reg.Gauge("stm.memory_bytes", labels...).SetMax(rt.MemoryOverheadBytes())
 }

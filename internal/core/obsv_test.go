@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -259,5 +260,41 @@ func TestProfilerAttributionSumsToMachineTotal(t *testing.T) {
 	}
 	if siteCycles != libCycles {
 		t.Errorf("site cycles %d != library bucket cycles %d", siteCycles, libCycles)
+	}
+}
+
+// TestSchemaCoversEveryCounter keeps the accounting schema the single
+// declaration of each counter: every int64 field of Stats, arena
+// accounting included, is read by exactly one row of Metrics or
+// DomainMetrics. Arena.Slabs is the one exception, a level gauge
+// published beside the tables.
+func TestSchemaCoversEveryCounter(t *testing.T) {
+	rows := append(append(obsv.Table[core.Stats]{}, core.Metrics...), core.DomainMetrics...)
+	check := func(name string, index []int) {
+		var s core.Stats
+		reflect.ValueOf(&s).Elem().FieldByIndex(index).SetInt(7919)
+		var readers []string
+		for _, r := range rows {
+			if r.Get(&s) == 7919 {
+				readers = append(readers, r.Name)
+			}
+		}
+		if len(readers) != 1 {
+			t.Errorf("Stats.%s is read by rows %v, want exactly one", name, readers)
+		}
+	}
+	typ := reflect.TypeOf(core.Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Int64:
+			check(f.Name, f.Index)
+		case f.Name == "Arena":
+			for j := 0; j < f.Type.NumField(); j++ {
+				if g := f.Type.Field(j); g.Name != "Slabs" {
+					check("Arena."+g.Name, []int{i, j})
+				}
+			}
+		}
 	}
 }

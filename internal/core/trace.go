@@ -266,22 +266,10 @@ func (rt *Runtime) emitSpan(kind string, site int, variant, cause, detail string
 	if rt.os != nil {
 		trace = rt.os.CurrentTrace()
 	}
-	if trace != 0 && recoveryKind(kind) {
+	if trace != 0 && obsv.RecoveryKind(kind) {
 		rt.markTouched(trace)
 	}
 	rt.emitSpanTrace(kind, site, trace, variant, cause, detail)
-}
-
-// recoveryKind reports whether a span kind marks recovery machinery
-// acting on the request (vs the ordinary begin/commit transaction flow).
-func recoveryKind(kind string) bool {
-	switch kind {
-	case obsv.SpanAbort, obsv.SpanCrash, obsv.SpanRetry, obsv.SpanInject,
-		obsv.SpanLatchSTM, obsv.SpanRecovered, obsv.SpanUnrecovered, obsv.SpanShed,
-		obsv.SpanLatchDomains, obsv.SpanDomainDiscard, obsv.SpanDomainViolation:
-		return true
-	}
-	return false
 }
 
 // markTouched records a trace as touched by recovery (no-op for trace 0

@@ -23,6 +23,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -163,16 +164,31 @@ type Stats struct {
 	ReqsDone int64
 	ReqsLost int64
 
-	// Harvested replica-runtime totals, summed across every incarnation of
-	// every replica.
-	Crashes       int64
-	Retries       int64
-	Injections    int64
-	Unrecovered   int64
-	Sheds         int64
-	ShedConnsLost int64
-	ReqStarts     int64
-	Dropped       int64
+	// Runtime sums the replica runtimes' accounting tables (core.Metrics
+	// and core.DomainMetrics) across every incarnation of every replica;
+	// Dropped counts span events any bounded log discarded.
+	Runtime obsv.Totals
+	Dropped int64
+}
+
+// Metrics is the balancer's accounting schema; each counter reconciles
+// with Stats and, where a span kind is declared, with the balancer's
+// span counts.
+var Metrics = obsv.Table[Stats]{
+	{Name: "fleet.replicas", Gauge: true, Get: func(s *Stats) int64 { return int64(s.Replicas) }},
+	{Name: "fleet.boots", Get: func(s *Stats) int64 { return int64(s.Boots) }, Span: obsv.SpanReplicaUp},
+	{Name: "fleet.deaths", Get: func(s *Stats) int64 { return int64(s.Deaths) }, Span: obsv.SpanReplicaDown},
+	{Name: "fleet.handoffs", Get: func(s *Stats) int64 { return int64(s.Handoffs) }, Span: obsv.SpanHandoff},
+	{Name: "fleet.failovers", Get: func(s *Stats) int64 { return int64(s.Failovers) }},
+	{Name: "fleet.drains", Get: func(s *Stats) int64 { return int64(s.Drains) }},
+	{Name: "fleet.drain_expired", Get: func(s *Stats) int64 { return int64(s.DrainExpired) }},
+	{Name: "fleet.parked", Get: func(s *Stats) int64 { return int64(s.Parked) }},
+	{Name: "fleet.drains_started", Get: func(s *Stats) int64 { return int64(s.DrainsStarted) }},
+	{Name: "fleet.breakers_open", Get: func(s *Stats) int64 { return int64(s.BreakersOpen) }},
+	{Name: "fleet.conns_closed", Get: func(s *Stats) int64 { return int64(s.ConnsClosed) }},
+	{Name: "fleet.conns_lost", Get: func(s *Stats) int64 { return int64(s.ConnsLost) }},
+	{Name: "fleet.req_done", Get: func(s *Stats) int64 { return s.ReqsDone }, Span: obsv.SpanReqDone},
+	{Name: "fleet.req_lost", Get: func(s *Stats) int64 { return s.ReqsLost }, Span: obsv.SpanReqLost},
 }
 
 type repState int
@@ -297,7 +313,11 @@ func (f *Fleet) Err() error { return f.err }
 func (f *Fleet) Registry() *obsv.Registry { return f.reg }
 
 // Stats returns a snapshot of the fleet accounting.
-func (f *Fleet) Stats() Stats { return f.stats }
+func (f *Fleet) Stats() Stats {
+	st := f.stats
+	st.Runtime = slices.Clone(st.Runtime)
+	return st
+}
 
 // SupStats returns replica i's supervisor accounting.
 func (f *Fleet) SupStats(i int) supervisor.Stats { return f.reps[i].sup.Stats() }
@@ -926,13 +946,7 @@ func (f *Fleet) harvest(rep *replica) {
 		return
 	}
 	st := be.RT.Stats()
-	f.stats.Crashes += st.Crashes
-	f.stats.Retries += st.Retries
-	f.stats.Injections += st.Injections
-	f.stats.Unrecovered += st.Unrecovered
-	f.stats.Sheds += st.Sheds
-	f.stats.ShedConnsLost += st.ShedConnsLost
-	f.stats.ReqStarts += st.ReqStarts
+	core.AddTotals(&f.stats.Runtime, &st)
 	for _, tr := range be.RT.TouchedTraces() {
 		f.touched[tr] = true
 	}
@@ -976,25 +990,5 @@ func (f *Fleet) Finish() {
 	}
 	f.merged = all
 	f.stats.Dropped += f.spans.Dropped()
-	f.publishMetrics()
-}
-
-// publishMetrics lands the fleet.* counters; they reconcile exactly with
-// Stats and with the balancer span counts.
-func (f *Fleet) publishMetrics() {
-	st := f.stats
-	f.reg.Gauge("fleet.replicas").Set(int64(st.Replicas))
-	f.reg.Counter("fleet.boots").Add(int64(st.Boots))
-	f.reg.Counter("fleet.deaths").Add(int64(st.Deaths))
-	f.reg.Counter("fleet.handoffs").Add(int64(st.Handoffs))
-	f.reg.Counter("fleet.failovers").Add(int64(st.Failovers))
-	f.reg.Counter("fleet.drains").Add(int64(st.Drains))
-	f.reg.Counter("fleet.drain_expired").Add(int64(st.DrainExpired))
-	f.reg.Counter("fleet.parked").Add(int64(st.Parked))
-	f.reg.Counter("fleet.drains_started").Add(int64(st.DrainsStarted))
-	f.reg.Counter("fleet.breakers_open").Add(int64(st.BreakersOpen))
-	f.reg.Counter("fleet.conns_closed").Add(int64(st.ConnsClosed))
-	f.reg.Counter("fleet.conns_lost").Add(int64(st.ConnsLost))
-	f.reg.Counter("fleet.req_done").Add(st.ReqsDone)
-	f.reg.Counter("fleet.req_lost").Add(st.ReqsLost)
+	Metrics.Publish(f.reg, &f.stats)
 }

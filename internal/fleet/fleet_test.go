@@ -676,7 +676,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	s1, sp1, w1 := run()
 	s2, sp2, w2 := run()
-	if s1 != s2 || w1 != w2 {
+	if !reflect.DeepEqual(s1, s2) || w1 != w2 {
 		t.Errorf("stats/wall diverged: %+v @%d vs %+v @%d", s1, w1, s2, w2)
 	}
 	if !reflect.DeepEqual(sp1, sp2) {

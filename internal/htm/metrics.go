@@ -2,16 +2,16 @@ package htm
 
 import "github.com/firestarter-go/firestarter/internal/obsv"
 
-// Publish copies the hardware model's counters into a metrics registry.
-// Publishing happens at collection time — the transaction hot paths never
-// touch the registry, so enabling metrics changes no charged cycle.
-func (s Stats) Publish(reg *obsv.Registry, labels ...obsv.Label) {
-	reg.Counter("htm.begins", labels...).Add(s.Begins)
-	reg.Counter("htm.commits", labels...).Add(s.Commits)
-	reg.Counter("htm.aborts", labels...).Add(s.Aborts)
-	reg.Counter("htm.aborts_capacity", labels...).Add(s.ByCapac)
-	reg.Counter("htm.aborts_interrupt", labels...).Add(s.ByIntr)
-	reg.Counter("htm.aborts_conflict", labels...).Add(s.ByConfl)
-	reg.Counter("htm.aborts_explicit", labels...).Add(s.ByExplcit)
-	reg.Gauge("htm.peak_write_lines", labels...).SetMax(int64(s.PeakWriteLines))
+// Metrics is the hardware model's accounting schema. Publishing happens at
+// collection time — the transaction hot paths never touch the registry,
+// so enabling metrics changes no charged cycle.
+var Metrics = obsv.Table[Stats]{
+	{Name: "htm.begins", Get: func(s *Stats) int64 { return s.Begins }},
+	{Name: "htm.commits", Get: func(s *Stats) int64 { return s.Commits }},
+	{Name: "htm.aborts", Get: func(s *Stats) int64 { return s.Aborts }},
+	{Name: "htm.aborts_capacity", Get: func(s *Stats) int64 { return s.ByCapac }},
+	{Name: "htm.aborts_interrupt", Get: func(s *Stats) int64 { return s.ByIntr }},
+	{Name: "htm.aborts_conflict", Get: func(s *Stats) int64 { return s.ByConfl }},
+	{Name: "htm.aborts_explicit", Get: func(s *Stats) int64 { return s.ByExplcit }},
+	{Name: "htm.peak_write_lines", Gauge: true, Get: func(s *Stats) int64 { return int64(s.PeakWriteLines) }},
 }

@@ -11,10 +11,14 @@
 //     name + labels (site, thread). The runtime packages (core, htm, stm,
 //     sched, workload) publish their counters into a registry at
 //     collection time, so the hot paths charge no extra cycles and
-//     allocate nothing while the program runs.
+//     allocate nothing while the program runs. Each counter is declared
+//     once, as a Table row beside the Stats struct it reads; the same
+//     rows publish, sum (Totals) and reconcile it.
 //   - SpanLog: begin/abort(cause)/commit/recovery events of every crash
 //     transaction, emitted as JSONL. This is the structured superset of
 //     the old flat recovery trace (which survives as a rendering).
+//     Causality is the one checker of a span log's request chains and
+//     heap-domain ordering rules.
 //   - Profile: attributes retired instructions and charged cycles to
 //     guest functions and library-call sites (flat + cumulative), with
 //     zero cost when no profiler is attached.

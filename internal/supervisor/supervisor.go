@@ -317,26 +317,24 @@ func (s *Supervisor) Supervise(run func(incarnation int, seed int64) (RunResult,
 	}
 }
 
+// Metrics is the supervisor's accounting schema. The two gauges are the
+// health surface the fleet balancer routes on: the current backoff delay
+// and the breaker window occupancy.
+var Metrics = obsv.Table[Stats]{
+	{Name: "supervisor.incarnations", Get: func(s *Stats) int64 { return int64(s.Incarnations) }},
+	{Name: "supervisor.restarts", Get: func(s *Stats) int64 { return int64(s.Restarts) }, Span: obsv.SpanReboot},
+	{Name: "supervisor.state_lost", Get: func(s *Stats) int64 { return int64(s.StateLost) }},
+	{Name: "supervisor.conns_lost", Get: func(s *Stats) int64 { return int64(s.ConnsLost) }},
+	{Name: "supervisor.backoff_cycles_total", Get: func(s *Stats) int64 { return s.BackoffCycles }},
+	{Name: "supervisor.breaker_open", Get: func(s *Stats) int64 { return obsv.Flag(s.BreakerOpen) }, Span: obsv.SpanBreakerOpen},
+	{Name: "supervisor.backoff_cycles", Gauge: true, Get: func(s *Stats) int64 { return s.LastBackoff }},
+	{Name: "supervisor.breaker_window", Gauge: true, Get: func(s *Stats) int64 { return int64(s.Window) }},
+}
+
 // PublishMetrics copies the supervisor's accounting into a metrics
 // registry under the given labels. Collection-time only; the totals
 // reconcile exactly with Stats().
 func (s *Supervisor) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
-	st := s.stats
-	reg.Counter("supervisor.incarnations", labels...).Add(int64(st.Incarnations))
-	reg.Counter("supervisor.restarts", labels...).Add(int64(st.Restarts))
-	reg.Counter("supervisor.state_lost", labels...).Add(int64(st.StateLost))
-	reg.Counter("supervisor.conns_lost", labels...).Add(int64(st.ConnsLost))
-	reg.Counter("supervisor.backoff_cycles_total", labels...).Add(st.BackoffCycles)
-	var open int64
-	if st.BreakerOpen {
-		open = 1
-	}
-	reg.Counter("supervisor.breaker_open", labels...).Add(open)
-
-	// Health-surface gauges: the current backoff delay and the breaker
-	// window occupancy — the signals the fleet balancer routes on. Both
-	// reconcile with Stats().LastBackoff / Stats().Window in the ladder's
-	// 3-surface check.
-	reg.Gauge("supervisor.backoff_cycles", labels...).Set(s.lastBackoff)
-	reg.Gauge("supervisor.breaker_window", labels...).Set(int64(s.WindowOccupancy()))
+	st := s.Stats()
+	Metrics.Publish(reg, &st, labels...)
 }

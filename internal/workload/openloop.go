@@ -223,7 +223,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		res.Cycles = d.cycles() - startCycles
 		res.Steps = d.steps() - startSteps
 		if d.Metrics != nil {
-			res.PublishMetrics(d.Metrics)
+			Metrics.Publish(d.Metrics, &res.Result)
 			if d.S != nil {
 				d.S.PublishMetrics(d.Metrics)
 			}

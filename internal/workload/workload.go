@@ -94,24 +94,16 @@ type Result struct {
 	RecoveryLatency *obsv.Hist
 }
 
-// PublishMetrics copies the run's outcome counters into a metrics
-// registry under the given labels.
-func (r Result) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
-	reg.Counter("workload.completed", labels...).Add(int64(r.Completed))
-	reg.Counter("workload.bad_resp", labels...).Add(int64(r.BadResp))
-	reg.Counter("workload.outstanding", labels...).Add(int64(r.Outstanding))
-	reg.Counter("workload.sent", labels...).Add(int64(r.Sent))
-	reg.Counter("workload.cycles", labels...).Add(r.Cycles)
-	reg.Counter("workload.steps", labels...).Add(r.Steps)
-	var died, stalled int64
-	if r.ServerDied {
-		died = 1
-	}
-	if r.Stalled {
-		stalled = 1
-	}
-	reg.Counter("workload.server_died", labels...).Add(died)
-	reg.Counter("workload.stalled", labels...).Add(stalled)
+// Metrics is the run outcome's accounting schema.
+var Metrics = obsv.Table[Result]{
+	{Name: "workload.completed", Get: func(r *Result) int64 { return int64(r.Completed) }},
+	{Name: "workload.bad_resp", Get: func(r *Result) int64 { return int64(r.BadResp) }},
+	{Name: "workload.outstanding", Get: func(r *Result) int64 { return int64(r.Outstanding) }},
+	{Name: "workload.sent", Get: func(r *Result) int64 { return int64(r.Sent) }},
+	{Name: "workload.cycles", Get: func(r *Result) int64 { return r.Cycles }},
+	{Name: "workload.steps", Get: func(r *Result) int64 { return r.Steps }},
+	{Name: "workload.server_died", Get: func(r *Result) int64 { return obsv.Flag(r.ServerDied) }},
+	{Name: "workload.stalled", Get: func(r *Result) int64 { return obsv.Flag(r.Stalled) }},
 }
 
 // CyclesPerRequest is the throughput metric (lower is better). A run
@@ -244,7 +236,7 @@ func (d *Driver) Run(total int) Result {
 		res.Cycles = d.cycles() - startCycles
 		res.Steps = d.steps() - startSteps
 		if d.Metrics != nil {
-			res.PublishMetrics(d.Metrics)
+			Metrics.Publish(d.Metrics, &res)
 		}
 		return res
 	}
@@ -376,7 +368,7 @@ func (d *Driver) Run(total int) Result {
 	res.Cycles = d.cycles() - startCycles
 	res.Steps = d.steps() - startSteps
 	if d.Metrics != nil {
-		res.PublishMetrics(d.Metrics)
+		Metrics.Publish(d.Metrics, &res)
 		if d.S != nil {
 			d.S.PublishMetrics(d.Metrics)
 		}
