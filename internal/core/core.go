@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/firestarter-go/firestarter/internal/analysis"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -351,7 +352,8 @@ type Runtime struct {
 	waitingLock bool
 
 	gs         []gateState
-	cur        *txState
+	cur        *txState // nil, or &txBuf while a transaction is live
+	txBuf      txState
 	curVariant int64
 	pending    struct {
 		site    int
@@ -626,16 +628,26 @@ func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID 
 		// Boundary call: runs outside any transaction (the shaper put a
 		// TxEnd before it). Record it for compensation.
 		rt.stats.GateSites[siteID] = true
-		rec := &callRecord{call: libmodel.Call{Name: name, Args: append([]int64(nil), args...)}}
+		var aux any
 		if site.Entry.Capture != nil {
-			rec.aux = site.Entry.Capture(rt.os, rec.call)
+			aux = site.Entry.Capture(rt.os, libmodel.Call{Name: name, Args: args})
 		}
 		ret, err := rt.os.Call(name, args)
 		if err != nil {
 			return 0, err
 		}
+		// The site's record is overwritten in place: only the gate right
+		// after this call reads it (inject), and no Capture or Compensate
+		// keeps Args past the next call at the same site.
+		rec := rt.lastCall[siteID]
+		if rec == nil {
+			rec = &callRecord{}
+			rt.lastCall[siteID] = rec
+		}
+		rec.call.Name = name
+		rec.call.Args = append(rec.call.Args[:0], args...)
 		rec.call.Ret = ret
-		rt.lastCall[siteID] = rec
+		rec.aux = aux
 		return ret, nil
 	}
 
@@ -652,8 +664,13 @@ func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID 
 	if tx := rt.cur; tx != nil && tx.variant != 0 && entry != nil {
 		switch {
 		case entry.Class == libmodel.Deferrable:
-			// Defer the effect to commit time; report success now.
-			tx.deferred = append(tx.deferred, deferredCall{name: name, args: append([]int64(nil), args...)})
+			// Defer the effect to commit time; report success now. The
+			// slot's argument buffer is reused from earlier transactions.
+			n := len(tx.deferred)
+			tx.deferred = slices.Grow(tx.deferred, 1)[:n+1]
+			d := &tx.deferred[n]
+			d.name = name
+			d.args = append(d.args[:0], args...)
 			return 0, nil
 		case entry.Compensate != nil:
 			// Embedded reversible call: execute, but queue its
@@ -756,12 +773,18 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 		rt.curVariant = ir.TxHTM
 		return nil
 	}
-	tx := &txState{
+	// One record serves every transaction of this runtime: at most one is
+	// live, and each handler finishes reading the ended one before the
+	// next TxBegin can run. The side-effect queues keep their capacity.
+	tx := &rt.txBuf
+	*tx = txState{
 		site:       rt.pending.site,
 		variant:    variant,
 		snap:       rt.pending.snap,
 		stdoutMark: rt.os.StdoutLen(),
 		startSteps: m.Steps,
+		deferred:   tx.deferred[:0],
+		comps:      tx.comps[:0],
 	}
 	if rt.pending.dom {
 		// Rewind-and-discard: switch nothing, log nothing — record the
@@ -1285,7 +1308,7 @@ func (rt *Runtime) rollbackSideEffects(tx *txState) {
 	for i := len(tx.comps) - 1; i >= 0; i-- {
 		tx.comps[i]()
 	}
-	tx.comps = nil
-	tx.deferred = nil
+	tx.comps = tx.comps[:0]
+	tx.deferred = tx.deferred[:0]
 	rt.os.TruncateStdout(tx.stdoutMark)
 }

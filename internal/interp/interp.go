@@ -80,7 +80,10 @@ type Runtime interface {
 	// (ir.TxHTM or ir.TxSTM) to execute, and whether to inject a fault
 	// into the preceding library call (inject=true, with the register
 	// value to install). The machine passes a state snapshot positioned
-	// at the gate, which the runtime keeps for rollback.
+	// at the gate, which the runtime keeps for rollback. The snapshot is
+	// machine-owned and refilled in place at every gate: it is valid until
+	// this machine's next gate. A runtime that must keep a snapshot longer
+	// takes its own with Machine.Snapshot.
 	Gate(m *Machine, site int, snap *Snapshot) (variant int64, inject bool, injectVal int64)
 
 	// TxBegin activates the transaction chosen by the gate.
@@ -155,6 +158,8 @@ type Frame struct {
 type Snapshot struct {
 	frames []Frame
 	sp     int64
+	// regs is the backing array every frame's register copy slices into.
+	regs []int64
 }
 
 // OutcomeKind classifies why Run returned.
@@ -233,6 +238,12 @@ type Machine struct {
 	// registers, and doReturn/Restore nil out the frame slots they pop so
 	// no stale Frame struct can alias a pooled slice.
 	regPool [][]int64
+
+	// gateSnap is the snapshot doGate refills at every gate and hands to
+	// Runtime.Gate; its frames slice and register backing array are
+	// reused, so gates allocate nothing once they have grown to the
+	// deepest gated stack. Never returned by Snapshot.
+	gateSnap Snapshot
 
 	// prof, when non-nil, observes call flow for the guest profiler;
 	// profNames is its reused stack-name scratch buffer.
@@ -488,26 +499,42 @@ func (m *Machine) push(fn *ir.Func, args []int64, retDst int) error {
 	return nil
 }
 
-// Snapshot deep-copies the resumable machine state. All frames' register
-// copies share one backing array: snapshots are taken on every gate, so
-// the allocation count per snapshot matters more than layout.
+// Snapshot returns a fresh deep copy of the resumable machine state. It
+// stays valid for as long as the caller keeps it: later gates, Restores
+// and execution never touch it (the quiesce point, the checkpoint ring and
+// replay all retain theirs).
 func (m *Machine) Snapshot() *Snapshot {
+	s := &Snapshot{}
+	m.snapshotInto(s)
+	return s
+}
+
+// snapshotInto overwrites s with the resumable machine state. All frames'
+// register copies share one backing array, s.regs; s's frames slice and
+// backing array are reused when large enough, so refilling a snapshot of
+// an equal or shallower stack allocates nothing.
+func (m *Machine) snapshotInto(s *Snapshot) {
 	total := 0
 	for i := range m.frames {
 		total += len(m.frames[i].Regs)
 	}
-	backing := make([]int64, total)
-	s := &Snapshot{sp: m.sp, frames: make([]Frame, len(m.frames))}
+	if cap(s.regs) < total {
+		s.regs = make([]int64, total)
+	}
+	if cap(s.frames) < len(m.frames) {
+		s.frames = make([]Frame, len(m.frames))
+	}
+	s.sp = m.sp
+	s.frames = s.frames[:len(m.frames)]
 	off := 0
 	for i := range m.frames {
 		s.frames[i] = m.frames[i]
 		n := len(m.frames[i].Regs)
-		dst := backing[off : off+n : off+n]
+		dst := s.regs[off : off+n : off+n]
 		copy(dst, m.frames[i].Regs)
 		s.frames[i].Regs = dst
 		off += n
 	}
-	return s
 }
 
 // Restore rewinds the machine to a snapshot. The snapshot's frame data is
@@ -882,9 +909,11 @@ func (m *Machine) storeError(err error, addr int64) error {
 
 // doGate executes a transaction entry gate: snapshot, policy dispatch,
 // optional fault injection, then a jump into the chosen variant's clone.
+// The snapshot goes into the machine-owned gate buffer (see Runtime.Gate
+// for its lifetime).
 func (m *Machine) doGate(in *ir.Instr) error {
-	snap := m.Snapshot()
-	variant, inject, injectVal := m.RT.Gate(m, in.Site, snap)
+	m.snapshotInto(&m.gateSnap)
+	variant, inject, injectVal := m.RT.Gate(m, in.Site, &m.gateSnap)
 	f := &m.frames[len(m.frames)-1]
 	m.Cycles += 3 // gate dispatch cost
 	if inject && in.Dst >= 0 {

@@ -107,6 +107,77 @@ func TestRequestCycleAllocFree(t *testing.T) {
 	}
 }
 
+// TestKeepAliveCycleAllocFree pins the steady state of a keep-alive
+// connection, the closed-loop driver's shape: the client delivers a
+// request, the server reads it and writes a response, and the client
+// drains the response into its own reused buffer. Neither socket queue is
+// reallocated — the drained inbound queue rewinds to the front of its
+// backing array and ClientTakeAppend keeps the outbound one — so a
+// request allocates nothing.
+func TestKeepAliveCycleAllocFree(t *testing.T) {
+	s := mem.NewSpace()
+	if err := s.Map(mem.GlobalBase, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	o := New(s)
+	epfd, lfd, _ := serveSetup(t, o)
+	buf := int64(mem.GlobalBase)
+	c := o.Connect(80)
+	cfd, err := o.Call("accept", []int64{lfd})
+	if err != nil || cfd < 0 {
+		t.Fatalf("accept: fd=%d err=%v", cfd, err)
+	}
+	if v, err := o.Call("epoll_ctl", []int64{epfd, EpollCtlAdd, cfd}); err != nil || v != 0 {
+		t.Fatalf("epoll_ctl: v=%d err=%v", v, err)
+	}
+	req := []byte("GET /index.html\n")
+	a := &cycleArgs{
+		wait:  []int64{epfd, buf, 8},
+		read:  []int64{cfd, buf + 64, 256},
+		write: []int64{cfd, buf + 64, int64(len(req))},
+	}
+	var got []byte
+	cycle := func() {
+		c.ClientDeliver(req)
+		o.Call("epoll_wait", a.wait)
+		o.Call("read", a.read)
+		o.Call("write", a.write)
+		got = c.ClientTakeAppend(got[:0])
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if string(got) != string(req) {
+		t.Fatalf("echoed %q, want %q", got, req)
+	}
+	if allocs != 0 {
+		t.Fatalf("keep-alive cycle allocates %.1f objects/request, want 0", allocs)
+	}
+}
+
+// TestClientTakeAppendKeepsQueue checks the ownership split between the
+// two drains: ClientTakeAppend copies into the caller's buffer and leaves
+// the queue's storage with the connection, while ClientTake hands the
+// storage itself to the caller.
+func TestClientTakeAppendKeepsQueue(t *testing.T) {
+	c := NewConn()
+	c.ProxyDeliver([]byte("one\n"))
+	dst := c.ClientTakeAppend([]byte("x:"))
+	if string(dst) != "x:one\n" || c.OutboundLen() != 0 {
+		t.Fatalf("ClientTakeAppend = %q (queue %d), want \"x:one\\n\" (queue 0)", dst, c.OutboundLen())
+	}
+	c.ProxyDeliver([]byte("two\n"))
+	if string(dst) != "x:one\n" {
+		t.Fatalf("a later write changed the drained copy: %q", dst)
+	}
+	taken := c.ClientTake()
+	c.ProxyDeliver([]byte("three\n"))
+	if string(taken) != "two\n" {
+		t.Fatalf("a write after ClientTake changed the taken bytes: %q", taken)
+	}
+}
+
 // BenchmarkRequestCycle measures the slab-allocated per-request library
 // path; run with -benchmem to see the allocation count the regression
 // test above pins.

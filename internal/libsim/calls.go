@@ -810,7 +810,14 @@ func (o *OS) doRead(fd, buf, n int64) (int64, error) {
 				o.onTrace(c.trace)
 			}
 		}
-		c.in = c.in[take:]
+		if take == int64(len(c.in)) {
+			// Drained: rewind to the front of the backing array so the
+			// client's next delivery reuses it (setLastRead copied the
+			// bytes, so nothing aliases them).
+			c.in = c.in[:0]
+		} else {
+			c.in = c.in[take:]
+		}
 		return take, nil
 	case FDFile:
 		f := s.File

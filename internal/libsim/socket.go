@@ -81,11 +81,23 @@ func (c *Conn) ClientReset() {
 }
 
 // ClientTake drains and returns everything the server has written
-// (netsim side).
+// (netsim side). Ownership of the queue's backing array passes to the
+// caller, so the server's next write starts a new one.
 func (c *Conn) ClientTake() []byte {
 	out := c.out
 	c.out = nil
 	return out
+}
+
+// ClientTakeAppend drains everything the server has written by appending
+// it to dst, and returns the extended slice. The queue keeps its backing
+// array (truncated to empty) for the server's next writes, and the caller
+// keeps dst: a client that drains every response into one reused buffer
+// allocates nothing per response in steady state.
+func (c *Conn) ClientTakeAppend(dst []byte) []byte {
+	dst = append(dst, c.out...)
+	c.out = c.out[:0]
+	return dst
 }
 
 // ClientTakeN drains at most n response bytes, leaving the rest queued —

@@ -36,7 +36,8 @@ type Generator interface {
 	// 0 if more bytes are needed.
 	Split(buf []byte) int
 
-	// Check validates a response to the given request.
+	// Check validates a response to the given request. resp is a window
+	// into the driver's reused receive buffer, valid only for the call.
 	Check(req, resp []byte) bool
 }
 
@@ -255,7 +256,7 @@ func (d *Driver) Run(total int) Result {
 		for i, c := range clients {
 			if c.conn == nil || c.conn.ServerClosed() {
 				c.conn = d.connect()
-				c.resp = nil
+				c.resp = c.resp[:0]
 				c.pending = false
 				if c.conn == nil {
 					continue // port not bound (yet) or backlog full
@@ -287,8 +288,12 @@ func (d *Driver) Run(total int) Result {
 			if c.conn == nil {
 				continue
 			}
-			if out := c.conn.ClientTake(); len(out) > 0 {
-				c.resp = append(c.resp, out...)
+			// Responses accumulate in the client's own buffer: validated
+			// ones are compacted away in place, so neither the socket
+			// queue nor this buffer is reallocated per response.
+			had := len(c.resp)
+			c.resp = c.conn.ClientTakeAppend(c.resp)
+			if len(c.resp) > had {
 				progressed = true
 			}
 			for c.pending {
@@ -296,9 +301,8 @@ func (d *Driver) Run(total int) Result {
 				if n == 0 {
 					break
 				}
-				resp := c.resp[:n]
-				c.resp = append([]byte(nil), c.resp[n:]...)
-				ok := d.Gen.Check(c.req, resp)
+				ok := d.Gen.Check(c.req, c.resp[:n])
+				c.resp = c.resp[:copy(c.resp, c.resp[n:])]
 				if ok {
 					res.Completed++
 				} else {
@@ -457,7 +461,6 @@ type HTTPPath struct {
 // HTTPGen generates keep-alive HTTP/1.1 traffic over a path mix.
 type HTTPGen struct {
 	Paths []HTTPPath
-	last  map[int]HTTPPath
 }
 
 // DefaultHTTPMix is the standard static-file mix used by the web server
@@ -492,10 +495,6 @@ func TestSuiteHTTPMix() *HTTPGen {
 // Next implements Generator.
 func (g *HTTPGen) Next(i int, rng *rand.Rand) []byte {
 	p := g.Paths[rng.Intn(len(g.Paths))]
-	if g.last == nil {
-		g.last = map[int]HTTPPath{}
-	}
-	g.last[i] = p
 	return []byte("GET " + p.Path + " HTTP/1.1\r\nHost: sim\r\n\r\n")
 }
 
@@ -507,7 +506,9 @@ func (g *HTTPGen) Split(buf []byte) int {
 	}
 	bodyStart := head + 4
 	cl := 0
-	for _, line := range bytes.Split(buf[:head], []byte("\r\n")) {
+	for rest, more := buf[:head], true; more; {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte("\r\n"))
 		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
 			n, err := strconv.Atoi(string(v))
 			if err != nil {
@@ -546,8 +547,6 @@ func (g *HTTPGen) Check(req, resp []byte) bool {
 type RedisGen struct {
 	Keys int
 	seq  map[int]int // per-client statement counter (stream stability)
-	vals map[string]string
-	last map[int]string // client → last request kind+key
 }
 
 // Next implements Generator: a SET/GET-dominated mix with the secondary
@@ -558,9 +557,7 @@ func (g *RedisGen) Next(i int, rng *rand.Rand) []byte {
 	if g.Keys <= 0 {
 		g.Keys = 16
 	}
-	if g.vals == nil {
-		g.vals = map[string]string{}
-		g.last = map[int]string{}
+	if g.seq == nil {
 		g.seq = map[int]int{}
 	}
 	g.seq[i]++
@@ -568,9 +565,7 @@ func (g *RedisGen) Next(i int, rng *rand.Rand) []byte {
 	key := fmt.Sprintf("k%d", rng.Intn(g.Keys))
 	switch seq % 8 {
 	case 1, 3, 5:
-		val := fmt.Sprintf("v%d", seq)
-		g.vals[key] = val
-		return []byte("SET " + key + " " + val + "\n")
+		return []byte(fmt.Sprintf("SET %s v%d\n", key, seq))
 	case 7:
 		return []byte("INCR ctr" + key + "\n")
 	case 2:
