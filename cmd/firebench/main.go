@@ -65,6 +65,7 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/bench"
+	"github.com/firestarter-go/firestarter/internal/boot"
 )
 
 // experiment is one runnable entry: name, a one-line description for
@@ -360,33 +361,45 @@ func names(out *obsvOut) []string {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
 	var out obsvOut
+	fs := flag.NewFlagSet("firebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all",
+		experiment = fs.String("experiment", "all",
 			"experiment to run (all, "+strings.Join(names(&out), ", ")+")")
-		list     = flag.Bool("list", false, "list experiment names and exit")
-		requests = flag.Int("requests", 300, "requests per measurement run")
-		faults   = flag.Int("faults", 12, "fault-injection experiments per server")
-		seed     = flag.Int64("seed", 1, "seed for workloads, fault plans and the interrupt process")
-		conc     = flag.Int("concurrency", 4, "simulated clients")
-		parallel = flag.Int("parallel", 1, "worker pool size for measurement runs (1 = serial; results are identical)")
-		backend  = flag.String("backend", "tree", "execution backend for guest machines (tree, bytecode); output is byte-identical either way")
+		list     = fs.Bool("list", false, "list experiment names and exit")
+		requests = fs.Int("requests", 300, "requests per measurement run")
+		faults   = fs.Int("faults", 12, "fault-injection experiments per server")
+		seed     = fs.Int64("seed", 1, "seed for workloads, fault plans and the interrupt process")
+		conc     = fs.Int("concurrency", 4, "simulated clients")
+		parallel = fs.Int("parallel", 1, "worker pool size for measurement runs (1 = serial; results are identical)")
+		backend  = fs.String("backend", "tree", "execution backend for guest machines (tree, bytecode); output is byte-identical either way")
 	)
-	flag.StringVar(&out.traceOut, "trace-out", "", "write the structured span trace as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
-	flag.BoolVar(&out.fingerprint, "fingerprint", false, "print the span-stream hash-chain fingerprint (chaos, openloop)")
-	recordOut := flag.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
-	flag.Parse()
+	fs.StringVar(&out.traceOut, "trace-out", "", "write the structured span trace as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
+	fs.BoolVar(&out.fingerprint, "fingerprint", false, "print the span-stream hash-chain fingerprint (chaos, openloop)")
+	recordOut := fs.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	// Validate -backend before any experiment runs: table2 boots no
+	// machine, so a bad name would otherwise print it and exit 0.
+	if err := boot.SetBackend(nil, *backend); err != nil {
+		fmt.Fprintf(stderr, "firebench: -backend: %v\n", err)
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments(&out) {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)
 		}
 		return 0
 	}
@@ -412,14 +425,14 @@ func run() int {
 		ran = true
 		text, err := e.run(r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "firebench: %s: %v\n", e.name, err)
+			fmt.Fprintf(stderr, "firebench: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Println(text)
+		fmt.Fprintln(stdout, text)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "firebench: unknown experiment %q\n", *experiment)
-		fmt.Fprintln(os.Stderr, "available: all, "+strings.Join(names(&out), ", "))
+		fmt.Fprintf(stderr, "firebench: unknown experiment %q\n", *experiment)
+		fmt.Fprintln(stderr, "available: all, "+strings.Join(names(&out), ", "))
 		return 2
 	}
 	return 0

@@ -33,6 +33,7 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/analysis"
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -40,9 +41,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 	"github.com/firestarter-go/firestarter/internal/libsim"
-	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/minic"
-	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -218,87 +217,50 @@ func WithFault(f Fault) Option {
 
 // Server is a runnable (optionally hardened) application instance.
 type Server struct {
-	os   *libsim.OS
-	m    *interp.Machine
-	rt   *core.Runtime // nil when unprotected
-	prog *ir.Program
+	os *libsim.OS
+	m  *interp.Machine
+	rt *core.Runtime // nil when unprotected
 }
 
 // NewServer boots a program: by default it is hardened with the full
 // FIRestarter pipeline; see WithoutProtection and WithMode for baselines.
 func NewServer(p *Program, opts ...Option) (*Server, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	prog := p.ir
-	if o.fault != nil {
-		fp, err := faultinj.Apply(prog, *o.fault)
-		if err != nil {
-			return nil, err
-		}
-		prog = fp
-	}
-
-	osim := libsim.New(mem.NewSpace())
-	if o.setup != nil {
-		o.setup(osim)
-	}
-
-	if o.vanilla {
-		m, err := interp.New(prog.Clone(), osim, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Server{os: osim, m: m, prog: prog}, nil
-	}
-
-	model := o.model
-	if model == nil {
-		model = libmodel.Default()
-	}
-	tr, err := transform.Apply(prog, model)
-	if err != nil {
-		return nil, err
-	}
-	rt := core.New(tr, osim, o.cfg)
-	m, err := interp.New(tr.Prog, osim, rt)
-	if err != nil {
-		return nil, err
-	}
-	rt.Attach(m)
-	return &Server{os: osim, m: m, rt: rt, prog: tr.Prog}, nil
+	return newServer(p.ir, nil, opts)
 }
 
 // NewAppServer boots a built-in application (its Setup hook runs
 // automatically, before any WithSetup hook).
 func NewAppServer(app *App, opts ...Option) (*Server, error) {
-	p, err := app.Compile()
+	prog, err := app.Compile()
 	if err != nil {
 		return nil, err
 	}
-	if app.Setup != nil {
-		opts = append([]Option{}, opts...)
-		// Chain the app's setup before the caller's.
-		var userSetup func(*OS)
-		for _, opt := range opts {
-			var probe options
-			opt(&probe)
-			if probe.setup != nil {
-				userSetup = probe.setup
-			}
-		}
-		setup := app.Setup
-		if userSetup != nil {
-			inner := setup
-			setup = func(o *OS) {
-				inner(o)
-				userSetup(o)
-			}
-		}
-		opts = append(opts, WithSetup(setup))
+	return newServer(prog, app.Setup, opts)
+}
+
+// newServer evaluates the options once and boots prog, running appSetup
+// (if any) before the caller's WithSetup hook.
+func newServer(prog *ir.Program, appSetup func(*OS), opts []Option) (*Server, error) {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
 	}
-	return NewServer(&Program{ir: p}, opts...)
+	setup := o.setup
+	if appSetup != nil {
+		setup = func(os *OS) {
+			appSetup(os)
+			if o.setup != nil {
+				o.setup(os)
+			}
+		}
+	}
+	inst, err := boot.Program(prog, setup, boot.Options{
+		Vanilla: o.vanilla, Core: o.cfg, Fault: o.fault, Model: o.model,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Server{os: inst.OS, m: inst.M, rt: inst.RT}, nil
 }
 
 // Run executes up to maxSteps instructions (0 = unbounded) and reports
@@ -379,49 +341,16 @@ func FaultInBlockCalling(app *App, function, libcall string) (Fault, error) {
 	if err != nil {
 		return Fault{}, err
 	}
-	f := prog.Funcs[function]
-	if f == nil {
-		return Fault{}, fmt.Errorf("firestarter: %s has no function %q", app.Name, function)
+	f, err := faultinj.AtLibCall(prog, function, libcall, 1)
+	if err != nil {
+		return Fault{}, fmt.Errorf("firestarter: %s: %w", app.Name, err)
 	}
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpLib && b.Instrs[i].Name == libcall {
-				return Fault{ID: 1, Kind: FailStop, Func: function, Block: b.ID, Index: 0}, nil
-			}
-		}
-	}
-	return Fault{}, fmt.Errorf("firestarter: %s.%s has no call to %q", app.Name, function, libcall)
+	return f, nil
 }
 
 // PlanFaults profiles an app under its standard workload and plans up to
 // max faults of the given kind in non-critical executed blocks (one fault
 // per experiment, the paper's §VI-B methodology).
 func PlanFaults(app *App, kind FaultKind, max int, seed int64) ([]Fault, error) {
-	prog, err := app.Compile()
-	if err != nil {
-		return nil, err
-	}
-	osim := libsim.New(mem.NewSpace())
-	if app.Setup != nil {
-		app.Setup(osim)
-	}
-	m, err := interp.New(prog.Clone(), osim, nil)
-	if err != nil {
-		return nil, err
-	}
-	profile := faultinj.NewProfile()
-	m.BlockHook = profile.HookFunc
-	d := &workload.Driver{
-		OS: osim, M: m, Port: app.Port,
-		Gen:         workload.ForProtocol(app.Protocol),
-		Concurrency: 4, Seed: seed,
-	}
-	// Startup blocks are critical; everything first executed while
-	// serving is a candidate.
-	m.Run(5_000_000) // boot until first block
-	profile.MarkServing()
-	d.Run(120)
-	m.BlockHook = nil
-	candidates := profile.ServingBlocks(prog.Entry)
-	return faultinj.PlanFaults(prog, candidates, kind, max, seed), nil
+	return boot.PlanFaults(app, kind, max, 120, 4, seed, "")
 }

@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
@@ -41,24 +41,19 @@ type DivertResult struct {
 func (r Runner) AblationDivert() (DivertResult, error) {
 	r = r.withDefaults()
 	app := apps.Nginx()
-	prog, err := app.Compile()
+	fault, err := libFault(app, "serve_ssi", "memcpy", 1)
 	if err != nil {
 		return DivertResult{}, err
 	}
-	ref, err := findLibBlock(prog, "serve_ssi", "memcpy", 1)
-	if err != nil {
-		return DivertResult{}, err
-	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
 
 	var out DivertResult
 	for _, sticky := range []bool{false, true} {
 		cfg := core.Config{StickyDivert: sticky}
-		inst, res, err := r.measure(app, bootOpts{cfg: cfg, fault: &fault})
+		inst, res, err := r.measure(app, boot.Options{Core: cfg, Fault: &fault})
 		if err != nil {
 			return out, err
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		name := "per-episode (re-arm on commit)"
 		if sticky {
 			name = "sticky (path disabled)"
@@ -112,24 +107,19 @@ type RetryResult struct {
 func (r Runner) AblationRetry() (RetryResult, error) {
 	r = r.withDefaults()
 	app := apps.Nginx()
-	prog, err := app.Compile()
+	fault, err := libFault(app, "serve_ssi", "memcpy", 1)
 	if err != nil {
 		return RetryResult{}, err
 	}
-	ref, err := findLibBlock(prog, "serve_ssi", "memcpy", 1)
-	if err != nil {
-		return RetryResult{}, err
-	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
 
 	var out RetryResult
 	for _, retries := range []int{1, 2, 4, 8} {
 		cfg := core.Config{RetryTransient: retries}
-		inst, _, err := r.measure(app, bootOpts{cfg: cfg, fault: &fault})
+		inst, _, err := r.measure(app, boot.Options{Core: cfg, Fault: &fault})
 		if err != nil {
 			return out, err
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		// Mean via the shared histogram helper: Sum and Count are exact
 		// (only quantiles are bucketed), so this renders byte-identically
 		// to the old inline sum loop.
@@ -184,7 +174,7 @@ type GeometryResult struct {
 func (r Runner) AblationGeometry() (GeometryResult, error) {
 	r = r.withDefaults()
 	app := apps.Nginx()
-	_, vres, err := r.measure(app, bootOpts{vanilla: true})
+	_, vres, err := r.measure(app, boot.Options{Vanilla: true})
 	if err != nil {
 		return GeometryResult{}, err
 	}
@@ -196,11 +186,11 @@ func (r Runner) AblationGeometry() (GeometryResult, error) {
 		cfg := core.Config{
 			HTM: htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
 		}
-		inst, res, err := r.measure(app, bootOpts{cfg: cfg})
+		inst, res, err := r.measure(app, boot.Options{Core: cfg})
 		if err != nil {
 			return out, err
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		out.Rows = append(out.Rows, GeometryRow{
 			CacheKiB:     kib,
 			AbortPct:     100 * st.HTMAbortRate(),

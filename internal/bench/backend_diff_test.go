@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -37,16 +38,16 @@ func TestBackendsProduceIdenticalResults(t *testing.T) {
 	run := func(backend string, fault *faultinj.Fault) fingerprint {
 		r := r
 		r.Backend = backend
-		inst, res, err := r.measure(apps.Nginx(), bootOpts{cfg: cfg, fault: fault})
+		inst, res, err := r.measure(apps.Nginx(), boot.Options{Core: cfg, Fault: fault})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		st.LatencyCycles = nil
 		st.GateSites, st.EmbedSites, st.BreakSites = nil, nil, nil
 		return fingerprint{
-			cycles:    inst.m.Cycles,
-			steps:     inst.m.Steps,
+			cycles:    inst.M.Cycles,
+			steps:     inst.M.Steps,
 			completed: res.Completed,
 			bad:       res.BadResp,
 			stats:     statsKey(st),

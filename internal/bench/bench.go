@@ -9,18 +9,11 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
-	"github.com/firestarter-go/firestarter/internal/core"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
-	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/ir"
-	"github.com/firestarter-go/firestarter/internal/libmodel"
-	"github.com/firestarter-go/firestarter/internal/libsim"
-	"github.com/firestarter-go/firestarter/internal/mem"
-	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -75,113 +68,18 @@ func (r Runner) withDefaults() Runner {
 	return r
 }
 
-// instance is one booted server (vanilla or hardened).
-type instance struct {
-	app *apps.App
-	os  *libsim.OS
-	m   *interp.Machine
-	rt  *core.Runtime // nil for vanilla
-	tr  *transform.Result
-}
-
-// bootOpts configures boot.
-type bootOpts struct {
-	vanilla  bool
-	cfg      core.Config
-	fault    *faultinj.Fault
-	prelatch []int
-	model    *libmodel.Model // nil = libmodel.Default()
-	backend  string          // interpreter backend (see Runner.Backend)
-}
-
-// installBackend applies a Runner.Backend selection to a machine.
-func installBackend(m *interp.Machine, backend string) error {
-	switch backend {
-	case "", "tree":
-		return nil
-	case "bytecode":
-		return interp.UseBytecode(m)
-	default:
-		return fmt.Errorf("bench: unknown backend %q (want tree or bytecode)", backend)
-	}
-}
-
-// boot compiles (optionally fault-plants, optionally hardens) and loads an
-// app.
-func boot(app *apps.App, o bootOpts) (*instance, error) {
-	prog, err := app.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if o.fault != nil {
-		prog, err = faultinj.Apply(prog, *o.fault)
-		if err != nil {
-			return nil, err
-		}
-	}
-	osim := libsim.New(mem.NewSpace())
-	if app.Setup != nil {
-		app.Setup(osim)
-	}
-	inst := &instance{app: app, os: osim}
-	if o.vanilla {
-		m, err := interp.New(prog.Clone(), osim, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := installBackend(m, o.backend); err != nil {
-			return nil, err
-		}
-		inst.m = m
-		return inst, nil
-	}
-	tr, err := transform.Apply(prog, o.model)
-	if err != nil {
-		return nil, err
-	}
-	rt := core.New(tr, osim, o.cfg)
-	m, err := interp.New(tr.Prog, osim, rt)
-	if err != nil {
-		return nil, err
-	}
-	if err := installBackend(m, o.backend); err != nil {
-		return nil, err
-	}
-	rt.Attach(m)
-	for _, site := range o.prelatch {
-		rt.LatchSTM(site)
-	}
-	inst.m, inst.rt, inst.tr = m, rt, tr
-	return inst, nil
-}
-
-// armQuiesce runs a freshly booted hardened server until it blocks for
-// the first time — which must happen inside the app's declared quiesce
-// function (its accept/event loop) — and registers the snapshot with the
-// runtime, enabling the request-shedding rung. No-op for vanilla
-// instances and apps that declare no quiesce point.
-func armQuiesce(inst *instance) error {
-	if inst.rt == nil || inst.app.QuiesceFunc == "" {
-		return nil
-	}
-	out := inst.m.Run(5_000_000)
-	if out.Kind != interp.OutBlocked {
-		return fmt.Errorf("bench: %s did not reach its quiesce point (outcome %v)",
-			inst.app.Name, out.Kind)
-	}
-	if fn := inst.m.CurrentFunc(); fn != inst.app.QuiesceFunc {
-		return fmt.Errorf("bench: %s blocked in %q, quiesce point is %q",
-			inst.app.Name, fn, inst.app.QuiesceFunc)
-	}
-	inst.rt.ArmQuiesce(inst.m)
-	return nil
+// boot boots app on the Runner's backend. Every single-machine boot of
+// the harness goes through here, so none can miss the -backend selection.
+func (r Runner) boot(app *apps.App, o boot.Options) (*boot.Instance, error) {
+	o.Backend = r.Backend
+	return boot.App(app, o)
 }
 
 // drive runs the app's standard workload against the instance.
-func (r Runner) drive(inst *instance) workload.Result {
+func (r Runner) drive(inst *boot.Instance) workload.Result {
 	d := &workload.Driver{
-		OS: inst.os, M: inst.m, Port: inst.app.Port,
-		Gen:         workload.ForProtocol(inst.app.Protocol),
+		OS: inst.OS, M: inst.M, Port: inst.App.Port,
+		Gen:         workload.ForProtocol(inst.App.Protocol),
 		Concurrency: r.Concurrency,
 		Seed:        r.Seed,
 	}
@@ -190,9 +88,8 @@ func (r Runner) drive(inst *instance) workload.Result {
 
 // measure boots and drives, returning cycles/request plus the instance for
 // stat extraction.
-func (r Runner) measure(app *apps.App, o bootOpts) (*instance, workload.Result, error) {
-	o.backend = r.Backend
-	inst, err := boot(app, o)
+func (r Runner) measure(app *apps.App, o boot.Options) (*boot.Instance, workload.Result, error) {
+	inst, err := r.boot(app, o)
 	if err != nil {
 		return nil, workload.Result{}, err
 	}
@@ -212,59 +109,18 @@ func overheadPct(variant, baseline float64) float64 {
 	return (variant/baseline - 1) * 100
 }
 
-// findLibBlock locates the nth block of fn containing a call to lib — the
-// targeted fault placement used by the real-world case studies (§VI-F).
-func findLibBlock(prog *ir.Program, fn, lib string, nth int) (faultinj.BlockRef, error) {
-	f := prog.Funcs[fn]
-	if f == nil {
-		return faultinj.BlockRef{}, fmt.Errorf("bench: no function %q", fn)
-	}
-	seen := 0
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpLib && b.Instrs[i].Name == lib {
-				seen++
-				if seen == nth {
-					return faultinj.BlockRef{Func: fn, Block: b.ID}, nil
-				}
-			}
-		}
-	}
-	return faultinj.BlockRef{}, fmt.Errorf("bench: %s has no %d-th call to %s", fn, nth, lib)
-}
-
-// planFaults profiles app under the standard workload and plans faults in
-// non-critical executed blocks (the §VI-B methodology).
-func (r Runner) planFaults(app *apps.App, kind faultinj.Kind, max int) ([]faultinj.Fault, error) {
+// libFault compiles app and returns the fail-stop fault at the block
+// holding fn's nth call to lib (faultinj.AtLibCall).
+func libFault(app *apps.App, fn, lib string, nth int) (faultinj.Fault, error) {
 	prog, err := app.Compile()
 	if err != nil {
-		return nil, err
+		return faultinj.Fault{}, err
 	}
-	osim := libsim.New(mem.NewSpace())
-	if app.Setup != nil {
-		app.Setup(osim)
-	}
-	m, err := interp.New(prog.Clone(), osim, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Fault planning profiles block execution; route it through the
-	// selected backend too (the block-hook stream is backend-invariant,
-	// which the differential harness relies on).
-	if err := installBackend(m, r.Backend); err != nil {
-		return nil, err
-	}
-	profile := faultinj.NewProfile()
-	m.BlockHook = profile.HookFunc
-	m.Run(5_000_000) // startup until the first block on I/O
-	profile.MarkServing()
-	d := &workload.Driver{
-		OS: osim, M: m, Port: app.Port,
-		Gen:         workload.ForProtocol(app.Protocol),
-		Concurrency: r.Concurrency, Seed: r.Seed,
-	}
-	d.Run(r.Requests / 2)
-	m.BlockHook = nil
-	candidates := profile.ServingBlocks(prog.Entry)
-	return faultinj.PlanFaults(prog, candidates, kind, max, r.Seed), nil
+	return faultinj.AtLibCall(prog, fn, lib, nth)
+}
+
+// planFaults profiles app under half the Runner's workload and plans
+// faults in non-critical executed blocks (the §VI-B methodology).
+func (r Runner) planFaults(app *apps.App, kind faultinj.Kind, max int) ([]faultinj.Fault, error) {
+	return boot.PlanFaults(app, kind, max, r.Requests/2, r.Concurrency, r.Seed, r.Backend)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
@@ -103,7 +104,7 @@ func (r Runner) Chaos() (ChaosResult, error) {
 	if err := r.forEach(len(jobs), func(i int) error {
 		j := jobs[i]
 		f := j.fault
-		lr, err := r.ladderRun(j.app, bootOpts{fault: &f},
+		lr, err := r.ladderRun(j.app, boot.Options{Fault: &f},
 			supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
 		if err != nil {
 			return fmt.Errorf("chaos %s/%s fault %d: %w", j.app.Name, j.kind, f.ID, err)

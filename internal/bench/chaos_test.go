@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
@@ -99,18 +99,13 @@ func TestLadderCountsBreakerResidualAsFailed(t *testing.T) {
 	// one incarnation before the workload drains.
 	r.Requests = 300
 	app := apps.Redis()
-	prog, err := app.Compile()
+	fault, err := libFault(app, "execute", "atoi", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := findLibBlock(prog, "execute", "atoi", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
 	// One allowed restart in an effectively unbounded window: the second
 	// death opens the breaker with most of the workload outstanding.
-	lr, err := r.ladderRun(app, bootOpts{vanilla: true, fault: &fault},
+	lr, err := r.ladderRun(app, boot.Options{Vanilla: true, Fault: &fault},
 		supervisor.Config{MaxRestarts: 1, WindowCycles: 1 << 60})
 	if err != nil {
 		t.Fatal(err)

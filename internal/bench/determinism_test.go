@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/obsv"
@@ -31,15 +32,15 @@ func TestRunsAreDeterministic(t *testing.T) {
 		stats     string
 	}
 	run := func() fingerprint {
-		inst, res, err := r.measure(apps.Nginx(), bootOpts{cfg: cfg})
+		inst, res, err := r.measure(apps.Nginx(), boot.Options{Core: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		st.LatencyCycles = nil
 		st.GateSites, st.EmbedSites, st.BreakSites = nil, nil, nil
 		return fingerprint{
-			cycles:    inst.m.Cycles,
+			cycles:    inst.M.Cycles,
 			completed: res.Completed,
 			stats:     statsKey(st),
 		}
@@ -51,11 +52,11 @@ func TestRunsAreDeterministic(t *testing.T) {
 	}
 	// A different interrupt seed must (almost surely) change something.
 	cfg.HTM.Seed = 10
-	inst, _, err := r.measure(apps.Nginx(), bootOpts{cfg: cfg})
+	inst, _, err := r.measure(apps.Nginx(), boot.Options{Core: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.m.Cycles == a.cycles {
+	if inst.M.Cycles == a.cycles {
 		t.Log("warning: different interrupt seed produced identical cycles (possible, unlikely)")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -88,17 +89,11 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 	}
 	faults := make([]faultinj.Fault, len(pool))
 	for i, app := range pool {
-		prog, err := app.Compile()
+		f, err := libFault(app, targets[i].fn, targets[i].lib, 1)
 		if err != nil {
 			return out, fmt.Errorf("domains %s: %w", app.Name, err)
 		}
-		ref, err := findLibBlock(prog, targets[i].fn, targets[i].lib, 1)
-		if err != nil {
-			return out, fmt.Errorf("domains %s: %w", app.Name, err)
-		}
-		faults[i] = faultinj.Fault{
-			ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0,
-		}
+		faults[i] = f
 	}
 
 	type capJob struct {
@@ -121,18 +116,18 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 		if i < nStrat {
 			app, strat := pool[i/len(domainStrategies)], domainStrategies[i%len(domainStrategies)]
 			fault := faults[i/len(domainStrategies)]
-			inst, res, err := r.measure(app, bootOpts{
-				cfg: strat.cfg, fault: &fault, model: libmodel.WithArena(),
+			inst, res, err := r.measure(app, boot.Options{
+				Core: strat.cfg, Fault: &fault, Model: libmodel.WithArena(),
 			})
 			if err != nil {
 				return fmt.Errorf("domains %s/%s: %w", app.Name, strat.name, err)
 			}
-			st := inst.rt.Stats()
+			st := inst.RT.Stats()
 			stratRows[i] = DomainsRow{
 				App:          app.Name,
 				Strategy:     strat.name,
 				Crashes:      st.Crashes,
-				UndoStores:   inst.rt.STMStats().TotalStores,
+				UndoStores:   inst.RT.STMStats().TotalStores,
 				Discards:     st.DomainDiscards,
 				DomainTxs:    st.DomainBegins,
 				Completed:    res.Completed,
@@ -146,20 +141,20 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 			HTM:           htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
 			EnableDomains: j.domains,
 		}
-		inst, _, err := r.measure(apps.LighttpdPool(), bootOpts{
-			cfg: cfg, model: libmodel.WithArena(),
+		inst, _, err := r.measure(apps.LighttpdPool(), boot.Options{
+			Core: cfg, Model: libmodel.WithArena(),
 		})
 		if err != nil {
 			return fmt.Errorf("domains capacity %dKiB: %w", j.kib, err)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		capRows[i-nStrat] = CapacityRow{
 			CacheKiB:   j.kib,
 			Domains:    j.domains,
 			AbortPct:   100 * st.HTMAbortRate(),
 			STMTxs:     st.STMBegins,
 			DomainTxs:  st.DomainBegins,
-			UndoStores: inst.rt.STMStats().TotalStores,
+			UndoStores: inst.RT.STMStats().TotalStores,
 		}
 		return nil
 	}); err != nil {
@@ -271,10 +266,10 @@ func (r Runner) Containment() (ContainResult, error) {
 	if err := r.forEach(len(jobs), func(i int) error {
 		j := jobs[i]
 		f := j.fault
-		lr, err := r.ladderRun(j.app, bootOpts{
-			cfg:   core.Config{EnableDomains: true},
-			fault: &f,
-			model: libmodel.WithArena(),
+		lr, err := r.ladderRun(j.app, boot.Options{
+			Core:  core.Config{EnableDomains: true},
+			Fault: &f,
+			Model: libmodel.WithArena(),
 		}, supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
 		if err != nil {
 			return fmt.Errorf("containment %s/%s fault %d: %w", j.app.Name, j.kind, f.ID, err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -57,7 +58,7 @@ func (r Runner) Figure3() (Figure3Result, error) {
 	}
 	app := apps.Nginx()
 
-	_, vres, err := r.measure(app, bootOpts{vanilla: true})
+	_, vres, err := r.measure(app, boot.Options{Vanilla: true})
 	if err != nil {
 		return Figure3Result{}, err
 	}
@@ -67,44 +68,44 @@ func (r Runner) Figure3() (Figure3Result, error) {
 
 	// Naive: threshold above 100% never latches, every execution tries
 	// HTM first.
-	naive, nres, err := r.measure(app, bootOpts{cfg: perfConfig(core.ModeHybrid, 2.0, 4, r.Seed)})
+	naive, nres, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 2.0, 4, r.Seed)})
 	if err != nil {
 		return out, err
 	}
 	out.Rows = append(out.Rows, Figure3Row{
 		Policy:         "naive (always HTM first)",
-		HTMAbortPct:    100 * naive.rt.Stats().HTMAbortRate(),
+		HTMAbortPct:    100 * naive.RT.Stats().HTMAbortRate(),
 		DegradationPct: overheadPct(nres.CyclesPerRequest(), base),
-		HotSites:       naive.rt.SiteAbortRates(),
+		HotSites:       naive.RT.SiteAbortRates(),
 	})
 
 	// Manual: learn the hot gates in a warmup run with the dynamic
 	// policy, then pin them STM from the start of a fresh run.
-	warm, _, err := r.measure(app, bootOpts{cfg: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)})
+	warm, _, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)})
 	if err != nil {
 		return out, err
 	}
-	manual, mres, err := r.measure(app, bootOpts{
-		cfg:      perfConfig(core.ModeHybrid, 0.01, 4, r.Seed),
-		prelatch: warm.rt.LatchedSites(),
+	manual, mres, err := r.measure(app, boot.Options{
+		Core:     perfConfig(core.ModeHybrid, 0.01, 4, r.Seed),
+		Prelatch: warm.RT.LatchedSites(),
 	})
 	if err != nil {
 		return out, err
 	}
 	out.Rows = append(out.Rows, Figure3Row{
 		Policy:         "manual (hot regions pinned STM)",
-		HTMAbortPct:    100 * manual.rt.Stats().HTMAbortRate(),
+		HTMAbortPct:    100 * manual.RT.Stats().HTMAbortRate(),
 		DegradationPct: overheadPct(mres.CyclesPerRequest(), base),
 	})
 
 	// Dynamic: θ=1 %, S=128 — the configuration the paper's text uses.
-	dyn, dres, err := r.measure(app, bootOpts{cfg: perfConfig(core.ModeHybrid, 0.01, 128, r.Seed)})
+	dyn, dres, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 128, r.Seed)})
 	if err != nil {
 		return out, err
 	}
 	out.Rows = append(out.Rows, Figure3Row{
 		Policy:         "dynamic (θ=1%, S=128)",
-		HTMAbortPct:    100 * dyn.rt.Stats().HTMAbortRate(),
+		HTMAbortPct:    100 * dyn.RT.Stats().HTMAbortRate(),
 		DegradationPct: overheadPct(dres.CyclesPerRequest(), base),
 	})
 	return out, nil
@@ -182,11 +183,11 @@ func (r Runner) Figure5() (Figure5Result, error) {
 		// fault-plan order so the distribution is order-stable.
 		perFault := make([][]int64, len(faults))
 		if err := r.forEach(len(faults), func(i int) error {
-			inst, _, err := r.measure(app, bootOpts{fault: &faults[i]})
+			inst, _, err := r.measure(app, boot.Options{Fault: &faults[i]})
 			if err != nil {
 				return err
 			}
-			perFault[i] = inst.rt.Stats().LatencyCycles
+			perFault[i] = inst.RT.Stats().LatencyCycles
 			return nil
 		}); err != nil {
 			return out, err
@@ -246,7 +247,7 @@ func (r Runner) Figure6() (Figure6Result, error) {
 	// Stage 1: vanilla baselines, one per server.
 	bases := make([]float64, len(servers))
 	if err := r.forEach(len(servers), func(i int) error {
-		_, vres, err := r.measure(servers[i], bootOpts{vanilla: true})
+		_, vres, err := r.measure(servers[i], boot.Options{Vanilla: true})
 		if err != nil {
 			return err
 		}
@@ -274,7 +275,7 @@ func (r Runner) Figure6() (Figure6Result, error) {
 	cells := make([]Figure6Cell, len(jobs))
 	if err := r.forEach(len(jobs), func(i int) error {
 		j := jobs[i]
-		_, res, err := r.measure(servers[j.server], bootOpts{cfg: perfConfig(core.ModeHybrid, j.th, j.s, r.Seed)})
+		_, res, err := r.measure(servers[j.server], boot.Options{Core: perfConfig(core.ModeHybrid, j.th, j.s, r.Seed)})
 		if err != nil {
 			return err
 		}
@@ -367,22 +368,22 @@ func (r Runner) Figure7() (Figure7Result, error) {
 	// flattened into one job list; rows assemble in server order below.
 	const variants = 4 // 0: vanilla, 1: HTM-only, 2: STM-only, 3: hybrid
 	type runOut struct {
-		inst *instance
+		inst *boot.Instance
 		cpr  float64
 	}
 	results := make([]runOut, len(servers)*variants)
 	if err := r.forEach(len(results), func(i int) error {
 		app := servers[i/variants]
-		var o bootOpts
+		var o boot.Options
 		switch i % variants {
 		case 0:
-			o = bootOpts{vanilla: true}
+			o = boot.Options{Vanilla: true}
 		case 1:
-			o = bootOpts{cfg: perfConfig(core.ModeHTMOnly, 0.01, 4, r.Seed)}
+			o = boot.Options{Core: perfConfig(core.ModeHTMOnly, 0.01, 4, r.Seed)}
 		case 2:
-			o = bootOpts{cfg: perfConfig(core.ModeSTMOnly, 0.01, 4, r.Seed)}
+			o = boot.Options{Core: perfConfig(core.ModeSTMOnly, 0.01, 4, r.Seed)}
 		case 3:
-			o = bootOpts{cfg: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)}
+			o = boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)}
 		}
 		inst, res, err := r.measure(app, o)
 		if err != nil {
@@ -403,8 +404,8 @@ func (r Runner) Figure7() (Figure7Result, error) {
 			HTMOnlyPct:          overheadPct(results[si*variants+1].cpr, base),
 			STMOnlyPct:          overheadPct(results[si*variants+2].cpr, base),
 			FIRestarterPct:      overheadPct(results[si*variants+3].cpr, base),
-			HTMOnlyAbortPct:     100 * htmInst.rt.Stats().HTMAbortRate(),
-			FIRestarterAbortPct: 100 * fsInst.rt.Stats().HTMAbortRate(),
+			HTMOnlyAbortPct:     100 * htmInst.RT.Stats().HTMAbortRate(),
+			FIRestarterAbortPct: 100 * fsInst.RT.Stats().HTMAbortRate(),
 		})
 	}
 	return out, nil
@@ -452,18 +453,18 @@ type Figure9Result struct {
 // memFootprint charges the simulated RSS plus instrumentation costs: the
 // duplicated code (instruction count, 16 bytes/instr as a code-byte
 // estimate) and the undo log's capacity.
-func memFootprint(inst *instance) int64 {
+func memFootprint(inst *boot.Instance) int64 {
 	var prog int64
-	if inst.tr != nil {
-		prog = int64(inst.tr.Prog.InstrCount())
+	if inst.TR != nil {
+		prog = int64(inst.TR.Prog.InstrCount())
 	} else {
-		prog = int64(inst.m.Prog.InstrCount())
+		prog = int64(inst.M.Prog.InstrCount())
 	}
-	rss := int64(inst.os.Space.PeakPages()) * mem.PageSize
+	rss := int64(inst.OS.Space.PeakPages()) * mem.PageSize
 	code := prog * 16
 	undo := int64(0)
-	if inst.rt != nil {
-		undo = inst.rt.MemoryOverheadBytes()
+	if inst.RT != nil {
+		undo = inst.RT.MemoryOverheadBytes()
 	}
 	return rss + code + undo
 }
@@ -479,9 +480,9 @@ func (r Runner) Figure9() (Figure9Result, error) {
 	footprints := make([]int64, len(servers)*len(modes))
 	if err := r.forEach(len(footprints), func(i int) error {
 		app := servers[i/len(modes)]
-		o := bootOpts{vanilla: true}
+		o := boot.Options{Vanilla: true}
 		if mi := i % len(modes); mi != 0 {
-			o = bootOpts{cfg: perfConfig(modes[mi], 0.01, 4, r.Seed)}
+			o = boot.Options{Core: perfConfig(modes[mi], 0.01, 4, r.Seed)}
 		}
 		inst, _, err := r.measure(app, o)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
@@ -56,12 +57,11 @@ type ladderRun struct {
 }
 
 // ladderRun drives r.Requests against app under supervision. Hardened
-// boots (o.vanilla false) get spans enabled and their quiesce point armed
+// boots (o.Vanilla false) get spans enabled and their quiesce point armed
 // so the shedding rung is live; vanilla boots exercise the bare
 // restart-on-crash policy. Residual work abandoned when the breaker opens
 // is counted as Failed — never silently dropped.
-func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*ladderRun, error) {
-	o.backend = r.Backend
+func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (*ladderRun, error) {
 	lr := &ladderRun{Registry: obsv.NewRegistry()}
 	if sc.Seed == 0 {
 		sc.Seed = r.Seed
@@ -71,7 +71,12 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 
 	// Flight-recorder candidates: with RecordDir set, every incarnation
 	// is captured (spans in machine-local cycles, pre-rebase) and the
-	// failing ones are kept once the campaign's verdicts are known.
+	// failing ones are kept once the campaign's verdicts are known. A
+	// manifest stores app, backend, core config and fault, and replay
+	// boots under the default library model with no prelatched sites, so
+	// only such boots are captured: a recording of any other boot would
+	// replay a different program and diverge.
+	record := r.RecordDir != "" && o.Model == nil && len(o.Prelatch) == 0
 	type incCand struct {
 		rec   replay.Recording
 		unrec bool
@@ -85,28 +90,28 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 			return supervisor.RunResult{Done: true}, nil
 		}
 		offset := sup.Clock()
-		inst, err := boot(app, o)
+		inst, err := r.boot(app, o)
 		if err != nil {
 			return supervisor.RunResult{}, err
 		}
-		if inst.rt != nil {
-			inst.rt.EnableSpans()
-			if err := armQuiesce(inst); err != nil {
+		if inst.RT != nil {
+			inst.RT.EnableSpans()
+			if err := inst.ArmQuiesce(); err != nil {
 				return supervisor.RunResult{}, err
 			}
 		}
 		d := &workload.Driver{
-			OS: inst.os, M: inst.m, Port: app.Port,
+			OS: inst.OS, M: inst.M, Port: app.Port,
 			Gen:         workload.ForProtocol(app.Protocol),
 			Concurrency: r.Concurrency,
 			Seed:        seed,
 		}
-		if inst.rt != nil {
+		if inst.RT != nil {
 			// Trace every request; IDs continue where the previous
 			// incarnation stopped so the campaign's causal chains never
 			// collide. (Guarded: a typed-nil *core.Runtime in the
 			// interface would defeat the driver's nil check.)
-			d.Sink = inst.rt
+			d.Sink = inst.RT
 			d.TraceBase = lr.Traces
 		}
 		reqBefore := remaining
@@ -117,38 +122,38 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 		lr.Traces += int64(res.Sent)
 		remaining -= res.Completed + res.BadResp
 
-		rr := supervisor.RunResult{Cycles: inst.m.Cycles}
-		if inst.rt != nil {
-			st := inst.rt.Stats()
+		rr := supervisor.RunResult{Cycles: inst.M.Cycles}
+		if inst.RT != nil {
+			st := inst.RT.Stats()
 			core.AddTotals(&lr.Totals, &st)
-			if inst.os.ArenasEnabled() {
-				taints := inst.os.WriteTaints()
+			if inst.OS.ArenasEnabled() {
+				taints := inst.OS.WriteTaints()
 				lr.Taints += int64(len(taints))
 				lr.Leaks = append(lr.Leaks, faultinj.CheckReach(taints)...)
 			}
-			for _, e := range inst.rt.Spans() {
+			for _, e := range inst.RT.Spans() {
 				e.Cycles += offset
 				e.Seq = 0
 				lr.Spans = append(lr.Spans, e)
 			}
-			lr.Dropped += inst.rt.TraceDropped()
-			inst.rt.PublishMetrics(lr.Registry)
-			if r.RecordDir != "" {
+			lr.Dropped += inst.RT.TraceDropped()
+			inst.RT.PublishMetrics(lr.Registry)
+			if record {
 				recCands = append(recCands, incCand{
 					rec: replay.RecordIncarnation(replay.IncarnationRun{
 						App:         app.Name,
 						Backend:     r.Backend,
-						Core:        o.cfg,
-						Fault:       o.fault,
+						Core:        o.Core,
+						Fault:       o.Fault,
 						Incarnation: inc,
 						Seed:        seed,
 						Proto:       app.Protocol,
 						Requests:    reqBefore,
 						Concurrency: r.Concurrency,
 						TraceBase:   d.TraceBase,
-						FinalCycles: inst.m.Cycles,
-						FinalSteps:  inst.m.Steps,
-						Spans:       inst.rt.Spans(),
+						FinalCycles: inst.M.Cycles,
+						FinalSteps:  inst.M.Steps,
+						Spans:       inst.RT.Spans(),
 					}),
 					unrec: st.Unrecovered > 0,
 				})

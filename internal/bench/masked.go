@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 )
@@ -48,14 +49,14 @@ func (r Runner) AblationMaskedWrites() (MaskedResult, error) {
 			if masked {
 				model = libmodel.DefaultMasked()
 			}
-			inst, res, err := r.measure(app, bootOpts{model: model})
+			inst, res, err := r.measure(app, boot.Options{Model: model})
 			if err != nil {
 				return out, err
 			}
 			if res.ServerDied {
 				return out, fmt.Errorf("masked-writes %s (masked=%v): server died", app.Name, masked)
 			}
-			st := inst.rt.Stats()
+			st := inst.RT.Stats()
 			gates, breaks := len(st.GateSites), len(st.BreakSites)
 			pct := 0.0
 			if gates+breaks > 0 {
@@ -77,16 +78,16 @@ func (r Runner) AblationMaskedWrites() (MaskedResult, error) {
 		}
 		for _, f := range faults {
 			f := f
-			baseInst, baseRes, err := r.measure(app, bootOpts{fault: &f})
+			baseInst, baseRes, err := r.measure(app, boot.Options{Fault: &f})
 			if err != nil {
 				return out, err
 			}
-			maskInst, maskRes, err := r.measure(app, bootOpts{fault: &f, model: libmodel.DefaultMasked()})
+			maskInst, maskRes, err := r.measure(app, boot.Options{Fault: &f, Model: libmodel.DefaultMasked()})
 			if err != nil {
 				return out, err
 			}
-			baseTriggered := baseRes.ServerDied || baseInst.rt.Stats().Crashes > 0
-			maskTriggered := maskRes.ServerDied || maskInst.rt.Stats().Crashes > 0
+			baseTriggered := baseRes.ServerDied || baseInst.RT.Stats().Crashes > 0
+			maskTriggered := maskRes.ServerDied || maskInst.RT.Stats().Crashes > 0
 			if !baseTriggered && !maskTriggered {
 				continue
 			}

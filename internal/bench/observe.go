@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/obsv"
@@ -45,33 +46,33 @@ func (r Runner) Observe(appName string) (*ObserveResult, error) {
 	if app == nil {
 		return nil, fmt.Errorf("bench: unknown app %q", appName)
 	}
-	inst, err := boot(app, bootOpts{cfg: perfConfig(0, 0, 0, r.Seed), backend: r.Backend})
+	inst, err := r.boot(app, boot.Options{Core: perfConfig(0, 0, 0, r.Seed)})
 	if err != nil {
 		return nil, err
 	}
-	inst.rt.EnableSpans()
+	inst.RT.EnableSpans()
 	prof := obsv.NewProfile()
-	inst.m.SetProfiler(prof)
+	inst.M.SetProfiler(prof)
 
 	reg := obsv.NewRegistry()
 	d := &workload.Driver{
-		OS: inst.os, M: inst.m, Port: inst.app.Port,
-		Gen:         workload.ForProtocol(inst.app.Protocol),
+		OS: inst.OS, M: inst.M, Port: inst.App.Port,
+		Gen:         workload.ForProtocol(inst.App.Protocol),
 		Concurrency: r.Concurrency,
 		Seed:        r.Seed,
 		Metrics:     reg,
-		Sink:        inst.rt,
+		Sink:        inst.RT,
 	}
 	res := d.Run(r.Requests)
-	prof.Finish(inst.m.Cycles, inst.m.Steps)
-	inst.rt.PublishMetrics(reg)
+	prof.Finish(inst.M.Cycles, inst.M.Steps)
+	inst.RT.PublishMetrics(reg)
 
-	recovery := histOf(inst.rt.Stats().LatencyCycles)
+	recovery := histOf(inst.RT.Stats().LatencyCycles)
 	out := &ObserveResult{
 		App:            appName,
 		Workload:       res,
-		Spans:          inst.rt.Spans(),
-		Dropped:        inst.rt.TraceDropped(),
+		Spans:          inst.RT.Spans(),
+		Dropped:        inst.RT.TraceDropped(),
 		Registry:       reg,
 		Profile:        prof,
 		TopN:           12,
@@ -87,13 +88,13 @@ func (r Runner) Observe(appName string) (*ObserveResult, error) {
 
 // reconcile cross-checks the three observability outputs against the
 // runtime's hand-rolled counters — the tentpole's acceptance criterion.
-func (o *ObserveResult) reconcile(inst *instance) {
+func (o *ObserveResult) reconcile(inst *boot.Instance) {
 	check := func(name string, got, want int64) {
 		if got != want {
 			o.errors = append(o.errors, fmt.Sprintf("%s: %d != %d", name, got, want))
 		}
 	}
-	st, hs, ss := inst.rt.Stats(), inst.rt.HTMStats(), inst.rt.STMStats()
+	st, hs, ss := inst.RT.Stats(), inst.RT.HTMStats(), inst.RT.STMStats()
 	var tot obsv.Totals
 	core.AddTotals(&tot, &st)
 	htm.Metrics.AddTo(&tot, &hs)
@@ -146,8 +147,8 @@ func (o *ObserveResult) reconcile(inst *instance) {
 	for _, f := range o.Profile.Funcs() {
 		flat += f.FlatCycles
 	}
-	check("profiler flat sum vs machine cycles", flat, inst.m.Cycles)
-	check("profiler total vs machine cycles", o.Profile.TotalCycles(), inst.m.Cycles)
+	check("profiler flat sum vs machine cycles", flat, inst.M.Cycles)
+	check("profiler total vs machine cycles", o.Profile.TotalCycles(), inst.M.Cycles)
 }
 
 // histOf builds a histogram over a sample slice.

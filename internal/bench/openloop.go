@@ -6,10 +6,9 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
-	"github.com/firestarter-go/firestarter/internal/core"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/fleet"
-	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
@@ -68,25 +67,9 @@ type OpenLoopResult struct {
 var openLoopMults = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5}
 
 // fleetBoot returns the replica boot function shared by the fleet and
-// open-loop campaigns: a full hardened boot with spans enabled, the
-// quiesce point armed and a per-incarnation HTM interrupt seed.
-func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
-	return func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
-		f := *fault
-		inst, err := boot(app, bootOpts{
-			fault:   &f,
-			backend: r.Backend,
-			cfg:     core.Config{HTM: htm.Config{Seed: bootSeed}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		inst.rt.EnableSpans()
-		if err := armQuiesce(inst); err != nil {
-			return nil, err
-		}
-		return &fleet.Backend{OS: inst.os, Exec: fleet.MachineExec(inst.m), RT: inst.rt}, nil
-	}
+// open-loop campaigns (boot.Replica on the Runner's backend).
+func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) fleet.BootFunc {
+	return boot.Replica(app, boot.Options{Fault: fault, Backend: r.Backend})
 }
 
 // openRun drives one open-loop rung against a fresh 1-replica fleet.

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/interp"
 )
 
@@ -62,29 +62,24 @@ func (r Runner) RealWorld() (RealWorldResult, error) {
 // and then a follow-up request.
 func (r Runner) runCase(app *apps.App, fn, lib string, nth int, trigger, followup string) (CaseResult, error) {
 	var res CaseResult
-	prog, err := app.Compile()
+	fault, err := libFault(app, fn, lib, nth)
 	if err != nil {
 		return res, err
 	}
-	ref, err := findLibBlock(prog, fn, lib, nth)
+	inst, err := r.boot(app, boot.Options{Fault: &fault})
 	if err != nil {
 		return res, err
 	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
-	inst, err := boot(app, bootOpts{fault: &fault, backend: r.Backend})
-	if err != nil {
-		return res, err
-	}
-	if out := inst.m.Run(10_000_000); out.Kind != interp.OutBlocked {
+	if out := inst.M.Run(10_000_000); out.Kind != interp.OutBlocked {
 		return res, fmt.Errorf("server did not reach its event loop: %v", out.Kind)
 	}
 
-	conn := inst.os.Connect(app.Port)
+	conn := inst.OS.Connect(app.Port)
 	if conn == nil {
 		return res, fmt.Errorf("connect failed")
 	}
 	conn.ClientDeliver([]byte(trigger))
-	out := inst.m.Run(50_000_000)
+	out := inst.M.Run(50_000_000)
 	if out.Kind == interp.OutTrapped {
 		res.Survived = false
 		return res, nil
@@ -96,13 +91,13 @@ func (r Runner) runCase(app *apps.App, fn, lib string, nth int, trigger, followu
 	} else {
 		res.FaultResponse = resp
 	}
-	res.Injections = inst.rt.Stats().Injections
+	res.Injections = inst.RT.Stats().Injections
 
 	// The server must keep serving.
-	conn2 := inst.os.Connect(app.Port)
+	conn2 := inst.OS.Connect(app.Port)
 	if conn2 != nil {
 		conn2.ClientDeliver([]byte(followup))
-		if out := inst.m.Run(50_000_000); out.Kind != interp.OutTrapped {
+		if out := inst.M.Run(50_000_000); out.Kind != interp.OutTrapped {
 			res.FollowupOK = strings.HasPrefix(string(conn2.ClientTake()), "HTTP/1.1 200")
 		}
 	}

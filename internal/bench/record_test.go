@@ -4,6 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
+	"github.com/firestarter-go/firestarter/internal/faultinj"
+	"github.com/firestarter-go/firestarter/internal/libmodel"
+	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
 // readDir returns name -> contents for every file in dir.
@@ -92,5 +98,41 @@ func TestOpenLoopFingerprintInvariance(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("openloop fingerprint %016x serial, %016x parallel", a.Fingerprint(), b.Fingerprint())
+	}
+}
+
+// A manifest records no library model or prelatched sites, and replay
+// boots under the defaults, so a ladder run booted any other way must
+// capture nothing even when an incarnation ends unrecovered.
+func TestLadderRecordsOnlyReplayableBoots(t *testing.T) {
+	r := Runner{Requests: 24, Concurrency: 2, Seed: 3, RecordDir: t.TempDir()}
+	// A fail-silent fault the chaos campaign records: apache's flipped
+	// branch in sa_int ends incarnations with the breaker open.
+	app := apps.Apache()
+	fault := faultinj.Fault{ID: 1, Kind: faultinj.FlipBranch, Func: "sa_int", Block: 4, Index: 2}
+	failing := func(lr *ladderRun) bool {
+		return lr.Totals.Get("core.unrecovered") > 0 || lr.Sup.BreakerOpen
+	}
+	def, err := r.ladderRun(app, boot.Options{Fault: &fault}, supervisor.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failing(def) || len(def.Recordings) == 0 {
+		t.Fatalf("default boot: failing %v, %d recordings; want a recorded failure", failing(def), len(def.Recordings))
+	}
+	for name, o := range map[string]boot.Options{
+		"arena model": {Fault: &fault, Model: libmodel.WithArena()},
+		"prelatched":  {Fault: &fault, Prelatch: []int{1}},
+	} {
+		lr, err := r.ladderRun(app, o, supervisor.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !failing(lr) {
+			t.Fatalf("%s: no failing incarnation; the test needs one", name)
+		}
+		if len(lr.Recordings) != 0 {
+			t.Errorf("%s: captured %d recordings replay cannot reproduce", name, len(lr.Recordings))
+		}
 	}
 }

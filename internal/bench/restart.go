@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
@@ -41,22 +41,17 @@ type RestartResult struct {
 func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 	r = r.withDefaults()
 	app := apps.Redis()
-	prog, err := app.Compile()
+	fault, err := libFault(app, "execute", "atoi", 1)
 	if err != nil {
 		return RestartResult{}, err
 	}
-	ref, err := findLibBlock(prog, "execute", "atoi", 1)
-	if err != nil {
-		return RestartResult{}, err
-	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
 
 	var out RestartResult
 
 	// Strategy 1: supervised restart of the unprotected server. The
 	// breaker cap replaces the old ad-hoc 50-incarnation loop; work still
 	// outstanding when it opens is counted as failed, not dropped.
-	lr, err := r.ladderRun(app, bootOpts{vanilla: true, fault: &fault},
+	lr, err := r.ladderRun(app, boot.Options{Vanilla: true, Fault: &fault},
 		supervisor.Config{MaxRestarts: 49, WindowCycles: 1 << 60})
 	if err != nil {
 		return out, err
@@ -64,7 +59,7 @@ func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 	out.Rows = append(out.Rows, lr.row("restart-on-crash (vanilla)"))
 
 	// Strategy 2: FIRestarter alone on the same fault and workload volume.
-	_, res, err := r.measure(app, bootOpts{fault: &fault})
+	_, res, err := r.measure(app, boot.Options{Fault: &fault})
 	if err != nil {
 		return out, err
 	}
@@ -82,7 +77,7 @@ func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 
 	// Strategy 3: the full ladder — FIRestarter hardened, quiesce point
 	// armed, supervised with the default microreboot policy.
-	lrFull, err := r.ladderRun(app, bootOpts{fault: &fault}, supervisor.Config{})
+	lrFull, err := r.ladderRun(app, boot.Options{Fault: &fault}, supervisor.Config{})
 	if err != nil {
 		return out, err
 	}

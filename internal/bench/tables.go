@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 )
@@ -70,14 +71,14 @@ func (r Runner) TableIII() (TableIIIResult, error) {
 	rows := make([]TableIIIRow, len(servers))
 	if err := r.forEach(len(servers), func(i int) error {
 		app := servers[i]
-		inst, res, err := r.measure(app, bootOpts{})
+		inst, res, err := r.measure(app, boot.Options{})
 		if err != nil {
 			return fmt.Errorf("table III %s: %w", app.Name, err)
 		}
 		if res.ServerDied {
 			return fmt.Errorf("table III %s: server died (trap %d)", app.Name, res.TrapCode)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		gates := len(st.GateSites)
 		breaks := len(st.BreakSites)
 		total := gates + breaks
@@ -166,11 +167,11 @@ func (r Runner) TableIV() (TableIVResult, error) {
 		}
 		fsResults := make([]fsOutcome, len(failStop))
 		if err := r.forEach(len(failStop), func(i int) error {
-			inst, res, err := r.measure(app, bootOpts{fault: &failStop[i]})
+			inst, res, err := r.measure(app, boot.Options{Fault: &failStop[i]})
 			if err != nil {
 				return err
 			}
-			st := inst.rt.Stats()
+			st := inst.RT.Stats()
 			fsResults[i] = fsOutcome{
 				triggered: st.Crashes > 0 || st.Unrecovered > 0 || res.ServerDied,
 				died:      res.ServerDied,
@@ -210,11 +211,11 @@ func (r Runner) TableIV() (TableIVResult, error) {
 		}
 		silResults := make([]silOutcome, len(silFaults))
 		if err := r.forEach(len(silFaults), func(i int) error {
-			inst, res, err := r.measure(app, bootOpts{fault: &silFaults[i]})
+			inst, res, err := r.measure(app, boot.Options{Fault: &silFaults[i]})
 			if err != nil {
 				return err
 			}
-			st := inst.rt.Stats()
+			st := inst.RT.Stats()
 			silResults[i] = silOutcome{
 				crashed: st.Crashes > 0 || res.ServerDied,
 				died:    res.ServerDied,

@@ -7,14 +7,13 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/libsim"
-	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/sched"
-	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -64,44 +63,17 @@ type mtInstance struct {
 	rts []*core.Runtime
 }
 
-// bootMT compiles (optionally fault-plants, optionally hardens) and loads
-// a multi-threaded app under the cooperative scheduler.
-func bootMT(app *apps.App, o bootOpts) (*mtInstance, error) {
-	prog, err := app.Compile()
+// bootMT hardens a multi-threaded app (optionally fault-planted) and
+// loads it under the cooperative scheduler, on the Runner's backend.
+func (r Runner) bootMT(app *apps.App, cfg core.Config, fault *faultinj.Fault) (*mtInstance, error) {
+	osim, tr, err := boot.Harden(app, boot.Options{Fault: fault})
 	if err != nil {
 		return nil, err
-	}
-	if o.fault != nil {
-		prog, err = faultinj.Apply(prog, *o.fault)
-		if err != nil {
-			return nil, err
-		}
-	}
-	osim := libsim.New(mem.NewSpace())
-	if app.Setup != nil {
-		app.Setup(osim)
 	}
 	inst := &mtInstance{app: app, os: osim}
-	if o.vanilla {
-		s, err := sched.New(prog.Clone(), osim, nil, sched.Options{Quantum: threadsQuantum})
-		if err != nil {
-			return nil, err
-		}
-		// Worker machines spawned later inherit the main machine's
-		// backend through interp.NewThread.
-		if err := installBackend(s.Main(), o.backend); err != nil {
-			return nil, err
-		}
-		inst.s = s
-		return inst, nil
-	}
-	tr, err := transform.Apply(prog, o.model)
-	if err != nil {
-		return nil, err
-	}
 	domain := htm.NewDomain()
 	factory := func(tid int) sched.ThreadRuntime {
-		cfg := o.cfg
+		cfg := cfg
 		// Each thread is its own core: distinct TSX instance and
 		// interrupt process, one shared conflict domain.
 		cfg.HTM.Seed = cfg.HTM.Seed + int64(tid)*1_000_003
@@ -114,7 +86,9 @@ func bootMT(app *apps.App, o bootOpts) (*mtInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := installBackend(s.Main(), o.backend); err != nil {
+	// Worker machines spawned later inherit the main machine's backend
+	// through interp.NewThread.
+	if err := boot.SetBackend(s.Main(), r.Backend); err != nil {
 		return nil, err
 	}
 	inst.s = s
@@ -158,7 +132,7 @@ func threadsConfig(seed int64) core.Config {
 // planted fault.
 func (r Runner) threadsRow(workers int, fault *faultinj.Fault) (ThreadsRow, error) {
 	app := apps.NginxMT(workers)
-	inst, err := bootMT(app, bootOpts{cfg: threadsConfig(r.Seed), fault: fault, backend: r.Backend})
+	inst, err := r.bootMT(app, threadsConfig(r.Seed), fault)
 	if err != nil {
 		return ThreadsRow{}, err
 	}
@@ -207,15 +181,10 @@ func (r Runner) Threads() (ThreadsResult, error) {
 
 	// The planted fault reuses the real-world SSI case: fail-stop at the
 	// block of serve_ssi's second pread, recovered by diverting EINVAL.
-	prog, err := apps.NginxMT(1).Compile()
+	fault, err := libFault(apps.NginxMT(1), "serve_ssi", "pread", 2)
 	if err != nil {
 		return ThreadsResult{}, err
 	}
-	ref, err := findLibBlock(prog, "serve_ssi", "pread", 2)
-	if err != nil {
-		return ThreadsResult{}, err
-	}
-	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
 
 	out := ThreadsResult{
 		FaultFree: make([]ThreadsRow, len(threadWorkerCounts)),

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 )
 
 // WindowRow profiles one server's crash-transaction windows.
@@ -34,14 +35,14 @@ func (r Runner) TxWindows() (WindowResult, error) {
 	r = r.withDefaults()
 	var out WindowResult
 	for _, app := range apps.All() {
-		inst, res, err := r.measure(app, bootOpts{})
+		inst, res, err := r.measure(app, boot.Options{})
 		if err != nil {
 			return out, err
 		}
 		if res.ServerDied || res.Completed == 0 {
 			return out, fmt.Errorf("txwindows %s: run failed (%+v)", app.Name, res)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		row := WindowRow{
 			Server:       app.Name,
 			Transactions: len(st.TxSteps),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 )
 
 // sortedCopy returns the samples in ascending order.
@@ -47,11 +48,11 @@ func TestTxWindowPercentilesPinned(t *testing.T) {
 		if app == nil {
 			t.Fatalf("unknown server %q in window rows", row.Server)
 		}
-		inst, _, err := r.measure(app, bootOpts{})
+		inst, _, err := r.measure(app, boot.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", row.Server, err)
 		}
-		st := inst.rt.Stats()
+		st := inst.RT.Stats()
 		if len(st.TxSteps) != row.Transactions {
 			t.Errorf("%s: re-measured %d transactions, row has %d",
 				row.Server, len(st.TxSteps), row.Transactions)

@@ -168,6 +168,29 @@ type BlockRef struct {
 	Block int
 }
 
+// AtLibCall returns a fail-stop fault planted at the start of the block
+// of fn that holds its nth (1-based) call to lib — the targeted placement
+// of the paper's §VI-F case studies: the crash lands in the code region
+// following that library call, so recovery diverts it by injecting an
+// error into the call.
+func AtLibCall(prog *ir.Program, fn, lib string, nth int) (Fault, error) {
+	f := prog.Funcs[fn]
+	if f == nil {
+		return Fault{}, fmt.Errorf("faultinj: no function %q", fn)
+	}
+	seen := 0
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpLib && b.Instrs[i].Name == lib {
+				if seen++; seen == nth {
+					return Fault{ID: 1, Kind: FailStop, Func: fn, Block: b.ID}, nil
+				}
+			}
+		}
+	}
+	return Fault{}, fmt.Errorf("faultinj: %s has no call %d to %s", fn, nth, lib)
+}
+
 // PlanFaults selects up to max candidate blocks (seeded, deterministic)
 // and assigns one fault of the given kind to a random instruction of each.
 // Blocks too small to host the fault kind are skipped.

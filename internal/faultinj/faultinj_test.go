@@ -362,3 +362,47 @@ int main() {
 	}
 	t.Fatal("no < comparison found")
 }
+
+// AtLibCall counts calls, not blocks: the nth call to lib may share a
+// block with an earlier one.
+func TestAtLibCall(t *testing.T) {
+	prog, err := minic.Compile(`
+int main() {
+	int a = atoi("1");
+	int b = atoi("2");
+	if (a < b) {
+		a = atoi("3");
+	}
+	return a;
+}`, minic.Config{KnownLib: libsim.Known})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := faultinj.AtLibCall(prog, "main", "atoi", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := faultinj.AtLibCall(prog, "main", "atoi", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := faultinj.AtLibCall(prog, "main", "atoi", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: "main", Block: first.Block}
+	if first != want || second != want {
+		t.Errorf("calls 1 and 2 = %v, %v; want both %v", first, second, want)
+	}
+	if third.Block == first.Block {
+		t.Errorf("call 3 in block %d, want the branch's block", third.Block)
+	}
+	for _, c := range []struct {
+		fn, lib string
+		nth     int
+	}{{"nope", "atoi", 1}, {"main", "atoi", 4}, {"main", "malloc", 1}} {
+		if f, err := faultinj.AtLibCall(prog, c.fn, c.lib, c.nth); err == nil {
+			t.Errorf("AtLibCall(%s, %s, %d) = %v, want an error", c.fn, c.lib, c.nth, f)
+		}
+	}
+}

@@ -9,15 +9,10 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/bench"
-	"github.com/firestarter-go/firestarter/internal/core"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/fleet"
-	"github.com/firestarter-go/firestarter/internal/htm"
-	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/libsim"
-	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
-	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -226,42 +221,6 @@ func TestLoadRejectsTamperedSpans(t *testing.T) {
 	}
 }
 
-// bootOpen mirrors the open-loop boot the bench harness uses (the
-// replay package cannot import bench — bench imports it), so the test
-// can produce an original fleet run to record and then replay.
-func bootOpen(t *testing.T, app *apps.App) func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
-	t.Helper()
-	return func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
-		prog, err := app.Compile()
-		if err != nil {
-			return nil, err
-		}
-		osim := libsim.New(mem.NewSpace())
-		if app.Setup != nil {
-			app.Setup(osim)
-		}
-		tr, err := transform.Apply(prog, nil)
-		if err != nil {
-			return nil, err
-		}
-		rt := core.New(tr, osim, core.Config{HTM: htm.Config{Seed: bootSeed}})
-		m, err := interp.New(tr.Prog, osim, rt)
-		if err != nil {
-			return nil, err
-		}
-		rt.Attach(m)
-		rt.EnableSpans()
-		if app.QuiesceFunc != "" {
-			out := m.Run(5_000_000)
-			if out.Kind != interp.OutBlocked || m.CurrentFunc() != app.QuiesceFunc {
-				t.Fatalf("%s did not reach its quiesce point", app.Name)
-			}
-			rt.ArmQuiesce(m)
-		}
-		return &fleet.Backend{OS: osim, Exec: fleet.MachineExec(m), RT: rt}, nil
-	}
-}
-
 // An open-loop recording round-trips: the replayed 1-replica fleet
 // reproduces the normalized merged span stream span for span.
 func TestOpenLoopRecordingRoundTrip(t *testing.T) {
@@ -286,7 +245,7 @@ func TestOpenLoopRecordingRoundTrip(t *testing.T) {
 		Replicas: 1,
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: seed},
-	}, bootOpen(t, app))
+	}, boot.Replica(app, boot.Options{}))
 	d := &workload.Driver{
 		Port: app.Port,
 		Gen:  workload.ForProtocol(app.Protocol),

@@ -5,15 +5,13 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/fleet"
 	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/libsim"
-	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
-	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -107,82 +105,40 @@ type ReverseResult struct {
 	Anchors int     // checkpoint pairs compared equal across the passes
 }
 
-// instState is one booted hardened server — the same pipeline the
-// bench harness boots, duplicated here because bench imports this
-// package (the round-trip tests in replay_test pin the two together).
-type instState struct {
-	app *apps.App
-	os  *libsim.OS
-	m   *interp.Machine
-	rt  *core.Runtime
-}
-
-// bootRecorded compiles the app, plants the recorded fault, hardens
-// and attaches, exactly as the recording's run was booted.
-func bootRecorded(man *Manifest, cfg core.Config) (*instState, error) {
-	app := apps.ByName(man.App)
+// world resolves the recorded app and the boot options of its run: the
+// recorded fault, core config and backend, booted through the same
+// pipeline (boot.App) that booted the original.
+func (m *Manifest) world() (*apps.App, boot.Options, error) {
+	app := apps.ByName(m.App)
 	if app == nil {
-		return nil, fmt.Errorf("replay: unknown app %q", man.App)
+		return nil, boot.Options{}, fmt.Errorf("replay: unknown app %q", m.App)
 	}
-	prog, err := app.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if man.Fault != nil {
-		prog, err = faultinj.Apply(prog, *man.Fault)
-		if err != nil {
-			return nil, err
-		}
-	}
-	osim := libsim.New(mem.NewSpace())
-	if app.Setup != nil {
-		app.Setup(osim)
-	}
-	tr, err := transform.Apply(prog, nil)
-	if err != nil {
-		return nil, err
-	}
-	rt := core.New(tr, osim, cfg)
-	m, err := interp.New(tr.Prog, osim, rt)
-	if err != nil {
-		return nil, err
-	}
-	switch man.Backend {
-	case "", "tree":
-	case "bytecode":
-		if err := interp.UseBytecode(m); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("replay: unknown backend %q", man.Backend)
-	}
-	rt.Attach(m)
-	return &instState{app: app, os: osim, m: m, rt: rt}, nil
+	return app, boot.Options{Core: m.Core, Fault: m.Fault, Backend: m.Backend}, nil
 }
 
 // captureDump freezes the guest state (called from the watch callback,
 // before the driver appends its trailing run-end spans — the captured
 // span prefix is exactly what had been recorded by the stop boundary).
-func captureDump(inst *instState) *StateDump {
-	snap := inst.m.Snapshot()
+func captureDump(inst *boot.Instance) *StateDump {
+	snap := inst.M.Snapshot()
 	d := &StateDump{
-		Cycles:    inst.m.Cycles,
-		Steps:     inst.m.Steps,
-		Func:      inst.m.CurrentFunc(),
-		Depth:     inst.m.Depth(),
-		InTx:      inst.rt.InTransaction(),
-		Backtrace: inst.m.Backtrace(),
-		Frames:    inst.m.Frames(),
+		Cycles:    inst.M.Cycles,
+		Steps:     inst.M.Steps,
+		Func:      inst.M.CurrentFunc(),
+		Depth:     inst.M.Depth(),
+		InTx:      inst.RT.InTransaction(),
+		Backtrace: inst.M.Backtrace(),
+		Frames:    inst.M.Frames(),
 		RegDigest: snap.Digest(),
-		MemDigest: inst.os.Space.Digest(),
-		RSS:       inst.os.Space.RSS(),
-		OpenFDs:   inst.os.OpenFDList(),
-		SpanFP:    inst.rt.SpanFingerprint(),
-		spans:     inst.rt.Spans(),
+		MemDigest: inst.OS.Space.Digest(),
+		RSS:       inst.OS.Space.RSS(),
+		OpenFDs:   inst.OS.OpenFDList(),
+		SpanFP:    inst.RT.SpanFingerprint(),
+		spans:     inst.RT.Spans(),
 	}
 	d.SpanCount = len(d.spans)
-	if inst.os.ArenasEnabled() {
-		st := inst.os.ArenaStats()
+	if inst.OS.ArenasEnabled() {
+		st := inst.OS.ArenaStats()
 		d.Arena = &st
 	}
 	return d
@@ -269,53 +225,47 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 	if sc.Kind != "closed" {
 		return nil, fmt.Errorf("replay: incarnation manifest with %q schedule", sc.Kind)
 	}
-	inst, err := bootRecorded(man, man.Core)
+	app, o, err := man.world()
 	if err != nil {
 		return nil, err
 	}
-	inst.rt.EnableSpans()
+	inst, err := boot.App(app, o)
+	if err != nil {
+		return nil, err
+	}
+	inst.RT.EnableSpans()
 	if r.CkptEvery > 0 {
-		inst.rt.EnableCheckpoints(r.CkptEvery, r.CkptRing)
+		inst.RT.EnableCheckpoints(r.CkptEvery, r.CkptRing)
 	}
 	var dump *StateDump
 	capture := func(*interp.Machine) { dump = captureDump(inst) }
 	switch {
 	case watchSteps > 0:
-		inst.m.WatchSteps(watchSteps, capture)
+		inst.M.WatchSteps(watchSteps, capture)
 	case watchCycles > 0:
-		inst.m.WatchCycles(watchCycles, capture)
+		inst.M.WatchCycles(watchCycles, capture)
 	}
 
 	// Boot to the quiesce point exactly as the recording did. The watch
 	// may fire during startup (an early -stop-at-cycle); that is a stop,
 	// not an error.
-	if inst.app.QuiesceFunc != "" {
-		out := inst.m.Run(5_000_000)
-		switch {
-		case out.Kind == interp.OutWatch:
-		case out.Kind != interp.OutBlocked:
-			return nil, fmt.Errorf("replay: %s did not reach its quiesce point (outcome %v)", inst.app.Name, out.Kind)
-		case inst.m.CurrentFunc() != inst.app.QuiesceFunc:
-			return nil, fmt.Errorf("replay: %s blocked in %q, quiesce point is %q",
-				inst.app.Name, inst.m.CurrentFunc(), inst.app.QuiesceFunc)
-		default:
-			inst.rt.ArmQuiesce(inst.m)
-		}
+	if err := inst.ArmQuiesce(); err != nil {
+		return nil, err
 	}
 	if dump == nil {
 		d := sc.Driver()
-		d.OS, d.M, d.Port, d.Sink = inst.os, inst.m, inst.app.Port, inst.rt
+		d.OS, d.M, d.Port, d.Sink = inst.OS, inst.M, inst.App.Port, inst.RT
 		d.Run(sc.Requests)
 	}
 
 	res := &Result{
 		Stopped:     dump != nil,
 		Dump:        dump,
-		Checkpoints: inst.rt.Checkpoints(),
-		FinalCycles: inst.m.Cycles,
-		FinalSteps:  inst.m.Steps,
+		Checkpoints: inst.RT.Checkpoints(),
+		FinalCycles: inst.M.Cycles,
+		FinalSteps:  inst.M.Steps,
 	}
-	live := inst.rt.Spans()
+	live := inst.RT.Spans()
 	if dump != nil {
 		// The driver's trailing run-end spans postdate the stop boundary;
 		// verify the prefix the watch callback froze.
@@ -329,7 +279,7 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 		// The spans verified, yet the armed watch never fired — the run
 		// ended before the requested boundary.
 		return res, fmt.Errorf("replay: run ended at cycle %d, step %d before reaching the stop target",
-			inst.m.Cycles, inst.m.Steps)
+			inst.M.Cycles, inst.M.Steps)
 	}
 	res.Spans = live
 	return res, nil
@@ -343,32 +293,15 @@ func (r *Runner) replayOpenLoop() (*Result, error) {
 	if sc.Kind != "open" || sc.Open == nil {
 		return nil, fmt.Errorf("replay: openloop manifest without an open schedule")
 	}
-	app := apps.ByName(man.App)
-	if app == nil {
-		return nil, fmt.Errorf("replay: unknown app %q", man.App)
-	}
-	boot := func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
-		cfg := man.Core
-		cfg.HTM.Seed = bootSeed
-		inst, err := bootRecorded(man, cfg)
-		if err != nil {
-			return nil, err
-		}
-		inst.rt.EnableSpans()
-		if app.QuiesceFunc != "" {
-			out := inst.m.Run(5_000_000)
-			if out.Kind != interp.OutBlocked || inst.m.CurrentFunc() != app.QuiesceFunc {
-				return nil, fmt.Errorf("replay: %s did not reach its quiesce point", app.Name)
-			}
-			inst.rt.ArmQuiesce(inst.m)
-		}
-		return &fleet.Backend{OS: inst.os, Exec: fleet.MachineExec(inst.m), RT: inst.rt}, nil
+	app, o, err := man.world()
+	if err != nil {
+		return nil, err
 	}
 	fl := fleet.New(fleet.Config{
 		Replicas: 1,
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: sc.Seed},
-	}, boot)
+	}, boot.Replica(app, o))
 	d := &workload.Driver{
 		Port: app.Port,
 		Gen:  workload.ForProtocol(sc.Proto),
@@ -383,7 +316,6 @@ func (r *Runner) replayOpenLoop() (*Result, error) {
 	}
 	res := &Result{FinalCycles: fl.Cycles()}
 	live := NormalizeSpans(fl.Spans())
-	var err error
 	res.Verified, res.Fingerprint, err = verifySpans(man, r.Rec.Spans, live, true)
 	if err != nil {
 		return res, err
