@@ -392,7 +392,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Validate -backend before any experiment runs: table2 boots no
 	// machine, so a bad name would otherwise print it and exit 0.
-	if err := boot.SetBackend(nil, *backend); err != nil {
+	if err := boot.CheckBackend(*backend); err != nil {
 		fmt.Fprintf(stderr, "firebench: -backend: %v\n", err)
 		return 2
 	}

@@ -41,15 +41,19 @@ type DivertResult struct {
 func (r Runner) AblationDivert() (DivertResult, error) {
 	r = r.withDefaults()
 	app := apps.Nginx()
-	fault, err := libFault(app, "serve_ssi", "memcpy", 1)
+	fault, err := r.libFault(app, "serve_ssi", "memcpy", 1)
 	if err != nil {
 		return DivertResult{}, err
 	}
 
 	var out DivertResult
+	img, err := r.build(app, boot.Options{Fault: &fault})
+	if err != nil {
+		return out, err
+	}
 	for _, sticky := range []bool{false, true} {
 		cfg := core.Config{StickyDivert: sticky}
-		inst, res, err := r.measure(app, boot.Options{Core: cfg, Fault: &fault})
+		inst, res, err := r.measureImage(img, boot.Options{Core: cfg})
 		if err != nil {
 			return out, err
 		}
@@ -107,15 +111,19 @@ type RetryResult struct {
 func (r Runner) AblationRetry() (RetryResult, error) {
 	r = r.withDefaults()
 	app := apps.Nginx()
-	fault, err := libFault(app, "serve_ssi", "memcpy", 1)
+	fault, err := r.libFault(app, "serve_ssi", "memcpy", 1)
 	if err != nil {
 		return RetryResult{}, err
 	}
 
 	var out RetryResult
+	img, err := r.build(app, boot.Options{Fault: &fault})
+	if err != nil {
+		return out, err
+	}
 	for _, retries := range []int{1, 2, 4, 8} {
 		cfg := core.Config{RetryTransient: retries}
-		inst, _, err := r.measure(app, boot.Options{Core: cfg, Fault: &fault})
+		inst, _, err := r.measureImage(img, boot.Options{Core: cfg})
 		if err != nil {
 			return out, err
 		}
@@ -181,12 +189,16 @@ func (r Runner) AblationGeometry() (GeometryResult, error) {
 	base := vres.CyclesPerRequest()
 
 	var out GeometryResult
+	img, err := r.build(app, boot.Options{})
+	if err != nil {
+		return out, err
+	}
 	for _, kib := range []int{8, 16, 32, 64, 128} {
 		sets := kib * 1024 / 64 / 8 // lines / ways
 		cfg := core.Config{
 			HTM: htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
 		}
-		inst, res, err := r.measure(app, boot.Options{Core: cfg})
+		inst, res, err := r.measureImage(img, boot.Options{Core: cfg})
 		if err != nil {
 			return out, err
 		}

@@ -9,11 +9,14 @@
 package bench
 
 import (
+	"fmt"
 	"math"
+	"sync"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
+	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -50,6 +53,13 @@ type Runner struct {
 	// is identical at any Parallelism. Empty (the default) records
 	// nothing and changes no output.
 	RecordDir string
+
+	// progs and profiles memoize each app's compile and fault-planning
+	// profile for one experiment call: withDefaults creates them when the
+	// experiment starts, and they are dropped when it returns. Nil outside
+	// an experiment call, where nothing is memoized.
+	progs    *memo[*ir.Program]
+	profiles *memo[*boot.ServingProfile]
 }
 
 func (r Runner) withDefaults() Runner {
@@ -65,14 +75,103 @@ func (r Runner) withDefaults() Runner {
 	if r.FaultsPerServer == 0 {
 		r.FaultsPerServer = 12
 	}
+	if r.progs == nil {
+		r.progs, r.profiles = &memo[*ir.Program]{}, &memo[*boot.ServingProfile]{}
+	}
 	return r
 }
 
-// boot boots app on the Runner's backend. Every single-machine boot of
-// the harness goes through here, so none can miss the -backend selection.
-func (r Runner) boot(app *apps.App, o boot.Options) (*boot.Instance, error) {
+// memo computes one value per key, once: each app is compiled once, and
+// profiled for fault planning once, however many images and fault plans
+// an experiment derives from it. Concurrent lookups of one key wait for
+// a single computation; a nil memo computes every lookup afresh. Images
+// are not memoized: each is held by the run or campaign that boots from
+// it, and is freed with its holder.
+type memo[T any] struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry[T]
+}
+
+type memoEntry[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+// get returns the value for key, computing it with fn on first use.
+func (m *memo[T]) get(key string, fn func() (T, error)) (T, error) {
+	if m == nil {
+		return fn()
+	}
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = map[string]*memoEntry[T]{}
+		}
+		e = &memoEntry[T]{}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = fn() })
+	return e.v, e.err
+}
+
+// appKey identifies what an app compiles to.
+func appKey(app *apps.App) string { return app.Name + "\x00" + app.Source }
+
+// compile returns app's compiled program, compiled once per experiment
+// call. The program is shared, so it is only ever read: every image is
+// built from a copy.
+func (r Runner) compile(app *apps.App) (*ir.Program, error) {
+	return r.progs.get(appKey(app), app.Compile)
+}
+
+// build builds app's image from the experiment's compile of it.
+func (r Runner) build(app *apps.App, o boot.Options) (*boot.Image, error) {
+	prog, err := r.compile(app)
+	if err != nil {
+		return nil, err
+	}
+	return boot.BuildCompiled(app, prog, o)
+}
+
+// buildAll builds one image per app with o, fanned across the pool.
+func (r Runner) buildAll(list []*apps.App, o boot.Options) ([]*boot.Image, error) {
+	imgs := make([]*boot.Image, len(list))
+	err := r.forEach(len(list), func(i int) error {
+		img, err := r.build(list[i], o)
+		imgs[i] = img
+		return err
+	})
+	return imgs, err
+}
+
+// buildPair builds a vanilla and a hardened image of every app in list:
+// the baseline, and the image every protection mode boots.
+func (r Runner) buildPair(list []*apps.App) (vanilla, hardened []*boot.Image, err error) {
+	if vanilla, err = r.buildAll(list, boot.Options{Vanilla: true}); err != nil {
+		return nil, nil, err
+	}
+	hardened, err = r.buildAll(list, boot.Options{})
+	return vanilla, hardened, err
+}
+
+// bootImage boots img on the Runner's backend. Every single-machine boot
+// of the harness goes through here, so none can miss the -backend
+// selection.
+func (r Runner) bootImage(img *boot.Image, o boot.Options) (*boot.Instance, error) {
 	o.Backend = r.Backend
-	return boot.App(app, o)
+	return img.Boot(o)
+}
+
+// boot builds app and boots it once.
+func (r Runner) boot(app *apps.App, o boot.Options) (*boot.Instance, error) {
+	img, err := r.build(app, o)
+	if err != nil {
+		return nil, err
+	}
+	return r.bootImage(img, o)
 }
 
 // drive runs the app's standard workload against the instance.
@@ -86,10 +185,19 @@ func (r Runner) drive(inst *boot.Instance) workload.Result {
 	return d.Run(r.Requests)
 }
 
-// measure boots and drives, returning cycles/request plus the instance for
-// stat extraction.
+// measure builds app, boots it and drives it, returning cycles/request
+// plus the instance for stat extraction.
 func (r Runner) measure(app *apps.App, o boot.Options) (*boot.Instance, workload.Result, error) {
-	inst, err := r.boot(app, o)
+	img, err := r.build(app, o)
+	if err != nil {
+		return nil, workload.Result{}, err
+	}
+	return r.measureImage(img, o)
+}
+
+// measureImage boots img and drives it, like measure.
+func (r Runner) measureImage(img *boot.Image, o boot.Options) (*boot.Instance, workload.Result, error) {
+	inst, err := r.bootImage(img, o)
 	if err != nil {
 		return nil, workload.Result{}, err
 	}
@@ -109,10 +217,10 @@ func overheadPct(variant, baseline float64) float64 {
 	return (variant/baseline - 1) * 100
 }
 
-// libFault compiles app and returns the fail-stop fault at the block
-// holding fn's nth call to lib (faultinj.AtLibCall).
-func libFault(app *apps.App, fn, lib string, nth int) (faultinj.Fault, error) {
-	prog, err := app.Compile()
+// libFault returns the fail-stop fault at the block holding fn's nth call
+// to lib in app (faultinj.AtLibCall).
+func (r Runner) libFault(app *apps.App, fn, lib string, nth int) (faultinj.Fault, error) {
+	prog, err := r.compile(app)
 	if err != nil {
 		return faultinj.Fault{}, err
 	}
@@ -120,7 +228,20 @@ func libFault(app *apps.App, fn, lib string, nth int) (faultinj.Fault, error) {
 }
 
 // planFaults profiles app under half the Runner's workload and plans
-// faults in non-critical executed blocks (the §VI-B methodology).
+// faults in non-critical executed blocks (the §VI-B methodology). The
+// profile is taken once per app and experiment call and plans every
+// fault kind.
 func (r Runner) planFaults(app *apps.App, kind faultinj.Kind, max int) ([]faultinj.Fault, error) {
-	return boot.PlanFaults(app, kind, max, r.Requests/2, r.Concurrency, r.Seed, r.Backend)
+	key := fmt.Sprintf("%s\x00%d/%d/%d/%s", appKey(app), r.Requests/2, r.Concurrency, r.Seed, r.Backend)
+	p, err := r.profiles.get(key, func() (*boot.ServingProfile, error) {
+		prog, err := r.compile(app)
+		if err != nil {
+			return nil, err
+		}
+		return boot.Profile(app, prog, r.Requests/2, r.Concurrency, r.Seed, r.Backend)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.Plan(kind, max, r.Seed), nil
 }

@@ -99,7 +99,7 @@ func TestLadderCountsBreakerResidualAsFailed(t *testing.T) {
 	// one incarnation before the workload drains.
 	r.Requests = 300
 	app := apps.Redis()
-	fault, err := libFault(app, "execute", "atoi", 1)
+	fault, err := r.libFault(app, "execute", "atoi", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

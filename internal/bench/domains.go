@@ -87,13 +87,21 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 		{"mod_ssi", "pread"},
 		{"execute", "memcpy"},
 	}
-	faults := make([]faultinj.Fault, len(pool))
+	// Every strategy boots its app's one faulted image; every capacity
+	// cell boots one unfaulted lighttpd pool image.
+	imgs := make([]*boot.Image, len(pool))
 	for i, app := range pool {
-		f, err := libFault(app, targets[i].fn, targets[i].lib, 1)
+		f, err := r.libFault(app, targets[i].fn, targets[i].lib, 1)
 		if err != nil {
 			return out, fmt.Errorf("domains %s: %w", app.Name, err)
 		}
-		faults[i] = f
+		if imgs[i], err = r.build(app, boot.Options{Fault: &f, Model: libmodel.WithArena()}); err != nil {
+			return out, fmt.Errorf("domains %s: %w", app.Name, err)
+		}
+	}
+	capImg, err := r.build(apps.LighttpdPool(), boot.Options{Model: libmodel.WithArena()})
+	if err != nil {
+		return out, fmt.Errorf("domains capacity: %w", err)
 	}
 
 	type capJob struct {
@@ -115,10 +123,7 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 	if err := r.forEach(nStrat+len(capJobs), func(i int) error {
 		if i < nStrat {
 			app, strat := pool[i/len(domainStrategies)], domainStrategies[i%len(domainStrategies)]
-			fault := faults[i/len(domainStrategies)]
-			inst, res, err := r.measure(app, boot.Options{
-				Core: strat.cfg, Fault: &fault, Model: libmodel.WithArena(),
-			})
+			inst, res, err := r.measureImage(imgs[i/len(domainStrategies)], boot.Options{Core: strat.cfg})
 			if err != nil {
 				return fmt.Errorf("domains %s/%s: %w", app.Name, strat.name, err)
 			}
@@ -141,9 +146,7 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 			HTM:           htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
 			EnableDomains: j.domains,
 		}
-		inst, _, err := r.measure(apps.LighttpdPool(), boot.Options{
-			Core: cfg, Model: libmodel.WithArena(),
-		})
+		inst, _, err := r.measureImage(capImg, boot.Options{Core: cfg})
 		if err != nil {
 			return fmt.Errorf("domains capacity %dKiB: %w", j.kib, err)
 		}

@@ -65,10 +65,16 @@ func (r Runner) Figure3() (Figure3Result, error) {
 	base := vres.CyclesPerRequest()
 
 	var out Figure3Result
+	// The four policies are boot-time configurations of one hardened
+	// image.
+	img, err := r.build(app, boot.Options{})
+	if err != nil {
+		return out, err
+	}
 
 	// Naive: threshold above 100% never latches, every execution tries
 	// HTM first.
-	naive, nres, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 2.0, 4, r.Seed)})
+	naive, nres, err := r.measureImage(img, boot.Options{Core: perfConfig(core.ModeHybrid, 2.0, 4, r.Seed)})
 	if err != nil {
 		return out, err
 	}
@@ -81,11 +87,11 @@ func (r Runner) Figure3() (Figure3Result, error) {
 
 	// Manual: learn the hot gates in a warmup run with the dynamic
 	// policy, then pin them STM from the start of a fresh run.
-	warm, _, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)})
+	warm, _, err := r.measureImage(img, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)})
 	if err != nil {
 		return out, err
 	}
-	manual, mres, err := r.measure(app, boot.Options{
+	manual, mres, err := r.measureImage(img, boot.Options{
 		Core:     perfConfig(core.ModeHybrid, 0.01, 4, r.Seed),
 		Prelatch: warm.RT.LatchedSites(),
 	})
@@ -99,7 +105,7 @@ func (r Runner) Figure3() (Figure3Result, error) {
 	})
 
 	// Dynamic: θ=1 %, S=128 — the configuration the paper's text uses.
-	dyn, dres, err := r.measure(app, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 128, r.Seed)})
+	dyn, dres, err := r.measureImage(img, boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 128, r.Seed)})
 	if err != nil {
 		return out, err
 	}
@@ -244,7 +250,12 @@ func (r Runner) Figure6() (Figure6Result, error) {
 	samples := []int64{2, 8, 32, 128}
 	servers := apps.WebServers()
 
-	// Stage 1: vanilla baselines, one per server.
+	// Stage 1: vanilla baselines, one per server, and the hardened image
+	// every cell of a server's sweep boots.
+	imgs, err := r.buildAll(servers, boot.Options{})
+	if err != nil {
+		return out, err
+	}
 	bases := make([]float64, len(servers))
 	if err := r.forEach(len(servers), func(i int) error {
 		_, vres, err := r.measure(servers[i], boot.Options{Vanilla: true})
@@ -275,7 +286,7 @@ func (r Runner) Figure6() (Figure6Result, error) {
 	cells := make([]Figure6Cell, len(jobs))
 	if err := r.forEach(len(jobs), func(i int) error {
 		j := jobs[i]
-		_, res, err := r.measure(servers[j.server], boot.Options{Core: perfConfig(core.ModeHybrid, j.th, j.s, r.Seed)})
+		_, res, err := r.measureImage(imgs[j.server], boot.Options{Core: perfConfig(core.ModeHybrid, j.th, j.s, r.Seed)})
 		if err != nil {
 			return err
 		}
@@ -366,18 +377,24 @@ func (r Runner) Figure7() (Figure7Result, error) {
 
 	// Four isolated runs per server (vanilla + three schemes), all
 	// flattened into one job list; rows assemble in server order below.
+	// The three schemes are boot-time configurations of one hardened
+	// image per server.
 	const variants = 4 // 0: vanilla, 1: HTM-only, 2: STM-only, 3: hybrid
+	vanilla, hardened, err := r.buildPair(servers)
+	if err != nil {
+		return out, err
+	}
 	type runOut struct {
 		inst *boot.Instance
 		cpr  float64
 	}
 	results := make([]runOut, len(servers)*variants)
 	if err := r.forEach(len(results), func(i int) error {
-		app := servers[i/variants]
+		img := hardened[i/variants]
 		var o boot.Options
 		switch i % variants {
 		case 0:
-			o = boot.Options{Vanilla: true}
+			img = vanilla[i/variants]
 		case 1:
 			o = boot.Options{Core: perfConfig(core.ModeHTMOnly, 0.01, 4, r.Seed)}
 		case 2:
@@ -385,7 +402,7 @@ func (r Runner) Figure7() (Figure7Result, error) {
 		case 3:
 			o = boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)}
 		}
-		inst, res, err := r.measure(app, o)
+		inst, res, err := r.measureImage(img, o)
 		if err != nil {
 			return err
 		}
@@ -477,14 +494,17 @@ func (r Runner) Figure9() (Figure9Result, error) {
 	var out Figure9Result
 	servers := apps.All()
 	modes := []core.Mode{0, core.ModeHTMOnly, core.ModeSTMOnly, core.ModeHybrid} // index 0 = vanilla
+	vanilla, hardened, err := r.buildPair(servers)
+	if err != nil {
+		return out, err
+	}
 	footprints := make([]int64, len(servers)*len(modes))
 	if err := r.forEach(len(footprints), func(i int) error {
-		app := servers[i/len(modes)]
-		o := boot.Options{Vanilla: true}
+		img, o := vanilla[i/len(modes)], boot.Options{}
 		if mi := i % len(modes); mi != 0 {
-			o = boot.Options{Core: perfConfig(modes[mi], 0.01, 4, r.Seed)}
+			img, o = hardened[i/len(modes)], boot.Options{Core: perfConfig(modes[mi], 0.01, 4, r.Seed)}
 		}
-		inst, _, err := r.measure(app, o)
+		inst, _, err := r.measureImage(img, o)
 		if err != nil {
 			return err
 		}

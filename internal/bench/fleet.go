@@ -83,7 +83,11 @@ func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed in
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: seed},
 	}
-	fl := fleet.New(fcfg, r.fleetBoot(app, fault))
+	bootFn, err := r.fleetBoot(app, fault)
+	if err != nil {
+		return nil, err
+	}
+	fl := fleet.New(fcfg, bootFn)
 	d := &workload.Driver{
 		Port:        app.Port,
 		Gen:         workload.ForProtocol(app.Protocol),

@@ -56,12 +56,18 @@ type ladderRun struct {
 	Recordings []replay.Recording
 }
 
-// ladderRun drives r.Requests against app under supervision. Hardened
+// ladderRun drives r.Requests against app under supervision. The
+// campaign builds app's image once and boots every incarnation from it: a
+// microreboot reloads the built program, it does not rebuild it. Hardened
 // boots (o.Vanilla false) get spans enabled and their quiesce point armed
 // so the shedding rung is live; vanilla boots exercise the bare
 // restart-on-crash policy. Residual work abandoned when the breaker opens
 // is counted as Failed — never silently dropped.
 func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (*ladderRun, error) {
+	img, err := r.build(app, o)
+	if err != nil {
+		return nil, err
+	}
 	lr := &ladderRun{Registry: obsv.NewRegistry()}
 	if sc.Seed == 0 {
 		sc.Seed = r.Seed
@@ -83,14 +89,14 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	}
 	var recCands []incCand
 
-	err := sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
+	err = sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
 		if remaining <= 0 {
 			// The previous incarnation's death consumed the last of the
 			// budget; its restart is already accounted, nothing to run.
 			return supervisor.RunResult{Done: true}, nil
 		}
 		offset := sup.Clock()
-		inst, err := r.boot(app, o)
+		inst, err := r.bootImage(img, o)
 		if err != nil {
 			return supervisor.RunResult{}, err
 		}

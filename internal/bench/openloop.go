@@ -66,19 +66,29 @@ type OpenLoopResult struct {
 // service rate: well under, at, and well past saturation.
 var openLoopMults = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5}
 
-// fleetBoot returns the replica boot function shared by the fleet and
-// open-loop campaigns (boot.Replica on the Runner's backend).
-func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) fleet.BootFunc {
-	return boot.Replica(app, boot.Options{Fault: fault, Backend: r.Backend})
+// fleetBoot builds app's hardened image and returns the replica boot
+// function the fleet and open-loop campaigns boot every replica and
+// incarnation with (Image.Replica on the Runner's backend).
+func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) (fleet.BootFunc, error) {
+	o := boot.Options{Fault: fault, Backend: r.Backend}
+	img, err := r.build(app, o)
+	if err != nil {
+		return nil, err
+	}
+	return img.Replica(o), nil
 }
 
 // openRun drives one open-loop rung against a fresh 1-replica fleet.
 func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg workload.OpenConfig) (*fleetRun, workload.OpenResult, error) {
+	bootFn, err := r.fleetBoot(app, fault)
+	if err != nil {
+		return nil, workload.OpenResult{}, err
+	}
 	fl := fleet.New(fleet.Config{
 		Replicas: 1,
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: seed},
-	}, r.fleetBoot(app, fault))
+	}, bootFn)
 	d := &workload.Driver{
 		Port: app.Port,
 		Gen:  workload.ForProtocol(app.Protocol),

@@ -62,7 +62,7 @@ func (r Runner) RealWorld() (RealWorldResult, error) {
 // and then a follow-up request.
 func (r Runner) runCase(app *apps.App, fn, lib string, nth int, trigger, followup string) (CaseResult, error) {
 	var res CaseResult
-	fault, err := libFault(app, fn, lib, nth)
+	fault, err := r.libFault(app, fn, lib, nth)
 	if err != nil {
 		return res, err
 	}

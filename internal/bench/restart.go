@@ -41,7 +41,7 @@ type RestartResult struct {
 func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 	r = r.withDefaults()
 	app := apps.Redis()
-	fault, err := libFault(app, "execute", "atoi", 1)
+	fault, err := r.libFault(app, "execute", "atoi", 1)
 	if err != nil {
 		return RestartResult{}, err
 	}

@@ -66,10 +66,11 @@ type mtInstance struct {
 // bootMT hardens a multi-threaded app (optionally fault-planted) and
 // loads it under the cooperative scheduler, on the Runner's backend.
 func (r Runner) bootMT(app *apps.App, cfg core.Config, fault *faultinj.Fault) (*mtInstance, error) {
-	osim, tr, err := boot.Harden(app, boot.Options{Fault: fault})
+	img, err := r.build(app, boot.Options{Fault: fault})
 	if err != nil {
 		return nil, err
 	}
+	osim, tr := img.NewOS(), img.TR
 	inst := &mtInstance{app: app, os: osim}
 	domain := htm.NewDomain()
 	factory := func(tid int) sched.ThreadRuntime {
@@ -88,7 +89,7 @@ func (r Runner) bootMT(app *apps.App, cfg core.Config, fault *faultinj.Fault) (*
 	}
 	// Worker machines spawned later inherit the main machine's backend
 	// through interp.NewThread.
-	if err := boot.SetBackend(s.Main(), r.Backend); err != nil {
+	if err := img.SetBackend(s.Main(), r.Backend); err != nil {
 		return nil, err
 	}
 	inst.s = s
@@ -181,7 +182,7 @@ func (r Runner) Threads() (ThreadsResult, error) {
 
 	// The planted fault reuses the real-world SSI case: fail-stop at the
 	// block of serve_ssi's second pread, recovered by diverting EINVAL.
-	fault, err := libFault(apps.NginxMT(1), "serve_ssi", "pread", 2)
+	fault, err := r.libFault(apps.NginxMT(1), "serve_ssi", "pread", 2)
 	if err != nil {
 		return ThreadsResult{}, err
 	}

@@ -1,14 +1,19 @@
-// Package boot owns the order in which a server is brought up: compile,
-// plant the fault, build the simulated OS and run its setup, harden, load,
-// select the interpreter backend, attach the recovery runtime and, for
-// supervised boots, run to the quiesce point. The experiment harness, the
-// flight recorder's replay and the public API all boot through it, so a
-// replayed run reboots its recorded world through the very code that
-// booted the original.
+// Package boot owns the order in which a server is brought up, in two
+// steps. Build does the config-independent work once: compile, plant the
+// fault, harden (unless vanilla) and link, producing an immutable Image.
+// Boot does the per-run work from an image: build the simulated OS and
+// run its setup, attach the recovery runtime, load, select the
+// interpreter backend and, for supervised boots, run to the quiesce
+// point. A microreboot boots again from the image it already holds; it
+// does not rebuild. The experiment harness, the flight recorder's replay
+// and the public API all boot through this package, so a replayed run
+// reboots its recorded world through the very code that booted the
+// original.
 package boot
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/core"
@@ -26,7 +31,9 @@ import (
 // startupSteps bounds the run from boot to the first block on I/O.
 const startupSteps = 5_000_000
 
-// Options configures one boot.
+// Options configures a build and a boot. Build reads the build-time
+// fields (Vanilla, Fault, Model); Boot reads the boot-time ones (Core,
+// Backend, Prelatch) and ignores the rest, which its image fixed.
 type Options struct {
 	// Vanilla loads the program as compiled: no hardening, no runtime.
 	Vanilla bool
@@ -37,10 +44,27 @@ type Options struct {
 	// Model is the library model the hardening passes consult (nil:
 	// libmodel.Default()).
 	Model *libmodel.Model
-	// Backend names the interpreter backend (see SetBackend).
+	// Backend names the interpreter backend (see CheckBackend).
 	Backend string
 	// Prelatch pins these gate sites to STM before the first instruction.
 	Prelatch []int
+}
+
+// Image is a built server program: compiled, fault-planted, hardened
+// (unless vanilla) and linked. It is immutable once built, so any number
+// of instances may boot from it, on any goroutines; it lives as long as
+// its holder keeps it. The bytecode lowering is made on the first
+// bytecode boot and shared by every later one.
+type Image struct {
+	App  *apps.App         // nil for Program boots
+	Prog *ir.Program       // the linked program every instance loads
+	TR   *transform.Result // nil for vanilla images
+
+	setup func(*libsim.OS)
+
+	lower    sync.Once
+	bytecode interp.Backend
+	lowerErr error
 }
 
 // Instance is one booted server.
@@ -52,60 +76,110 @@ type Instance struct {
 	TR  *transform.Result // nil for vanilla boots
 }
 
-// SetBackend installs the named interpreter backend on m: "" or "tree"
-// for the tree-walker, "bytecode" for the compiled bytecode stream. With
-// m nil it only checks the name.
-func SetBackend(m *interp.Machine, name string) error {
+// CheckBackend reports whether name is an interpreter backend: "" or
+// "tree" for the tree-walker, "bytecode" for the compiled bytecode
+// stream.
+func CheckBackend(name string) error {
 	switch name {
-	case "", "tree":
+	case "", "tree", "bytecode":
 		return nil
-	case "bytecode":
-		if m == nil {
-			return nil
-		}
-		return interp.UseBytecode(m)
 	}
 	return fmt.Errorf("unknown backend %q (want tree or bytecode)", name)
 }
 
-// stage is the front half of every boot: plant the fault, build the OS
-// and run setup, harden unless vanilla. It returns the (fault-planted)
-// program the machine of a vanilla boot loads a copy of.
-func stage(prog *ir.Program, setup func(*libsim.OS), o Options) (*ir.Program, *libsim.OS, *transform.Result, error) {
+// Build compiles app and builds its image.
+func Build(app *apps.App, o Options) (*Image, error) {
+	prog, err := app.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return BuildCompiled(app, prog, o)
+}
+
+// BuildCompiled builds app's image from prog, a program app.Compile
+// returned. prog is only read, so one compile may feed any number of
+// images, built on any goroutines.
+func BuildCompiled(app *apps.App, prog *ir.Program, o Options) (*Image, error) {
+	img, err := build(prog, app.Setup, o)
+	if err != nil {
+		return nil, err
+	}
+	img.App = app
+	return img, nil
+}
+
+// build plants o.Fault into a copy of prog, hardens it with o.Model
+// unless o.Vanilla, and links the result; setup prepares every boot's OS.
+func build(prog *ir.Program, setup func(*libsim.OS), o Options) (*Image, error) {
+	img := &Image{setup: setup}
+	owned := false
 	if o.Fault != nil {
 		var err error
 		if prog, err = faultinj.Apply(prog, *o.Fault); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
+		owned = true
 	}
-	osim := libsim.New(mem.NewSpace())
-	if setup != nil {
-		setup(osim)
+	switch {
+	case !o.Vanilla:
+		tr, err := transform.Apply(prog, o.Model)
+		if err != nil {
+			return nil, err
+		}
+		img.TR, img.Prog = tr, tr.Prog
+	case owned:
+		img.Prog = prog
+	default:
+		img.Prog = prog.Clone()
 	}
-	if o.Vanilla {
-		return prog, osim, nil, nil
+	if err := interp.Link(img.Prog); err != nil {
+		return nil, err
 	}
-	tr, err := transform.Apply(prog, o.Model)
-	return prog, osim, tr, err
+	return img, nil
 }
 
-// Program boots a compiled program with setup preparing its OS.
-func Program(prog *ir.Program, setup func(*libsim.OS), o Options) (*Instance, error) {
-	prog, osim, tr, err := stage(prog, setup, o)
-	if err != nil {
-		return nil, err
+// NewOS returns a fresh simulated OS with the image's setup run on it:
+// the world every boot starts from.
+func (img *Image) NewOS() *libsim.OS {
+	osim := libsim.New(mem.NewSpace())
+	if img.setup != nil {
+		img.setup(osim)
 	}
-	inst := &Instance{OS: osim, TR: tr}
-	if o.Vanilla {
-		inst.M, err = interp.New(prog.Clone(), osim, nil)
+	return osim
+}
+
+// SetBackend installs the named backend on m, a machine loading the
+// image's program. The bytecode lowering is made once per image, on first
+// use, and shared: the bytecode backend keeps no per-machine state.
+func (img *Image) SetBackend(m *interp.Machine, name string) error {
+	if err := CheckBackend(name); err != nil || name != "bytecode" {
+		return err
+	}
+	img.lower.Do(func() { img.bytecode, img.lowerErr = interp.NewBytecodeBackend(img.Prog) })
+	if img.lowerErr != nil {
+		return img.lowerErr
+	}
+	m.SetBackend(img.bytecode)
+	return nil
+}
+
+// Boot boots one instance from the image: a fresh OS, a recovery runtime
+// configured by o.Core for a hardened image, a machine loading the
+// image's program on o.Backend, and o.Prelatch pinned to STM.
+func (img *Image) Boot(o Options) (*Instance, error) {
+	osim := img.NewOS()
+	inst := &Instance{App: img.App, OS: osim, TR: img.TR}
+	var err error
+	if img.TR == nil {
+		inst.M, err = interp.New(img.Prog, osim, nil)
 	} else {
-		inst.RT = core.New(tr, osim, o.Core)
-		inst.M, err = interp.New(tr.Prog, osim, inst.RT)
+		inst.RT = core.New(img.TR, osim, o.Core)
+		inst.M, err = interp.New(img.Prog, osim, inst.RT)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := SetBackend(inst.M, o.Backend); err != nil {
+	if err := img.SetBackend(inst.M, o.Backend); err != nil {
 		return nil, err
 	}
 	if inst.RT != nil {
@@ -117,32 +191,23 @@ func Program(prog *ir.Program, setup func(*libsim.OS), o Options) (*Instance, er
 	return inst, nil
 }
 
-// App compiles app and boots it with its own setup.
-func App(app *apps.App, o Options) (*Instance, error) {
-	prog, err := app.Compile()
+// Program builds a compiled program with setup preparing its OS and
+// boots it once.
+func Program(prog *ir.Program, setup func(*libsim.OS), o Options) (*Instance, error) {
+	img, err := build(prog, setup, o)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := Program(prog, app.Setup, o)
-	if err != nil {
-		return nil, err
-	}
-	inst.App = app
-	return inst, nil
+	return img.Boot(o)
 }
 
-// Harden is the front half of a hardened App boot, for callers that build
-// their own runtimes over the hardened program (the multi-threaded
-// scheduler gives every thread one): it compiles app, plants o.Fault,
-// builds the OS, runs app.Setup and hardens with o.Model.
-func Harden(app *apps.App, o Options) (*libsim.OS, *transform.Result, error) {
-	prog, err := app.Compile()
+// App builds app and boots it once.
+func App(app *apps.App, o Options) (*Instance, error) {
+	img, err := Build(app, o)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	o.Vanilla = false
-	_, osim, tr, err := stage(prog, app.Setup, o)
-	return osim, tr, err
+	return img.Boot(o)
 }
 
 // ArmQuiesce runs a freshly booted hardened server until it first blocks,
@@ -170,16 +235,19 @@ func (in *Instance) ArmQuiesce() error {
 	return nil
 }
 
-// Replica returns the fleet's replica boot function: every incarnation is
-// a hardened App boot with spans enabled and its quiesce point armed, and
-// its HTM interrupt seed is the supervisor's per-incarnation seed, so no
-// two incarnations anywhere in a fleet replay the same interrupt process.
-func Replica(app *apps.App, o Options) fleet.BootFunc {
-	o.Vanilla = false
+// Replica returns the fleet's replica boot function over a hardened
+// image: every replica and incarnation boots from img, with spans enabled
+// and its quiesce point armed, and its HTM interrupt seed is the
+// supervisor's per-incarnation seed, so no two incarnations anywhere in a
+// fleet replay the same interrupt process.
+func (img *Image) Replica(o Options) fleet.BootFunc {
 	return func(_, _ int, seed int64) (*fleet.Backend, error) {
+		if img.TR == nil {
+			return nil, fmt.Errorf("boot: a fleet replica needs a hardened image")
+		}
 		o := o
 		o.Core.HTM.Seed = seed
-		inst, err := App(app, o)
+		inst, err := img.Boot(o)
 		if err != nil {
 			return nil, err
 		}
@@ -191,17 +259,24 @@ func Replica(app *apps.App, o Options) fleet.BootFunc {
 	}
 }
 
-// PlanFaults profiles a vanilla boot of app on the named backend, through
-// startup and then requests requests from clients simulated clients, and
-// plans up to max faults of kind in the blocks first executed while
-// serving (the §VI-B methodology: startup blocks are critical). The block
-// stream is backend-invariant, so the plan is too.
-func PlanFaults(app *apps.App, kind faultinj.Kind, max, requests, clients int, seed int64, backend string) ([]faultinj.Fault, error) {
-	prog, err := app.Compile()
+// ServingProfile is an app's fault-planning profile: the blocks a vanilla
+// boot first executed while serving (the §VI-B methodology: startup
+// blocks are critical). One profile plans faults of every kind.
+type ServingProfile struct {
+	prog   *ir.Program // the compiled program profiled; only read
+	blocks []faultinj.BlockRef
+}
+
+// Profile profiles a vanilla boot of app, compiled as prog, on the named
+// backend, through startup and then requests requests from clients
+// simulated clients. The block stream is backend-invariant, so the
+// profile is too. prog is only read.
+func Profile(app *apps.App, prog *ir.Program, requests, clients int, seed int64, backend string) (*ServingProfile, error) {
+	img, err := BuildCompiled(app, prog, Options{Vanilla: true})
 	if err != nil {
 		return nil, err
 	}
-	inst, err := Program(prog, app.Setup, Options{Vanilla: true, Backend: backend})
+	inst, err := img.Boot(Options{Backend: backend})
 	if err != nil {
 		return nil, err
 	}
@@ -216,5 +291,24 @@ func PlanFaults(app *apps.App, kind faultinj.Kind, max, requests, clients int, s
 	}
 	d.Run(requests)
 	inst.M.BlockHook = nil
-	return faultinj.PlanFaults(prog, profile.ServingBlocks(prog.Entry), kind, max, seed), nil
+	return &ServingProfile{prog: prog, blocks: profile.ServingBlocks(prog.Entry)}, nil
+}
+
+// Plan plans up to max faults of kind in the profile's serving blocks.
+func (p *ServingProfile) Plan(kind faultinj.Kind, max int, seed int64) []faultinj.Fault {
+	return faultinj.PlanFaults(p.prog, p.blocks, kind, max, seed)
+}
+
+// PlanFaults profiles app (see Profile) and plans up to max faults of
+// kind in the blocks first executed while serving.
+func PlanFaults(app *apps.App, kind faultinj.Kind, max, requests, clients int, seed int64, backend string) ([]faultinj.Fault, error) {
+	prog, err := app.Compile()
+	if err != nil {
+		return nil, err
+	}
+	p, err := Profile(app, prog, requests, clients, seed, backend)
+	if err != nil {
+		return nil, err
+	}
+	return p.Plan(kind, max, seed), nil
 }

@@ -95,27 +95,52 @@ func TestArmQuiesceStopsAtWatch(t *testing.T) {
 	}
 }
 
+// Image.SetBackend installs a known backend and rejects an unknown one,
+// as a boot does.
 func TestSetBackend(t *testing.T) {
+	img, err := boot.Build(apps.Nginx(), boot.Options{Vanilla: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"", "tree", "bytecode"} {
-		if err := boot.SetBackend(nil, name); err != nil {
-			t.Errorf("SetBackend(nil, %q) = %v", name, err)
+		if err := boot.CheckBackend(name); err != nil {
+			t.Errorf("CheckBackend(%q) = %v", name, err)
+		}
+		inst, err := img.Boot(boot.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := img.SetBackend(inst.M, name); err != nil {
+			t.Errorf("SetBackend(%q) = %v", name, err)
 		}
 	}
-	if err := boot.SetBackend(nil, "jit"); err == nil {
-		t.Error(`SetBackend(nil, "jit") accepted an unknown backend`)
+	if err := boot.CheckBackend("jit"); err == nil {
+		t.Error(`CheckBackend("jit") accepted an unknown backend`)
 	}
-	if _, err := boot.App(apps.Nginx(), boot.Options{Backend: "jit"}); err == nil {
-		t.Error("boot.App accepted an unknown backend")
+	if _, err := img.Boot(boot.Options{Backend: "jit"}); err == nil {
+		t.Error("Boot accepted an unknown backend")
 	}
 }
 
-// A fleet replica boots hardened, with its quiesce point armed.
+// A fleet replica boots hardened, with its quiesce point armed; a vanilla
+// image cannot back a fleet.
 func TestReplica(t *testing.T) {
-	be, err := boot.Replica(apps.Nginx(), boot.Options{})(0, 0, 42)
+	img, err := boot.Build(apps.Nginx(), boot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := img.Replica(boot.Options{})(0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if be.RT == nil || be.OS == nil || be.Exec == nil {
 		t.Fatalf("replica backend incomplete: %+v", be)
+	}
+	vanilla, err := boot.Build(apps.Nginx(), boot.Options{Vanilla: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vanilla.Replica(boot.Options{})(0, 0, 42); err == nil {
+		t.Error("a vanilla image booted a fleet replica")
 	}
 }

@@ -420,7 +420,9 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 		os.SetArenaHooks(
 			func(dom int32) {
 				rt.stats.DomainSwitches++
-				rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", fmt.Sprintf("dom=%d", dom))
+				if rt.tracing {
+					rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", fmt.Sprintf("dom=%d", dom))
+				}
 			},
 			func(dom int32) { rt.stats.DomainRetires++ },
 		)
@@ -751,7 +753,9 @@ func (rt *Runtime) inject(m *interp.Machine, siteID int) int64 {
 	if !entry.ErrnoDirect {
 		rt.os.Errno = entry.Errno
 	}
-	rt.emit(EvInject, siteID, fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
+	if rt.tracing {
+		rt.emit(EvInject, siteID, fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
+	}
 	return entry.ErrorReturn
 }
 
@@ -923,8 +927,10 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 	if mean := st.stmUndo / st.stmTxs; mean >= rt.undoMin(st) {
 		st.domLatched = true
 		rt.stats.DomainLatches++
-		rt.emit(EvLatchDomains, site,
-			fmt.Sprintf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
+		if rt.tracing {
+			rt.emit(EvLatchDomains, site,
+				fmt.Sprintf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
+		}
 	}
 }
 
@@ -950,8 +956,10 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 	st.domBackoff = 0
 	st.stmTxs, st.stmUndo = 0, 0
 	st.stmLatched = true
-	rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
-		fmt.Sprintf("fallbacks=%d undo_min=%d", rt.cfg.DomainBackoffMax, st.undoMin))
+	if rt.tracing {
+		rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
+			fmt.Sprintf("fallbacks=%d undo_min=%d", rt.cfg.DomainBackoffMax, st.undoMin))
+	}
 }
 
 // Store implements interp.Runtime.
@@ -1040,6 +1048,11 @@ func (rt *Runtime) Handle(m *interp.Machine, err error) interp.Action {
 		return interp.ActionBlock
 	}
 
+	// The direct assertion keeps the hot abort path allocation-free; a
+	// wrapped abort takes errors.As.
+	if ae, ok := err.(*htm.AbortError); ok {
+		return rt.handleHTMAbort(m, ae.Cause)
+	}
 	var abortErr *htm.AbortError
 	if errors.As(err, &abortErr) {
 		return rt.handleHTMAbort(m, abortErr.Cause)
@@ -1067,8 +1080,10 @@ func domainViolation(err error) (int64, bool) {
 // it.
 func (rt *Runtime) noteViolation(site int, addr int64) {
 	rt.stats.DomainViolations++
-	rt.emitSpan(obsv.SpanDomainViolation, site, "", "",
-		fmt.Sprintf("addr=%#x dom=%d", addr, rt.os.Space.CurrentDomain()))
+	if rt.tracing {
+		rt.emitSpan(obsv.SpanDomainViolation, site, "", "",
+			fmt.Sprintf("addr=%#x dom=%d", addr, rt.os.Space.CurrentDomain()))
+	}
 }
 
 // handleHTMAbort processes a capacity/interrupt abort: the hardware rolled
@@ -1103,8 +1118,10 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 		st.capAborts++
 	}
 	rt.stats.HTMAborts++
-	rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
-		fmt.Sprintf("aborts=%d execs=%d", st.htmAborts, st.execs))
+	if rt.tracing {
+		rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
+			fmt.Sprintf("aborts=%d execs=%d", st.htmAborts, st.execs))
+	}
 	if rt.cfg.Mode == ModeHybrid && st.htmAborts%rt.cfg.SampleSize == 0 {
 		if float64(st.htmAborts)/float64(st.execs) > rt.cfg.Threshold {
 			if rt.cfg.EnableDomains && !st.domLatched && st.capAborts*2 >= st.htmAborts {
@@ -1114,8 +1131,10 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 				// detour.
 				st.domLatched = true
 				rt.stats.DomainLatches++
-				rt.emit(EvLatchDomains, site,
-					fmt.Sprintf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
+				if rt.tracing {
+					rt.emit(EvLatchDomains, site,
+						fmt.Sprintf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
+				}
 				return
 			}
 			if !st.stmLatched {
@@ -1161,8 +1180,10 @@ func (rt *Runtime) shed(m *interp.Machine, site int, reason string) interp.Actio
 		rt.stats.ShedConnsLost++
 	}
 	rt.markTouched(trace)
-	rt.emitSpanTrace(obsv.SpanShed, site, trace, "", reason,
-		fmt.Sprintf("fd=%d sheds=%d", fd, rt.stats.Sheds))
+	if rt.tracing {
+		rt.emitSpanTrace(obsv.SpanShed, site, trace, "", reason,
+			fmt.Sprintf("fd=%d sheds=%d", fd, rt.stats.Sheds))
+	}
 	return interp.ActionContinue
 }
 
@@ -1233,8 +1254,10 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		m.Cycles += costSignal + costDomainDiscard
 		rt.cur = nil
 		rt.stats.DomainDiscards++
-		rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
-			fmt.Sprintf("dom=%d mark=%d", dom, mark))
+		if rt.tracing {
+			rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
+				fmt.Sprintf("dom=%d mark=%d", dom, mark))
+		}
 	} else {
 		rt.emitSpan(obsv.SpanCrash, tx.site, "stm", cause, "")
 		undone, rerr := rt.undo.Rollback()
@@ -1244,7 +1267,9 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			// visibly: the death must appear in the trace and span log like
 			// every other unrecovered crash.
 			rt.stats.Unrecovered++
-			rt.emit(EvUnrecovered, tx.site, fmt.Sprintf("undo-log rollback failed: %v", rerr))
+			if rt.tracing {
+				rt.emit(EvUnrecovered, tx.site, fmt.Sprintf("undo-log rollback failed: %v", rerr))
+			}
 			return interp.ActionDie
 		}
 		m.Cycles += int64(undone) * costSTMUndoEntry
@@ -1268,7 +1293,9 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			st.oneShotSTM = true
 		}
 		rt.stats.Retries++
-		rt.emit(EvRetry, tx.site, fmt.Sprintf("attempt=%d", st.crashes))
+		if rt.tracing {
+			rt.emit(EvRetry, tx.site, fmt.Sprintf("attempt=%d", st.crashes))
+		}
 	default:
 		// Persistent: inject a fault at the gate, if the site allows it
 		// and we have not already diverted this episode. When injection is
@@ -1293,7 +1320,9 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 	if len(rt.stats.LatencyCycles) < maxLatencySamples {
 		rt.stats.LatencyCycles = append(rt.stats.LatencyCycles, lat)
 	}
-	rt.emit(EvRecovered, tx.site, fmt.Sprintf("latency=%d", lat))
+	if rt.tracing {
+		rt.emit(EvRecovered, tx.site, fmt.Sprintf("latency=%d", lat))
+	}
 	return interp.ActionContinue
 }
 

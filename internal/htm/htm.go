@@ -72,6 +72,18 @@ func (e *AbortError) Error() string {
 	return fmt.Sprintf("htm: transaction aborted (%s)", e.Cause)
 }
 
+// abortErrors holds one shared AbortError per cause: aborts are frequent
+// and an AbortError is never modified, so reporting one allocates nothing.
+var abortErrors = [...]AbortError{{AbortNone}, {AbortCapacity}, {AbortInterrupt}, {AbortConflict}, {AbortExplicit}}
+
+// abortError returns the shared error reporting an abort of cause c.
+func abortError(c AbortCause) *AbortError {
+	if c >= 0 && int(c) < len(abortErrors) {
+		return &abortErrors[c]
+	}
+	return &AbortError{Cause: c}
+}
+
 // Config parameterizes the TSX model.
 type Config struct {
 	// Sets and Ways describe the L1D write-buffer geometry. Zero values
@@ -304,7 +316,7 @@ func (tx *Tx) touch(line int64) error {
 	if int(tx.perSet[set]) >= tx.owner.cfg.Ways ||
 		len(tx.lines) >= tx.owner.cfg.Sets*tx.owner.cfg.Ways {
 		tx.rollback(AbortCapacity)
-		return &AbortError{Cause: AbortCapacity}
+		return abortError(AbortCapacity)
 	}
 	var snap []byte
 	if n := len(tx.bufs); n > 0 {
@@ -370,7 +382,7 @@ func (tx *Tx) Tick(n int64) error {
 	}
 	o.scheduleInterrupt()
 	tx.rollback(AbortInterrupt)
-	return &AbortError{Cause: AbortInterrupt}
+	return abortError(AbortInterrupt)
 }
 
 // TickBudget reports how many Tick(1) calls are guaranteed to be complete
@@ -437,7 +449,7 @@ func (tx *Tx) PendingAbort() error {
 func (tx *Tx) consumeDoom() error {
 	cause := tx.doomed
 	tx.doomed = AbortNone
-	return &AbortError{Cause: cause}
+	return abortError(cause)
 }
 
 func (tx *Tx) rollback(cause AbortCause) {

@@ -205,9 +205,8 @@ type Machine struct {
 	OS    *libsim.OS
 	RT    Runtime
 
-	frames  []Frame
-	sp      int64
-	globals map[string]int64
+	frames []Frame
+	sp     int64
 
 	// stackTop/stackLimit bound this machine's stack region. The main
 	// machine owns [StackTop-StackBytes, StackTop); threads created by
@@ -280,15 +279,12 @@ const StackBytes = 512 * 1024
 
 // New loads a program: globals are placed in the data segment, the stack
 // is mapped, and a frame for the entry function is pushed. The runtime rt
-// may be nil, in which case the Direct runtime is used.
+// may be nil, in which case the Direct runtime is used. The first load of
+// a program links it (ir.Program.Link: validation, name resolution and
+// global layout); every load after that only reads the program, so one
+// linked program may back any number of machines on any goroutines.
 func New(prog *ir.Program, os *libsim.OS, rt Runtime) (*Machine, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	// Load-time name resolution: OpCall/OpGlobalAddr get direct pointers
-	// so the execution loop needs no map lookups. Idempotent — programs
-	// pre-resolved by transform/faultinj are simply re-checked.
-	if err := prog.Resolve(); err != nil {
+	if err := Link(prog); err != nil {
 		return nil, err
 	}
 	if rt == nil {
@@ -299,28 +295,19 @@ func New(prog *ir.Program, os *libsim.OS, rt Runtime) (*Machine, error) {
 		Space:      os.Space,
 		OS:         os,
 		RT:         rt,
-		globals:    make(map[string]int64, len(prog.Globals)),
 		sp:         mem.StackTop,
 		stackTop:   mem.StackTop,
 		stackLimit: mem.StackTop - StackBytes,
 	}
-	addr := int64(mem.GlobalBase)
 	for _, g := range prog.Globals {
-		size := g.Size
-		if size <= 0 {
-			size = 8
-		}
-		if err := m.Space.Map(addr, size); err != nil {
+		if err := m.Space.Map(g.Addr, g.Extent()); err != nil {
 			return nil, fmt.Errorf("interp: mapping global %s: %w", g.Name, err)
 		}
 		if len(g.Data) > 0 {
-			if err := m.Space.WriteBytes(addr, g.Data); err != nil {
+			if err := m.Space.WriteBytes(g.Addr, g.Data); err != nil {
 				return nil, fmt.Errorf("interp: initializing global %s: %w", g.Name, err)
 			}
 		}
-		g.Addr = addr
-		m.globals[g.Name] = addr
-		addr += (size + 15) &^ 15
 	}
 	if err := m.Space.Map(mem.StackTop-StackBytes, StackBytes); err != nil {
 		return nil, fmt.Errorf("interp: mapping stack: %w", err)
@@ -335,6 +322,11 @@ func New(prog *ir.Program, os *libsim.OS, rt Runtime) (*Machine, error) {
 	}
 	return m, nil
 }
+
+// Link links prog for loading at the data segment (ir.Program.Link). New
+// links on first load; callers that share a program across goroutines
+// link it first, while they still own it.
+func Link(prog *ir.Program) error { return prog.Link(mem.GlobalBase) }
 
 // ThreadStackBytes is the simulated stack size of a thread created by
 // NewThread. Threads run shallow worker loops, so they get smaller stacks
@@ -366,7 +358,6 @@ func NewThread(parent *Machine, rt Runtime, fn *ir.Func, args []int64, slot int)
 		Space:      parent.Space,
 		OS:         parent.OS,
 		RT:         rt,
-		globals:    parent.globals,
 		sp:         top,
 		stackTop:   top,
 		stackLimit: base,
@@ -378,8 +369,14 @@ func NewThread(parent *Machine, rt Runtime, fn *ir.Func, args []int64, slot int)
 	return m, nil
 }
 
-// GlobalAddr returns the loaded address of a global (tests and tools).
-func (m *Machine) GlobalAddr(name string) int64 { return m.globals[name] }
+// GlobalAddr returns the loaded address of a global, 0 for an unknown
+// name (tests and tools).
+func (m *Machine) GlobalAddr(name string) int64 {
+	if g := m.Prog.Global(name); g != nil {
+		return g.Addr
+	}
+	return 0
+}
 
 // Exited reports whether the program has terminated.
 func (m *Machine) Exited() bool { return m.exited }
@@ -819,7 +816,7 @@ func (m *Machine) step() error {
 		if in.Global != nil {
 			f.Regs[in.Dst] = in.Global.Addr
 		} else {
-			f.Regs[in.Dst] = m.globals[in.Name]
+			f.Regs[in.Dst] = m.GlobalAddr(in.Name)
 		}
 		m.Cycles += CostSimple
 	case ir.OpCall:

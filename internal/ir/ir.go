@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Opcode enumerates IR instruction kinds.
@@ -272,7 +273,16 @@ type Global struct {
 	Name string
 	Size int64
 	Data []byte
-	Addr int64 // assigned at load time by the interpreter
+	Addr int64 // assigned by Link
+}
+
+// Extent is the number of bytes a loader maps for g: its Size, or one
+// 8-byte word for a global declared without one.
+func (g *Global) Extent() int64 {
+	if g.Size <= 0 {
+		return 8
+	}
+	return g.Size
 }
 
 // Program is a complete compilation unit.
@@ -284,6 +294,10 @@ type Program struct {
 	// NumSites is one past the highest Site assigned by the Library
 	// Interface Analyzer; gate state arrays are sized by it.
 	NumSites int
+
+	// link runs Link's work once; linkErr is its verdict.
+	link    sync.Once
+	linkErr error
 }
 
 // NewProgram returns an empty program with entry point "main".
@@ -387,10 +401,10 @@ func (p *Program) Validate() error {
 // Resolve fills the per-instruction resolution caches: OpCall gets a
 // direct *Func pointer and OpGlobalAddr a direct *Global pointer, so the
 // interpreter needs no map lookups on the hot path. It is idempotent and
-// cheap; the interpreter runs it at load time, and the transformation and
-// fault-injection passes run it on their outputs so instrumented programs
-// arrive pre-resolved. Resolution never changes observable semantics or
-// the cost model — it only removes lookups.
+// cheap; Link runs it once before a program's first load, and the
+// transformation and fault-injection passes run it on their outputs so
+// instrumented programs arrive pre-resolved. Resolution never changes
+// observable semantics or the cost model — it only removes lookups.
 func (p *Program) Resolve() error {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -414,6 +428,30 @@ func (p *Program) Resolve() error {
 		}
 	}
 	return nil
+}
+
+// Link readies p for loading, once: it validates p, resolves its
+// references (Resolve) and lays its globals out from base, each at the
+// next 16-byte boundary past the previous one's Extent. Every later call
+// returns the first call's verdict and writes nothing, so any number of
+// machines, on any number of goroutines, may load one linked program. A
+// linked program is immutable: passes that change a program work on a
+// Clone, and a clone starts unlinked.
+func (p *Program) Link(base int64) error {
+	p.link.Do(func() {
+		if p.linkErr = p.Validate(); p.linkErr != nil {
+			return
+		}
+		if p.linkErr = p.Resolve(); p.linkErr != nil {
+			return
+		}
+		addr := base
+		for _, g := range p.Globals {
+			g.Addr = addr
+			addr += (g.Extent() + 15) &^ 15
+		}
+	})
+	return p.linkErr
 }
 
 func checkInstr(p *Program, f *Func, in *Instr) error {

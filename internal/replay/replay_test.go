@@ -241,11 +241,15 @@ func TestOpenLoopRecordingRoundTrip(t *testing.T) {
 		SlowEvery:     7,
 		FragmentEvery: 11,
 	}
+	img, err := boot.Build(app, boot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fl := fleet.New(fleet.Config{
 		Replicas: 1,
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: seed},
-	}, boot.Replica(app, boot.Options{}))
+	}, img.Replica(boot.Options{}))
 	d := &workload.Driver{
 		Port: app.Port,
 		Gen:  workload.ForProtocol(app.Protocol),

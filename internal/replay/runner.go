@@ -36,6 +36,11 @@ type Runner struct {
 	// between captures; 0 disables). CkptRing bounds the ring (0: 64).
 	CkptEvery int64
 	CkptRing  int
+
+	// img is the recorded world's image, built on the first pass and
+	// booted by every pass after it: a reverse-step's second pass reboots
+	// the same program. Rec must not change once a pass has run.
+	img *boot.Image
 }
 
 // StateDump is the guest state frozen at a replay stop point.
@@ -105,15 +110,28 @@ type ReverseResult struct {
 	Anchors int     // checkpoint pairs compared equal across the passes
 }
 
-// world resolves the recorded app and the boot options of its run: the
-// recorded fault, core config and backend, booted through the same
-// pipeline (boot.App) that booted the original.
-func (m *Manifest) world() (*apps.App, boot.Options, error) {
-	app := apps.ByName(m.App)
-	if app == nil {
-		return nil, boot.Options{}, fmt.Errorf("replay: unknown app %q", m.App)
+// bootOptions returns the boot options of the recorded run: its fault,
+// core config and backend.
+func (m *Manifest) bootOptions() boot.Options {
+	return boot.Options{Core: m.Core, Fault: m.Fault, Backend: m.Backend}
+}
+
+// image returns the recorded world's image, built on first use through
+// the same pipeline that built the original.
+func (r *Runner) image() (*boot.Image, error) {
+	if r.img == nil {
+		man := &r.Rec.Manifest
+		app := apps.ByName(man.App)
+		if app == nil {
+			return nil, fmt.Errorf("replay: unknown app %q", man.App)
+		}
+		img, err := boot.Build(app, man.bootOptions())
+		if err != nil {
+			return nil, err
+		}
+		r.img = img
 	}
-	return app, boot.Options{Core: m.Core, Fault: m.Fault, Backend: m.Backend}, nil
+	return r.img, nil
 }
 
 // captureDump freezes the guest state (called from the watch callback,
@@ -225,11 +243,11 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 	if sc.Kind != "closed" {
 		return nil, fmt.Errorf("replay: incarnation manifest with %q schedule", sc.Kind)
 	}
-	app, o, err := man.world()
+	img, err := r.image()
 	if err != nil {
 		return nil, err
 	}
-	inst, err := boot.App(app, o)
+	inst, err := img.Boot(man.bootOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -293,17 +311,17 @@ func (r *Runner) replayOpenLoop() (*Result, error) {
 	if sc.Kind != "open" || sc.Open == nil {
 		return nil, fmt.Errorf("replay: openloop manifest without an open schedule")
 	}
-	app, o, err := man.world()
+	img, err := r.image()
 	if err != nil {
 		return nil, err
 	}
 	fl := fleet.New(fleet.Config{
 		Replicas: 1,
-		Port:     app.Port,
+		Port:     img.App.Port,
 		Sup:      supervisor.Config{Seed: sc.Seed},
-	}, boot.Replica(app, o))
+	}, img.Replica(man.bootOptions()))
 	d := &workload.Driver{
-		Port: app.Port,
+		Port: img.App.Port,
 		Gen:  workload.ForProtocol(sc.Proto),
 		Seed: sc.Seed,
 		Srv:  fl,

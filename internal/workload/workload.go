@@ -492,10 +492,17 @@ func TestSuiteHTTPMix() *HTTPGen {
 	return g
 }
 
-// Next implements Generator.
+// The request line and headers around an HTTPGen request's path.
+const httpReqHead, httpReqTail = "GET ", " HTTP/1.1\r\nHost: sim\r\n\r\n"
+
+// Next implements Generator. The request is built in place, in one
+// allocation of exactly its size.
 func (g *HTTPGen) Next(i int, rng *rand.Rand) []byte {
 	p := g.Paths[rng.Intn(len(g.Paths))]
-	return []byte("GET " + p.Path + " HTTP/1.1\r\nHost: sim\r\n\r\n")
+	req := make([]byte, 0, len(httpReqHead)+len(p.Path)+len(httpReqTail))
+	req = append(req, httpReqHead...)
+	req = append(req, p.Path...)
+	return append(req, httpReqTail...)
 }
 
 // Split implements Generator: HTTP framing via Content-Length.

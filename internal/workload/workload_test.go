@@ -61,6 +61,35 @@ func TestHTTPNextIsWellFormed(t *testing.T) {
 	}
 }
 
+// Every path of the test-suite mix is requested with exactly these bytes,
+// built in one allocation that the request fills.
+func TestHTTPNextBytes(t *testing.T) {
+	want := map[string]string{
+		"/":             "GET / HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/index.html":   "GET /index.html HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/about.html":   "GET /about.html HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/small.txt":    "GET /small.txt HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/data.bin":     "GET /data.bin HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/missing.html": "GET /missing.html HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/ssi":          "GET /ssi HTTP/1.1\r\nHost: sim\r\n\r\n",
+		"/big.bin":      "GET /big.bin HTTP/1.1\r\nHost: sim\r\n\r\n",
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range TestSuiteHTTPMix().Paths {
+		g := &HTTPGen{Paths: []HTTPPath{p}}
+		req := g.Next(0, rng)
+		if string(req) != want[p.Path] {
+			t.Errorf("%s: Next = %q, want %q", p.Path, req, want[p.Path])
+		}
+		if cap(req) != len(req) {
+			t.Errorf("%s: request has cap %d for %d bytes", p.Path, cap(req), len(req))
+		}
+		if n := testing.AllocsPerRun(20, func() { g.Next(0, rng) }); n != 1 {
+			t.Errorf("%s: Next made %.0f allocations, want 1", p.Path, n)
+		}
+	}
+}
+
 func TestRedisGen(t *testing.T) {
 	g := &RedisGen{Keys: 4}
 	rng := rand.New(rand.NewSource(2))
