@@ -323,6 +323,57 @@ type Stats struct {
 	BreakSites map[int]bool
 }
 
+// txSamples records each committed transaction's steps and write-set
+// size as a pair, in blocks that double up to txBlockMax pairs. A block is
+// allocated once at its final size and never regrown, so a run writes
+// each sample once instead of recopying an append-grown buffer.
+type txSamples struct {
+	blocks [][]int64 // interleaved (steps, write-set size) pairs
+	n      int
+}
+
+// Block sizes of txSamples, in pairs.
+const (
+	txBlockMin = 128
+	txBlockMax = 8192
+)
+
+func (t *txSamples) add(steps, lines int64) {
+	k := len(t.blocks)
+	if k == 0 || len(t.blocks[k-1]) == cap(t.blocks[k-1]) {
+		pairs := txBlockMin
+		if k > 0 {
+			pairs = min(cap(t.blocks[k-1]), txBlockMax) // twice the last block's pairs
+		}
+		t.blocks = append(t.blocks, make([]int64, 0, 2*pairs))
+		k++
+	}
+	t.blocks[k-1] = append(t.blocks[k-1], steps, lines)
+	t.n++
+}
+
+// each calls fn for every sample in commit order.
+func (t *txSamples) each(fn func(steps, lines int64)) {
+	for _, b := range t.blocks {
+		for i := 0; i < len(b); i += 2 {
+			fn(b[i], b[i+1])
+		}
+	}
+}
+
+// flatten returns the two sample series as fresh slices, nil when empty.
+func (t *txSamples) flatten() (steps, lines []int64) {
+	if t.n == 0 {
+		return nil, nil
+	}
+	steps, lines = make([]int64, 0, t.n), make([]int64, 0, t.n)
+	t.each(func(s, l int64) {
+		steps = append(steps, s)
+		lines = append(lines, l)
+	})
+	return steps, lines
+}
+
 // HTMAbortRate returns aborts per HTM transaction begin.
 func (s Stats) HTMAbortRate() float64 {
 	if s.HTMBegins == 0 {
@@ -372,6 +423,7 @@ type Runtime struct {
 	quiesce *interp.Snapshot
 
 	stats   Stats
+	txs     txSamples // Stats.TxSteps and Stats.TxWriteLines, until Stats flattens them
 	tracing bool
 	spanAll bool
 	spans   obsv.SpanLog
@@ -429,9 +481,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 	}
 	// Route library-internal writes to application memory through the
 	// active transaction.
-	os.SetStore(func(addr, val int64, width int) error {
-		return rt.routeStore(addr, val, width)
-	})
+	os.SetStore(rt.routeStoreRange)
 	os.SetTraceHook(rt.traceStart)
 	return rt
 }
@@ -452,7 +502,7 @@ func (rt *Runtime) SetDomain(d *htm.Domain, tid int) {
 // StoreFunc exposes the transaction-routing store so the scheduler can
 // re-point the shared OS at the running thread's runtime on every context
 // switch (libsim.OS holds a single store hook).
-func (rt *Runtime) StoreFunc() libsim.StoreFunc { return rt.routeStore }
+func (rt *Runtime) StoreFunc() libsim.StoreFunc { return rt.routeStoreRange }
 
 // WaitingCommitLock reports whether the last blocked call was a TxBegin
 // stalled on the STM commit lock (as opposed to blocked I/O); the
@@ -487,8 +537,7 @@ func cloneSiteSet(src map[int]bool) map[int]bool {
 func (rt *Runtime) Stats() Stats {
 	s := rt.snapshot()
 	s.LatencyCycles = append([]int64(nil), rt.stats.LatencyCycles...)
-	s.TxSteps = append([]int64(nil), rt.stats.TxSteps...)
-	s.TxWriteLines = append([]int64(nil), rt.stats.TxWriteLines...)
+	s.TxSteps, s.TxWriteLines = rt.txs.flatten()
 	s.GateSites = cloneSiteSet(rt.stats.GateSites)
 	s.EmbedSites = cloneSiteSet(rt.stats.EmbedSites)
 	s.BreakSites = cloneSiteSet(rt.stats.BreakSites)
@@ -496,7 +545,8 @@ func (rt *Runtime) Stats() Stats {
 }
 
 // snapshot returns the counters with the arena accounting filled in; its
-// sample slices and site sets alias the live ones.
+// latency samples and site sets alias the live ones, and it leaves the
+// transaction samples out (they live in rt.txs).
 func (rt *Runtime) snapshot() Stats {
 	s := rt.stats
 	if rt.os != nil {
@@ -605,7 +655,7 @@ func (rt *Runtime) state(site int) *gateState {
 	return &rt.gs[site]
 }
 
-// routeStore sends a store through the active transaction.
+// routeStore sends a program store through the active transaction.
 func (rt *Runtime) routeStore(addr, val int64, width int) error {
 	if tx := rt.cur; tx != nil {
 		switch {
@@ -619,6 +669,25 @@ func (rt *Runtime) routeStore(addr, val int64, width int) error {
 		}
 	}
 	return rt.os.Space.Store(addr, val, width)
+}
+
+// routeStoreRange sends a library write through the active transaction
+// and returns how many store units it attempted (see libsim.StoreFunc).
+// Under STM each unit costs an instrumented store, the failing one too.
+func (rt *Runtime) routeStoreRange(addr int64, data []byte) (int, error) {
+	if tx := rt.cur; tx != nil {
+		switch {
+		case tx.htmTx != nil:
+			return tx.htmTx.StoreRange(addr, data)
+		case tx.variant == ir.TxSTM:
+			units, err := rt.undo.StoreRange(addr, data)
+			if rt.m != nil {
+				rt.m.Cycles += costStmStore * int64(units)
+			}
+			return units, err
+		}
+	}
+	return rt.os.Space.StoreRange(addr, data)
 }
 
 // --- interp.Runtime implementation ------------------------------------------
@@ -840,15 +909,14 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 	if tx == nil {
 		return nil
 	}
-	if len(rt.stats.TxSteps) < maxLatencySamples {
-		rt.stats.TxSteps = append(rt.stats.TxSteps, m.Steps-tx.startSteps)
+	if rt.txs.n < maxLatencySamples {
 		var wset int64
 		if tx.htmTx != nil {
 			wset = int64(tx.htmTx.WriteSetLines())
 		} else if tx.variant == ir.TxSTM {
 			wset = int64(rt.undo.Len())
 		}
-		rt.stats.TxWriteLines = append(rt.stats.TxWriteLines, wset)
+		rt.txs.add(m.Steps-tx.startSteps, wset)
 	}
 	if tx.dom {
 		rt.stats.DomainCommits++

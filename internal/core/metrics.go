@@ -84,13 +84,11 @@ func (rt *Runtime) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
 		lat.Observe(v)
 	}
 	steps := reg.Histogram("core.tx_steps", obsv.CountBuckets, labels...)
-	for _, v := range s.TxSteps {
-		steps.Observe(v)
-	}
 	lines := reg.Histogram("core.tx_write_lines", obsv.CountBuckets, labels...)
-	for _, v := range s.TxWriteLines {
-		lines.Observe(v)
-	}
+	rt.txs.each(func(st, ln int64) {
+		steps.Observe(st)
+		lines.Observe(ln)
+	})
 
 	hs, ss := rt.HTMStats(), rt.STMStats()
 	htm.Metrics.Publish(reg, &hs, labels...)

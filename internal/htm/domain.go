@@ -54,7 +54,7 @@ func (d *Domain) doomConflicting(tid int, line int64, isStore bool) {
 		if t.tid == tid {
 			continue
 		}
-		if _, w := t.lines[line]; w {
+		if t.dirty(line) {
 			victims = append(victims, t)
 			continue
 		}

@@ -148,9 +148,9 @@ type TSX struct {
 	instrsToIntr int64
 
 	// free parks the last finished Tx for reuse by the next Begin.
-	// Transactions are frequent and short, so recycling the write-set
-	// map, the per-set counters and the line snapshot buffers removes
-	// the model's main allocation churn. Safe because a TSX has at most
+	// Transactions are frequent and short, so recycling the tag table,
+	// the per-set counters and the snapshot arena removes the model's
+	// main allocation churn. Safe because a TSX has at most
 	// one live transaction and a finished Tx refuses further stores.
 	// A doomed Tx may be parked here with its abort still undelivered;
 	// that is fine because the owning thread always consumes the doom
@@ -204,16 +204,18 @@ type Tx struct {
 	owner *TSX
 	space *mem.Space
 
-	// lines maps dirty line address → snapshot of the line's original
-	// contents, taken on first touch.
-	lines map[int64][]byte
+	// tags is the write set's Sets×Ways tag table: the dirty lines of
+	// set s are tags[s*Ways : s*Ways+perSet[s]].
+	tags []int64
 
 	// perSet counts dirty lines per cache set for associativity aborts.
 	perSet []int8
 
-	// bufs is a free list of line-sized snapshot buffers recycled
-	// across transactions by finish.
-	bufs [][]byte
+	// lines lists the dirty lines in first-touch order, and snaps holds
+	// their contents as of that touch: lines[i] at snaps[i*CacheLineSize:].
+	// The arena grows with the write set and finish resets it.
+	lines []int64
+	snaps []byte
 
 	// reads is the read set (line addresses), tracked only when the
 	// transaction belongs to a conflict domain; nil otherwise.
@@ -244,7 +246,7 @@ func (t *TSX) Begin(space *mem.Space) *Tx {
 		tx = &Tx{
 			owner:  t,
 			space:  space,
-			lines:  make(map[int64][]byte, 16),
+			tags:   make([]int64, t.cfg.Sets*t.cfg.Ways),
 			perSet: make([]int8, t.cfg.Sets),
 		}
 	}
@@ -303,37 +305,74 @@ func (tx *Tx) Store(addr, val int64, width int) error {
 	return nil
 }
 
+// StoreRange performs a library write of data at addr as its store units
+// (see mem.StoreUnits) and returns how many units it attempted. When the
+// range is mapped, domains are off and the transaction is live and outside
+// a conflict domain, it touches each line once, in order, then copies the
+// data in. Units cover the range in order and each touches its lines
+// before writing, so the first touch of a line comes from the unit holding
+// its first byte, every snapshot is the pre-range content, and a capacity
+// abort (whose rollback restores every touched line) is charged through
+// that unit — exactly as the per-unit loop, which every other case runs.
+func (tx *Tx) StoreRange(addr int64, data []byte) (int, error) {
+	n := int64(len(data))
+	if tx.doomed != AbortNone || tx.done || tx.dom != nil ||
+		tx.space.DomainsEnabled() || !tx.space.Mapped(addr, n) {
+		return mem.StoreUnits(addr, data, tx.Store)
+	}
+	for line := mem.LineAddr(addr); line < addr+n; line += mem.CacheLineSize {
+		if err := tx.touch(line); err != nil {
+			return mem.UnitAt(int(max(line, addr)-addr), len(data)) + 1, err
+		}
+	}
+	if err := tx.space.WriteBytes(addr, data); err != nil {
+		return 0, err
+	}
+	return mem.Units(len(data)), nil
+}
+
+// set returns the cache set a line maps to.
+func (tx *Tx) set(line int64) int {
+	return int(uint64(line/mem.CacheLineSize) % uint64(tx.owner.cfg.Sets))
+}
+
+// dirty reports whether line is in the write set.
+func (tx *Tx) dirty(line int64) bool {
+	set := tx.set(line)
+	base := set * tx.owner.cfg.Ways
+	for _, l := range tx.tags[base : base+int(tx.perSet[set])] {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
 // touch snapshots a line into the write set, aborting on capacity overflow.
 func (tx *Tx) touch(line int64) error {
-	if _, ok := tx.lines[line]; ok {
+	if tx.dirty(line) {
 		return nil
 	}
 	if !tx.space.Mapped(line, mem.CacheLineSize) {
 		// The store itself will fault; don't grow the write set.
 		return nil
 	}
-	set := (line / mem.CacheLineSize) % int64(tx.owner.cfg.Sets)
-	if int(tx.perSet[set]) >= tx.owner.cfg.Ways ||
-		len(tx.lines) >= tx.owner.cfg.Sets*tx.owner.cfg.Ways {
+	set := tx.set(line)
+	used := int(tx.perSet[set])
+	// A full set aborts; so does a full cache, which has every set full.
+	if used >= tx.owner.cfg.Ways {
 		tx.rollback(AbortCapacity)
 		return abortError(AbortCapacity)
 	}
-	var snap []byte
-	if n := len(tx.bufs); n > 0 {
-		snap = tx.bufs[n-1]
-		tx.bufs = tx.bufs[:n-1]
-		if err := tx.space.ReadInto(line, snap); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		snap, err = tx.space.ReadBytes(line, mem.CacheLineSize)
-		if err != nil {
-			return err
-		}
+	off := len(tx.snaps)
+	tx.snaps = append(tx.snaps, make([]byte, mem.CacheLineSize)...)
+	if err := tx.space.ReadInto(line, tx.snaps[off:]); err != nil {
+		tx.snaps = tx.snaps[:off]
+		return err
 	}
-	tx.lines[line] = snap
+	tx.tags[set*tx.owner.cfg.Ways+used] = line
 	tx.perSet[set]++
+	tx.lines = append(tx.lines, line)
 	return nil
 }
 
@@ -453,7 +492,8 @@ func (tx *Tx) consumeDoom() error {
 }
 
 func (tx *Tx) rollback(cause AbortCause) {
-	for line, snap := range tx.lines {
+	for i, line := range tx.lines {
+		snap := tx.snaps[i*mem.CacheLineSize : (i+1)*mem.CacheLineSize]
 		// The line was mapped when snapshotted; if the program unmapped
 		// it mid-transaction (via an embedded libcall) the restore is
 		// skipped — compensation actions own that state.
@@ -482,15 +522,13 @@ func (tx *Tx) finish() {
 	if n := len(tx.lines); n > tx.owner.stats.PeakWriteLines {
 		tx.owner.stats.PeakWriteLines = n
 	}
-	// Recycle in place: snapshot buffers go to the free list, the map
-	// and counters are cleared, and the Tx is parked for the next Begin.
-	for line, snap := range tx.lines {
-		tx.bufs = append(tx.bufs, snap)
-		delete(tx.lines, line)
+	// Recycle in place: the sets in use and the arena are cleared, and
+	// the Tx is parked for the next Begin.
+	for _, line := range tx.lines {
+		tx.perSet[tx.set(line)] = 0
 	}
-	for i := range tx.perSet {
-		tx.perSet[i] = 0
-	}
+	tx.lines = tx.lines[:0]
+	tx.snaps = tx.snaps[:0]
 	if tx.dom != nil {
 		tx.dom.unregister(tx)
 		tx.dom = nil

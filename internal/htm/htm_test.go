@@ -347,3 +347,63 @@ func TestInterruptClockSpansTransactions(t *testing.T) {
 		t.Fatal("interrupt never fired across 100 transactions × 400 instructions")
 	}
 }
+
+// TestRecycledTxForgetsWriteSet pins the tag table's reset: a recycled
+// transaction starts with every set empty and snapshots lines afresh, so
+// refilling the set a previous transaction filled neither aborts nor
+// restores the previous transaction's snapshot.
+func TestRecycledTxForgetsWriteSet(t *testing.T) {
+	s := newSpace(t)
+	h := New(Config{Sets: 4, Ways: 2})
+	stride := int64(4 * mem.CacheLineSize) // same set
+	tx := h.Begin(s)
+	for i := int64(0); i < 2; i++ {
+		if err := tx.Store(mem.HeapBase+i*stride, 7, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = h.Begin(s)
+	for i := int64(0); i < 2; i++ {
+		if err := tx.Store(mem.HeapBase+i*stride, 9, 8); err != nil {
+			t.Fatalf("recycled transaction: %v", err)
+		}
+	}
+	if n := tx.WriteSetLines(); n != 2 {
+		t.Fatalf("write set = %d lines, want 2", n)
+	}
+	tx.Abort(AbortExplicit)
+	if v, _ := s.Load(mem.HeapBase+stride, 8); v != 7 {
+		t.Fatalf("rollback restored %d, want the committed 7", v)
+	}
+}
+
+// TestStoreRangeTouchesEachLineOnce checks the range fast path's write
+// set: a range over n lines dirties n lines and rolls back exactly.
+func TestStoreRangeTouchesEachLineOnce(t *testing.T) {
+	s := newSpace(t)
+	h := New(Config{})
+	before := s.Digest()
+	tx := h.Begin(s)
+	data := make([]byte, 1000)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	units, err := tx.StoreRange(mem.HeapBase+30, data)
+	if err != nil || units != mem.Units(len(data)) {
+		t.Fatalf("StoreRange = %d, %v", units, err)
+	}
+	// Bytes 30..1029 cover lines 0..16.
+	if n := tx.WriteSetLines(); n != 17 {
+		t.Errorf("write set = %d lines, want 17", n)
+	}
+	if got, _ := s.ReadBytes(mem.HeapBase+30, int64(len(data))); string(got) != string(data) {
+		t.Error("range not written")
+	}
+	tx.Abort(AbortExplicit)
+	if s.Digest() != before {
+		t.Error("rollback did not restore the range")
+	}
+}

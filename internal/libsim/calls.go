@@ -141,7 +141,7 @@ func buildCallTable() map[string]handler {
 		if addr == 0 {
 			return ENOMEM, nil
 		}
-		if err := o.store(a[0], addr, 8); err != nil {
+		if err := o.storeScalar(a[0], addr, 8); err != nil {
 			return 0, err
 		}
 		return 0, nil
@@ -196,18 +196,19 @@ func buildCallTable() map[string]handler {
 		if n < 0 {
 			return dst, nil
 		}
-		splat := c & 0xff
-		word := splat | splat<<8 | splat<<16 | splat<<24 | splat<<32 | splat<<40 | splat<<48 | splat<<56
-		i := int64(0)
-		for ; i+8 <= n; i += 8 {
-			o.charge(2)
-			if err := o.store(dst+i, word, 8); err != nil {
-				return 0, err
+		// One staged page of the fill byte serves every chunk; a page is
+		// a multiple of 8 bytes, so chunking keeps the range's unit split.
+		buf := o.staging(n)
+		if len(buf) > 0 {
+			buf[0] = byte(c)
+			for k := 1; k < len(buf); k *= 2 {
+				copy(buf[k:], buf[:k])
 			}
 		}
-		for ; i < n; i++ {
-			o.charge(2)
-			if err := o.store(dst+i, splat, 1); err != nil {
+		for i := int64(0); i < n; i += int64(len(buf)) {
+			units, err := o.store(dst+i, buf[:min(n-i, int64(len(buf)))])
+			o.charge(2 * int64(units))
+			if err != nil {
 				return 0, err
 			}
 		}
@@ -218,26 +219,8 @@ func buildCallTable() map[string]handler {
 		if n < 0 {
 			return dst, nil
 		}
-		i := int64(0)
-		for ; i+8 <= n; i += 8 {
-			w, err := o.Space.Load(src+i, 8)
-			if err != nil {
-				return 0, err
-			}
-			o.charge(3)
-			if err := o.store(dst+i, w, 8); err != nil {
-				return 0, err
-			}
-		}
-		for ; i < n; i++ {
-			b, err := o.Space.Load(src+i, 1)
-			if err != nil {
-				return 0, err
-			}
-			o.charge(3)
-			if err := o.store(dst+i, b, 1); err != nil {
-				return 0, err
-			}
+		if err := o.memcpy(dst, src, n); err != nil {
+			return 0, err
 		}
 		return dst, nil
 	}}
@@ -269,7 +252,7 @@ func buildCallTable() map[string]handler {
 				return 0, err
 			}
 			o.charge(3)
-			if err := o.store(dst+i, b, 1); err != nil {
+			if err := o.storeScalar(dst+i, b, 1); err != nil {
 				return 0, err
 			}
 			if b == 0 {
@@ -467,7 +450,7 @@ func buildCallTable() map[string]handler {
 			n = a[2]
 		}
 		for i := int64(0); i < n; i++ {
-			if err := o.store(a[1]+i*8, ready[i], 8); err != nil {
+			if err := o.storeScalar(a[1]+i*8, ready[i], 8); err != nil {
 				return 0, err
 			}
 		}
@@ -487,10 +470,10 @@ func buildCallTable() map[string]handler {
 			o.Errno = EBADF
 			return -1, nil
 		}
-		if err := o.store(a[1], int64(len(s.File.File.Data)), 8); err != nil {
+		if err := o.storeScalar(a[1], int64(len(s.File.File.Data)), 8); err != nil {
 			return 0, err
 		}
-		if err := o.store(a[1]+8, s.File.File.Mode, 8); err != nil {
+		if err := o.storeScalar(a[1]+8, s.File.File.Mode, 8); err != nil {
 			return 0, err
 		}
 		return 0, nil
@@ -505,10 +488,10 @@ func buildCallTable() map[string]handler {
 			o.Errno = ENOENT
 			return -1, nil
 		}
-		if err := o.store(a[1], int64(len(f.Data)), 8); err != nil {
+		if err := o.storeScalar(a[1], int64(len(f.Data)), 8); err != nil {
 			return 0, err
 		}
-		if err := o.store(a[1]+8, f.Mode, 8); err != nil {
+		if err := o.storeScalar(a[1]+8, f.Mode, 8); err != nil {
 			return 0, err
 		}
 		return 0, nil
@@ -926,10 +909,15 @@ func (o *OS) doOpen(pathAddr, flags int64) (int64, error) {
 		f.Data = nil
 		o.fs.WriteLog = append(o.fs.WriteLog, "trunc "+path)
 	}
-	fd := o.allocFD(FD{Kind: FDFile, File: &OpenFile{File: f, Flags: flags}})
+	fd := o.allocFD(FD{Kind: FDFile})
 	if fd < 0 {
 		o.Errno = EMFILE
 		return -1, nil
 	}
+	s := &o.fds[fd]
+	if s.File == nil {
+		s.File = new(OpenFile)
+	}
+	*s.File = OpenFile{File: f, Flags: flags}
 	return fd, nil
 }

@@ -397,15 +397,16 @@ func TestStringHelpers(t *testing.T) {
 func TestMemsetMemcpyThroughStoreFunc(t *testing.T) {
 	o := newOS(t)
 	var stores int
-	o.SetStore(func(addr, val int64, width int) error {
-		stores++
-		return o.Space.Store(addr, val, width)
+	o.SetStore(func(addr int64, data []byte) (int, error) {
+		units, err := o.Space.StoreRange(addr, data)
+		stores += units
+		return units, err
 	})
 	dst := int64(mem.GlobalBase + 0x100)
 	call(t, o, "memset", dst, 'A', 10)
-	// Word-granular instrumentation: one 8-byte store plus two tail bytes.
+	// Word-granular instrumentation: one 8-byte unit plus two tail bytes.
 	if stores != 3 {
-		t.Errorf("memset issued %d tracked stores, want 3", stores)
+		t.Errorf("memset issued %d tracked store units, want 3", stores)
 	}
 	got, _ := o.Space.ReadBytes(dst, 10)
 	if string(got) != "AAAAAAAAAA" {
@@ -415,13 +416,59 @@ func TestMemsetMemcpyThroughStoreFunc(t *testing.T) {
 	stores = 0
 	call(t, o, "memcpy", dst, src, 10)
 	if stores != 3 {
-		t.Errorf("memcpy issued %d tracked stores, want 3", stores)
+		t.Errorf("memcpy issued %d tracked store units, want 3", stores)
 	}
 	o.SetStore(nil) // restore direct stores
 	call(t, o, "memset", dst, 'B', 4)
 	got, _ = o.Space.ReadBytes(dst, 10)
 	if string(got) != "BBBB456789" {
 		t.Errorf("after direct memset = %q", got)
+	}
+}
+
+// TestMemcpyOverlapSmearsForward pins memcpy's behaviour when dst lies in
+// (src, src+n): it is a forward copy of store units, each loading its
+// source after the previous units stored, so the head of the source is
+// smeared forward rather than moved as by memmove.
+func TestMemcpyOverlapSmearsForward(t *testing.T) {
+	o := newOS(t)
+	src := putStr(t, o, 0x300, "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+	call(t, o, "memcpy", src+3, src, 20)
+	if got, _ := o.Space.ReadBytes(src, 26); string(got) != "ABCABCDEFGHFGHLMNOPNOPNXYZ" {
+		t.Errorf("overlapping memcpy left %q", got)
+	}
+
+	// Longer copies cross chunk and page boundaries; compare with a model
+	// of the per-unit forward copy.
+	for _, c := range []struct{ d, n int }{{1, 13}, {5, 40}, {8, 100}, {13, 5000}, {100, 9000}, {4097, 9000}, {-9, 300}} {
+		o := newOS(t)
+		image := make([]byte, 1<<16)
+		for i := range image {
+			image[i] = byte(i*7 + i>>8)
+		}
+		if err := o.Space.WriteBytes(mem.GlobalBase, image); err != nil {
+			t.Fatal(err)
+		}
+		srcOff := 0x1000 + 3
+		call(t, o, "memcpy", mem.GlobalBase+int64(srcOff+c.d), mem.GlobalBase+int64(srcOff), int64(c.n))
+		forwardUnitCopy(image, srcOff+c.d, srcOff, c.n)
+		if got, _ := o.Space.ReadBytes(mem.GlobalBase, int64(len(image))); string(got) != string(image) {
+			t.Errorf("memcpy(src%+d, src, %d) differs from the per-unit forward copy", c.d, c.n)
+		}
+	}
+}
+
+// forwardUnitCopy is the per-unit memcpy over a byte image: 8-byte words,
+// then tail bytes, each loaded after the previous units stored.
+func forwardUnitCopy(m []byte, dst, src, n int) {
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var w [8]byte
+		copy(w[:], m[src+i:])
+		copy(m[dst+i:], w[:])
+	}
+	for ; i < n; i++ {
+		m[dst+i] = m[src+i]
 	}
 }
 

@@ -70,10 +70,14 @@ type FD struct {
 	NonBlock bool
 }
 
-// StoreFunc writes into application memory on behalf of a library call.
-// The recovery runtime points it at the active transaction so library
-// writes are checkpointed like program stores.
-type StoreFunc func(addr, val int64, width int) error
+// StoreFunc writes data into application memory at addr on behalf of a
+// library call and returns how many store units it attempted, the failing
+// one included. A unit is what word-granular store instrumentation emits:
+// 8-byte words from addr, then single bytes for the tail (see
+// mem.StoreUnits); library calls charge their per-unit cost from the
+// count. The recovery runtime points the hook at the active transaction
+// so library writes are checkpointed like program stores.
+type StoreFunc func(addr int64, data []byte) (units int, err error)
 
 // TraceFunc observes the activation of a request trace ID: the server
 // just consumed the first bytes of a newly delivered traced request. The
@@ -129,6 +133,8 @@ type OS struct {
 	deferFree DeferFreeFunc
 	cycles    *int64
 	wscratch  []byte  // reusable buffer for doWrite payloads (never escapes)
+	stage     []byte  // memset/memcpy staging, at most one page (never escapes)
+	word      [8]byte // scalar store staging (a stack buffer would escape through the hook)
 	epready   []int64 // reusable ready-list for readyFDs (never escapes)
 
 	// lastRead is held by value and its Data buffer is reused across
@@ -169,7 +175,7 @@ func New(space *mem.Space) *OS {
 		ports:     make(map[int64]*Listener),
 		servingFD: -1,
 	}
-	o.store = space.Store
+	o.store = space.StoreRange
 	o.lastRead.FD = -1
 	// Reserve stdin/stdout/stderr so application fds start at 3.
 	o.fds = []FD{{Kind: FDFile}, {Kind: FDFile}, {Kind: FDFile}}
@@ -198,7 +204,7 @@ func (o *OS) charge(n int64) {
 // restores direct writes.
 func (o *OS) SetStore(s StoreFunc) {
 	if s == nil {
-		o.store = o.Space.Store
+		o.store = o.Space.StoreRange
 		return
 	}
 	o.store = s
@@ -266,8 +272,11 @@ func (o *OS) AdvanceClock(ns int64) { o.clock += ns }
 // steady state (slot reuse after CloseFD) allocates nothing.
 func (o *OS) allocFD(fd FD) int64 {
 	for i := range o.fds {
-		if o.fds[i].Kind == FDFree {
-			o.fds[i] = fd
+		if s := &o.fds[i]; s.Kind == FDFree {
+			if fd.Kind == FDFile && fd.File == nil {
+				fd.File = s.File // the OpenFile a closed file parked here
+			}
+			*s = fd
 			return int64(i)
 		}
 	}
@@ -311,7 +320,14 @@ func (o *OS) CloseFD(fd int64) bool {
 		}
 	}
 	if fd >= 3 {
-		o.fds[fd] = FD{Kind: FDFree}
+		// A file's OpenFile stays parked in the free slot for the next
+		// open to reuse; nothing else holds it past the close.
+		var parked *OpenFile
+		if s.Kind == FDFile && s.File != nil {
+			parked = s.File
+			*parked = OpenFile{}
+		}
+		o.fds[fd] = FD{Kind: FDFree, File: parked}
 	}
 	return true
 }
@@ -390,23 +406,101 @@ func (o *OS) OpenFDList() []string {
 }
 
 // writeBytes pushes a byte slice into application memory through the
-// transaction-aware store, in 8-byte words where possible (modelling the
-// word-granular store instrumentation real compiler passes emit), with
-// byte stores at the unaligned tail.
+// transaction-aware store, charging 2 cycles per store unit attempted.
 func (o *OS) writeBytes(addr int64, data []byte) error {
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		w := int64(binary.LittleEndian.Uint64(data[i : i+8]))
-		o.charge(2)
-		if err := o.store(addr+int64(i), w, 8); err != nil {
-			return err
-		}
+	units, err := o.store(addr, data)
+	o.charge(2 * int64(units))
+	return err
+}
+
+// storeScalar writes the low width bytes of val at addr through the
+// transaction-aware store as one store unit; callers do any charging.
+func (o *OS) storeScalar(addr, val int64, width int) error {
+	binary.LittleEndian.PutUint64(o.word[:], uint64(val))
+	_, err := o.store(addr, o.word[:width])
+	return err
+}
+
+// memcpy copies n bytes from src to dst as a forward copy of store units,
+// charging 3 cycles per unit attempted. Unit k loads its source after
+// units 0..k-1 have stored, so a dst inside (src, src+n) smears the head
+// of the source forward, and a fault loading unit k's source ends the
+// copy with k units charged. Each chunk is loaded before it is stored,
+// which keeps that order as long as no unit of a chunk stores into bytes
+// a later unit of the same chunk loads: a smearing copy's chunks are
+// capped at dst-src bytes. Under the scheduler a store may doom another
+// thread's transaction, whose rollback may rewrite the source, so there
+// every chunk is one unit.
+func (o *OS) memcpy(dst, src, n int64) error {
+	limit := int64(mem.PageSize)
+	if d := dst - src; d > 0 && d < n {
+		limit = min(limit, d)
 	}
-	for ; i < len(data); i++ {
-		o.charge(2)
-		if err := o.store(addr+int64(i), int64(data[i]), 1); err != nil {
-			return err
+	if o.threads != nil {
+		limit = 1
+	}
+	buf := o.staging(n)
+	for i := int64(0); i < n; {
+		chunk := buf[:unitsWithin(n-i, limit)]
+		loaded, loadErr := o.loadUnits(src+i, chunk)
+		if loaded > 0 {
+			units, err := o.store(dst+i, chunk[:loaded])
+			o.charge(3 * int64(units))
+			if err != nil {
+				return err
+			}
 		}
+		if loadErr != nil {
+			return loadErr
+		}
+		i += int64(len(chunk))
 	}
 	return nil
+}
+
+// unitsWithin returns the length of the longest run of whole store units
+// at the head of a rest-byte range that fits in limit bytes, but at least
+// one unit. Runs end on a word boundary or in the tail, so a range cut
+// into runs splits into the same units as the whole.
+func unitsWithin(rest, limit int64) int64 {
+	if words := rest &^ 7; limit < words {
+		return max(limit&^7, 8)
+	}
+	return max(min(limit, rest), 1)
+}
+
+// loadUnits fills dst from application memory at addr, unit by unit (see
+// StoreFunc), with the checks of a guest load. It returns how many bytes
+// it loaded, which ends on a unit boundary, and the fault of the first
+// unit it could not load.
+func (o *OS) loadUnits(addr int64, dst []byte) (int, error) {
+	if !o.Space.DomainsEnabled() && o.Space.Mapped(addr, int64(len(dst))) {
+		return len(dst), o.Space.ReadInto(addr, dst)
+	}
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		w, err := o.Space.Load(addr+int64(i), 8)
+		if err != nil {
+			return i, err
+		}
+		binary.LittleEndian.PutUint64(dst[i:], uint64(w))
+	}
+	for ; i < len(dst); i++ {
+		b, err := o.Space.Load(addr+int64(i), 1)
+		if err != nil {
+			return i, err
+		}
+		dst[i] = byte(b)
+	}
+	return len(dst), nil
+}
+
+// staging returns the memset/memcpy staging buffer cut to n bytes, at
+// most one page; it is never sized by a guest length beyond that.
+func (o *OS) staging(n int64) []byte {
+	n = min(n, mem.PageSize)
+	if int64(cap(o.stage)) < n {
+		o.stage = make([]byte, mem.PageSize)
+	}
+	return o.stage[:n]
 }

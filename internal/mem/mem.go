@@ -161,7 +161,7 @@ func (s *Space) Mapped(addr, size int64) bool {
 	first := addr / PageSize
 	last := (addr + size - 1) / PageSize
 	for p := first; p <= last; p++ {
-		if _, ok := s.pages[p]; !ok {
+		if s.lookup(p) == nil {
 			return false
 		}
 	}
@@ -289,6 +289,55 @@ func (s *Space) Store(addr int64, val int64, width int) error {
 		return &AccessError{Addr: addr, Width: width, Write: true}
 	}
 	return nil
+}
+
+// StoreRange writes data at addr as the library's store units (see
+// StoreUnits) and returns how many units it attempted. When the whole
+// range is mapped and domains are off it copies once per page; otherwise
+// it runs the per-unit loop, which faults at the exact unit.
+func (s *Space) StoreRange(addr int64, data []byte) (int, error) {
+	if s.domOn || !s.Mapped(addr, int64(len(data))) {
+		return StoreUnits(addr, data, s.Store)
+	}
+	s.write(addr, data) // cannot fail: every page is mapped
+	return Units(len(data)), nil
+}
+
+// StoreUnits is the library's per-unit store loop and the reference every
+// range store must match: data is written at addr as 8-byte words from
+// addr, then single bytes for the tail, each through store, stopping at
+// the first error. It returns how many units it attempted, the failing
+// one included. The range fast paths of mem, htm and stm fall back to it
+// in every case they do not prove equal to it (an unmapped or
+// domain-checked page, a doomed, finished or conflict-domain transaction).
+func StoreUnits(addr int64, data []byte, store func(addr, val int64, width int) error) (int, error) {
+	units := 0
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		units++
+		if err := store(addr+int64(i), int64(binary.LittleEndian.Uint64(data[i:])), 8); err != nil {
+			return units, err
+		}
+	}
+	for ; i < len(data); i++ {
+		units++
+		if err := store(addr+int64(i), int64(data[i]), 1); err != nil {
+			return units, err
+		}
+	}
+	return units, nil
+}
+
+// Units returns how many store units an n-byte range decomposes into.
+func Units(n int) int { return n/8 + n%8 }
+
+// UnitAt returns the index of the store unit holding byte off of an
+// n-byte range.
+func UnitAt(off, n int) int {
+	if words := n / 8; off < words*8 {
+		return off / 8
+	}
+	return n/8 + off%8
 }
 
 // ReadBytes copies size bytes starting at addr into a fresh slice.

@@ -11,6 +11,7 @@
 package stm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/firestarter-go/firestarter/internal/mem"
@@ -87,6 +88,44 @@ func (l *Log) Store(addr, val int64, width int) error {
 		l.stats.PeakLogLen = len(l.entries)
 	}
 	return l.space.Store(addr, val, width)
+}
+
+// StoreRange performs a library write of data at addr as its store units
+// (see mem.StoreUnits) and returns how many units it attempted. Each unit
+// gets its own undo entry, so the log, its statistics and its capacity
+// (which MemoryBytes reports) grow exactly as under the per-unit loop.
+// When the range is mapped and domains are off the old values come from
+// one bulk read per chunk and the data from one copy; every other case
+// runs the per-unit loop, which faults on the failing unit's load before
+// writing it.
+func (l *Log) StoreRange(addr int64, data []byte) (int, error) {
+	if !l.active || l.space.DomainsEnabled() || !l.space.Mapped(addr, int64(len(data))) {
+		return mem.StoreUnits(addr, data, l.Store)
+	}
+	var old [256]byte // a multiple of 8, so chunks split only between words
+	for i := 0; i < len(data); i += len(old) {
+		chunk := old[:min(len(data)-i, len(old))]
+		if err := l.space.ReadInto(addr+int64(i), chunk); err != nil {
+			return 0, err
+		}
+		at := addr + int64(i)
+		j := 0
+		for ; j+8 <= len(chunk); j += 8 {
+			l.entries = append(l.entries, entry{addr: at + int64(j), old: int64(binary.LittleEndian.Uint64(chunk[j:])), width: 8})
+		}
+		for ; j < len(chunk); j++ {
+			l.entries = append(l.entries, entry{addr: at + int64(j), old: int64(chunk[j]), width: 1})
+		}
+	}
+	units := mem.Units(len(data))
+	l.stats.TotalStores += int64(units)
+	if len(l.entries) > l.stats.PeakLogLen {
+		l.stats.PeakLogLen = len(l.entries)
+	}
+	if err := l.space.WriteBytes(addr, data); err != nil {
+		return 0, err
+	}
+	return units, nil
 }
 
 // Commit ends the transaction, making all stores permanent.

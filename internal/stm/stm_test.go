@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -229,5 +230,47 @@ func TestRollbackRestoresExactlyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStoreRangeLogsPerUnit pins that the range fast path leaves the log
+// exactly as the per-unit loop does: one entry per unit, in unit order,
+// with the same capacity growth (MemoryBytes feeds Fig. 9).
+func TestStoreRangeLogsPerUnit(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 13, 255, 256, 257, 3000, 9001} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*31 + 7)
+		}
+		var logs [2]*Log
+		for k := range logs {
+			s := newSpace(t)
+			for i := 0; i < 1<<16; i += 8 {
+				if err := s.Store(mem.HeapBase+int64(i), int64(i)*0x0101, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l := New(s)
+			l.Begin()
+			if err := l.Store(mem.HeapBase+40, 1, 8); err != nil {
+				t.Fatal(err)
+			}
+			var units int
+			var err error
+			if k == 0 {
+				units, err = l.StoreRange(mem.HeapBase+3, data)
+			} else {
+				units, err = mem.StoreUnits(mem.HeapBase+3, data, l.Store)
+			}
+			if err != nil || units != mem.Units(n) {
+				t.Fatalf("n=%d path %d: %d units, %v", n, k, units, err)
+			}
+			logs[k] = l
+		}
+		r, u := logs[0], logs[1]
+		if !reflect.DeepEqual(r.entries, u.entries) || cap(r.entries) != cap(u.entries) || r.Stats() != u.Stats() {
+			t.Errorf("n=%d: range log (len %d cap %d, %+v) differs from per-unit log (len %d cap %d, %+v)",
+				n, len(r.entries), cap(r.entries), r.Stats(), len(u.entries), cap(u.entries), u.Stats())
+		}
 	}
 }
