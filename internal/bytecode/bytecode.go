@@ -2,7 +2,11 @@
 // function's basic blocks are threaded into a single instruction stream
 // with precomputed jump targets, adjacent instructions are fused into
 // superinstructions (compare-and-branch, const-into-bin, load-op-store),
-// and call/global references are resolved to direct pointers. The
+// and call/global references are resolved to direct pointers. Every
+// instruction that calls into the runtime or leaves the function — library
+// calls, returns, traps, gates, txbegin/txend, regsave — compiles to one
+// OpEvent, which the executor runs on the tree-walker's own definition of
+// the source instruction (Code.Src). The
 // interpreter's bytecode backend (interp.NewBytecodeBackend) executes this
 // format; the tree-walking interpreter remains the reference semantics.
 //
@@ -12,8 +16,8 @@
 // component — so cycle counts, HTM interrupt boundaries, snapshots and
 // trap positions are bit-identical to the tree-walker. Fusion never
 // crosses an instruction that can interact with the runtime's control
-// flow: OpCall/OpLib/OpGate/OpTxBegin/OpTxEnd/OpRegSave and div/rem (which
-// can trap mid-pattern) always compile to single bytecode instructions.
+// flow: OpCall, OpEvent and div/rem (which can trap mid-pattern) always
+// compile to single bytecode instructions.
 //
 // Every bytecode instruction records the (block, index) coordinates of its
 // first source instruction, and Code.PCAt maps coordinates back to the
@@ -53,15 +57,13 @@ const (
 	OpFrameAddr
 	OpGlobalAddr
 	OpCall
-	OpLib
 	OpJmp
 	OpBr
-	OpRet
-	OpTrap
-	OpTxBegin
-	OpTxEnd
-	OpRegSave
-	OpGate
+	// OpEvent is a source instruction that calls into the runtime or
+	// leaves the function (ir.OpLib, OpRet, OpTrap, OpTxBegin, OpTxEnd,
+	// OpRegSave, OpGate); the executor runs Code.Src(in) on the
+	// tree-walker.
+	OpEvent
 
 	// OpCmpBr fuses OpBin (any operator except div/rem) with the block's
 	// terminating OpBr branching on the bin's destination register.
@@ -79,10 +81,8 @@ var opNames = map[Op]string{
 	OpConst: "const", OpMov: "mov", OpBin: "bin", OpNeg: "neg", OpNot: "not",
 	OpLoad: "load", OpStore: "store", OpStmStore: "stmstore",
 	OpFrameAddr: "frameaddr", OpGlobalAddr: "globaladdr", OpCall: "call",
-	OpLib: "lib", OpJmp: "jmp", OpBr: "br", OpRet: "ret", OpTrap: "trap",
-	OpTxBegin: "txbegin", OpTxEnd: "txend", OpRegSave: "regsave",
-	OpGate: "gate", OpCmpBr: "cmp+br", OpConstBin: "const+bin",
-	OpLoadBinStore: "load+bin+store",
+	OpJmp: "jmp", OpBr: "br", OpEvent: "event", OpCmpBr: "cmp+br",
+	OpConstBin: "const+bin", OpLoadBinStore: "load+bin+store",
 }
 
 // String returns the opcode's mnemonic.
@@ -96,10 +96,12 @@ func (op Op) String() string {
 // Inst is one flat-stream instruction. Fields are interpreted per-opcode:
 //
 //   - single instructions carry their ir.Instr fields under the same
-//     names (Dst/A/B/Imm/Width/Bin/Site), with Then/Else rewritten from
-//     block IDs to instruction-stream pcs, OpGlobalAddr's resolved
-//     address baked into Imm, and call/libcall names, argument lists and
-//     call targets interned into the owning Code's side tables;
+//     names (Dst/A/B/Imm/Width/Bin), with Then/Else rewritten from block
+//     IDs to instruction-stream pcs, OpGlobalAddr's resolved address baked
+//     into Imm, and OpCall's argument list and target interned into the
+//     owning Code's side tables;
+//   - OpEvent carries only its coordinates: the executor reads the source
+//     instruction through Code.Src;
 //   - OpCmpBr: Dst/A/B/Bin are the compare, Then/Else the branch pcs
 //     (the branch register is the compare's Dst);
 //   - OpConstBin: C/Imm are the constant's register and value, Dst/A/B/Bin
@@ -121,14 +123,11 @@ type Inst struct {
 	Bin   ir.BinKind
 	Then  int // pc target (OpJmp/OpBr/OpCmpBr)
 	Else  int
-	Site  int
 	Stm   bool // OpLoadBinStore: store component is undo-logged
 
-	// Interned references, resolved through the owning Code's side
-	// tables: NameIdx indexes Code.names (OpCall/OpLib), CalleeIdx
-	// indexes Code.callFns/callCodes (OpCall), ArgOff/ArgN slice
-	// Code.argPool (OpCall/OpLib).
-	NameIdx   int32
+	// OpCall's interned references, resolved through the owning Code's
+	// side tables: CalleeIdx indexes Code.callFns/callCodes, ArgOff/ArgN
+	// slice Code.argPool.
 	CalleeIdx int32
 	ArgOff    int32
 	ArgN      int32
@@ -149,7 +148,6 @@ type Code struct {
 
 	// Side tables for Inst's interned references (see Inst). Keeping the
 	// pointers here, out of the instruction stream, makes Insts noscan.
-	names     []string
 	callFns   []*ir.Func
 	callCodes []*Code // parallel to callFns, linked by Compile's second pass
 	argPool   []int
@@ -157,9 +155,6 @@ type Code struct {
 	blockPC []int     // block ID -> pc of the block's first instruction
 	pcAt    [][]int32 // [block][source idx] -> pc of the covering instruction
 }
-
-// Name returns in's interned call/libcall name.
-func (c *Code) Name(in *Inst) string { return c.names[in.NameIdx] }
 
 // Args returns in's interned argument registers.
 func (c *Code) Args(in *Inst) []int { return c.argPool[in.ArgOff : in.ArgOff+in.ArgN] }
@@ -170,19 +165,9 @@ func (c *Code) Callee(in *Inst) *ir.Func { return c.callFns[in.CalleeIdx] }
 // CalleeCode returns the compiled stream of in's call target.
 func (c *Code) CalleeCode(in *Inst) *Code { return c.callCodes[in.CalleeIdx] }
 
-// Src returns in's first fused source instruction; the executor uses it
-// for the return and gate paths, which are shared with the tree-walker.
+// Src returns in's first source instruction: for OpEvent, the instruction
+// the executor runs on the tree-walker.
 func (c *Code) Src(in *Inst) *ir.Instr { return &c.Fn.Blocks[in.Blk].Instrs[in.Idx] }
-
-func (c *Code) internName(name string) int32 {
-	for i, n := range c.names {
-		if n == name {
-			return int32(i)
-		}
-	}
-	c.names = append(c.names, name)
-	return int32(len(c.names) - 1)
-}
 
 func (c *Code) internCall(fn *ir.Func) int32 {
 	for i, f := range c.callFns {
@@ -386,35 +371,13 @@ func single(c *Code, in *ir.Instr) (Inst, error) {
 			return Inst{}, fmt.Errorf("unresolved callee %q (run ir.Program.Resolve before Compile)", in.Name)
 		}
 		off, n := c.internArgs(in.Args)
-		return Inst{
-			Op: OpCall, Dst: in.Dst,
-			NameIdx: c.internName(in.Name), CalleeIdx: c.internCall(in.Callee),
-			ArgOff: off, ArgN: n,
-		}, nil
-	case ir.OpLib:
-		off, n := c.internArgs(in.Args)
-		return Inst{
-			Op: OpLib, Dst: in.Dst, Site: in.Site,
-			NameIdx: c.internName(in.Name), ArgOff: off, ArgN: n,
-		}, nil
+		return Inst{Op: OpCall, Dst: in.Dst, CalleeIdx: c.internCall(in.Callee), ArgOff: off, ArgN: n}, nil
 	case ir.OpJmp:
 		return Inst{Op: OpJmp, Then: in.Then}, nil
 	case ir.OpBr:
 		return Inst{Op: OpBr, A: in.A, Then: in.Then, Else: in.Else}, nil
-	case ir.OpRet:
-		return Inst{Op: OpRet, A: in.A}, nil
-	case ir.OpTrap:
-		return Inst{Op: OpTrap, Imm: in.Imm}, nil
-	case ir.OpTxBegin:
-		return Inst{Op: OpTxBegin, Site: in.Site, Imm: in.Imm}, nil
-	case ir.OpTxEnd:
-		return Inst{Op: OpTxEnd}, nil
-	case ir.OpRegSave:
-		return Inst{Op: OpRegSave}, nil
-	case ir.OpGate:
-		// Then/Else stay on Src: the gate path re-enters via source
-		// coordinates (it snapshots and may divert variants).
-		return Inst{Op: OpGate, Site: in.Site, Dst: in.Dst}, nil
+	case ir.OpLib, ir.OpRet, ir.OpTrap, ir.OpTxBegin, ir.OpTxEnd, ir.OpRegSave, ir.OpGate:
+		return Inst{Op: OpEvent}, nil
 	default:
 		return Inst{}, fmt.Errorf("unknown opcode %d", int(in.Op))
 	}

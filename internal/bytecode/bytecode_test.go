@@ -79,7 +79,7 @@ func TestCompileFusesSuperinstructions(t *testing.T) {
 		// const+bin, jmp
 		OpConst, OpLoadBinStore, OpConstBin, OpJmp,
 		// exit
-		OpLoad, OpRet,
+		OpLoad, OpEvent,
 	}
 	got := ops(c, 0, len(c.Insts))
 	if len(got) != len(want) {

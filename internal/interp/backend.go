@@ -1,11 +1,8 @@
 package interp
 
 import (
-	"errors"
-
 	"github.com/firestarter-go/firestarter/internal/bytecode"
 	"github.com/firestarter-go/firestarter/internal/ir"
-	"github.com/firestarter-go/firestarter/internal/mem"
 )
 
 // Backend is the machine's execution-strategy seam: Run must be
@@ -83,66 +80,14 @@ type bytecodeBackend struct {
 // Name implements Backend.
 func (b *bytecodeBackend) Name() string { return "bytecode" }
 
-// fail routes an execution error through the runtime, mirroring the tail
-// of the tree-walker's Run loop. done=false means ActionContinue: the
-// machine was restored to a consistent position and the caller must
-// re-derive its position (continue the resync loop). Frame coordinates
-// must be synced to the faulting instruction before calling (trap PC
-// strings are user-visible).
-func (b *bytecodeBackend) fail(m *Machine, err error, co TickCoalescer, tickLive *bool) (Outcome, bool) {
-	switch m.RT.Handle(m, err) {
-	case ActionContinue:
-		*tickLive = co == nil || co.TickLive()
-		return Outcome{}, false
-	case ActionBlock:
-		return Outcome{Kind: OutBlocked}, true
-	default:
-		var trap *Trap
-		if !errors.As(err, &trap) {
-			trap = &Trap{Code: ir.TrapBadAccess, PC: m.pcString()}
-			if ae := (*mem.AccessError)(nil); errors.As(err, &ae) {
-				trap.Addr = ae.Addr
-			}
-			if de := (*mem.DomainError)(nil); errors.As(err, &de) {
-				trap.Code, trap.Addr = ir.TrapDomain, de.Addr
-			}
-		}
-		m.exited = true
-		return Outcome{Kind: OutTrapped, Code: trap.Code, Trap: trap}, true
-	}
-}
-
-// treeStep runs one full tree-walker iteration (budget, step, tick,
-// handle) — the fallback for positions that are not bytecode boundaries:
-// a resume in the middle of a fused superinstruction, or a function the
-// compiled program does not know. done=true carries a finished outcome.
-func (b *bytecodeBackend) treeStep(m *Machine, limited bool, co TickCoalescer, tickLive *bool) (Outcome, bool) {
-	if limited {
-		if m.budget <= 0 {
-			return Outcome{Kind: OutStepLimit}, true
-		}
-		m.budget--
-	}
-	m.Steps++
-	err := m.step()
-	if err == nil {
-		*tickLive = co == nil || co.TickLive()
-		if *tickLive {
-			if terr := m.RT.Tick(m, 1); terr != nil {
-				err = terr
-			}
-		}
-	}
-	if err == nil {
-		return Outcome{}, false
-	}
-	return b.fail(m, err, co, tickLive)
-}
-
 // Run implements Backend. The executor retires source instructions with
 // the tree-walker's exact accounting — one budget unit, one Steps
 // increment, one cost charge and one runtime Tick per source instruction,
-// in the same order — while dispatching over the flat fused stream.
+// in the same order — while dispatching over the flat fused stream. It
+// runs its own copies only of the pure register and memory operations
+// and of calls; every runtime event (library call, return, trap, gate,
+// txbegin/txend, regsave) is a bytecode.OpEvent executed by the
+// tree-walker's Machine.exec.
 //
 // Frame positions stay in source (block, index) coordinates so snapshots
 // interoperate with the tree-walker. While ticks are live the coordinates
@@ -157,8 +102,13 @@ func (b *bytecodeBackend) treeStep(m *Machine, limited bool, co TickCoalescer, t
 // applied in one Tick(n) at the next runtime interaction or at the tick
 // that may observe something. A batched flush cannot abort by
 // construction, so the stale coordinates it runs under are unobservable.
-// `pending` is always zero when the resync loop re-enters and when Run
-// returns; `tickGas` is conservatively re-queried after every resync.
+//
+// Every path out of the stream syncs the frame position and leaves
+// through one of two exits after the inner loop: `stop` (budget
+// exhausted) or `fail` (an instruction or tick failed with err). Both
+// flush the deferred ticks first, so `pending` is zero whenever the
+// resync loop re-enters and when Run returns; `tickGas` is conservatively
+// re-queried after every resync.
 func (b *bytecodeBackend) Run(m *Machine, maxSteps int64) Outcome {
 	if m.Prog != b.prog.Src {
 		// Compiled for a different program instance: run the reference
@@ -176,7 +126,16 @@ func (b *bytecodeBackend) Run(m *Machine, maxSteps int64) Outcome {
 	co, _ := m.RT.(TickCoalescer)
 	batcher, _ := m.RT.(TickBatcher)
 	tickLive := co == nil || co.TickLive()
-	var pending, tickGas int64
+	// Declared up front: goto may not jump over a declaration.
+	var (
+		pending, tickGas int64
+		f                *Frame
+		code             *bytecode.Code
+		insts            []bytecode.Inst
+		regs             []int64
+		pc               int
+		err              error
+	)
 
 resync:
 	for {
@@ -186,42 +145,42 @@ resync:
 		if m.exited {
 			return Outcome{Kind: OutExited, Code: m.exitCode}
 		}
-		f := &m.frames[len(m.frames)-1]
-		code := b.prog.Code(f.Fn)
-		var pc int
+		f = &m.frames[len(m.frames)-1]
+		code = b.prog.Code(f.Fn)
 		aligned := false
 		if code != nil {
 			pc, aligned = code.PCAt(f.Blk, f.Idx)
 		}
 		if !aligned {
-			// Mid-superinstruction resume (or an unknown function):
-			// retire source instructions until we are back on a boundary.
-			out, done := b.treeStep(m, limited, co, &tickLive)
-			if done {
-				return out
+			// Mid-superinstruction resume (or an unknown function): retire
+			// one source instruction on the tree-walker, then realign.
+			if limited {
+				if m.budget <= 0 {
+					goto stop
+				}
+				m.budget--
+			}
+			m.Steps++
+			if err = m.step(); err == nil {
+				tickLive = co == nil || co.TickLive()
+				if tickLive {
+					err = m.RT.Tick(m, 1)
+				}
+			}
+			if err != nil {
+				goto fail
 			}
 			continue resync
 		}
-		insts := code.Insts
-		regs := f.Regs
+		insts = code.Insts
+		regs = f.Regs
 
 		for {
 			in := &insts[pc]
 			if limited {
 				if m.budget <= 0 {
 					f.Blk, f.Idx = in.Blk, in.Idx
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					return Outcome{Kind: OutStepLimit}
+					goto stop
 				}
 				m.budget--
 			}
@@ -245,22 +204,8 @@ resync:
 				v, ok := in.Bin.Eval(regs[in.A], regs[in.B])
 				if !ok {
 					f.Blk, f.Idx = in.Blk, in.Idx
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					out, done := b.fail(m, m.trapHere(ir.TrapDivZero, 0), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					err = m.trapHere(ir.TrapDivZero, 0)
+					goto fail
 				}
 				regs[in.Dst] = v
 				m.Cycles += CostSimple
@@ -284,31 +229,19 @@ resync:
 				// Flush deferred ticks: the routed load may touch
 				// transaction state (read-set tracking, conflicts).
 				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
+					err = m.RT.Tick(m, pending)
 					pending = 0
-					if terr != nil {
+					if err != nil {
 						f.Blk, f.Idx = in.Blk, in.Idx
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+						goto fail
 					}
 				}
 				addr := regs[in.A] + in.Imm
-				v, err := m.RT.Load(m, addr, in.Width)
-				if err != nil {
+				v, lerr := m.RT.Load(m, addr, in.Width)
+				if lerr != nil {
 					f.Blk, f.Idx = in.Blk, in.Idx
-					if errors.Is(err, mem.ErrUnmapped) {
-						err = m.trapHere(ir.TrapBadAccess, addr)
-					} else if errors.Is(err, mem.ErrDomain) {
-						err = m.trapHere(ir.TrapDomain, addr)
-					}
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					err = m.accessError(lerr, addr)
+					goto fail
 				}
 				regs[in.Dst] = v
 				m.Cycles += CostMem
@@ -319,26 +252,19 @@ resync:
 				// transaction (capacity), which must observe the same
 				// countdown the tree-walker would have applied.
 				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
+					err = m.RT.Tick(m, pending)
 					pending = 0
-					if terr != nil {
+					if err != nil {
 						f.Blk, f.Idx = in.Blk, in.Idx
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+						goto fail
 					}
 				}
 				m.Cycles += CostMem
 				addr := regs[in.A] + in.Imm
-				if err := m.RT.Store(m, addr, regs[in.B], in.Width, in.Op == bytecode.OpStmStore); err != nil {
+				if serr := m.RT.Store(m, addr, regs[in.B], in.Width, in.Op == bytecode.OpStmStore); serr != nil {
 					f.Blk, f.Idx = in.Blk, in.Idx
-					out, done := b.fail(m, m.storeError(err, addr), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					err = m.accessError(serr, addr)
+					goto fail
 				}
 				pc++
 
@@ -364,29 +290,14 @@ resync:
 					pc = in.Else
 				}
 
+			// The fused ops retire each component like a single
+			// instruction: a tick (deferred or delivered at the next
+			// component's coordinates), then a budget unit and a Steps
+			// increment. Their bins never trap: Compile never fuses
+			// div/rem.
 			case bytecode.OpCmpBr:
 				// Component 1: the compare.
-				v, ok := in.Bin.Eval(regs[in.A], regs[in.B])
-				if !ok {
-					// Unreachable (div/rem never fuse); kept for safety.
-					f.Blk, f.Idx = in.Blk, in.Idx
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					out, done := b.fail(m, m.trapHere(ir.TrapDivZero, 0), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
+				v, _ := in.Bin.Eval(regs[in.A], regs[in.B])
 				regs[in.Dst] = v
 				m.Cycles += CostSimple
 				if tickLive {
@@ -395,14 +306,10 @@ resync:
 						pending++
 					} else {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						terr := m.RT.Tick(m, pending+1)
+						err = m.RT.Tick(m, pending+1)
 						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
+						if err != nil {
+							goto fail
 						}
 						if batcher != nil {
 							tickGas = batcher.TickBudget()
@@ -412,18 +319,7 @@ resync:
 				if limited {
 					if m.budget <= 0 {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						if pending > 0 {
-							terr := m.RT.Tick(m, pending)
-							pending = 0
-							if terr != nil {
-								out, done := b.fail(m, terr, co, &tickLive)
-								if done {
-									return out
-								}
-								continue resync
-							}
-						}
-						return Outcome{Kind: OutStepLimit}
+						goto stop
 					}
 					m.budget--
 				}
@@ -446,14 +342,10 @@ resync:
 						pending++
 					} else {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						terr := m.RT.Tick(m, pending+1)
+						err = m.RT.Tick(m, pending+1)
 						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
+						if err != nil {
+							goto fail
 						}
 						if batcher != nil {
 							tickGas = batcher.TickBudget()
@@ -463,45 +355,13 @@ resync:
 				if limited {
 					if m.budget <= 0 {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						if pending > 0 {
-							terr := m.RT.Tick(m, pending)
-							pending = 0
-							if terr != nil {
-								out, done := b.fail(m, terr, co, &tickLive)
-								if done {
-									return out
-								}
-								continue resync
-							}
-						}
-						return Outcome{Kind: OutStepLimit}
+						goto stop
 					}
 					m.budget--
 				}
 				m.Steps++
 				// Component 2: the bin.
-				v, ok := in.Bin.Eval(regs[in.A], regs[in.B])
-				if !ok {
-					// Unreachable (div/rem never fuse); kept for safety.
-					f.Blk, f.Idx = in.Blk, in.Idx+1
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					out, done := b.fail(m, m.trapHere(ir.TrapDivZero, 0), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				regs[in.Dst] = v
+				regs[in.Dst], _ = in.Bin.Eval(regs[in.A], regs[in.B])
 				m.Cycles += CostSimple
 				pc++
 
@@ -509,31 +369,19 @@ resync:
 				// Component 1: the load (flush deferred ticks first, as
 				// for OpLoad).
 				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
+					err = m.RT.Tick(m, pending)
 					pending = 0
-					if terr != nil {
+					if err != nil {
 						f.Blk, f.Idx = in.Blk, in.Idx
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+						goto fail
 					}
 				}
 				addr := regs[in.A] + in.Imm
-				v, err := m.RT.Load(m, addr, in.Width)
-				if err != nil {
+				v, lerr := m.RT.Load(m, addr, in.Width)
+				if lerr != nil {
 					f.Blk, f.Idx = in.Blk, in.Idx
-					if errors.Is(err, mem.ErrUnmapped) {
-						err = m.trapHere(ir.TrapBadAccess, addr)
-					} else if errors.Is(err, mem.ErrDomain) {
-						err = m.trapHere(ir.TrapDomain, addr)
-					}
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					err = m.accessError(lerr, addr)
+					goto fail
 				}
 				regs[in.Dst] = v
 				m.Cycles += CostMem
@@ -543,14 +391,10 @@ resync:
 						pending++
 					} else {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						terr := m.RT.Tick(m, pending+1)
+						err = m.RT.Tick(m, pending+1)
 						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
+						if err != nil {
+							goto fail
 						}
 						if batcher != nil {
 							tickGas = batcher.TickBudget()
@@ -560,45 +404,13 @@ resync:
 				if limited {
 					if m.budget <= 0 {
 						f.Blk, f.Idx = in.Blk, in.Idx+1
-						if pending > 0 {
-							terr := m.RT.Tick(m, pending)
-							pending = 0
-							if terr != nil {
-								out, done := b.fail(m, terr, co, &tickLive)
-								if done {
-									return out
-								}
-								continue resync
-							}
-						}
-						return Outcome{Kind: OutStepLimit}
+						goto stop
 					}
 					m.budget--
 				}
 				m.Steps++
 				// Component 2: the bin.
-				bv, ok := in.Bin.Eval(regs[in.C], regs[in.D])
-				if !ok {
-					// Unreachable (div/rem never fuse); kept for safety.
-					f.Blk, f.Idx = in.Blk, in.Idx+1
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					out, done := b.fail(m, m.trapHere(ir.TrapDivZero, 0), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				regs[in.B] = bv
+				regs[in.B], _ = in.Bin.Eval(regs[in.C], regs[in.D])
 				m.Cycles += CostSimple
 				if tickLive {
 					if tickGas > 0 {
@@ -606,14 +418,10 @@ resync:
 						pending++
 					} else {
 						f.Blk, f.Idx = in.Blk, in.Idx+2
-						terr := m.RT.Tick(m, pending+1)
+						err = m.RT.Tick(m, pending+1)
 						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
+						if err != nil {
+							goto fail
 						}
 						if batcher != nil {
 							tickGas = batcher.TickBudget()
@@ -623,18 +431,7 @@ resync:
 				if limited {
 					if m.budget <= 0 {
 						f.Blk, f.Idx = in.Blk, in.Idx+2
-						if pending > 0 {
-							terr := m.RT.Tick(m, pending)
-							pending = 0
-							if terr != nil {
-								out, done := b.fail(m, terr, co, &tickLive)
-								if done {
-									return out
-								}
-								continue resync
-							}
-						}
-						return Outcome{Kind: OutStepLimit}
+						goto stop
 					}
 					m.budget--
 				}
@@ -643,26 +440,19 @@ resync:
 				// (the bin may have clobbered it); deferred ticks flush
 				// first, as for OpStore.
 				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
+					err = m.RT.Tick(m, pending)
 					pending = 0
-					if terr != nil {
+					if err != nil {
 						f.Blk, f.Idx = in.Blk, in.Idx+2
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+						goto fail
 					}
 				}
 				m.Cycles += CostMem
-				saddr := regs[in.A] + in.Imm
-				if err := m.RT.Store(m, saddr, regs[in.B], in.Width, in.Stm); err != nil {
+				addr = regs[in.A] + in.Imm
+				if serr := m.RT.Store(m, addr, regs[in.B], in.Width, in.Stm); serr != nil {
 					f.Blk, f.Idx = in.Blk, in.Idx+2
-					out, done := b.fail(m, m.storeError(err, saddr), co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					err = m.accessError(serr, addr)
+					goto fail
 				}
 				pc++
 
@@ -670,24 +460,9 @@ resync:
 				args := m.marshalArgs(code.Args(in), regs)
 				m.Cycles += CostCall
 				f.Blk, f.Idx = in.Blk, in.Idx+1 // return address
-				if err := m.push(code.Callee(in), args, in.Dst); err != nil {
+				if err = m.push(code.Callee(in), args, in.Dst); err != nil {
 					f.Idx = in.Idx
-					if pending > 0 {
-						terr := m.RT.Tick(m, pending)
-						pending = 0
-						if terr != nil {
-							out, done := b.fail(m, terr, co, &tickLive)
-							if done {
-								return out
-							}
-							continue resync
-						}
-					}
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
+					goto fail
 				}
 				f = &m.frames[len(m.frames)-1]
 				regs = f.Regs
@@ -695,246 +470,29 @@ resync:
 				insts = code.Insts
 				pc = code.EntryPC(f.Blk)
 
-			case bytecode.OpLib:
+			case bytecode.OpEvent:
+				// A runtime event: deliver the deferred ticks, run the
+				// source instruction on the tree-walker's exec, refresh
+				// tick liveness (the event may have begun, committed or
+				// switched a transaction) and tick once. The runtime may
+				// have restored a snapshot or switched frames, so the
+				// position is re-derived from the frame.
 				f.Blk, f.Idx = in.Blk, in.Idx
 				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
+					err = m.RT.Tick(m, pending)
 					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+					if err != nil {
+						goto fail
 					}
 				}
-				args := m.marshalArgs(code.Args(in), regs)
-				name := code.Name(in)
-				c0 := m.Cycles
-				m.Cycles += CostLibBase
-				ret, err := m.RT.LibCall(m, name, args, in.Site)
-				if m.prof != nil {
-					m.prof.Lib(name, in.Site, c0, m.Cycles, m.Steps)
+				if err = m.exec(f, code.Src(in)); err == nil {
+					tickLive = co == nil || co.TickLive()
+					if tickLive {
+						err = m.RT.Tick(m, 1)
+					}
 				}
 				if err != nil {
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				// The runtime may have restored a snapshot during the
-				// call; write the result through the refetched frame and
-				// let the resync loop re-derive the position.
-				f = &m.frames[len(m.frames)-1]
-				if in.Dst >= 0 {
-					f.Regs[in.Dst] = ret
-				}
-				f.Idx++
-				tickLive = co == nil || co.TickLive()
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			case bytecode.OpRet:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				m.Cycles += CostSimple
-				err := m.doReturn(code.Src(in))
-				if err != nil {
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				// A bottom-frame return commits the pending transaction
-				// (and a non-bottom one may flow-switch variants): refresh
-				// liveness before the tick.
-				tickLive = co == nil || co.TickLive()
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			case bytecode.OpTrap:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				out, done := b.fail(m, m.trapHere(in.Imm, 0), co, &tickLive)
-				if done {
-					return out
-				}
-				continue resync
-
-			case bytecode.OpTxBegin:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				if err := m.RT.TxBegin(m, in.Site, in.Imm); err != nil {
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				f = &m.frames[len(m.frames)-1]
-				f.Idx++
-				tickLive = co == nil || co.TickLive()
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			case bytecode.OpTxEnd:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				if err := m.RT.TxEnd(m); err != nil {
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				f = &m.frames[len(m.frames)-1]
-				f.Idx++
-				tickLive = co == nil || co.TickLive()
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			case bytecode.OpRegSave:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				m.RT.RegSave(m)
-				f.Idx++
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			case bytecode.OpGate:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				if err := m.doGate(code.Src(in)); err != nil {
-					out, done := b.fail(m, err, co, &tickLive)
-					if done {
-						return out
-					}
-					continue resync
-				}
-				tickLive = co == nil || co.TickLive()
-				if tickLive {
-					if terr := m.RT.Tick(m, 1); terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-					}
-				}
-				continue resync
-
-			default:
-				f.Blk, f.Idx = in.Blk, in.Idx
-				if pending > 0 {
-					terr := m.RT.Tick(m, pending)
-					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
-					}
-				}
-				out, done := b.fail(m, m.trapHere(ir.TrapBadCall, 0), co, &tickLive)
-				if done {
-					return out
+					goto fail
 				}
 				continue resync
 			}
@@ -951,14 +509,10 @@ resync:
 				} else {
 					nin := &insts[pc]
 					f.Blk, f.Idx = nin.Blk, nin.Idx
-					terr := m.RT.Tick(m, pending+1)
+					err = m.RT.Tick(m, pending+1)
 					pending = 0
-					if terr != nil {
-						out, done := b.fail(m, terr, co, &tickLive)
-						if done {
-							return out
-						}
-						continue resync
+					if err != nil {
+						goto fail
 					}
 					if batcher != nil {
 						tickGas = batcher.TickBudget()
@@ -966,5 +520,30 @@ resync:
 				}
 			}
 		}
+
+	stop:
+		// The step budget ran out with the position synced.
+		if pending > 0 {
+			err = m.RT.Tick(m, pending)
+			pending = 0
+			if err != nil {
+				goto fail
+			}
+		}
+		return Outcome{Kind: OutStepLimit}
+
+	fail:
+		// err failed with the position synced at its instruction. A
+		// failing flush of the deferred ticks takes its place.
+		if pending > 0 {
+			if terr := m.RT.Tick(m, pending); terr != nil {
+				err = terr
+			}
+			pending = 0
+		}
+		if out, done := m.handle(err); done {
+			return out
+		}
+		tickLive = co == nil || co.TickLive()
 	}
 }

@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/interp"
@@ -237,6 +238,107 @@ func TestBytecodeGateLockstep(t *testing.T) {
 			}
 		}
 		assertEvents(t, rtB.events, rtT.events)
+	}
+}
+
+// batchRT is a scripted TickBatcher: ticks are always live, TickBudget
+// grants up to budget deferrable ticks, and Tick fails once — when the
+// retired count reaches failAt (0: never). Handle records every event it
+// is handed and continues or dies as scripted. It drives the executor's
+// tick-batching exits: deferred flushes at runtime interactions, budget
+// stops and failures inside and between fused components.
+type batchRT struct {
+	scriptRT
+	budget int64
+	failAt int64
+	die    bool
+	ticks  int64
+	failed bool
+}
+
+var errTickAbort = errors.New("tick abort")
+
+func (s *batchRT) TickLive() bool { return true }
+
+// TickBudget honours the TickBatcher contract: a tick that fails is never
+// granted as deferrable.
+func (s *batchRT) TickBudget() int64 {
+	if s.failAt > 0 && !s.failed {
+		return min(s.budget, max(s.failAt-1-s.ticks, 0))
+	}
+	return s.budget
+}
+
+func (s *batchRT) Tick(m *interp.Machine, n int64) error {
+	s.ticks += n
+	if s.failAt > 0 && !s.failed && s.ticks >= s.failAt {
+		s.failed = true
+		return errTickAbort
+	}
+	return nil
+}
+
+func (s *batchRT) Handle(m *interp.Machine, err error) interp.Action {
+	s.events = append(s.events, fmt.Sprintf("handle:%v", err))
+	if s.die {
+		return interp.ActionDie
+	}
+	return interp.ActionContinue
+}
+
+// TestBytecodeTickBatchingExits runs the fusion and gate programs on both
+// backends under a batching runtime, for every tick-failure point, with a
+// step budget of one or three instructions per Run call or none. Outcome,
+// trap PC, Steps, Cycles, the tick total and the event stream must match.
+func TestBytecodeTickBatchingExits(t *testing.T) {
+	progs := []struct {
+		name  string
+		build func(*testing.T) *ir.Program
+	}{
+		{"fusion", func(t *testing.T) *ir.Program { return buildFusionProgram(t) }},
+		{"gate", buildGateProgram},
+	}
+	for _, p := range progs {
+		// Ticks of a clean run: failure points range over all of them.
+		ref := &batchRT{scriptRT: scriptRT{variant: ir.TxHTM}}
+		mr, err := interp.New(p.build(t), libsim.New(mem.NewSpace()), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := mr.Run(0); out.Kind != interp.OutExited {
+			t.Fatalf("%s: reference run: %v", p.name, out.Kind)
+		}
+		for _, variant := range []int64{ir.TxHTM, ir.TxSTM} {
+			for _, k := range []int64{0, 1, 3, 1 << 20} {
+				for n := int64(0); n <= ref.ticks+1; n++ {
+					for _, quantum := range []int64{1, 3, 0} {
+						for _, die := range []bool{false, true} {
+							stage := fmt.Sprintf("%s/v%d/k=%d/N=%d/q=%d/die=%v", p.name, variant, k, n, quantum, die)
+							newRT := func() *batchRT {
+								return &batchRT{scriptRT: scriptRT{variant: variant}, budget: k, failAt: n, die: die}
+							}
+							rtT, rtB := newRT(), newRT()
+							mt, mb := newBackendPair(t, p.build(t), rtT, rtB)
+							for i := 0; ; i++ {
+								if i > 10_000 {
+									t.Fatalf("%s: no progress", stage)
+								}
+								ot, ob := mt.Run(quantum), mb.Run(quantum)
+								compareOutcomes(t, stage, ot, ob)
+								compareMachines(t, stage, mt, mb)
+								if ot.Kind != interp.OutStepLimit {
+									break
+								}
+							}
+							if rtT.ticks != rtB.ticks {
+								t.Fatalf("%s: tick totals diverged: tree %d, bytecode %d", stage, rtT.ticks, rtB.ticks)
+							}
+							assertEvents(t, rtB.events, rtT.events)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

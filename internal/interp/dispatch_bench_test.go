@@ -47,7 +47,15 @@ func buildHotLoop(iters int64) *ir.Program {
 	return p
 }
 
-func benchDispatch(b *testing.B, bytecode bool) {
+// tickingRT keeps per-instruction ticks live with a 64-instruction
+// batching budget, so the ticking dispatch benchmarks run the executor's
+// tick tail on every instruction.
+type tickingRT struct{ interp.Direct }
+
+func (tickingRT) TickLive() bool    { return true }
+func (tickingRT) TickBudget() int64 { return 64 }
+
+func benchDispatch(b *testing.B, bytecode bool, rt interp.Runtime) {
 	prog := buildHotLoop(200_000)
 	if err := prog.Validate(); err != nil {
 		b.Fatal(err)
@@ -55,7 +63,7 @@ func benchDispatch(b *testing.B, bytecode bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m, err := interp.New(prog.Clone(), libsim.New(mem.NewSpace()), nil)
+		m, err := interp.New(prog.Clone(), libsim.New(mem.NewSpace()), rt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,5 +79,7 @@ func benchDispatch(b *testing.B, bytecode bool) {
 	}
 }
 
-func BenchmarkDispatchTree(b *testing.B)     { benchDispatch(b, false) }
-func BenchmarkDispatchBytecode(b *testing.B) { benchDispatch(b, true) }
+func BenchmarkDispatchTree(b *testing.B)            { benchDispatch(b, false, nil) }
+func BenchmarkDispatchBytecode(b *testing.B)        { benchDispatch(b, true, nil) }
+func BenchmarkDispatchTreeTicking(b *testing.B)     { benchDispatch(b, false, tickingRT{}) }
+func BenchmarkDispatchBytecodeTicking(b *testing.B) { benchDispatch(b, true, tickingRT{}) }

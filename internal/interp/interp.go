@@ -640,34 +640,52 @@ func (m *Machine) runTree(maxSteps int64) Outcome {
 		}
 		m.Steps++
 
-		err := m.step()
+		// The block-bounds check and BlockHook are step's, written out
+		// here so the hot loop makes one call (exec) per instruction.
+		f := &m.frames[len(m.frames)-1]
+		blk := f.Fn.Blocks[f.Blk]
+		var err error
+		if f.Idx >= len(blk.Instrs) {
+			err = m.fellOff(f)
+		} else {
+			if f.Idx == 0 && m.BlockHook != nil {
+				m.BlockHook(f.Fn.Name, f.Blk)
+			}
+			err = m.exec(f, &blk.Instrs[f.Idx])
+		}
 		if err == nil {
-			if terr := m.RT.Tick(m, 1); terr != nil {
-				err = terr
+			err = m.RT.Tick(m, 1)
+		}
+		if err != nil {
+			if out, done := m.handle(err); done {
+				return out
 			}
 		}
-		if err == nil {
-			continue
-		}
-		switch m.RT.Handle(m, err) {
-		case ActionContinue:
-			continue
-		case ActionBlock:
-			return Outcome{Kind: OutBlocked}
-		default:
-			var trap *Trap
-			if !errors.As(err, &trap) {
-				trap = &Trap{Code: ir.TrapBadAccess, PC: m.pcString()}
-				if ae := (*mem.AccessError)(nil); errors.As(err, &ae) {
-					trap.Addr = ae.Addr
-				}
-				if de := (*mem.DomainError)(nil); errors.As(err, &de) {
-					trap.Code, trap.Addr = ir.TrapDomain, de.Addr
-				}
+	}
+}
+
+// handle routes an execution error through the runtime. done=false means
+// ActionContinue: the runtime left the machine at a consistent position
+// to resume from. Otherwise out is the finished Run outcome.
+func (m *Machine) handle(err error) (out Outcome, done bool) {
+	switch m.RT.Handle(m, err) {
+	case ActionContinue:
+		return Outcome{}, false
+	case ActionBlock:
+		return Outcome{Kind: OutBlocked}, true
+	default:
+		var trap *Trap
+		if !errors.As(err, &trap) {
+			trap = &Trap{Code: ir.TrapBadAccess, PC: m.pcString()}
+			if ae := (*mem.AccessError)(nil); errors.As(err, &ae) {
+				trap.Addr = ae.Addr
 			}
-			m.exited = true
-			return Outcome{Kind: OutTrapped, Code: trap.Code, Trap: trap}
+			if de := (*mem.DomainError)(nil); errors.As(err, &de) {
+				trap.Code, trap.Addr = ir.TrapDomain, de.Addr
+			}
 		}
+		m.exited = true
+		return Outcome{Kind: OutTrapped, Code: trap.Code, Trap: trap}, true
 	}
 }
 
@@ -747,19 +765,31 @@ func (s *Snapshot) Digest() uint64 {
 	return h
 }
 
-// step executes one instruction. On success the program counter has
+// step executes the instruction at the current position: the block-bounds
+// check and BlockHook, then exec. On success the program counter has
 // advanced; on error it still points at the faulting instruction.
 func (m *Machine) step() error {
 	f := &m.frames[len(m.frames)-1]
 	blk := f.Fn.Blocks[f.Blk]
 	if f.Idx >= len(blk.Instrs) {
-		return fmt.Errorf("interp: fell off block %s.b%d", f.Fn.Name, f.Blk)
+		return m.fellOff(f)
 	}
 	if f.Idx == 0 && m.BlockHook != nil {
 		m.BlockHook(f.Fn.Name, f.Blk)
 	}
-	in := &blk.Instrs[f.Idx]
+	return m.exec(f, &blk.Instrs[f.Idx])
+}
 
+func (m *Machine) fellOff(f *Frame) error {
+	return fmt.Errorf("interp: fell off block %s.b%d", f.Fn.Name, f.Blk)
+}
+
+// exec executes in, the instruction at f's position, where f is the top
+// frame: the reference semantics of every instruction. The bytecode
+// backend keeps its own copies only of the pure register and memory
+// operations and of calls; every instruction that calls into the runtime
+// or leaves the function runs here on both backends.
+func (m *Machine) exec(f *Frame, in *ir.Instr) error {
 	switch in.Op {
 	case ir.OpConst:
 		f.Regs[in.Dst] = in.Imm
@@ -785,29 +815,18 @@ func (m *Machine) step() error {
 		}
 		m.Cycles += CostSimple
 	case ir.OpLoad:
-		v, err := m.RT.Load(m, f.Regs[in.A]+in.Imm, in.Width)
+		addr := f.Regs[in.A] + in.Imm
+		v, err := m.RT.Load(m, addr, in.Width)
 		if err != nil {
-			if errors.Is(err, mem.ErrUnmapped) {
-				return m.trapHere(ir.TrapBadAccess, f.Regs[in.A]+in.Imm)
-			}
-			if errors.Is(err, mem.ErrDomain) {
-				return m.trapHere(ir.TrapDomain, f.Regs[in.A]+in.Imm)
-			}
-			// Non-memory errors (a pending conflict abort) go to the
-			// runtime's Handle like a failing store would.
-			return err
+			return m.accessError(err, addr)
 		}
 		f.Regs[in.Dst] = v
 		m.Cycles += CostMem
-	case ir.OpStore:
+	case ir.OpStore, ir.OpStmStore:
 		m.Cycles += CostMem
-		if err := m.RT.Store(m, f.Regs[in.A]+in.Imm, f.Regs[in.B], in.Width, false); err != nil {
-			return m.storeError(err, f.Regs[in.A]+in.Imm)
-		}
-	case ir.OpStmStore:
-		m.Cycles += CostMem
-		if err := m.RT.Store(m, f.Regs[in.A]+in.Imm, f.Regs[in.B], in.Width, true); err != nil {
-			return m.storeError(err, f.Regs[in.A]+in.Imm)
+		addr := f.Regs[in.A] + in.Imm
+		if err := m.RT.Store(m, addr, f.Regs[in.B], in.Width, in.Op == ir.OpStmStore); err != nil {
+			return m.accessError(err, addr)
 		}
 	case ir.OpFrameAddr:
 		f.Regs[in.Dst] = f.FP + in.Imm
@@ -894,7 +913,10 @@ func (m *Machine) step() error {
 	return nil
 }
 
-func (m *Machine) storeError(err error, addr int64) error {
+// accessError converts a failed load or store at addr into a trap at the
+// current position. Non-memory errors (a pending conflict abort, a
+// capacity abort) pass through to the runtime's Handle unchanged.
+func (m *Machine) accessError(err error, addr int64) error {
 	if errors.Is(err, mem.ErrUnmapped) {
 		return m.trapHere(ir.TrapBadAccess, addr)
 	}
