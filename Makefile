@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke trace-smoke campaign-smoke diff-smoke replay-smoke eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke smoke-tools trace-smoke campaign-smoke diff-smoke replay-smoke eval examples cover clean
 
 all: build vet test
 
@@ -44,6 +44,12 @@ obsv-smoke:
 	$(GO) run ./cmd/obsvlint -schema profile /tmp/fire-profile.jsonl
 	@echo obsv-smoke OK
 
+# The CLIs the smokes below drive, built once per make invocation.
+BIN := /tmp/fire-bin
+
+smoke-tools:
+	$(GO) build -o $(BIN)/ ./cmd/firebench ./cmd/obsvlint ./cmd/firetrace
+
 # Request-tracing smoke: the full round trip. A chaos soak exports the
 # campaign-global span log; obsvlint validates schema AND trace-ID
 # causality (every req-start reaches exactly one terminal, no orphaned
@@ -51,28 +57,25 @@ obsv-smoke:
 # Chrome trace and folded stacks; then the chaos run and an nginx
 # observability run are repeated and every artifact must compare
 # byte-for-byte — the determinism contract behind all trace tooling.
-trace-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	$(GO) build -o /tmp/obsvlint-bin ./cmd/obsvlint
-	$(GO) build -o /tmp/firetrace-bin ./cmd/firetrace
-	/tmp/firebench-bin -experiment chaos -requests 30 -faults 2 \
+trace-smoke: smoke-tools
+	$(BIN)/firebench -experiment chaos -requests 30 -faults 2 \
 		-concurrency 2 -parallel 4 \
 		-trace-out /tmp/fire-trace-smoke.jsonl > /dev/null
-	/tmp/obsvlint-bin -schema trace -causality /tmp/fire-trace-smoke.jsonl
-	/tmp/firebench-bin -experiment nginx -requests 60 \
+	$(BIN)/obsvlint -schema trace -causality /tmp/fire-trace-smoke.jsonl
+	$(BIN)/firebench -experiment nginx -requests 60 \
 		-trace-out /tmp/fire-trace-nginx.jsonl \
 		-profile /tmp/fire-trace-prof.jsonl > /dev/null
-	/tmp/obsvlint-bin -schema trace -causality /tmp/fire-trace-nginx.jsonl
-	/tmp/firetrace-bin -strict -breakdown -timeline 3 \
+	$(BIN)/obsvlint -schema trace -causality /tmp/fire-trace-nginx.jsonl
+	$(BIN)/firetrace -strict -breakdown -timeline 3 \
 		-chrome /tmp/fire-trace-chrome.json \
 		-folded /tmp/fire-trace-folded.txt -profile /tmp/fire-trace-prof.jsonl \
 		/tmp/fire-trace-smoke.jsonl > /tmp/fire-trace-report.txt
-	/tmp/firebench-bin -experiment chaos -requests 30 -faults 2 \
+	$(BIN)/firebench -experiment chaos -requests 30 -faults 2 \
 		-concurrency 2 -parallel 4 \
 		-trace-out /tmp/fire-trace-smoke2.jsonl > /dev/null
 	cmp /tmp/fire-trace-smoke.jsonl /tmp/fire-trace-smoke2.jsonl
 	cp /tmp/fire-trace-smoke2.jsonl /tmp/fire-trace-smoke.jsonl
-	/tmp/firetrace-bin -strict -breakdown -timeline 3 \
+	$(BIN)/firetrace -strict -breakdown -timeline 3 \
 		-chrome /tmp/fire-trace-chrome2.json \
 		/tmp/fire-trace-smoke.jsonl > /tmp/fire-trace-report2.txt
 	cmp /tmp/fire-trace-report.txt /tmp/fire-trace-report2.txt
@@ -90,17 +93,15 @@ trace-smoke:
 # mismatch, silent incarnation death or cross-request taint leak. The
 # serial-vs-parallel byte-compare of every experiment is the Go test
 # TestSerialEqualsParallel (internal/bench).
-campaign-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	$(GO) build -o /tmp/obsvlint-bin ./cmd/obsvlint
+campaign-smoke: smoke-tools
 	set -e; for row in \
 		"fleet -requests 30 -concurrency 2 -replicas 1,2" \
 		"openloop -requests 60" \
 		"domains -requests 60 -faults 4 -concurrency 2"; do \
 		set -- $$row; exp=$$1; shift; \
-		/tmp/firebench-bin -experiment $$exp "$$@" -parallel 4 \
+		$(BIN)/firebench -experiment $$exp "$$@" -parallel 4 \
 			-trace-out /tmp/fire-$$exp.jsonl > /tmp/fire-$$exp-report.txt; \
-		/tmp/obsvlint-bin -schema trace -causality /tmp/fire-$$exp.jsonl; \
+		$(BIN)/obsvlint -schema trace -causality /tmp/fire-$$exp.jsonl; \
 	done
 	@echo campaign-smoke OK
 
@@ -108,11 +109,10 @@ campaign-smoke:
 # tree-walking interpreter and the compiled bytecode backend must render
 # byte-for-byte identical output — the backend equivalence contract
 # (docs/RUNTIME.md "Bytecode backend") checked end to end.
-diff-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	/tmp/firebench-bin -backend tree -requests 40 -faults 4 \
+diff-smoke: smoke-tools
+	$(BIN)/firebench -backend tree -requests 40 -faults 4 \
 		-concurrency 2 -parallel 4 > /tmp/fire-diff-tree.txt
-	/tmp/firebench-bin -backend bytecode -requests 40 -faults 4 \
+	$(BIN)/firebench -backend bytecode -requests 40 -faults 4 \
 		-concurrency 2 -parallel 4 > /tmp/fire-diff-bytecode.txt
 	cmp /tmp/fire-diff-tree.txt /tmp/fire-diff-bytecode.txt
 	@echo diff-smoke OK
@@ -126,24 +126,22 @@ diff-smoke:
 # and (c) survive a -reverse-step (re-execution to the boundary one
 # retired instruction earlier, cross-checked against the checkpoint
 # ring). Any divergence — one span, one digest — fails the build.
-replay-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	$(GO) build -o /tmp/firetrace-bin ./cmd/firetrace
+replay-smoke: smoke-tools
 	rm -rf /tmp/fire-replay /tmp/fire-replay2
-	/tmp/firebench-bin -experiment chaos -requests 24 -faults 1 \
+	$(BIN)/firebench -experiment chaos -requests 24 -faults 1 \
 		-concurrency 2 -seed 3 -parallel 4 \
 		-record-out /tmp/fire-replay -fingerprint > /dev/null
-	/tmp/firebench-bin -experiment chaos -requests 40 -faults 2 \
+	$(BIN)/firebench -experiment chaos -requests 40 -faults 2 \
 		-concurrency 2 -parallel 4 \
 		-record-out /tmp/fire-replay2 -fingerprint > /dev/null
 	ls /tmp/fire-replay/*.json /tmp/fire-replay2/*.json > /dev/null
 	for m in /tmp/fire-replay/*.json /tmp/fire-replay2/*.json; do \
-		/tmp/firetrace-bin -manifest $$m > /dev/null || exit 1; \
-		/tmp/firetrace-bin -replay $$m -stop-at-cycle 0 \
+		$(BIN)/firetrace -manifest $$m > /dev/null || exit 1; \
+		$(BIN)/firetrace -replay $$m -stop-at-cycle 0 \
 			-replay-spans $$m.replayed.jsonl > /dev/null || exit 1; \
 		cmp $$m.replayed.jsonl $${m%.json}.spans.jsonl || exit 1; \
-		/tmp/firetrace-bin -replay $$m > /dev/null || exit 1; \
-		/tmp/firetrace-bin -replay $$m -reverse-step -ckpt-every 1000 \
+		$(BIN)/firetrace -replay $$m > /dev/null || exit 1; \
+		$(BIN)/firetrace -replay $$m -reverse-step -ckpt-every 1000 \
 			> /dev/null || exit 1; \
 	done
 	@echo replay-smoke OK

@@ -42,9 +42,12 @@
 // experiments: every incarnation that ends unrecovered (or with the
 // crash-loop breaker open) is captured as a replay manifest plus a
 // companion span stream, replayable and reverse-steppable with
-// firetrace -replay. -fingerprint appends the campaign span stream's
-// hash-chain value to those experiments' output — one line that commits
-// to every byte of the -trace-out export.
+// firetrace -replay. -fingerprint appends the span log's hash-chain
+// value to the output of every experiment that has one (chaos, fleet,
+// domains, openloop and the per-app runs) — one line that commits to
+// every byte of the -trace-out export. An output flag (-trace-out,
+// -fingerprint, -metrics-out, -profile) that no selected experiment
+// honours exits 2 before anything runs.
 //
 // The openloop experiment (extra) calibrates the hardened web server's
 // recovery-inclusive service rate closed-loop, then offers fixed
@@ -66,20 +69,35 @@ import (
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/bench"
 	"github.com/firestarter-go/firestarter/internal/boot"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // experiment is one runnable entry: name, a one-line description for
-// -list, and the runner returning rendered output. Extras run only when
-// selected by name — "all" keeps to the paper suite.
+// -list, the output flags it honours, and the runner returning its
+// output. Extras run only when selected by name — "all" keeps to the
+// paper suite.
 type experiment struct {
 	name  string
 	desc  string
 	extra bool
-	run   func(r bench.Runner) (string, error)
+	spans bool // has a span log: honours -trace-out and -fingerprint
+	obs   bool // has metrics and a guest profile: honours -metrics-out and -profile
+	run   func(r bench.Runner) (output, error)
 }
 
-// obsvOut carries the export paths and experiment knobs from the flags
-// to the experiment closures.
+// output is one experiment run's result: the rendered text plus the
+// streams the output flags export.
+type output struct {
+	text  string
+	spans []obsv.SpanEvent     // the experiment's span log (spans experiments)
+	obs   *bench.ObserveResult // metrics and guest profile (obs experiments)
+}
+
+// text wraps a rendered result that exports nothing.
+func text(s string, err error) (output, error) { return output{text: s}, err }
+
+// obsvOut carries the output flags (applied by export) and the fleet
+// experiment's replica counts.
 type obsvOut struct {
 	traceOut    string
 	metricsOut  string
@@ -124,184 +142,121 @@ func experiments(out *obsvOut) []experiment {
 	}
 
 	exps := []experiment{
-		{name: "table2", desc: "Table II: the 101 canonical libc functions by recovery class", run: func(bench.Runner) (string, error) {
-			return bench.TableII().Render(), nil
+		{name: "table2", desc: "Table II: the 101 canonical libc functions by recovery class", run: func(bench.Runner) (output, error) {
+			return text(bench.TableII().Render(), nil)
 		}},
-		{name: "table3", desc: "Table III: normalized performance overhead per server", run: func(r bench.Runner) (string, error) {
+		{name: "table3", desc: "Table III: normalized performance overhead per server", run: func(r bench.Runner) (output, error) {
 			res, err := r.TableIII()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "table4", desc: "Table IV: fault-injection survival campaigns", run: func(r bench.Runner) (string, error) {
+		{name: "table4", desc: "Table IV: fault-injection survival campaigns", run: func(r bench.Runner) (output, error) {
 			res, err := r.TableIV()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "fig3", desc: "Figure 3: adaptive-transaction policies on Nginx", run: func(r bench.Runner) (string, error) {
+		{name: "fig3", desc: "Figure 3: adaptive-transaction policies on Nginx", run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure3()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "fig5", desc: "Figure 5: overhead vs transaction-window length", run: func(r bench.Runner) (string, error) {
+		{name: "fig5", desc: "Figure 5: overhead vs transaction-window length", run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure5()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "fig6", desc: "Figure 6: overhead vs abort-rate threshold θ", run: func(r bench.Runner) (string, error) {
+		{name: "fig6", desc: "Figure 6: overhead vs abort-rate threshold θ", run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure6()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "fig7", desc: "Figure 7: overhead vs working-set footprint", run: func(r bench.Runner) (string, error) {
+		{name: "fig7", desc: "Figure 7: overhead vs working-set footprint", run: func(r bench.Runner) (output, error) {
 			res, err := sharedFig7(r)
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "fig8", desc: "Figure 8: abort rate vs working-set footprint (same runs as fig7)", run: func(r bench.Runner) (string, error) {
+		{name: "fig8", desc: "Figure 8: abort rate vs working-set footprint (same runs as fig7)", run: func(r bench.Runner) (output, error) {
 			res, err := sharedFig7(r)
-			return res.RenderFigure8(), err
+			return text(res.RenderFigure8(), err)
 		}},
-		{name: "fig9", desc: "Figure 9: throughput under a persistent injected fault", run: func(r bench.Runner) (string, error) {
+		{name: "fig9", desc: "Figure 9: throughput under a persistent injected fault", run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure9()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "realworld", desc: "§VI-F: the real-world crash case studies", run: func(r bench.Runner) (string, error) {
+		{name: "realworld", desc: "§VI-F: the real-world crash case studies", run: func(r bench.Runner) (output, error) {
 			res, err := r.RealWorld()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "windows", desc: "transaction-window composition per server", run: func(r bench.Runner) (string, error) {
+		{name: "windows", desc: "transaction-window composition per server", run: func(r bench.Runner) (output, error) {
 			res, err := r.TxWindows()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "ablation", desc: "ablations: divert, retry, geometry, masked writes, restart baseline", run: func(r bench.Runner) (string, error) {
+		{name: "ablation", desc: "ablations: divert, retry, geometry, masked writes, restart baseline", run: func(r bench.Runner) (output, error) {
 			var sb strings.Builder
 			d, err := r.AblationDivert()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			sb.WriteString(d.Render() + "\n")
 			rt, err := r.AblationRetry()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			sb.WriteString(rt.Render() + "\n")
 			g, err := r.AblationGeometry()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			sb.WriteString(g.Render() + "\n")
 			mw, err := r.AblationMaskedWrites()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			sb.WriteString(mw.Render() + "\n")
 			rb, err := r.AblationRestartBaseline()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			sb.WriteString(rb.Render())
-			return sb.String(), nil
+			return text(sb.String(), nil)
 		}},
-		{name: "threads", desc: "multi-worker scaling and abort-cause breakdown (conflict aborts)", run: func(r bench.Runner) (string, error) {
+		{name: "threads", desc: "multi-worker scaling and abort-cause breakdown (conflict aborts)", run: func(r bench.Runner) (output, error) {
 			res, err := r.Threads()
-			return res.Render(), err
+			return text(res.Render(), err)
 		}},
-		{name: "chaos", desc: "chaos soak: seeded fail-stop + fail-silent faults vs the full recovery ladder (extra)", extra: true, run: func(r bench.Runner) (string, error) {
+		{name: "chaos", desc: "chaos soak: seeded fail-stop + fail-silent faults vs the full recovery ladder (extra)", extra: true, spans: true, run: func(r bench.Runner) (output, error) {
 			res, err := r.Chaos()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			if out.traceOut != "" {
-				f, err := os.Create(out.traceOut)
-				if err != nil {
-					return "", err
-				}
-				if err := res.WriteTrace(f); err != nil {
-					f.Close()
-					return "", err
-				}
-				if err := f.Close(); err != nil {
-					return "", err
-				}
-			}
-			text := res.Render()
-			if out.fingerprint {
-				text += fmt.Sprintf("span fingerprint: %016x\n", res.Fingerprint())
-			}
-			return text, nil
+			return output{text: res.Render(), spans: res.Spans}, nil
 		}},
-		{name: "fleet", desc: "fleet scaling: the chaos matrix behind the deterministic L4 balancer at 1/2/4/8 replicas (extra)", extra: true, run: func(r bench.Runner) (string, error) {
+		{name: "fleet", desc: "fleet scaling: the chaos matrix behind the deterministic L4 balancer at 1/2/4/8 replicas (extra)", extra: true, spans: true, run: func(r bench.Runner) (output, error) {
 			sizes, err := parseSizes(out.replicas)
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
 			res, err := r.Fleet(sizes...)
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			if out.traceOut != "" {
-				f, err := os.Create(out.traceOut)
-				if err != nil {
-					return "", err
-				}
-				if err := res.WriteTrace(f); err != nil {
-					f.Close()
-					return "", err
-				}
-				if err := f.Close(); err != nil {
-					return "", err
-				}
-			}
-			return res.Render(), nil
+			return output{text: res.Render(), spans: res.Spans}, nil
 		}},
-		{name: "domains", desc: "heap domains: undo-vs-discard ablation + fail-silent containment on the pool servers (extra)", extra: true, run: func(r bench.Runner) (string, error) {
-			var sb strings.Builder
+		{name: "domains", desc: "heap domains: undo-vs-discard ablation + fail-silent containment on the pool servers (extra)", extra: true, spans: true, run: func(r bench.Runner) (output, error) {
 			ab, err := r.AblationDomains()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			sb.WriteString(ab.Render() + "\n")
 			ct, err := r.Containment()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			if out.traceOut != "" {
-				f, err := os.Create(out.traceOut)
-				if err != nil {
-					return "", err
-				}
-				if err := ct.WriteTrace(f); err != nil {
-					f.Close()
-					return "", err
-				}
-				if err := f.Close(); err != nil {
-					return "", err
-				}
-			}
-			sb.WriteString(ct.Render())
-			return sb.String(), nil
+			return output{text: ab.Render() + "\n" + ct.Render(), spans: ct.Spans}, nil
 		}},
-		{name: "openloop", desc: "open-loop offered-load sweep: latency vs load and the shedding knee over the supervised fleet (extra)", extra: true, run: func(r bench.Runner) (string, error) {
+		{name: "openloop", desc: "open-loop offered-load sweep: latency vs load and the shedding knee over the supervised fleet (extra)", extra: true, spans: true, run: func(r bench.Runner) (output, error) {
 			res, err := r.OpenLoop()
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			if out.traceOut != "" {
-				f, err := os.Create(out.traceOut)
-				if err != nil {
-					return "", err
-				}
-				if err := res.WriteTrace(f); err != nil {
-					f.Close()
-					return "", err
-				}
-				if err := f.Close(); err != nil {
-					return "", err
-				}
-			}
-			text := res.Render()
-			if out.fingerprint {
-				text += fmt.Sprintf("span fingerprint: %016x\n", res.Fingerprint())
-			}
-			return text, nil
+			return output{text: res.Render(), spans: res.Spans}, nil
 		}},
 	}
 	for _, app := range apps.All() {
-		exps = append(exps, observeExperiment(app.Name, out))
+		exps = append(exps, observeExperiment(app.Name))
 	}
 	return exps
 }
@@ -309,47 +264,89 @@ func experiments(out *obsvOut) []experiment {
 // observeExperiment builds the per-app observability extra: the hardened
 // app under the standard workload with spans, metrics and the profiler
 // enabled, exported through the -trace-out/-metrics-out/-profile flags.
-func observeExperiment(appName string, out *obsvOut) experiment {
+func observeExperiment(appName string) experiment {
 	return experiment{
 		name:  appName,
 		desc:  "observability run: hardened " + appName + " with spans, metrics, guest profiler (extra)",
 		extra: true,
-		run: func(r bench.Runner) (string, error) {
+		spans: true,
+		obs:   true,
+		run: func(r bench.Runner) (output, error) {
 			res, err := r.Observe(appName)
 			if err != nil {
-				return "", err
+				return output{}, err
 			}
-			if err := exportObsv(res, out); err != nil {
-				return "", err
-			}
-			return res.Render(), nil
+			return output{text: res.Render(), spans: res.Spans, obs: res}, nil
 		},
 	}
 }
 
-// exportObsv writes the requested JSONL exports.
-func exportObsv(res *bench.ObserveResult, out *obsvOut) error {
-	write := func(path string, render func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+// check rejects an output flag that no selected experiment honours, so
+// it fails before anything runs instead of being silently ignored.
+func (o *obsvOut) check(selected []experiment) error {
+	var spans, obs bool
+	for _, e := range selected {
+		spans = spans || e.spans
+		obs = obs || e.obs
 	}
-	if err := write(out.traceOut, res.WriteTrace); err != nil {
+	for _, f := range []struct {
+		flag          string
+		set, honoured bool
+		what          string
+	}{
+		{"-trace-out", o.traceOut != "", spans, "a span log"},
+		{"-fingerprint", o.fingerprint, spans, "a span log"},
+		{"-metrics-out", o.metricsOut != "", obs, "metrics"},
+		{"-profile", o.profileOut != "", obs, "a guest profile"},
+	} {
+		if f.set && !f.honoured {
+			return fmt.Errorf("%s: no selected experiment has %s", f.flag, f.what)
+		}
+	}
+	return nil
+}
+
+// export writes the output files the flags ask for and returns the run's
+// text, with the span fingerprint line appended under -fingerprint. Every
+// span log goes through one obsv.Sequence: the bytes -trace-out writes
+// are the bytes the fingerprint commits to.
+func (o *obsvOut) export(e experiment, res output) (string, error) {
+	text := res.text
+	if e.spans && (o.traceOut != "" || o.fingerprint) {
+		log := obsv.Sequence(res.spans)
+		if err := writeFile(o.traceOut, log.WriteJSONL); err != nil {
+			return "", err
+		}
+		if o.fingerprint {
+			text += fmt.Sprintf("span fingerprint: %016x\n", log.Fingerprint())
+		}
+	}
+	if e.obs {
+		if err := writeFile(o.metricsOut, res.obs.WriteMetrics); err != nil {
+			return "", err
+		}
+		if err := writeFile(o.profileOut, res.obs.WriteProfile); err != nil {
+			return "", err
+		}
+	}
+	return text, nil
+}
+
+// writeFile writes through render to path (nothing when path is empty),
+// propagating close errors.
+func writeFile(path string, render func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if err := write(out.metricsOut, res.WriteMetrics); err != nil {
+	if err := render(f); err != nil {
+		f.Close()
 		return err
 	}
-	return write(out.profileOut, res.WriteProfile)
+	return f.Close()
 }
 
 func names(out *obsvOut) []string {
@@ -369,7 +366,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("firebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all",
+		expName = fs.String("experiment", "all",
 			"experiment to run (all, "+strings.Join(names(&out), ", ")+")")
 		list     = fs.Bool("list", false, "list experiment names and exit")
 		requests = fs.Int("requests", 300, "requests per measurement run")
@@ -379,11 +376,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 1, "worker pool size for measurement runs (1 = serial; results are identical)")
 		backend  = fs.String("backend", "tree", "execution backend for guest machines (tree, bytecode); output is byte-identical either way")
 	)
-	fs.StringVar(&out.traceOut, "trace-out", "", "write the structured span trace as JSONL to this file (observability experiments)")
-	fs.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (observability experiments)")
-	fs.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.traceOut, "trace-out", "", "write the span log as JSONL to this file (chaos, fleet, domains, openloop, per-app runs)")
+	fs.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (per-app runs)")
+	fs.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (per-app runs)")
 	fs.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
-	fs.BoolVar(&out.fingerprint, "fingerprint", false, "print the span-stream hash-chain fingerprint (chaos, openloop)")
+	fs.BoolVar(&out.fingerprint, "fingerprint", false, "print the span log's hash-chain fingerprint (chaos, fleet, domains, openloop, per-app runs)")
 	recordOut := fs.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -414,26 +411,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RecordDir:       *recordOut,
 	}
 
-	ran := false
+	var selected []experiment
 	for _, e := range experiments(&out) {
-		if *experiment == "all" && e.extra {
-			continue
+		if *expName == "all" && !e.extra || *expName == e.name {
+			selected = append(selected, e)
 		}
-		if *experiment != "all" && *experiment != e.name {
-			continue
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "firebench: unknown experiment %q\n", *expName)
+		fmt.Fprintln(stderr, "available: all, "+strings.Join(names(&out), ", "))
+		return 2
+	}
+	if err := out.check(selected); err != nil {
+		fmt.Fprintf(stderr, "firebench: %v\n", err)
+		return 2
+	}
+	for _, e := range selected {
+		res, err := e.run(r)
+		if err == nil {
+			res.text, err = out.export(e, res)
 		}
-		ran = true
-		text, err := e.run(r)
 		if err != nil {
 			fmt.Fprintf(stderr, "firebench: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Fprintln(stdout, text)
-	}
-	if !ran {
-		fmt.Fprintf(stderr, "firebench: unknown experiment %q\n", *experiment)
-		fmt.Fprintln(stderr, "available: all, "+strings.Join(names(&out), ", "))
-		return 2
+		fmt.Fprintln(stdout, res.text)
 	}
 	return 0
 }

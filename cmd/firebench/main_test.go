@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // An unknown -backend is rejected before any experiment runs — including
@@ -36,6 +41,76 @@ func TestKnownBackendsRunTable2(t *testing.T) {
 		}
 		if !strings.Contains(stdout.String(), "Table II") {
 			t.Errorf("-backend %s: no Table II in output:\n%s", backend, stdout.String())
+		}
+	}
+}
+
+// An output flag that no selected experiment honours exits 2 before
+// anything runs, instead of being silently ignored: table2 and the
+// default suite have no span log, metrics or profile, and fleet has a
+// span log but no metrics or profile.
+func TestUnhonouredOutputFlagRejected(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "out.jsonl")
+	for _, args := range [][]string{
+		{"-experiment", "table2", "-trace-out", file, "-fingerprint"},
+		{"-experiment", "table2", "-trace-out", file},
+		{"-experiment", "table2", "-fingerprint"},
+		{"-experiment", "table2", "-metrics-out", file},
+		{"-experiment", "table2", "-profile", file},
+		{"-fingerprint"},
+		{"-trace-out", file},
+		{"-experiment", "fleet", "-metrics-out", file},
+		{"-experiment", "fleet", "-profile", file},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %d bytes before failing", args, stdout.Len())
+		}
+		if !strings.Contains(stderr.String(), "no selected experiment") {
+			t.Errorf("%v: stderr %q does not explain the rejection", args, stderr.String())
+		}
+		if _, err := os.Stat(file); err == nil {
+			t.Fatalf("%v: wrote %s", args, file)
+		}
+	}
+}
+
+// Every experiment with a span log honours -trace-out and -fingerprint
+// through the same path: the printed fingerprint is the hash chain of
+// exactly the events the trace file holds.
+func TestSpanLogExperimentsHonourOutputFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-experiment", "fleet", "-requests", "3", "-faults", "1", "-concurrency", "1", "-replicas", "1"},
+		{"-experiment", "domains", "-requests", "10", "-faults", "1", "-concurrency", "2"},
+		{"-experiment", "openloop", "-requests", "10", "-faults", "1"},
+		{"-experiment", "nginx", "-requests", "10"},
+	} {
+		file := filepath.Join(dir, args[1]+".jsonl")
+		args = append(args, "-trace-out", file, "-fingerprint")
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		spans, err := obsv.ReadSpans(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if len(spans) == 0 {
+			t.Errorf("%v: empty span log", args)
+		}
+		want := fmt.Sprintf("span fingerprint: %016x\n", obsv.Fingerprint(spans))
+		if !strings.HasSuffix(stdout.String(), want+"\n") {
+			t.Errorf("%v: output does not end with %q:\n%s", args, want, stdout.String())
 		}
 	}
 }

@@ -109,7 +109,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "firetrace: %v\n", err)
 		return 2
 	}
-	spans, err := parseSpans(f)
+	spans, err := obsv.ReadSpans(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "firetrace: %s: %v\n", path, err)
@@ -165,30 +165,6 @@ func writeFile(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseSpans decodes a span-trace JSONL stream.
-func parseSpans(r io.Reader) ([]obsv.SpanEvent, error) {
-	var spans []obsv.SpanEvent
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e obsv.SpanEvent
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		spans = append(spans, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return spans, nil
 }
 
 // Request outcomes.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 func loadSpans(t *testing.T, path string) *report {
@@ -15,7 +17,7 @@ func loadSpans(t *testing.T, path string) *report {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := parseSpans(f)
+	spans, err := obsv.ReadSpans(f)
 	if err != nil {
 		t.Fatal(err)
 	}

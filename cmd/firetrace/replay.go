@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
 )
 
@@ -115,7 +116,7 @@ func runReplay(path string, stopAt int64, reverse bool, ckptEvery int64, ckptRin
 	}
 	if spansOut != "" {
 		if err := writeFile(spansOut, func(w io.Writer) error {
-			return replay.WriteSpans(w, live.Spans)
+			return obsv.WriteSpans(w, live.Spans)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "firetrace: %v\n", err)
 			return 2

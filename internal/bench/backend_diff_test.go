@@ -9,6 +9,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // TestBackendsProduceIdenticalResults is the differential-execution
@@ -78,7 +79,7 @@ func TestObserveOutputIdenticalAcrossBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		var trace, metrics, profile bytes.Buffer
-		if err := res.WriteTrace(&trace); err != nil {
+		if err := obsv.Sequence(res.Spans).WriteJSONL(&trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := res.WriteMetrics(&metrics); err != nil {

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
-	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
@@ -168,14 +166,7 @@ func (r Runner) Chaos() (ChaosResult, error) {
 		default:
 			row.None++
 		}
-		for _, e := range lr.Spans {
-			e.Cycles += clock
-			if e.Trace != 0 {
-				e.Trace += traceBase
-			}
-			e.Seq = 0
-			out.Spans = append(out.Spans, e)
-		}
+		out.Spans = obsv.Rebase(out.Spans, lr.Spans, clock, traceBase)
 		clock += lr.Sup.ClockCycles
 		traceBase += lr.Traces
 	}
@@ -214,21 +205,10 @@ func (c ChaosResult) Render() string {
 	return sb.String()
 }
 
-// WriteTrace writes the campaign-global span log as JSONL, re-stamped
-// with dense sequence numbers (the obsvlint trace schema).
-func (c ChaosResult) WriteTrace(w io.Writer) error {
-	log := &obsv.SpanLog{Limit: len(c.Spans) + 1}
-	for _, e := range c.Spans {
-		e.Seq = 0
-		log.Append(e)
-	}
-	return log.WriteJSONL(w)
-}
-
 // Fingerprint returns the hash-chain value of the campaign-global span
 // stream in its exported (densely re-sequenced) form — one number that
 // commits to every byte -trace-out would write. Identical for a fixed
 // seed at any Parallelism.
 func (c ChaosResult) Fingerprint() uint64 {
-	return obsv.Fingerprint(replay.NormalizeSpans(c.Spans))
+	return obsv.Sequence(c.Spans).Fingerprint()
 }

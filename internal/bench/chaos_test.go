@@ -79,7 +79,7 @@ func TestChaosAttributesEveryFault(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := res.WriteTrace(&buf); err != nil {
+	if err := obsv.Sequence(res.Spans).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(res.Spans) {

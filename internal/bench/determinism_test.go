@@ -79,7 +79,7 @@ func TestObservabilityOutputIsByteDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var trace, metrics, profile bytes.Buffer
-		if err := res.WriteTrace(&trace); err != nil {
+		if err := obsv.Sequence(res.Spans).WriteJSONL(&trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := res.WriteMetrics(&metrics); err != nil {
@@ -146,7 +146,7 @@ func TestSerialEqualsParallel(t *testing.T) {
 		}},
 		{"chaos", chaosRunner(), func(r Runner) (detOutput, error) {
 			res, err := r.Chaos()
-			return detOutput{res.Render(), res.WriteTrace}, err
+			return detOutput{res.Render(), obsv.Sequence(res.Spans).WriteJSONL}, err
 		}},
 		{"domains", domainsRunner(), func(r Runner) (detOutput, error) {
 			ab, err := r.AblationDomains()
@@ -154,15 +154,15 @@ func TestSerialEqualsParallel(t *testing.T) {
 				return detOutput{}, err
 			}
 			ct, err := r.Containment()
-			return detOutput{ab.Render() + ct.Render(), ct.WriteTrace}, err
+			return detOutput{ab.Render() + ct.Render(), obsv.Sequence(ct.Spans).WriteJSONL}, err
 		}},
 		{"fleet", Runner{Requests: 30, Concurrency: 2, Seed: 3}, func(r Runner) (detOutput, error) {
 			res, err := r.Fleet(1, 2)
-			return detOutput{res.Render(), res.WriteTrace}, err
+			return detOutput{res.Render(), obsv.Sequence(res.Spans).WriteJSONL}, err
 		}},
 		{"openloop", Runner{Requests: 60, Seed: 1}, func(r Runner) (detOutput, error) {
 			res, err := r.OpenLoop()
-			return detOutput{res.Render(), res.WriteTrace}, err
+			return detOutput{res.Render(), obsv.Sequence(res.Spans).WriteJSONL}, err
 		}},
 	}
 	for _, row := range rows {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
@@ -318,14 +317,7 @@ func (r Runner) Containment() (ContainResult, error) {
 		row.Leaks += len(lr.Leaks)
 		row.Silent += int64(lr.Sup.StateLost) - int64(lr.Sup.Restarts) - obsv.Flag(lr.Sup.BreakerOpen)
 		out.Writes += lr.Taints
-		for _, e := range lr.Spans {
-			e.Cycles += clock
-			if e.Trace != 0 {
-				e.Trace += traceBase
-			}
-			e.Seq = 0
-			out.Spans = append(out.Spans, e)
-		}
+		out.Spans = obsv.Rebase(out.Spans, lr.Spans, clock, traceBase)
 		clock += lr.Sup.ClockCycles
 		traceBase += lr.Traces
 	}
@@ -350,15 +342,4 @@ func (c ContainResult) Render() string {
 	fmt.Fprintf(&sb, "overall: %d/%d campaigns survived; %d response writes audited, 0 cross-request leaks, 0 silent deaths; stats==metrics==spans on every campaign\n",
 		c.Survived, c.Campaigns, c.Writes)
 	return sb.String()
-}
-
-// WriteTrace writes the campaign-global span log as JSONL, re-stamped
-// with dense sequence numbers (the obsvlint trace schema).
-func (c ContainResult) WriteTrace(w io.Writer) error {
-	log := &obsv.SpanLog{Limit: len(c.Spans) + 1}
-	for _, e := range c.Spans {
-		e.Seq = 0
-		log.Append(e)
-	}
-	return log.WriteJSONL(w)
 }

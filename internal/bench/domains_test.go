@@ -128,7 +128,7 @@ func TestContainmentZeroLeaks(t *testing.T) {
 		t.Errorf("merged containment spans violate trace causality:\n  %s", strings.Join(errs, "\n  "))
 	}
 	var buf bytes.Buffer
-	if err := res.WriteTrace(&buf); err != nil {
+	if err := obsv.Sequence(res.Spans).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(res.Spans) {

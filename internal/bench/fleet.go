@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 
@@ -248,14 +247,7 @@ func (r Runner) Fleet(sizes ...int) (FleetResult, error) {
 		if fr.Res.RecoveryLatency != nil {
 			row.recovHist.Merge(fr.Res.RecoveryLatency)
 		}
-		for _, e := range fr.Spans {
-			e.Cycles += clock
-			if e.Trace != 0 {
-				e.Trace += traceBase
-			}
-			e.Seq = 0
-			out.Spans = append(out.Spans, e)
-		}
+		out.Spans = obsv.Rebase(out.Spans, fr.Spans, clock, traceBase)
 		clock += fr.Wall
 		traceBase += int64(fr.Res.Sent)
 	}
@@ -304,15 +296,4 @@ func (f FleetResult) Render() string {
 	fmt.Fprintf(&sb, "overall: %d/%d campaigns survived (%.1f%%), %d traced requests across %d spans\n",
 		f.Survived, f.Campaigns, pct, f.Traces, len(f.Spans))
 	return sb.String()
-}
-
-// WriteTrace writes the experiment-global span log as JSONL, re-stamped
-// with dense sequence numbers (the obsvlint trace schema).
-func (f FleetResult) WriteTrace(w io.Writer) error {
-	log := &obsv.SpanLog{Limit: len(f.Spans) + 1}
-	for _, e := range f.Spans {
-		e.Seq = 0
-		log.Append(e)
-	}
-	return log.WriteJSONL(w)
 }

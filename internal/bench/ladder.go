@@ -137,11 +137,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 				lr.Taints += int64(len(taints))
 				lr.Leaks = append(lr.Leaks, faultinj.CheckReach(taints)...)
 			}
-			for _, e := range inst.RT.Spans() {
-				e.Cycles += offset
-				e.Seq = 0
-				lr.Spans = append(lr.Spans, e)
-			}
+			lr.Spans = obsv.Rebase(lr.Spans, inst.RT.Spans(), offset, 0)
 			lr.Dropped += inst.RT.TraceDropped()
 			inst.RT.PublishMetrics(lr.Registry)
 			if record {
@@ -193,7 +189,9 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	}
 	sup.PublishMetrics(lr.Registry)
 	supervisor.Metrics.AddTo(&lr.Totals, &lr.Sup)
-	lr.Spans = mergeSpans(lr.Spans, sup.Spans())
+	// On equal cycles the runtime events precede the supervisor's verdict
+	// about them.
+	lr.Spans = obsv.Merge(lr.Spans, sup.Spans())
 	// Keep the failing incarnations' recordings: every unrecovered one,
 	// plus the final incarnation when the crash-loop breaker gave up.
 	for i := range recCands {
@@ -209,25 +207,6 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 		lr.Recordings = append(lr.Recordings, c.rec)
 	}
 	return lr, nil
-}
-
-// mergeSpans merges two cycle-ordered span slices, preferring a's events
-// on ties (runtime events precede the supervisor's verdict about them).
-func mergeSpans(a, b []obsv.SpanEvent) []obsv.SpanEvent {
-	out := make([]obsv.SpanEvent, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Cycles < a[i].Cycles {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // rung names the coarsest ladder rung the campaign escalated to — the

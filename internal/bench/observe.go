@@ -160,16 +160,6 @@ func histOf(samples []int64) *obsv.Hist {
 	return h
 }
 
-// WriteTrace writes the span log as JSONL.
-func (o *ObserveResult) WriteTrace(w io.Writer) error {
-	log := &obsv.SpanLog{Limit: len(o.Spans) + 1}
-	for _, e := range o.Spans {
-		e.Seq = 0 // re-stamped by the log
-		log.Append(e)
-	}
-	return log.WriteJSONL(w)
-}
-
 // WriteMetrics writes the aggregated registry as JSONL.
 func (o *ObserveResult) WriteMetrics(w io.Writer) error { return o.Registry.WriteJSONL(w) }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
@@ -212,14 +211,7 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 	// space, calibration campaign first.
 	var clock, traceBase int64
 	appendSpans := func(spans []obsv.SpanEvent, wall int64, sent int) {
-		for _, e := range spans {
-			e.Cycles += clock
-			if e.Trace != 0 {
-				e.Trace += traceBase
-			}
-			e.Seq = 0
-			out.Spans = append(out.Spans, e)
-		}
+		out.Spans = obsv.Rebase(out.Spans, spans, clock, traceBase)
 		clock += wall
 		traceBase += int64(sent)
 	}
@@ -306,20 +298,9 @@ func (o OpenLoopResult) Render() string {
 	return sb.String()
 }
 
-// WriteTrace writes the experiment-global span log as JSONL, re-stamped
-// with dense sequence numbers (the obsvlint trace schema).
-func (o OpenLoopResult) WriteTrace(w io.Writer) error {
-	log := &obsv.SpanLog{Limit: len(o.Spans) + 1}
-	for _, e := range o.Spans {
-		e.Seq = 0
-		log.Append(e)
-	}
-	return log.WriteJSONL(w)
-}
-
 // Fingerprint returns the hash-chain value of the experiment-global
 // span stream in its exported (densely re-sequenced) form. Identical
 // for a fixed seed at any Parallelism.
 func (o OpenLoopResult) Fingerprint() uint64 {
-	return obsv.Fingerprint(replay.NormalizeSpans(o.Spans))
+	return obsv.Sequence(o.Spans).Fingerprint()
 }

@@ -823,7 +823,7 @@ func (rt *Runtime) inject(m *interp.Machine, siteID int) int64 {
 		rt.os.Errno = entry.Errno
 	}
 	if rt.tracing {
-		rt.emit(EvInject, siteID, fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
+		rt.emitSpan(obsv.SpanInject, siteID, "", "", fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
 	}
 	return entry.ErrorReturn
 }
@@ -996,7 +996,7 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 		st.domLatched = true
 		rt.stats.DomainLatches++
 		if rt.tracing {
-			rt.emit(EvLatchDomains, site,
+			rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
 				fmt.Sprintf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
 		}
 	}
@@ -1200,13 +1200,13 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 				st.domLatched = true
 				rt.stats.DomainLatches++
 				if rt.tracing {
-					rt.emit(EvLatchDomains, site,
+					rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
 						fmt.Sprintf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
 				}
 				return
 			}
 			if !st.stmLatched {
-				rt.emit(EvLatchSTM, site, "")
+				rt.emitSpan(obsv.SpanLatchSTM, site, "", "", "")
 			}
 			st.stmLatched = true
 		}
@@ -1274,7 +1274,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			return rt.shed(m, site, "crash outside any transaction")
 		}
 		rt.stats.Unrecovered++
-		rt.emit(EvUnrecovered, site, "crash outside any transaction")
+		rt.emitSpan(obsv.SpanUnrecovered, site, "", "", "crash outside any transaction")
 		return interp.ActionDie
 	}
 
@@ -1336,7 +1336,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			// every other unrecovered crash.
 			rt.stats.Unrecovered++
 			if rt.tracing {
-				rt.emit(EvUnrecovered, tx.site, fmt.Sprintf("undo-log rollback failed: %v", rerr))
+				rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", fmt.Sprintf("undo-log rollback failed: %v", rerr))
 			}
 			return interp.ActionDie
 		}
@@ -1362,7 +1362,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		}
 		rt.stats.Retries++
 		if rt.tracing {
-			rt.emit(EvRetry, tx.site, fmt.Sprintf("attempt=%d", st.crashes))
+			rt.emitSpan(obsv.SpanRetry, tx.site, "", "", fmt.Sprintf("attempt=%d", st.crashes))
 		}
 	default:
 		// Persistent: inject a fault at the gate, if the site allows it
@@ -1377,7 +1377,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 				return rt.shed(m, tx.site, "persistent fault, no injectable gate")
 			}
 			rt.stats.Unrecovered++
-			rt.emit(EvUnrecovered, tx.site, "persistent fault, no injectable gate")
+			rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", "persistent fault, no injectable gate")
 			return interp.ActionDie
 		}
 		st.injectPending = true
@@ -1389,7 +1389,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		rt.stats.LatencyCycles = append(rt.stats.LatencyCycles, lat)
 	}
 	if rt.tracing {
-		rt.emit(EvRecovered, tx.site, fmt.Sprintf("latency=%d", lat))
+		rt.emitSpan(obsv.SpanRecovered, tx.site, "", "", fmt.Sprintf("latency=%d", lat))
 	}
 	return interp.ActionContinue
 }

@@ -42,12 +42,12 @@ func TestTraceTruncationIsSurfaced(t *testing.T) {
 	if h.rt.TraceDropped() == 0 {
 		t.Fatal("crash storm did not overflow the trace; raise the storm or lower the cap")
 	}
-	events := h.rt.Trace()
+	events := h.rt.Spans()
 	if len(events) != 8+1 {
 		t.Fatalf("got %d events, want cap 8 + 1 marker", len(events))
 	}
 	last := events[len(events)-1]
-	if last.Kind != core.EvTruncated {
+	if last.Kind != obsv.SpanTruncated {
 		t.Fatalf("last event = %v, want truncated marker", last)
 	}
 	if !strings.Contains(last.Detail, "dropped=") || !strings.Contains(last.Detail, "limit=8") {

@@ -11,99 +11,9 @@ import (
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
-// EventKind classifies recovery-trace events.
-type EventKind int
-
-// Trace event kinds.
-const (
-	EvHTMAbort EventKind = iota + 1
-	EvCrash
-	EvRetry
-	EvInject
-	EvLatchSTM
-	EvUnrecovered
-	EvTxBegin
-	EvTxCommit
-	EvRecovered
-	EvTruncated
-	EvShed
-	EvReqStart
-	EvReqDone
-	EvReqLost
-	EvLatchDomains
-	EvDomainSwitch
-	EvDomainDiscard
-	EvDomainViolation
-)
-
-// String returns the event name.
-func (k EventKind) String() string {
-	switch k {
-	case EvHTMAbort:
-		return "htm-abort"
-	case EvCrash:
-		return "crash"
-	case EvRetry:
-		return "retry"
-	case EvInject:
-		return "inject"
-	case EvLatchSTM:
-		return "latch-stm"
-	case EvUnrecovered:
-		return "unrecovered"
-	case EvTxBegin:
-		return "begin"
-	case EvTxCommit:
-		return "commit"
-	case EvRecovered:
-		return "recovered"
-	case EvTruncated:
-		return "truncated"
-	case EvShed:
-		return "shed"
-	case EvReqStart:
-		return "req-start"
-	case EvReqDone:
-		return "req-done"
-	case EvReqLost:
-		return "req-lost"
-	case EvLatchDomains:
-		return "latch-domains"
-	case EvDomainSwitch:
-		return "domain-switch"
-	case EvDomainDiscard:
-		return "domain-discard"
-	case EvDomainViolation:
-		return "domain-violation"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
-// Event is one recovery-relevant occurrence, timestamped in cost-model
-// cycles. It is the flat rendering of a structured span event (Spans).
-type Event struct {
-	Cycles int64
-	Kind   EventKind
-	Site   int
-	Call   string // the site's library function, when known
-	Detail string
-}
-
-// String renders the event as one trace line.
-func (e Event) String() string {
-	s := fmt.Sprintf("[%12d] %-11s site=%d", e.Cycles, e.Kind, e.Site)
-	if e.Call != "" {
-		s += " call=" + e.Call
-	}
-	if e.Detail != "" {
-		s += " " + e.Detail
-	}
-	return s
-}
-
-// EnableTrace turns on recovery-event recording (aborts, crashes,
-// retries, injections — the events of the old flat trace).
+// EnableTrace turns on recovery-event span recording (aborts, crashes,
+// retries, injections, the recovery policy's verdicts and the requests
+// they touched); RenderTrace prints them.
 func (rt *Runtime) EnableTrace() { rt.tracing = true }
 
 // EnableSpans turns on full structured span recording: everything
@@ -130,82 +40,27 @@ func (rt *Runtime) SpanFingerprint() uint64 { return rt.spans.Fingerprint() }
 // WriteTrace writes the recorded spans as JSONL, one event per line.
 func (rt *Runtime) WriteTrace(w io.Writer) error { return rt.spans.WriteJSONL(w) }
 
-// flatKind maps a span kind (+ variant) to the flat-trace event kind.
-func flatKind(e obsv.SpanEvent) EventKind {
-	switch e.Kind {
-	case obsv.SpanAbort:
-		return EvHTMAbort
-	case obsv.SpanCrash:
-		return EvCrash
-	case obsv.SpanRetry:
-		return EvRetry
-	case obsv.SpanInject:
-		return EvInject
-	case obsv.SpanLatchSTM:
-		return EvLatchSTM
-	case obsv.SpanUnrecovered:
-		return EvUnrecovered
-	case obsv.SpanBegin:
-		return EvTxBegin
-	case obsv.SpanCommit:
-		return EvTxCommit
-	case obsv.SpanRecovered:
-		return EvRecovered
-	case obsv.SpanShed:
-		return EvShed
-	case obsv.SpanTruncated:
-		return EvTruncated
-	case obsv.SpanReqStart:
-		return EvReqStart
-	case obsv.SpanReqDone:
-		return EvReqDone
-	case obsv.SpanReqLost:
-		return EvReqLost
-	case obsv.SpanLatchDomains:
-		return EvLatchDomains
-	case obsv.SpanDomainSwitch:
-		return EvDomainSwitch
-	case obsv.SpanDomainDiscard:
-		return EvDomainDiscard
-	case obsv.SpanDomainViolation:
-		return EvDomainViolation
-	default:
-		return 0
-	}
-}
-
-// Trace returns the recorded events as the flat rendering of the span
-// log. A truncated span log ends with an EvTruncated event whose Detail
-// carries the dropped count.
-func (rt *Runtime) Trace() []Event {
-	spans := rt.spans.Events()
-	out := make([]Event, 0, len(spans))
-	for _, se := range spans {
-		e := Event{
-			Cycles: se.Cycles,
-			Kind:   flatKind(se),
-			Site:   se.Site,
-			Call:   se.Call,
-			Detail: se.Detail,
-		}
-		if se.Cause != "" {
-			cause := "cause=" + se.Cause
-			if e.Detail == "" {
-				e.Detail = cause
-			} else {
-				e.Detail = cause + " " + e.Detail
-			}
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// RenderTrace formats the recorded events, one per line.
+// RenderTrace formats the recorded span events, one line per event: the
+// cycle stamp, the kind (an abort renders as htm-abort), the site and its
+// library call, then the detail led by the cause. A truncated span log
+// ends with its truncated marker, whose detail carries the dropped count.
 func (rt *Runtime) RenderTrace() string {
 	var sb strings.Builder
-	for _, e := range rt.Trace() {
-		sb.WriteString(e.String())
+	for _, e := range rt.spans.Events() {
+		kind := e.Kind
+		if kind == obsv.SpanAbort {
+			kind = "htm-abort"
+		}
+		fmt.Fprintf(&sb, "[%12d] %-11s site=%d", e.Cycles, kind, e.Site)
+		if e.Call != "" {
+			sb.WriteString(" call=" + e.Call)
+		}
+		if e.Cause != "" {
+			sb.WriteString(" cause=" + e.Cause)
+		}
+		if e.Detail != "" {
+			sb.WriteString(" " + e.Detail)
+		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -221,37 +76,6 @@ func variantName(variant int64) string {
 	default:
 		return ""
 	}
-}
-
-// emit records a basic trace event (no-op unless EnableTrace was called).
-func (rt *Runtime) emit(kind EventKind, site int, detail string) {
-	if !rt.tracing {
-		return
-	}
-	var k string
-	switch kind {
-	case EvHTMAbort:
-		k = obsv.SpanAbort
-	case EvCrash:
-		k = obsv.SpanCrash
-	case EvRetry:
-		k = obsv.SpanRetry
-	case EvInject:
-		k = obsv.SpanInject
-	case EvLatchSTM:
-		k = obsv.SpanLatchSTM
-	case EvUnrecovered:
-		k = obsv.SpanUnrecovered
-	case EvRecovered:
-		k = obsv.SpanRecovered
-	case EvShed:
-		k = obsv.SpanShed
-	case EvLatchDomains:
-		k = obsv.SpanLatchDomains
-	default:
-		return
-	}
-	rt.emitSpan(k, site, "", "", detail)
 }
 
 // emitSpan records one structured span event, attaching the trace ID of

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/analysis"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // TestStatsSnapshotDoesNotAliasSiteMaps is the regression test for the
@@ -55,11 +56,11 @@ func TestEmitResolvesNonGateSiteNames(t *testing.T) {
 		},
 	}
 	rt.EnableTrace()
-	rt.emit(EvCrash, 2, "")
-	rt.emit(EvUnrecovered, 3, "")
-	rt.emit(EvInject, 1, "")
+	rt.emitSpan(obsv.SpanCrash, 2, "", "", "")
+	rt.emitSpan(obsv.SpanUnrecovered, 3, "", "", "")
+	rt.emitSpan(obsv.SpanInject, 1, "", "", "")
 
-	events := rt.Trace()
+	events := rt.Spans()
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3", len(events))
 	}

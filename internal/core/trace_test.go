@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/core"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 func TestTraceRecordsRecoveryStory(t *testing.T) {
@@ -24,18 +25,18 @@ int main() {
 	h.rt.EnableTrace()
 	h.runToExit(t, 9)
 
-	events := h.rt.Trace()
+	events := h.rt.Spans()
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")
 	}
-	// Expected story: crash in HTM → htm-abort, crash under STM, retry,
+	// Expected story: crash in HTM → abort, crash under STM, retry,
 	// crash again, inject.
 	var kinds []string
 	for _, e := range events {
-		kinds = append(kinds, e.Kind.String())
+		kinds = append(kinds, e.Kind)
 	}
 	story := strings.Join(kinds, " ")
-	for _, want := range []string{"htm-abort", "crash", "retry", "inject"} {
+	for _, want := range []string{obsv.SpanAbort, obsv.SpanCrash, obsv.SpanRetry, obsv.SpanInject} {
 		if !strings.Contains(story, want) {
 			t.Errorf("trace %v missing %q", kinds, want)
 		}
@@ -43,7 +44,7 @@ int main() {
 	// The inject event names the gate's library call.
 	found := false
 	for _, e := range events {
-		if e.Kind == core.EvInject {
+		if e.Kind == obsv.SpanInject {
 			found = true
 			if e.Call != "malloc" {
 				t.Errorf("inject call = %q, want malloc", e.Call)
@@ -81,7 +82,7 @@ int main() {
 }`
 	h := newHarness(t, src, core.Config{})
 	h.runToExit(t, 9)
-	if len(h.rt.Trace()) != 0 {
+	if len(h.rt.Spans()) != 0 {
 		t.Fatal("trace recorded without EnableTrace")
 	}
 }
@@ -96,8 +97,8 @@ int main() {
 	h := newHarness(t, src, core.Config{})
 	h.rt.EnableTrace()
 	h.m.Run(1_000_000)
-	events := h.rt.Trace()
-	if len(events) != 1 || events[0].Kind != core.EvUnrecovered {
+	events := h.rt.Spans()
+	if len(events) != 1 || events[0].Kind != obsv.SpanUnrecovered {
 		t.Fatalf("events = %v, want one unrecovered", events)
 	}
 }

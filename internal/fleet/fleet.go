@@ -24,7 +24,6 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"github.com/firestarter-go/firestarter/internal/core"
@@ -950,12 +949,11 @@ func (f *Fleet) harvest(rep *replica) {
 	for _, tr := range be.RT.TouchedTraces() {
 		f.touched[tr] = true
 	}
-	for _, e := range be.RT.Spans() {
-		e.Cycles += rep.bootClock
-		e.Seq = 0
-		e.Replica = rep.id + 1
-		e.Inc = rep.inc + 1
-		f.repSpans = append(f.repSpans, e)
+	n := len(f.repSpans)
+	f.repSpans = obsv.Rebase(f.repSpans, be.RT.Spans(), rep.bootClock, 0)
+	for i := n; i < len(f.repSpans); i++ {
+		f.repSpans[i].Replica = rep.id + 1
+		f.repSpans[i].Inc = rep.inc + 1
 	}
 	f.stats.Dropped += be.RT.TraceDropped()
 	be.RT.PublishMetrics(f.reg, obsv.L("replica", strconv.Itoa(rep.id+1)))
@@ -977,18 +975,13 @@ func (f *Fleet) Finish() {
 			rep.be = nil
 		}
 		rep.sup.PublishMetrics(f.reg, obsv.L("replica", strconv.Itoa(rep.id+1)))
-		for _, e := range rep.sup.Spans() {
-			e.Seq = 0
-			e.Replica = rep.id + 1
-			f.repSpans = append(f.repSpans, e)
+		n := len(f.repSpans)
+		f.repSpans = append(f.repSpans, rep.sup.Spans()...)
+		for i := n; i < len(f.repSpans); i++ {
+			f.repSpans[i].Replica = rep.id + 1
 		}
 	}
-	all := append(f.repSpans, f.spans.Events()...)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Cycles < all[j].Cycles })
-	for i := range all {
-		all[i].Seq = 0
-	}
-	f.merged = all
+	f.merged = obsv.Merge(f.repSpans, f.spans.Events())
 	f.stats.Dropped += f.spans.Dropped()
 	Metrics.Publish(f.reg, &f.stats)
 }

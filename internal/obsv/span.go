@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -171,13 +170,5 @@ func (l *SpanLog) stampMarker() {
 	}
 }
 
-// WriteJSONL writes one JSON object per event.
-func (l *SpanLog) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range l.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// WriteJSONL writes one JSON object per event (see WriteSpans).
+func (l *SpanLog) WriteJSONL(w io.Writer) error { return WriteSpans(w, l.events) }

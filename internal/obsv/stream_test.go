@@ -1,0 +1,177 @@
+package obsv
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestSpanJSONLRoundTrip: WriteSpans → ReadSpans gives back the exact
+// events, both with every field set and with every omitempty field at its
+// zero value, and re-encoding the decoded stream gives the same bytes.
+func TestSpanJSONLRoundTrip(t *testing.T) {
+	in := []SpanEvent{
+		{Seq: 1, Cycles: 10, Thread: 2, Replica: 3, Inc: 4, Trace: 5, Kind: SpanCrash,
+			Site: 6, Call: "malloc", Variant: "stm", Cause: "segv", Detail: "attempt=1"},
+		{Seq: 2, Cycles: 11, Kind: SpanReqStart},
+		{},
+		{Seq: 4, Cycles: 12, Thread: 1, Kind: SpanTruncated, Detail: "dropped=3 limit=3"},
+	}
+	var buf bytes.Buffer
+	if err := WriteSpans(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadSpans(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+	}
+	var again bytes.Buffer
+	if err := WriteSpans(&again, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Errorf("re-encoding changed the bytes:\n%s\nvs\n%s", again.String(), buf.String())
+	}
+}
+
+// TestReadSpansReportsLine: blank lines are skipped, a malformed line
+// fails with its 1-based line number.
+func TestReadSpansReportsLine(t *testing.T) {
+	in := "{\"seq\":1,\"cycles\":0,\"thread\":0,\"kind\":\"begin\"}\n\nnot json\n"
+	_, err := ReadSpans(bytes.NewReader([]byte(in)))
+	if err == nil || !strings.HasPrefix(err.Error(), "line 3:") {
+		t.Fatalf("err = %v, want a line 3 error", err)
+	}
+}
+
+// TestRebaseShiftsNonzeroTraces: cycles move onto the outer clock, a
+// nonzero trace ID onto the outer ID space, trace 0 stays 0, Seq is
+// cleared, and the input is not modified.
+func TestRebaseShiftsNonzeroTraces(t *testing.T) {
+	in := []SpanEvent{
+		{Seq: 1, Cycles: 5, Trace: 0, Kind: SpanAbort},
+		{Seq: 2, Cycles: 7, Trace: 3, Kind: SpanReqDone},
+	}
+	prefix := []SpanEvent{{Cycles: 1, Kind: SpanReboot}}
+	got := Rebase(prefix, in, 100, 40)
+	want := []SpanEvent{
+		{Cycles: 1, Kind: SpanReboot},
+		{Cycles: 105, Trace: 0, Kind: SpanAbort},
+		{Cycles: 107, Trace: 43, Kind: SpanReqDone},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Rebase:\n got %+v\nwant %+v", got, want)
+	}
+	if in[0].Seq != 1 || in[1].Cycles != 7 || in[1].Trace != 3 {
+		t.Errorf("Rebase modified its input: %+v", in)
+	}
+}
+
+// randomStream returns n events with cycles drawn from a small range (so
+// ties are common) and a per-stream tag in Detail; sorted puts them in
+// non-decreasing cycle order.
+func randomStream(rng *rand.Rand, n int, tag string, sorted bool) []SpanEvent {
+	s := make([]SpanEvent, n)
+	for i := range s {
+		s[i] = SpanEvent{Seq: int64(i + 1), Cycles: rng.Int63n(8), Kind: SpanCrash, Detail: tag, Site: i}
+	}
+	if sorted {
+		sort.SliceStable(s, func(i, j int) bool { return s[i].Cycles < s[j].Cycles })
+	}
+	return s
+}
+
+// TestMergeTieOrder: Merge orders equal cycles exactly as the two
+// mergers it replaced did. The supervised campaign merged a runtime
+// stream and a supervisor stream, both cycle-ordered, taking the runtime
+// event first on a tie; the fleet stable-sorted its replica spans (in
+// harvest order, not cycle order) followed by its own events.
+func TestMergeTieOrder(t *testing.T) {
+	ladder := func(a, b []SpanEvent) []SpanEvent {
+		out := make([]SpanEvent, 0, len(a)+len(b))
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			if b[j].Cycles < a[i].Cycles {
+				out = append(out, b[j])
+				j++
+			} else {
+				out = append(out, a[i])
+				i++
+			}
+		}
+		out = append(out, a[i:]...)
+		return append(out, b[j:]...)
+	}
+	fleet := func(reps, own []SpanEvent) []SpanEvent {
+		all := append(append([]SpanEvent(nil), reps...), own...)
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Cycles < all[j].Cycles })
+		return all
+	}
+	noSeq := func(s []SpanEvent) []SpanEvent { return Rebase([]SpanEvent{}, s, 0, 0) }
+
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		a := randomStream(rng, rng.Intn(20), "runtime", true)
+		b := randomStream(rng, rng.Intn(6), "supervisor", true)
+		want := noSeq(ladder(a, b))
+		if got := Merge(a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("campaign merge:\n got %+v\nwant %+v", got, want)
+		}
+		reps := randomStream(rng, rng.Intn(20), "replica", false)
+		own := randomStream(rng, rng.Intn(6), "fleet", true)
+		want = noSeq(fleet(reps, own))
+		// The fleet merged into its replica slice's spare capacity.
+		if got := Merge(append(make([]SpanEvent, 0, 64), reps...), own); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fleet merge:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
+// TestSequenceUncapped: the log Sequence builds takes a stream longer
+// than DefaultSpanLimit whole — no truncated marker, nothing dropped,
+// Seq dense from 1 — and its Fingerprint equals Fingerprint of the
+// events decoded from its JSONL export.
+func TestSequenceUncapped(t *testing.T) {
+	n := DefaultSpanLimit + 10_000
+	spans := make([]SpanEvent, n)
+	for i := range spans {
+		spans[i] = SpanEvent{Seq: 7, Cycles: int64(i), Thread: i % 3, Trace: int64(i % 11), Kind: SpanBegin, Variant: "htm"}
+	}
+	// A per-incarnation log that overflowed contributes its truncated
+	// marker as an ordinary event.
+	spans[n/2] = SpanEvent{Cycles: int64(n / 2), Kind: SpanTruncated, Detail: "dropped=1 limit=8"}
+
+	log := Sequence(spans)
+	if log.Len() != n || log.Dropped() != 0 {
+		t.Fatalf("Len %d Dropped %d, want %d and 0", log.Len(), log.Dropped(), n)
+	}
+	events := log.Events()
+	for i, e := range events {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("event %d: Seq %d, want %d", i, e.Seq, i+1)
+		}
+	}
+	if last := events[n-1]; last.Kind == SpanTruncated {
+		t.Fatalf("uncapped log ends in a truncated marker: %+v", last)
+	}
+	var buf bytes.Buffer
+	if err := log.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded) != n {
+		t.Fatalf("decoded %d events, want %d", len(decoded), n)
+	}
+	if got, want := log.Fingerprint(), Fingerprint(decoded); got != want {
+		t.Errorf("Fingerprint %016x, decoded export fingerprints to %016x", got, want)
+	}
+}

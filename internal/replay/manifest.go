@@ -21,7 +21,6 @@
 package replay
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,19 +132,6 @@ func chainOf(spans []obsv.SpanEvent) ([]string, string) {
 	return chain, fpHex(fp)
 }
 
-// NormalizeSpans re-stamps a merged span stream (fleet/campaign logs
-// carry per-incarnation sequence numbers) with dense 1-based sequence
-// numbers, exactly as the exported JSONL trace does — the canonical
-// form openloop manifests fingerprint.
-func NormalizeSpans(spans []obsv.SpanEvent) []obsv.SpanEvent {
-	log := &obsv.SpanLog{Limit: len(spans) + 1}
-	for _, e := range spans {
-		e.Seq = 0
-		log.Append(e)
-	}
-	return log.Events()
-}
-
 // FailureOutcome classifies a span stream for recording: "unrecovered"
 // if any unrecovered span is present, else "breaker-open" if the
 // breaker opened, else "" (nothing worth recording).
@@ -243,13 +229,13 @@ type OpenLoopRun struct {
 	Open        workload.OpenConfig
 	Outcome     string
 	FinalCycles int64            // fleet wall cycles
-	Spans       []obsv.SpanEvent // fleet-merged spans, pre-normalization
+	Spans       []obsv.SpanEvent // fleet-merged spans, before obsv.Sequence
 }
 
 // RecordOpenLoop builds an open-loop rung recording. The fingerprinted
-// stream is the normalized (densely re-sequenced) fleet span log.
+// stream is the fleet span log densely re-sequenced by obsv.Sequence.
 func RecordOpenLoop(r OpenLoopRun) Recording {
-	spans := NormalizeSpans(r.Spans)
+	spans := obsv.Sequence(r.Spans).Events()
 	chain, final := chainOf(spans)
 	var fault *faultinj.Fault
 	if r.Fault != nil {
@@ -281,19 +267,6 @@ func RecordOpenLoop(r OpenLoopRun) Recording {
 	}
 }
 
-// WriteSpans writes a span stream as JSONL, one event per line — the
-// byte format of companion files and of firetrace -replay-spans, so
-// the two can be compared with cmp.
-func WriteSpans(w io.Writer, spans []obsv.SpanEvent) error {
-	enc := json.NewEncoder(w)
-	for _, e := range spans {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeFile creates path and writes through render, propagating close
 // errors.
 func writeFile(path string, render func(io.Writer) error) error {
@@ -317,7 +290,7 @@ func (rec Recording) Write(dir, base string) (string, error) {
 	}
 	rec.Manifest.SpansFile = base + ".spans.jsonl"
 	if err := writeFile(filepath.Join(dir, rec.Manifest.SpansFile), func(w io.Writer) error {
-		return WriteSpans(w, rec.Spans)
+		return obsv.WriteSpans(w, rec.Spans)
 	}); err != nil {
 		return "", err
 	}
@@ -355,11 +328,14 @@ func Load(path string) (Recording, error) {
 		return rec, fmt.Errorf("replay: %s: %v", path, err)
 	}
 	if man.SpansFile != "" {
-		spans, err := readSpans(filepath.Join(filepath.Dir(path), man.SpansFile))
+		f, err := os.Open(filepath.Join(filepath.Dir(path), man.SpansFile))
+		if err == nil {
+			rec.Spans, err = obsv.ReadSpans(f)
+			f.Close()
+		}
 		if err != nil {
 			return rec, fmt.Errorf("replay: %s: companion: %v", path, err)
 		}
-		rec.Spans = spans
 	}
 	if len(rec.Spans) != len(man.SpanChain) {
 		return rec, fmt.Errorf("replay: %s: %d spans but %d chain entries",
@@ -370,33 +346,4 @@ func Load(path string) (Recording, error) {
 			path, final, man.Fingerprint)
 	}
 	return rec, nil
-}
-
-// readSpans decodes a companion JSONL span stream.
-func readSpans(path string) ([]obsv.SpanEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var spans []obsv.SpanEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e obsv.SpanEvent
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		spans = append(spans, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return spans, nil
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/bench"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/fleet"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
@@ -40,7 +41,7 @@ var chaosRunner = bench.Runner{Requests: 24, Concurrency: 2, Seed: 3, FaultsPerS
 
 // A recorded incarnation must replay to a byte-identical span stream:
 // full verification succeeds, the final fingerprint matches, and
-// WriteSpans reproduces the companion file exactly.
+// obsv.WriteSpans reproduces the companion file exactly.
 func TestChaosRecordingRoundTrip(t *testing.T) {
 	for _, path := range recordChaos(t, chaosRunner) {
 		rec, err := replay.Load(path)
@@ -67,7 +68,7 @@ func TestChaosRecordingRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := replay.WriteSpans(&buf, res.Spans); err != nil {
+		if err := obsv.WriteSpans(&buf, res.Spans); err != nil {
 			t.Fatal(err)
 		}
 		companion, err := os.ReadFile(filepath.Join(filepath.Dir(path), rec.Manifest.SpansFile))

@@ -304,7 +304,7 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 }
 
 // replayOpenLoop re-drives an open-loop rung against a fresh 1-replica
-// fleet and verifies the normalized merged span stream.
+// fleet and verifies the re-sequenced merged span stream.
 func (r *Runner) replayOpenLoop() (*Result, error) {
 	man := &r.Rec.Manifest
 	sc := man.Schedule
@@ -333,7 +333,7 @@ func (r *Runner) replayOpenLoop() (*Result, error) {
 		return nil, err
 	}
 	res := &Result{FinalCycles: fl.Cycles()}
-	live := NormalizeSpans(fl.Spans())
+	live := obsv.Sequence(fl.Spans()).Events()
 	res.Verified, res.Fingerprint, err = verifySpans(man, r.Rec.Spans, live, true)
 	if err != nil {
 		return res, err
