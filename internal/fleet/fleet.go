@@ -737,11 +737,9 @@ func (f *Fleet) drainBack(vc *vconn) bool {
 	if vc.back == nil {
 		return false
 	}
-	out := vc.back.ClientTake()
-	if len(out) == 0 {
+	if vc.back.ForwardOut(vc.front) == 0 {
 		return false
 	}
-	vc.front.ProxyDeliver(out)
 	vc.phase = phaseIdle
 	return true
 }

@@ -1,6 +1,8 @@
 package libsim
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/mem"
@@ -175,6 +177,96 @@ func TestClientTakeAppendKeepsQueue(t *testing.T) {
 	c.ProxyDeliver([]byte("three\n"))
 	if string(taken) != "two\n" {
 		t.Fatalf("a write after ClientTake changed the taken bytes: %q", taken)
+	}
+}
+
+// TestSlowReaderCycleAllocFree pins the slow-reader steady state: the
+// server writes a response and the client drains it three bytes at a
+// time until the queue is empty. Partial drains advance the queue's head
+// and the full drain rewinds it, so once warm the cycle reuses the same
+// storage and allocates nothing.
+func TestSlowReaderCycleAllocFree(t *testing.T) {
+	s := mem.NewSpace()
+	if err := s.Map(mem.GlobalBase, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	o := New(s)
+	_, lfd, _ := serveSetup(t, o)
+	buf := int64(mem.GlobalBase)
+	c := o.Connect(80)
+	cfd, err := o.Call("accept", []int64{lfd})
+	if err != nil || cfd < 0 {
+		t.Fatalf("accept: fd=%d err=%v", cfd, err)
+	}
+	resp := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
+	if err := s.WriteBytes(buf+64, resp); err != nil {
+		t.Fatal(err)
+	}
+	write := []int64{cfd, buf + 64, int64(len(resp))}
+	taken := 0
+	cycle := func() {
+		o.Call("write", write)
+		for c.OutboundLen() > 0 {
+			taken += len(c.ClientTakeN(3))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if want := (4 + 201) * len(resp); taken != want {
+		t.Fatalf("drained %d bytes, want %d", taken, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("slow-reader cycle allocates %.1f objects/response, want 0", allocs)
+	}
+}
+
+// TestForwardOutKeepsBothQueues checks the proxy relay: ForwardOut
+// appends the back's undrained bytes behind the front's backlog, empties
+// the back in place, and leaves the two queues independent, so the
+// back's next write reuses its storage without changing forwarded bytes.
+func TestForwardOutKeepsBothQueues(t *testing.T) {
+	back, front := NewConn(), NewConn()
+	front.ProxyDeliver([]byte("old:"))
+	front.ClientTakeN(2)
+	back.ProxyDeliver([]byte("xxresp\n"))
+	back.ClientTakeN(2)
+	if n := back.ForwardOut(front); n != 5 || back.OutboundLen() != 0 {
+		t.Fatalf("ForwardOut = %d (back queue %d), want 5 (0)", n, back.OutboundLen())
+	}
+	if n := back.ForwardOut(front); n != 0 {
+		t.Fatalf("ForwardOut of an empty queue = %d", n)
+	}
+	if cap(back.out) == 0 {
+		t.Fatal("ForwardOut handed the back's storage away")
+	}
+	back.ProxyDeliver([]byte("next\n"))
+	if got := string(front.ClientTake()); got != "d:resp\n" {
+		t.Fatalf("front = %q, want \"d:resp\\n\"", got)
+	}
+}
+
+// takeSink keeps the benchmarked drains from being optimized away.
+var takeSink []byte
+
+// BenchmarkClientTakeNBacklog drains a backlog three bytes at a time,
+// refilling it when empty; one op is one partial drain. With a
+// head-offset queue ns/op does not depend on the backlog size.
+func BenchmarkClientTakeNBacklog(b *testing.B) {
+	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("backlog=%dKiB", size>>10), func(b *testing.B) {
+			c := NewConn()
+			backlog := bytes.Repeat([]byte("x"), size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.OutboundLen() == 0 {
+					c.ProxyDeliver(backlog)
+				}
+				takeSink = c.ClientTakeN(3)
+			}
+		})
 	}
 }
 

@@ -865,7 +865,7 @@ func (o *OS) doWrite(fd, buf, n int64) (int64, error) {
 		if o.arena.on {
 			o.auditWrite(fd, buf, n, c.trace)
 		}
-		c.out = append(c.out, data...)
+		c.pushOut(data)
 		o.servingFD = fd
 		return n, nil
 	case FDFile:

@@ -198,3 +198,115 @@ func TestPipelinedRequestsShedMidStream(t *testing.T) {
 		t.Fatal("unread pipelined request vanished without the close accounting for it")
 	}
 }
+
+// slowReaderScript drives the outbound queue the way a slow reader meets
+// it: server writes of growing size (so the queue's storage has to grow
+// while a backlog is undrained) interleaved with small partial drains.
+// step receives each take's bytes and the bytes the writes so far
+// promised for that position.
+func slowReaderScript(t *testing.T, step func(taken []byte, want string)) {
+	t.Helper()
+	o := newOS(t)
+	c, fd := acceptConn(t, o, 80)
+	var sent, drained strings.Builder
+	for round := 0; round < 40; round++ {
+		msg := strings.Repeat(string(rune('a'+round%26)), 1+round*7%53) + "\n"
+		addr := putStr(t, o, 0x2000, msg)
+		if w := call(t, o, "write", fd, addr, int64(len(msg))); w != int64(len(msg)) {
+			t.Fatalf("round %d: write = %d", round, w)
+		}
+		sent.WriteString(msg)
+		for k := 0; k < 1+round%3; k++ {
+			taken := c.ClientTakeN(1 + (round+k)%5)
+			off := drained.Len()
+			drained.Write(taken)
+			step(taken, sent.String()[off:drained.Len()])
+		}
+		if got, want := c.OutboundLen(), sent.Len()-drained.Len(); got != want {
+			t.Fatalf("round %d: OutboundLen = %d, want %d", round, got, want)
+		}
+	}
+	rest := c.ClientTakeN(1 << 20)
+	drained.Write(rest)
+	if drained.String() != sent.String() {
+		t.Fatalf("drained %q,\nwant %q", drained.String(), sent.String())
+	}
+	if c.OutboundLen() != 0 {
+		t.Fatalf("OutboundLen after full drain = %d", c.OutboundLen())
+	}
+}
+
+// TestSlowReaderInterleavedOrder checks that partial drains interleaved
+// with server writes return the written bytes in order, with no byte
+// lost or repeated, while the queue's storage grows under a backlog.
+func TestSlowReaderInterleavedOrder(t *testing.T) {
+	slowReaderScript(t, func(taken []byte, want string) {
+		if string(taken) != want {
+			t.Fatalf("take = %q, want %q", taken, want)
+		}
+	})
+}
+
+// TestSlowReaderTakenBytesStable checks the ClientTakeN view contract:
+// bytes a partial drain returned do not change when the server writes
+// more, including writes that grow the queue's storage, as long as the
+// queue has not been drained completely in between (no drain in the
+// script empties it before the end).
+func TestSlowReaderTakenBytesStable(t *testing.T) {
+	type view struct {
+		b    []byte
+		want string
+	}
+	var views []view
+	slowReaderScript(t, func(taken []byte, want string) {
+		views = append(views, view{taken, want})
+		for i, v := range views {
+			if string(v.b) != v.want {
+				t.Fatalf("take %d changed to %q after later writes, want %q", i, v.b, v.want)
+			}
+		}
+	})
+}
+
+// TestSockOutAfterPartialDrain checks write masking (§V-A) against a
+// slow reader: SockOutLen counts only the undrained bytes, and
+// TruncateSockOut at a mark taken after a partial drain retracts only
+// the bytes written after the mark.
+func TestSockOutAfterPartialDrain(t *testing.T) {
+	o := newOS(t)
+	c, fd := acceptConn(t, o, 80)
+	first := putStr(t, o, 0x2000, "0123456789")
+	call(t, o, "write", fd, first, 10)
+	if got := string(c.ClientTakeN(4)); got != "0123" {
+		t.Fatalf("take = %q", got)
+	}
+	if n := o.SockOutLen(fd); n != 6 {
+		t.Fatalf("SockOutLen after partial drain = %d, want 6", n)
+	}
+
+	mark := o.SockOutLen(fd)
+	masked := putStr(t, o, 0x3000, "MASKED")
+	call(t, o, "write", fd, masked, 6)
+	if n := o.SockOutLen(fd); n != 12 {
+		t.Fatalf("SockOutLen after masked write = %d, want 12", n)
+	}
+	if !o.TruncateSockOut(fd, mark) {
+		t.Fatal("TruncateSockOut refused a connection fd")
+	}
+	if n := o.SockOutLen(fd); n != 6 {
+		t.Fatalf("SockOutLen after truncate = %d, want 6", n)
+	}
+	o.TruncateSockOut(fd, 100) // past the end: nothing to retract
+	if got := string(c.ClientTakeN(2)); got != "45" {
+		t.Fatalf("take after truncate = %q", got)
+	}
+	o.TruncateSockOut(fd, 0)
+	if n := o.SockOutLen(fd); n != 0 {
+		t.Fatalf("SockOutLen after truncating to 0 = %d", n)
+	}
+	again := putStr(t, o, 0x2000, "next\n")
+	call(t, o, "write", fd, again, 5)
+	if got := string(c.ClientTake()); got != "next\n" {
+		t.Fatalf("drain after truncation = %q, want \"next\\n\"", got)
+	}
+}

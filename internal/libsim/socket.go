@@ -18,7 +18,15 @@ func (l *Listener) Pending() int { return len(l.queue) }
 // Conn is one established connection. The server side reads from in and
 // writes to out; the client endpoint (package netsim) does the reverse.
 type Conn struct {
-	in, out      []byte
+	in []byte
+
+	// out is the outbound queue's storage; the undrained bytes are
+	// out[outHead:]. A partial drain advances outHead instead of shifting
+	// the backlog down, and a full drain rewinds both to the front of the
+	// storage, so a slow reader costs O(bytes taken) per drain and keeps
+	// no consumed prefix once it catches up.
+	out          []byte
+	outHead      int
 	clientClosed bool // client sent FIN: reads drain then return 0
 	serverClosed bool // server closed its fd
 	reset        bool // client sent RST: reads/writes fail with ECONNRESET
@@ -80,12 +88,24 @@ func (c *Conn) ClientReset() {
 	c.in = nil
 }
 
+// pushOut queues bytes toward the client. When the storage is full, the
+// move to a larger array copies only the undrained bytes, so a reader
+// that never drains completely retains its backlog but no consumed
+// prefix. Bytes already returned by ClientTakeN stay in the old array.
+func (c *Conn) pushOut(data []byte) {
+	if c.outHead > 0 && len(c.out)+len(data) > cap(c.out) {
+		c.out, c.outHead = append(c.out[c.outHead:], data...), 0
+		return
+	}
+	c.out = append(c.out, data...)
+}
+
 // ClientTake drains and returns everything the server has written
 // (netsim side). Ownership of the queue's backing array passes to the
 // caller, so the server's next write starts a new one.
 func (c *Conn) ClientTake() []byte {
-	out := c.out
-	c.out = nil
+	out := c.out[c.outHead:]
+	c.out, c.outHead = nil, 0
 	return out
 }
 
@@ -95,8 +115,8 @@ func (c *Conn) ClientTake() []byte {
 // keeps dst: a client that drains every response into one reused buffer
 // allocates nothing per response in steady state.
 func (c *Conn) ClientTakeAppend(dst []byte) []byte {
-	dst = append(dst, c.out...)
-	c.out = c.out[:0]
+	dst = append(dst, c.out[c.outHead:]...)
+	c.out, c.outHead = c.out[:0], 0
 	return dst
 }
 
@@ -105,21 +125,43 @@ func (c *Conn) ClientTakeAppend(dst []byte) []byte {
 // wrote. The undrained remainder keeps exerting backpressure exactly like
 // a real socket buffer: the server's writes still land, the client just
 // hasn't consumed them.
+//
+// The returned bytes are a view of the queue's storage, not a copy. They
+// stay unchanged until the queue has drained completely and the server
+// writes again (a full drain rewinds the storage for reuse); a caller
+// that keeps them longer copies them.
 func (c *Conn) ClientTakeN(n int) []byte {
-	if n <= 0 || len(c.out) == 0 {
+	live := len(c.out) - c.outHead
+	if n <= 0 || live == 0 {
 		return nil
 	}
-	if n >= len(c.out) {
-		return c.ClientTake()
+	n = min(n, live)
+	out := c.out[c.outHead : c.outHead+n : c.outHead+n]
+	if n == live {
+		c.out, c.outHead = c.out[:0], 0
+	} else {
+		c.outHead += n
 	}
-	out := append([]byte(nil), c.out[:n]...)
-	c.out = append(c.out[:0], c.out[n:]...)
 	return out
+}
+
+// ForwardOut moves everything the server has written on c onto dst's
+// outbound queue, as a proxy relaying a back-end's responses to its
+// client, and returns the number of bytes moved. Both queues keep their
+// storage: c is truncated in place for the server's next writes.
+func (c *Conn) ForwardOut(dst *Conn) int {
+	live := c.out[c.outHead:]
+	if len(live) == 0 {
+		return 0
+	}
+	dst.pushOut(live)
+	c.out, c.outHead = c.out[:0], 0
+	return len(live)
 }
 
 // OutboundLen returns bytes written by the server but not yet drained by
 // the client — the slow-reader backlog.
-func (c *Conn) OutboundLen() int { return len(c.out) }
+func (c *Conn) OutboundLen() int { return len(c.out) - c.outHead }
 
 // Readable reports whether a server-side read would make progress: data is
 // queued, or the client closed (EOF and ECONNRESET are both readable).
@@ -144,9 +186,10 @@ func (c *Conn) ProxyTake() (data []byte, trace int64) {
 	return data, trace
 }
 
-// ProxyDeliver queues response bytes toward the client on behalf of the
-// back-end replica (the balancer-side mirror of a server write).
-func (c *Conn) ProxyDeliver(data []byte) { c.out = append(c.out, data...) }
+// ProxyDeliver queues response bytes toward the client on behalf of a
+// Go-side server (the mirror of a server write). A proxy relaying a
+// back-end connection uses ForwardOut, which keeps both queues' storage.
+func (c *Conn) ProxyDeliver(data []byte) { c.pushOut(data) }
 
 // ClientGone reports whether the client end is gone (FIN or RST): the
 // balancer drops such conns instead of failing them over.
@@ -210,7 +253,7 @@ func (o *OS) SockOutLen(fd int64) int64 {
 	if s == nil || s.Kind != FDConn {
 		return -1
 	}
-	return int64(len(s.Conn.out))
+	return int64(s.Conn.OutboundLen())
 }
 
 // TruncateSockOut drops bytes queued after position n on a connection
@@ -220,8 +263,8 @@ func (o *OS) TruncateSockOut(fd, n int64) bool {
 	if s == nil || s.Kind != FDConn {
 		return false
 	}
-	if n >= 0 && n < int64(len(s.Conn.out)) {
-		s.Conn.out = s.Conn.out[:n]
+	if c := s.Conn; n >= 0 && n < int64(c.OutboundLen()) {
+		c.out = c.out[:c.outHead+int(n)]
 	}
 	return true
 }

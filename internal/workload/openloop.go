@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
@@ -186,15 +188,37 @@ type openArrival struct {
 // from the client's own rng; connections come and go underneath it.
 type openClient struct {
 	id       int
+	order    int // first-touch index: the order every sweep visits clients in
 	rng      *rand.Rand
 	conn     *libsim.Conn
 	queue    []*openArrival // offered, not yet fully delivered (FIFO)
 	inflight []*openArrival // delivered, awaiting response (FIFO)
 	resp     []byte         // drained, not yet matched response bytes
+	scanned  int            // resp[:scanned] holds no complete response
 	fragLeft []byte         // undelivered tail of queue[0]
 	last     int64          // trace of the most recently delivered request
 	slow     bool           // drains SlowBytes per round
 	churn    bool           // close the connection after the next drain
+	active   bool           // in the round's active set
+}
+
+// idle reports whether c has nothing queued, nothing in flight and no
+// connection: no sweep of a round can change it until its next arrival.
+func (c *openClient) idle() bool {
+	return len(c.queue) == 0 && len(c.inflight) == 0 && c.conn == nil
+}
+
+// activate adds c to the active set, which is kept in first-touch order
+// so a round visits clients exactly as a sweep over every client would.
+func activate(active []*openClient, c *openClient) []*openClient {
+	c.active = true
+	if n := len(active); n == 0 || active[n-1].order < c.order {
+		return append(active, c)
+	}
+	i, _ := slices.BinarySearchFunc(active, c.order, func(a *openClient, order int) int {
+		return cmp.Compare(a.order, order)
+	})
+	return slices.Insert(active, i, c)
 }
 
 // RunOpen drives the server open-loop. It shares every seam with Run —
@@ -202,6 +226,12 @@ type openClient struct {
 // sink: every arrival consumes a trace ID in arrival order, so shed
 // arrivals reach a req-lost terminal without a req-start (legal
 // causality: the server never saw them).
+//
+// A round costs O(active clients + bytes moved), not O(population): the
+// sweeps walk only clients with a queued arrival, a request in flight or
+// an open connection, in first-touch order. An offer activates its
+// client; a client leaves the set at the end of the round that left it
+// idle.
 func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 	cfg.defaults()
 	if d.StepBudget <= 0 {
@@ -250,8 +280,9 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		queued    int // undelivered arrivals across all clients
 		conns     int
 		nextTrace = d.TraceBase
-		clis      []*openClient
-		byID      = map[int]*openClient{}
+		byID      = map[int]*openClient{} // every client ever touched
+		active    []*openClient           // the non-idle ones, first-touch order
+		spareResp [][]byte                // empty response buffers of idle clients
 	)
 
 	lose := func(a *openArrival, cause string) {
@@ -279,12 +310,14 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			id := clock.rng.Intn(cfg.Clients)
 			c := byID[id]
 			if c == nil {
-				c = &openClient{id: id, rng: rand.New(rand.NewSource(d.Seed ^ int64(id)))}
-				if cfg.SlowEvery > 0 && (len(clis)+1)%cfg.SlowEvery == 0 {
+				c = &openClient{id: id, order: len(byID), rng: rand.New(rand.NewSource(d.Seed ^ int64(id)))}
+				if cfg.SlowEvery > 0 && (c.order+1)%cfg.SlowEvery == 0 {
 					c.slow = true
 				}
 				byID[id] = c
-				clis = append(clis, c)
+			}
+			if !c.active {
+				active = activate(active, c)
 			}
 			a := &openArrival{at: nextAt, idx: offered}
 			a.req = d.Gen.Next(id, c.rng)
@@ -309,7 +342,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 
 		// Deliver what the connection rules allow, in first-touch client
 		// order (deterministic).
-		for _, c := range clis {
+		for _, c := range active {
 			if len(c.queue) == 0 && len(c.inflight) == 0 {
 				continue
 			}
@@ -321,7 +354,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 					lose(a, "conn-closed")
 				}
 				c.inflight = c.inflight[:0]
-				c.resp = nil
+				c.resp, c.scanned = c.resp[:0], 0
 				if len(c.fragLeft) > 0 {
 					// queue[0] was half-delivered; its prefix died with
 					// the connection.
@@ -398,30 +431,38 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		}
 
 		// Drain and match responses; apply churn and idle-close.
-		for _, c := range clis {
+		for _, c := range active {
 			if c.conn == nil {
 				continue
 			}
-			var out []byte
-			if c.slow {
-				out = c.conn.ClientTakeN(cfg.SlowBytes)
-			} else {
-				out = c.conn.ClientTake()
+			// Responses accumulate in the client's buffer and matched ones
+			// are shifted out in place, so neither it nor the front conn's
+			// queue is reallocated per response. Idle clients hand their
+			// empty buffers on, so storage is held per active client.
+			if c.resp == nil && len(spareResp) > 0 {
+				c.resp, spareResp = spareResp[len(spareResp)-1], spareResp[:len(spareResp)-1]
 			}
-			if len(out) > 0 {
-				c.resp = append(c.resp, out...)
+			had := len(c.resp)
+			if c.slow {
+				c.resp = append(c.resp, c.conn.ClientTakeN(cfg.SlowBytes)...)
+			} else {
+				c.resp = c.conn.ClientTakeAppend(c.resp)
+			}
+			if len(c.resp) > had {
 				progressed = true
 			}
-			for len(c.inflight) > 0 {
+			// Split is a pure function of the buffer: rescan only once it
+			// has grown past the last prefix that held no response.
+			for len(c.inflight) > 0 && len(c.resp) > c.scanned {
 				n := d.Gen.Split(c.resp)
 				if n == 0 {
+					c.scanned = len(c.resp)
 					break
 				}
 				a := c.inflight[0]
 				c.inflight = c.inflight[1:]
-				resp := c.resp[:n]
-				c.resp = append([]byte(nil), c.resp[n:]...)
-				okResp := d.Gen.Check(a.req, resp)
+				okResp := d.Gen.Check(a.req, c.resp[:n])
+				c.resp, c.scanned = c.resp[:copy(c.resp, c.resp[n:])], 0
 				if okResp {
 					res.Completed++
 				} else {
@@ -452,7 +493,9 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		}
 
 		// Patience: the oldest undelivered arrivals abandon the queue.
-		for _, c := range clis {
+		// Clients left idle by this round leave the active set.
+		kept := active[:0]
+		for _, c := range active {
 			for len(c.queue) > 0 && len(c.fragLeft) == 0 {
 				a := c.queue[0]
 				if now-a.at <= cfg.Patience {
@@ -464,7 +507,16 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 				lose(a, "shed")
 				progressed = true
 			}
+			if c.idle() {
+				c.active = false
+				if c.resp != nil && len(c.resp) == 0 {
+					spareResp, c.resp = append(spareResp, c.resp), nil
+				}
+			} else {
+				kept = append(kept, c)
+			}
 		}
+		active = kept
 
 		if progressed {
 			idleRounds, idleCycles = 0, 0
@@ -500,7 +552,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 	case res.Stalled:
 		cause = "stalled"
 	}
-	for _, c := range clis {
+	for _, c := range active {
 		for _, a := range c.inflight {
 			res.Outstanding++
 			lose(a, cause)

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -11,16 +14,16 @@ import (
 )
 
 // newEchoDriver compiles the line-echo server and wraps it in a driver.
-func newEchoDriver(t *testing.T) *Driver {
-	t.Helper()
+func newEchoDriver(tb testing.TB) *Driver {
+	tb.Helper()
 	prog, err := minic.Compile(echoSrc, minic.Config{KnownLib: libsim.Known})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	o := libsim.New(mem.NewSpace())
 	m, err := interp.New(prog, o, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &Driver{OS: o, M: m, Port: 9000, Gen: &echoGen{}, Seed: 1}
 }
@@ -304,4 +307,89 @@ int main() {
 		t.Error("no requests were in flight at the stall")
 	}
 	checkOpenIdentity(t, res)
+}
+
+// crowdConfig turns every driver feature on at the population size the
+// open-loop campaign runs: 20k modelled clients, slow readers, fragmented
+// requests, churn and pipelining, offered past the echo server's knee so
+// a share of the arrivals shed.
+var crowdConfig = OpenConfig{
+	Total: 1000, Clients: 20000, RatePerMcycle: 2500,
+	MaxConns: 16, PipelineDepth: 2, Patience: 60_000,
+	ChurnEvery: 5, SlowEvery: 7, FragmentEvery: 11,
+}
+
+// orderSink hashes every terminal in the order the driver emits it.
+type orderSink struct{ h hash.Hash64 }
+
+func (s *orderSink) ReqDone(trace int64, ok bool) bool {
+	fmt.Fprintf(s.h, "done %d %t\n", trace, ok)
+	return false
+}
+
+func (s *orderSink) ReqLost(trace int64, cause string) {
+	fmt.Fprintf(s.h, "lost %d %s\n", trace, cause)
+}
+
+// TestOpenLoopCrowdPinned pins the driver's observable behaviour on
+// crowdConfig to fixed values, so a change to how a round finds its
+// clients (the active set) cannot reorder deliveries, drains or sheds
+// unnoticed: the repeat-run tests compare the driver only with itself.
+// Traced, the order of every terminal is pinned as well.
+func TestOpenLoopCrowdPinned(t *testing.T) {
+	type counters struct {
+		Completed, Shed, ConnLost, Abandoned, Outstanding, PeakQueue int
+		Wall, Cycles                                                 int64
+	}
+	for _, tc := range []struct {
+		traced    bool
+		want      counters
+		terminals uint64
+		cleanSum  int64
+	}{
+		{want: counters{Completed: 779, Shed: 221, PeakQueue: 162, Wall: 458054, Cycles: 457244}},
+		{traced: true, want: counters{Completed: 777, Shed: 223, PeakQueue: 162, Wall: 456912, Cycles: 456102},
+			terminals: 0x306ee4cbf98a8eb2, cleanSum: 40260685},
+	} {
+		d := newEchoDriver(t)
+		sink := &orderSink{h: fnv.New64a()}
+		if tc.traced {
+			d.Sink = sink
+			d.TraceBase = 1000
+		}
+		res := d.RunOpen(crowdConfig)
+		got := counters{res.Completed, res.Shed, res.ConnLost, res.Abandoned,
+			res.Outstanding, res.PeakQueue, res.Wall, res.Cycles}
+		if got != tc.want {
+			t.Errorf("traced=%t: counters\n got %+v\nwant %+v", tc.traced, got, tc.want)
+		}
+		if res.BadResp != 0 || res.ServerDied || res.Stalled {
+			t.Errorf("traced=%t: result = %+v", tc.traced, res.Result)
+		}
+		if tc.traced {
+			if h := sink.h.Sum64(); h != tc.terminals {
+				t.Errorf("terminal order hash = %#x, want %#x", h, tc.terminals)
+			}
+			if n, sum := res.CleanLatency.Count(), res.CleanLatency.Sum(); n != int64(tc.want.Completed) || sum != tc.cleanSum {
+				t.Errorf("clean latency count %d sum %d, want %d / %d", n, sum, tc.want.Completed, tc.cleanSum)
+			}
+		}
+		checkOpenIdentity(t, res)
+	}
+}
+
+// BenchmarkRunOpen times the open-loop driver on crowdConfig against the
+// echo server, a fresh server per run: the workload driver's own cost
+// per open-loop sweep (arrivals, deliveries, drains, sheds).
+func BenchmarkRunOpen(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := newEchoDriver(b)
+		b.StartTimer()
+		res := d.RunOpen(crowdConfig)
+		if res.Offered != crowdConfig.Total {
+			b.Fatalf("offered %d, want %d", res.Offered, crowdConfig.Total)
+		}
+	}
 }
