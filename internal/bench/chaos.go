@@ -124,6 +124,7 @@ func (r Runner) Chaos() (ChaosResult, error) {
 	// -causality) across campaigns.
 	rowIdx := map[string]int{}
 	var clock, traceBase int64
+	pieces := make([]obsv.Piece, 0, len(jobs))
 	recIdx := 0
 	for i, j := range jobs {
 		lr := runs[i]
@@ -166,10 +167,11 @@ func (r Runner) Chaos() (ChaosResult, error) {
 		default:
 			row.None++
 		}
-		out.Spans = obsv.Rebase(out.Spans, lr.Spans, clock, traceBase)
+		pieces = append(pieces, obsv.Piece{Spans: lr.Spans, Clock: clock, TraceBase: traceBase})
 		clock += lr.Sup.ClockCycles
 		traceBase += lr.Traces
 	}
+	out.Spans = obsv.Assemble(pieces...)
 	out.Traces = traceBase
 	return out, nil
 }

@@ -293,6 +293,7 @@ func (r Runner) Containment() (ContainResult, error) {
 	// Reduce in job order (byte-identical for every Parallelism setting).
 	rowIdx := map[string]int{}
 	var clock, traceBase int64
+	pieces := make([]obsv.Piece, 0, len(jobs))
 	for i, j := range jobs {
 		lr := runs[i]
 		key := j.app.Name + "/" + j.kind.String()
@@ -317,10 +318,11 @@ func (r Runner) Containment() (ContainResult, error) {
 		row.Leaks += len(lr.Leaks)
 		row.Silent += int64(lr.Sup.StateLost) - int64(lr.Sup.Restarts) - obsv.Flag(lr.Sup.BreakerOpen)
 		out.Writes += lr.Taints
-		out.Spans = obsv.Rebase(out.Spans, lr.Spans, clock, traceBase)
+		pieces = append(pieces, obsv.Piece{Spans: lr.Spans, Clock: clock, TraceBase: traceBase})
 		clock += lr.Sup.ClockCycles
 		traceBase += lr.Traces
 	}
+	out.Spans = obsv.Assemble(pieces...)
 	out.Traces = traceBase
 	return out, nil
 }

@@ -214,6 +214,7 @@ func (r Runner) Fleet(sizes ...int) (FleetResult, error) {
 	// causally valid across campaigns at any Parallelism.
 	rowIdx := map[int]int{}
 	var clock, traceBase int64
+	pieces := make([]obsv.Piece, 0, len(jobs))
 	for i, j := range jobs {
 		fr := runs[i]
 		idx, ok := rowIdx[j.size]
@@ -247,10 +248,11 @@ func (r Runner) Fleet(sizes ...int) (FleetResult, error) {
 		if fr.Res.RecoveryLatency != nil {
 			row.recovHist.Merge(fr.Res.RecoveryLatency)
 		}
-		out.Spans = obsv.Rebase(out.Spans, fr.Spans, clock, traceBase)
+		pieces = append(pieces, obsv.Piece{Spans: fr.Spans, Clock: clock, TraceBase: traceBase})
 		clock += fr.Wall
 		traceBase += int64(fr.Res.Sent)
 	}
+	out.Spans = obsv.Assemble(pieces...)
 	out.Traces = traceBase
 
 	var base float64

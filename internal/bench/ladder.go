@@ -69,6 +69,9 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 		return nil, err
 	}
 	lr := &ladderRun{Registry: obsv.NewRegistry()}
+	// Each incarnation's span log, kept (not copied) until the campaign
+	// is over and assembled into lr.Spans in one pass.
+	var pieces []obsv.Piece
 	if sc.Seed == 0 {
 		sc.Seed = r.Seed
 	}
@@ -137,7 +140,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 				lr.Taints += int64(len(taints))
 				lr.Leaks = append(lr.Leaks, faultinj.CheckReach(taints)...)
 			}
-			lr.Spans = obsv.Rebase(lr.Spans, inst.RT.Spans(), offset, 0)
+			pieces = append(pieces, obsv.Piece{Log: inst.RT.SpanLog(), Clock: offset})
 			lr.Dropped += inst.RT.TraceDropped()
 			inst.RT.PublishMetrics(lr.Registry)
 			if record {
@@ -191,7 +194,8 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	supervisor.Metrics.AddTo(&lr.Totals, &lr.Sup)
 	// On equal cycles the runtime events precede the supervisor's verdict
 	// about them.
-	lr.Spans = obsv.Merge(lr.Spans, sup.Spans())
+	lr.Spans = obsv.Assemble(append(pieces, obsv.Piece{Log: sup.SpanLog()})...)
+	obsv.Merge(lr.Spans)
 	// Keep the failing incarnations' recordings: every unrecovered one,
 	// plus the final incarnation when the crash-loop breaker gave up.
 	for i := range recCands {

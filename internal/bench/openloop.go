@@ -210,8 +210,9 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 	// Reduce in job order on an experiment-global clock and trace-ID
 	// space, calibration campaign first.
 	var clock, traceBase int64
+	pieces := make([]obsv.Piece, 0, len(jobs)+1)
 	appendSpans := func(spans []obsv.SpanEvent, wall int64, sent int) {
-		out.Spans = obsv.Rebase(out.Spans, spans, clock, traceBase)
+		pieces = append(pieces, obsv.Piece{Spans: spans, Clock: clock, TraceBase: traceBase})
 		clock += wall
 		traceBase += int64(sent)
 	}
@@ -269,6 +270,7 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 		out.Rows = append(out.Rows, row)
 		appendSpans(fr.Spans, fr.Wall, fr.Res.Sent)
 	}
+	out.Spans = obsv.Assemble(pieces...)
 	out.Traces = traceBase
 	return out, nil
 }

@@ -426,7 +426,7 @@ type Runtime struct {
 	txs     txSamples // Stats.TxSteps and Stats.TxWriteLines, until Stats flattens them
 	tracing bool
 	spanAll bool
-	spans   obsv.SpanLog
+	spans   *obsv.SpanLog
 
 	// touched marks the trace IDs of requests the recovery machinery
 	// acted on (abort, crash, retry, inject, latch, shed) — the driver's
@@ -463,7 +463,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 	rt.stats.GateSites = map[int]bool{}
 	rt.stats.EmbedSites = map[int]bool{}
 	rt.stats.BreakSites = map[int]bool{}
-	rt.spans.Limit = cfg.TraceLimit
+	rt.spans = &obsv.SpanLog{Limit: cfg.TraceLimit}
 	if cfg.EnableDomains {
 		// Per-request arenas over protection domains: the libsim arena
 		// manager owns the memory half; these hooks thread its lifecycle

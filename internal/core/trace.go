@@ -24,9 +24,16 @@ func (rt *Runtime) EnableSpans() {
 	rt.spanAll = true
 }
 
-// Spans returns the recorded structured span events, including the
-// terminal truncated marker when the log overflowed.
+// Spans returns a copy of the recorded structured span events,
+// including the terminal truncated marker when the log overflowed.
 func (rt *Runtime) Spans() []obsv.SpanEvent { return rt.spans.Events() }
+
+// SpanLog returns the runtime's span log itself, not a copy. Span-stream
+// holders (the supervised campaign, the fleet) keep a finished
+// incarnation's log and copy it once, when they assemble their stream;
+// the log is allocated apart from the runtime, so holding it does not
+// keep the dead incarnation's machine and memory alive.
+func (rt *Runtime) SpanLog() *obsv.SpanLog { return rt.spans }
 
 // TraceDropped returns how many events were discarded once the trace
 // buffer filled (crash storms past the configured TraceLimit).
@@ -132,9 +139,18 @@ func (rt *Runtime) TouchedTraces() []int64 {
 // emitSpanTrace records one structured span event with an explicit trace
 // ID. The call name resolves through rt.gates first and falls back to the
 // full site table, so events at embed/break sites carry their
-// library-call name too.
+// library-call name too. Past the span log's cap the event is counted
+// as dropped without being built.
 func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, cause, detail string) {
 	if !rt.tracing {
+		return
+	}
+	var cycles int64
+	if rt.m != nil {
+		cycles = rt.m.Cycles
+	}
+	if rt.spans.Full() {
+		rt.spans.Drop(cycles, rt.tid)
 		return
 	}
 	call := ""
@@ -142,10 +158,6 @@ func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, ca
 		call = s.Name
 	} else if s := rt.sites[site]; s != nil {
 		call = s.Name
-	}
-	var cycles int64
-	if rt.m != nil {
-		cycles = rt.m.Cycles
 	}
 	rt.spans.Append(obsv.SpanEvent{
 		Cycles:  cycles,

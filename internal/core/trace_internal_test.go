@@ -54,6 +54,7 @@ func TestEmitResolvesNonGateSiteNames(t *testing.T) {
 			2: {ID: 2, Name: "memcpy", Role: analysis.RoleEmbed},
 			3: {ID: 3, Name: "write", Role: analysis.RoleBreak},
 		},
+		spans: &obsv.SpanLog{},
 	}
 	rt.EnableTrace()
 	rt.emitSpan(obsv.SpanCrash, 2, "", "", "")
@@ -69,5 +70,33 @@ func TestEmitResolvesNonGateSiteNames(t *testing.T) {
 		if e.Call != want[i] {
 			t.Errorf("event %d (site %d) call = %q, want %q", i, e.Site, e.Call, want[i])
 		}
+	}
+}
+
+// TestEmitPastCapBuildsNothing: once the span log is full, an emitted
+// span is only counted as dropped: nothing is built or allocated, and
+// the truncated marker reports every drop when the log is read.
+func TestEmitPastCapBuildsNothing(t *testing.T) {
+	rt := &Runtime{
+		sites: map[int]*analysis.Site{1: {ID: 1, Name: "malloc"}},
+		spans: &obsv.SpanLog{Limit: 2},
+	}
+	rt.EnableSpans()
+	for i := 0; i < 3; i++ {
+		rt.emitSpanTrace(obsv.SpanBegin, 1, 0, "htm", "", "")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rt.emitSpanTrace(obsv.SpanCrash, 1, 5, "htm", "segv", "")
+	})
+	if allocs != 0 {
+		t.Errorf("emit past the cap: %v allocs, want 0", allocs)
+	}
+	// One drop while filling, one warm-up run, 100 measured runs.
+	if got := rt.TraceDropped(); got != 102 {
+		t.Fatalf("TraceDropped = %d, want 102", got)
+	}
+	spans := rt.Spans()
+	if last := spans[len(spans)-1]; last.Kind != obsv.SpanTruncated || last.Detail != "dropped=102 limit=2" {
+		t.Errorf("marker = %+v", last)
 	}
 }

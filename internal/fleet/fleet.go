@@ -273,7 +273,7 @@ type Fleet struct {
 	stepsDone int64 // steps of harvested incarnations
 
 	spans    obsv.SpanLog // balancer events + terminals, wall-stamped
-	repSpans []obsv.SpanEvent
+	harvests []obsv.Piece // finished incarnations' span logs, in harvest order
 	merged   []obsv.SpanEvent
 	touched  map[int64]bool
 	reg      *obsv.Registry
@@ -333,9 +333,11 @@ func (f *Fleet) Draining(i int) bool { return f.reps[i].state == repDraining }
 // incarnation), every supervisor's reboot/breaker events, and the
 // balancer's own replica-up/replica-down/handoff/terminal events, in
 // non-decreasing cycle order. Valid after Finish.
-func (f *Fleet) Spans() []obsv.SpanEvent {
-	return append([]obsv.SpanEvent(nil), f.merged...)
-}
+//
+// The result is the fleet's frozen stream itself, not a copy: callers
+// read it and never write it. Its cap equals its length, so a caller's
+// append reallocates instead of writing into the fleet's storage.
+func (f *Fleet) Spans() []obsv.SpanEvent { return f.merged }
 
 // --- workload.Server -----------------------------------------------------
 
@@ -930,9 +932,11 @@ func (f *Fleet) expireDrain(rep *replica) {
 
 // harvest folds a finished (or dying) incarnation's runtime accounting
 // into the fleet: stats, recovery-touched traces, published metrics
-// (labelled by replica), and spans rebased from incarnation-local cycles
-// onto the campaign clock, stamped with the replica and incarnation that
-// produced them.
+// (labelled by replica), and its span log. The fleet keeps the log
+// itself (the runtime is finished, so it no longer changes) and Finish
+// copies it once, rebased from incarnation-local cycles onto the
+// campaign clock and stamped with the replica and incarnation that
+// produced it.
 func (f *Fleet) harvest(rep *replica) {
 	be := rep.be
 	if be == nil {
@@ -947,12 +951,9 @@ func (f *Fleet) harvest(rep *replica) {
 	for _, tr := range be.RT.TouchedTraces() {
 		f.touched[tr] = true
 	}
-	n := len(f.repSpans)
-	f.repSpans = obsv.Rebase(f.repSpans, be.RT.Spans(), rep.bootClock, 0)
-	for i := n; i < len(f.repSpans); i++ {
-		f.repSpans[i].Replica = rep.id + 1
-		f.repSpans[i].Inc = rep.inc + 1
-	}
+	f.harvests = append(f.harvests, obsv.Piece{
+		Log: be.RT.SpanLog(), Clock: rep.bootClock, Replica: rep.id + 1, Inc: rep.inc + 1,
+	})
 	f.stats.Dropped += be.RT.TraceDropped()
 	be.RT.PublishMetrics(f.reg, obsv.L("replica", strconv.Itoa(rep.id+1)))
 }
@@ -960,7 +961,10 @@ func (f *Fleet) harvest(rep *replica) {
 // Finish ends the campaign after the driver's run: live incarnations are
 // harvested and their supervisors marked done, per-replica supervisor
 // metrics and spans land, the fleet.* counters publish, and the merged
-// span log is frozen in non-decreasing cycle order.
+// span log is frozen in non-decreasing cycle order: the harvested logs,
+// each supervisor's log after its replica's, and the balancer's own log
+// are assembled in one pass into one exactly-sized slice and sorted in
+// place.
 func (f *Fleet) Finish() {
 	if f.finished {
 		return
@@ -973,13 +977,12 @@ func (f *Fleet) Finish() {
 			rep.be = nil
 		}
 		rep.sup.PublishMetrics(f.reg, obsv.L("replica", strconv.Itoa(rep.id+1)))
-		n := len(f.repSpans)
-		f.repSpans = append(f.repSpans, rep.sup.Spans()...)
-		for i := n; i < len(f.repSpans); i++ {
-			f.repSpans[i].Replica = rep.id + 1
-		}
+		f.harvests = append(f.harvests, obsv.Piece{Log: rep.sup.SpanLog(), Replica: rep.id + 1})
 	}
-	f.merged = obsv.Merge(f.repSpans, f.spans.Events())
+	f.harvests = append(f.harvests, obsv.Piece{Log: &f.spans})
+	f.merged = obsv.Assemble(f.harvests...)
+	obsv.Merge(f.merged)
+	f.harvests = nil
 	f.stats.Dropped += f.spans.Dropped()
 	Metrics.Publish(f.reg, &f.stats)
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -681,5 +683,64 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sp1, sp2) {
 		t.Error("span logs diverged across identical runs")
+	}
+}
+
+// TestSpansPinnedAcrossDrainAndFailover: a scripted run with a drain
+// hand-off at a request boundary, a death that fails two connections
+// over, and the dead replica's reboot assembles the same span stream,
+// byte for byte, as the rebase-and-append loop Finish used to run
+// (digest pinned from it). Spans returns the frozen stream itself, and
+// its cap equals its length.
+func TestSpansPinnedAcrossDrainAndFailover(t *testing.T) {
+	f, fakes := fleetOf(t, Config{Replicas: 2}, func(rep, inc int) string {
+		if rep == 1 && inc == 0 {
+			return "hold"
+		}
+		return "echo"
+	})
+	a := f.Connect(80) // replica 0
+	b := f.Connect(80) // replica 1
+	send(t, f, a, "a1\n", 1)
+	wantResp(t, a, "a1\n")
+	send(t, f, b, "b1\n", 2) // held by replica 1
+	f.reps[0].state = repDraining
+	f.reps[0].drainStart = f.wall
+	a.ClientDeliverTraced([]byte("a2\n"), 3)
+	f.pump() // boundary: a's fresh request moves to replica 1
+	f.reps[0].state = repUp
+	(*fakes)[1].die = true
+	// Replica 1 dies (both conns fail over to replica 0) and reboots once
+	// its backoff has passed.
+	for i := 0; i < 10_000 && f.stats.Boots < 3; i++ {
+		f.Slice(0)
+	}
+	wantResp(t, a, "a2\n")
+	wantResp(t, b, "b1\n")
+	for tr := int64(1); tr <= 3; tr++ {
+		f.ReqDone(tr, true)
+	}
+	f.Finish()
+	st := f.Stats()
+	if st.Drains == 0 || st.Failovers == 0 || st.Boots <= 2 {
+		t.Fatalf("scenario lacks a drain, a fail-over or a reboot: %+v", st)
+	}
+	spans := f.Spans()
+	var buf bytes.Buffer
+	if err := obsv.Sequence(spans).WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "d0432fb8ed68ce826f92c02481cdcc31bb5e7425aaf14190ce6eb683fbb39f42"; got != want {
+		t.Errorf("%d spans export to %s, want %s", len(spans), got, want)
+	}
+	if cap(spans) != len(spans) {
+		t.Errorf("Spans cap %d != len %d", cap(spans), len(spans))
+	}
+	if again := f.Spans(); &again[0] != &spans[0] {
+		t.Error("Spans copied the frozen stream")
+	}
+	grown := append(spans, obsv.SpanEvent{Kind: "appended"})
+	if &grown[0] == &spans[0] || len(f.Spans()) != len(spans) {
+		t.Error("an append to Spans wrote into the fleet's stream")
 	}
 }

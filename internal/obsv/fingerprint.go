@@ -6,8 +6,8 @@ package obsv
 // FingerprintSeed. Because every field that enters the hash is stamped
 // before the append returns, Fingerprint(log.Events()) always equals
 // log.Fingerprint() — the one exception is engineered: a truncated
-// marker's Detail is rewritten by later drops, so it is excluded from
-// the chain.
+// marker's Detail is rendered from the dropped count, which later drops
+// change, so it is excluded from the chain.
 //
 // The chain is the divergence detector of the record/replay layer
 // (internal/replay): a recording stores the per-span chain values, and a
@@ -39,8 +39,9 @@ func fnvStr(h uint64, s string) uint64 {
 }
 
 // ChainFingerprint folds one event into the chain. Every field
-// participates except a truncated marker's Detail (rewritten in place as
-// later events are dropped, so it cannot be hashed at append time).
+// participates except a truncated marker's Detail (it carries the dropped
+// count, which later drops change, so it cannot be hashed at append
+// time).
 func ChainFingerprint(h uint64, e SpanEvent) uint64 {
 	h = fnvInt(h, e.Seq)
 	h = fnvInt(h, e.Cycles)

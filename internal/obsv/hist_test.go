@@ -207,7 +207,8 @@ func TestHistUpperNearMaxDoesNotOverflow(t *testing.T) {
 // mutating-copy asymmetry: the truncated marker's Detail used to be
 // rewritten on every Events() call, so a reader could observe different
 // bytes depending on when it looked relative to concurrent Appends. The
-// marker is now stamped at append time and reads are pure copies.
+// marker's Detail is now rendered on read from the dropped count, which
+// only Append changes, and reads never write the log.
 func TestSpanLogMarkerStampedAtAppend(t *testing.T) {
 	l := &SpanLog{Limit: 2}
 	for i := 0; i < 4; i++ {
@@ -222,7 +223,7 @@ func TestSpanLogMarkerStampedAtAppend(t *testing.T) {
 	if first[len(first)-1] != second[len(second)-1] {
 		t.Errorf("Events() mutated the marker between reads")
 	}
-	// Further drops update the stored marker (at append time).
+	// Further drops move the count the marker reports.
 	l.Append(SpanEvent{Cycles: 9, Kind: SpanCrash})
 	third := l.Events()
 	if got := third[len(third)-1].Detail; got != "dropped=3 limit=2" {

@@ -87,14 +87,26 @@ type SpanEvent struct {
 // DefaultSpanLimit bounds a span log (crash storms, §VII of the paper).
 const DefaultSpanLimit = 50_000
 
+// Span-log block sizes: a log's first block holds spanBlockMin events and
+// each further block doubles, up to spanBlockMax. Blocks are never
+// regrown, so a log allocates about its final size once.
+const (
+	spanBlockMin = 64
+	spanBlockMax = 4096
+)
+
 // SpanLog is a bounded, deterministic event buffer. Once Limit events are
 // recorded a single terminal "truncated" marker is appended and further
 // events only increment the dropped counter — truncation is never silent.
+// Events live in never-regrown blocks (see spanBlockMin); the marker is
+// kept apart from them.
 type SpanLog struct {
 	// Limit caps recorded events (<= 0 means DefaultSpanLimit).
 	Limit int
 
-	events  []SpanEvent
+	blocks  [][]SpanEvent
+	n       int       // events in blocks
+	marker  SpanEvent // the truncated marker, once dropped > 0
 	dropped int64
 	seq     int64
 	fp      uint64 // incremental hash chain (see fingerprint.go)
@@ -108,33 +120,56 @@ func (l *SpanLog) limit() int {
 	return l.Limit
 }
 
+// Full reports whether the log is at its cap: every further event is
+// dropped. An emitter that checks Full can count a drop (Drop) without
+// building the event.
+func (l *SpanLog) Full() bool { return l.n >= l.limit() }
+
 // Append records an event (stamping Seq) and reports whether it was
-// stored. At the cap the first refused event appends the terminal
-// truncated marker; subsequent ones only count. The marker's Detail is
-// stamped here — never on read — so Events, WriteJSONL and any direct
-// consumer observe the same bytes no matter when they look.
+// stored. At the cap the event is dropped (see Drop).
 func (l *SpanLog) Append(e SpanEvent) bool {
-	if len(l.events) >= l.limit() {
-		l.dropped++
-		if l.dropped == 1 {
-			l.seq++
-			marker := SpanEvent{
-				Seq:    l.seq,
-				Cycles: e.Cycles,
-				Thread: e.Thread,
-				Kind:   SpanTruncated,
-			}
-			l.chain(marker)
-			l.events = append(l.events, marker)
-		}
-		l.stampMarker()
+	if l.Full() {
+		l.Drop(e.Cycles, e.Thread)
 		return false
 	}
 	l.seq++
 	e.Seq = l.seq
 	l.chain(e)
-	l.events = append(l.events, e)
+	l.push(e)
 	return true
+}
+
+// Drop counts one event refused at the cap (call it only when Full),
+// emitted at cycles by thread. The first drop stores the terminal
+// truncated marker, stamped with that event's cycles and thread; later
+// ones only count and allocate nothing. The marker's Detail (the dropped
+// count) is rendered where the log is read, and only Drop changes the
+// count, so every read of the same log state sees the same bytes.
+func (l *SpanLog) Drop(cycles int64, thread int) {
+	l.dropped++
+	if l.dropped > 1 {
+		return
+	}
+	l.seq++
+	l.marker = SpanEvent{Seq: l.seq, Cycles: cycles, Thread: thread, Kind: SpanTruncated}
+	l.chain(l.marker)
+}
+
+// push stores e in the open block, starting a new block when it is full.
+// A new block is never larger than the cap leaves room for.
+func (l *SpanLog) push(e SpanEvent) {
+	last := len(l.blocks) - 1
+	if last < 0 || len(l.blocks[last]) == cap(l.blocks[last]) {
+		size := spanBlockMin
+		if last >= 0 {
+			size = min(2*cap(l.blocks[last]), spanBlockMax)
+		}
+		size = min(size, l.limit()-l.n)
+		l.blocks = append(l.blocks, make([]SpanEvent, 0, size))
+		last++
+	}
+	l.blocks[last] = append(l.blocks[last], e)
+	l.n++
 }
 
 // chain folds a stored event into the incremental fingerprint.
@@ -146,29 +181,56 @@ func (l *SpanLog) chain(e SpanEvent) {
 }
 
 // Len returns the number of stored events (including a truncated marker).
-func (l *SpanLog) Len() int { return len(l.events) }
+func (l *SpanLog) Len() int {
+	if l.dropped > 0 {
+		return l.n + 1
+	}
+	return l.n
+}
 
 // Dropped returns how many events were discarded past the cap.
 func (l *SpanLog) Dropped() int64 { return l.dropped }
 
-// Events returns a copy of the stored events. The truncated marker's
-// Detail carries the dropped count as of the last Append — reading is a
-// pure copy and never rewrites stored state.
+// Events returns a copy of the stored events, allocated at its final
+// length. The truncated marker's Detail carries the dropped count.
 func (l *SpanLog) Events() []SpanEvent {
-	return append([]SpanEvent(nil), l.events...)
+	if l.Len() == 0 {
+		return nil
+	}
+	out := make([]SpanEvent, l.Len())
+	l.copyTo(out)
+	return out
 }
 
-// stampMarker refreshes the stored truncated marker's Detail with the
-// current dropped count (called from Append only).
-func (l *SpanLog) stampMarker() {
-	if l.dropped == 0 || len(l.events) == 0 {
-		return
+// copyTo copies the stored events into dst (at least Len long), the
+// truncated marker last.
+func (l *SpanLog) copyTo(dst []SpanEvent) {
+	at := 0
+	for _, b := range l.blocks {
+		at += copy(dst[at:], b)
 	}
-	last := &l.events[len(l.events)-1]
-	if last.Kind == SpanTruncated {
-		last.Detail = fmt.Sprintf("dropped=%d limit=%d", l.dropped, l.limit())
+	if l.dropped > 0 {
+		dst[at] = l.truncated()
 	}
+}
+
+// truncated returns the truncated marker with its Detail rendered from
+// the dropped count.
+func (l *SpanLog) truncated() SpanEvent {
+	m := l.marker
+	m.Detail = fmt.Sprintf("dropped=%d limit=%d", l.dropped, l.limit())
+	return m
 }
 
 // WriteJSONL writes one JSON object per event (see WriteSpans).
-func (l *SpanLog) WriteJSONL(w io.Writer) error { return WriteSpans(w, l.events) }
+func (l *SpanLog) WriteJSONL(w io.Writer) error {
+	for _, b := range l.blocks {
+		if err := WriteSpans(w, b); err != nil {
+			return err
+		}
+	}
+	if l.dropped > 0 {
+		return WriteSpans(w, []SpanEvent{l.truncated()})
+	}
+	return nil
+}

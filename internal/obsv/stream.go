@@ -10,48 +10,96 @@ import (
 )
 
 // Span-stream assembly. A supervised campaign, a fleet or a whole
-// experiment reports one span stream built from many span logs (one per
-// incarnation, replica or campaign). Each log is rebased onto the outer
-// clock and trace-ID space (Rebase), the pieces are put in cycle order
-// (Merge), and the assembled stream is densely re-sequenced (Sequence)
-// before it is fingerprinted or exported (WriteSpans; ReadSpans reads it
-// back). An assembled stream carries no sequence numbers until Sequence
-// stamps them.
+// experiment reports one span stream built from many pieces: span logs
+// (one per incarnation, supervisor or balancer) or streams assembled one
+// level down (one per campaign). Assemble copies every piece once into a
+// stream allocated at its final length, rebasing it onto the outer clock
+// and trace-ID space on the way; Merge puts an assembled stream in cycle
+// order in place; and Sequence densely re-sequences it before it is
+// fingerprinted or exported (WriteSpans; ReadSpans reads it back). An
+// assembled stream carries no sequence numbers until Sequence stamps
+// them.
 
-// Rebase appends spans to dst with cycles shifted by clock and every
-// nonzero trace ID shifted by traceBase (trace 0 means "no request" and
-// stays 0). Seq is cleared.
-func Rebase(dst, spans []SpanEvent, clock, traceBase int64) []SpanEvent {
-	for _, e := range spans {
-		e.Seq = 0
-		e.Cycles += clock
-		if e.Trace != 0 {
-			e.Trace += traceBase
-		}
-		dst = append(dst, e)
-	}
-	return dst
+// Piece is one input of Assemble: a span log (Log) or, when Log is nil,
+// an assembled stream (Spans). Its cycles are shifted by Clock and its
+// nonzero trace IDs by TraceBase (trace 0 means "no request" and stays
+// 0); a nonzero Replica or Inc overwrites that field of every event.
+type Piece struct {
+	Log       *SpanLog
+	Spans     []SpanEvent
+	Clock     int64
+	TraceBase int64
+	Replica   int
+	Inc       int
 }
 
-// Merge appends src to dst and returns the result stably sorted by
-// cycles: on equal cycles dst's events come before src's, and events of
-// one input keep their order. Seq is cleared. The sort runs in place on
-// the appended slice, so dst's spare capacity is reused.
-func Merge(dst, src []SpanEvent) []SpanEvent {
-	out := append(dst, src...)
-	for i := range out {
-		out[i].Seq = 0
+// len returns the number of events the piece contributes.
+func (p *Piece) len() int {
+	if p.Log != nil {
+		return p.Log.Len()
 	}
-	slices.SortStableFunc(out, func(a, b SpanEvent) int { return cmp.Compare(a.Cycles, b.Cycles) })
+	return len(p.Spans)
+}
+
+// Assemble returns the pieces' events, in piece order, in one slice
+// allocated once at their total length (its cap equals its length), each
+// event rebased and stamped as its piece says and with Seq cleared. The
+// pieces are only read. Besides that slice, only a truncated log's marker
+// Detail allocates.
+func Assemble(pieces ...Piece) []SpanEvent {
+	n := 0
+	for i := range pieces {
+		n += pieces[i].len()
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]SpanEvent, n)
+	at := 0
+	for i := range pieces {
+		p := &pieces[i]
+		dst := out[at : at+p.len()]
+		at += len(dst)
+		if p.Log != nil {
+			p.Log.copyTo(dst)
+		} else {
+			copy(dst, p.Spans)
+		}
+		for j := range dst {
+			e := &dst[j]
+			e.Seq = 0
+			e.Cycles += p.Clock
+			if e.Trace != 0 {
+				e.Trace += p.TraceBase
+			}
+			if p.Replica != 0 {
+				e.Replica = p.Replica
+			}
+			if p.Inc != 0 {
+				e.Inc = p.Inc
+			}
+		}
+	}
 	return out
+}
+
+// Merge stably sorts an assembled stream by cycles in place: on equal
+// cycles events keep their assembled order, so an earlier piece's events
+// come first and events of one piece keep their order.
+func Merge(spans []SpanEvent) {
+	slices.SortStableFunc(spans, func(a, b SpanEvent) int { return cmp.Compare(a.Cycles, b.Cycles) })
 }
 
 // Sequence returns a log holding spans re-sequenced densely from 1: the
 // exported form of an assembled stream. Its cap is the stream's length,
 // so nothing is truncated or dropped however long the stream is, and its
-// Fingerprint commits to every byte its WriteJSONL writes.
+// Fingerprint commits to every byte its WriteJSONL writes. The log is one
+// block of exactly that length.
 func Sequence(spans []SpanEvent) *SpanLog {
-	l := &SpanLog{Limit: len(spans), events: make([]SpanEvent, 0, len(spans))}
+	l := &SpanLog{Limit: len(spans)}
+	if len(spans) > 0 {
+		l.blocks = [][]SpanEvent{make([]SpanEvent, 0, len(spans))}
+	}
 	for _, e := range spans {
 		l.Append(e)
 	}

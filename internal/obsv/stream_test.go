@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -50,26 +51,42 @@ func TestReadSpansReportsLine(t *testing.T) {
 	}
 }
 
-// TestRebaseShiftsNonzeroTraces: cycles move onto the outer clock, a
+// TestAssembleShiftsNonzeroTraces: cycles move onto the outer clock, a
 // nonzero trace ID onto the outer ID space, trace 0 stays 0, Seq is
-// cleared, and the input is not modified.
-func TestRebaseShiftsNonzeroTraces(t *testing.T) {
+// cleared, a nonzero Replica/Inc stamps every event of its piece, pieces
+// keep their order, and the inputs are not modified.
+func TestAssembleShiftsNonzeroTraces(t *testing.T) {
 	in := []SpanEvent{
 		{Seq: 1, Cycles: 5, Trace: 0, Kind: SpanAbort},
 		{Seq: 2, Cycles: 7, Trace: 3, Kind: SpanReqDone},
 	}
-	prefix := []SpanEvent{{Cycles: 1, Kind: SpanReboot}}
-	got := Rebase(prefix, in, 100, 40)
+	var log SpanLog
+	log.Append(SpanEvent{Cycles: 1, Inc: 9, Kind: SpanReboot})
+	got := Assemble(
+		Piece{Log: &log, Replica: 2},
+		Piece{Spans: in, Clock: 100, TraceBase: 40},
+		Piece{Spans: in[1:], Inc: 4, Replica: 1},
+	)
 	want := []SpanEvent{
-		{Cycles: 1, Kind: SpanReboot},
+		{Cycles: 1, Replica: 2, Inc: 9, Kind: SpanReboot},
 		{Cycles: 105, Trace: 0, Kind: SpanAbort},
 		{Cycles: 107, Trace: 43, Kind: SpanReqDone},
+		{Cycles: 7, Trace: 3, Replica: 1, Inc: 4, Kind: SpanReqDone},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Rebase:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("Assemble:\n got %+v\nwant %+v", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("cap %d != len %d", cap(got), len(got))
 	}
 	if in[0].Seq != 1 || in[1].Cycles != 7 || in[1].Trace != 3 {
-		t.Errorf("Rebase modified its input: %+v", in)
+		t.Errorf("Assemble modified its input: %+v", in)
+	}
+	if e := log.Events()[0]; e.Seq != 1 || e.Replica != 0 {
+		t.Errorf("Assemble modified its input log: %+v", e)
+	}
+	if Assemble() != nil || Assemble(Piece{}, Piece{Log: &SpanLog{}}) != nil {
+		t.Error("an empty assembly is not nil")
 	}
 }
 
@@ -87,11 +104,11 @@ func randomStream(rng *rand.Rand, n int, tag string, sorted bool) []SpanEvent {
 	return s
 }
 
-// TestMergeTieOrder: Merge orders equal cycles exactly as the two
-// mergers it replaced did. The supervised campaign merged a runtime
-// stream and a supervisor stream, both cycle-ordered, taking the runtime
-// event first on a tie; the fleet stable-sorted its replica spans (in
-// harvest order, not cycle order) followed by its own events.
+// TestMergeTieOrder: Assemble then Merge orders equal cycles exactly as
+// the two mergers they replaced did. The supervised campaign merged a
+// runtime stream and a supervisor stream, both cycle-ordered, taking the
+// runtime event first on a tie; the fleet stable-sorted its replica spans
+// (in harvest order, not cycle order) followed by its own events.
 func TestMergeTieOrder(t *testing.T) {
 	ladder := func(a, b []SpanEvent) []SpanEvent {
 		out := make([]SpanEvent, 0, len(a)+len(b))
@@ -113,21 +130,25 @@ func TestMergeTieOrder(t *testing.T) {
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Cycles < all[j].Cycles })
 		return all
 	}
-	noSeq := func(s []SpanEvent) []SpanEvent { return Rebase([]SpanEvent{}, s, 0, 0) }
+	noSeq := func(s []SpanEvent) []SpanEvent { return Assemble(Piece{Spans: s}) }
+	merged := func(a, b []SpanEvent) []SpanEvent {
+		out := Assemble(Piece{Spans: a}, Piece{Spans: b})
+		Merge(out)
+		return out
+	}
 
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		a := randomStream(rng, rng.Intn(20), "runtime", true)
 		b := randomStream(rng, rng.Intn(6), "supervisor", true)
 		want := noSeq(ladder(a, b))
-		if got := Merge(a, b); !reflect.DeepEqual(got, want) {
+		if got := merged(a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("campaign merge:\n got %+v\nwant %+v", got, want)
 		}
 		reps := randomStream(rng, rng.Intn(20), "replica", false)
 		own := randomStream(rng, rng.Intn(6), "fleet", true)
 		want = noSeq(fleet(reps, own))
-		// The fleet merged into its replica slice's spare capacity.
-		if got := Merge(append(make([]SpanEvent, 0, 64), reps...), own); !reflect.DeepEqual(got, want) {
+		if got := merged(reps, own); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fleet merge:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -173,5 +194,117 @@ func TestSequenceUncapped(t *testing.T) {
 	}
 	if got, want := log.Fingerprint(), Fingerprint(decoded); got != want {
 		t.Errorf("Fingerprint %016x, decoded export fingerprints to %016x", got, want)
+	}
+}
+
+// rebaseLoop is the append-and-grow assembly Assemble replaced: each
+// piece read out as a copy, rebased, stamped and appended to a growing
+// slice, then stably sorted by cycles.
+func rebaseLoop(pieces []Piece, merge bool) []SpanEvent {
+	var out []SpanEvent
+	for _, p := range pieces {
+		spans := p.Spans
+		if p.Log != nil {
+			spans = p.Log.Events()
+		}
+		for _, e := range spans {
+			e.Seq = 0
+			e.Cycles += p.Clock
+			if e.Trace != 0 {
+				e.Trace += p.TraceBase
+			}
+			if p.Replica != 0 {
+				e.Replica = p.Replica
+			}
+			if p.Inc != 0 {
+				e.Inc = p.Inc
+			}
+			out = append(out, e)
+		}
+	}
+	if merge {
+		sort.SliceStable(out, func(i, j int) bool { return out[i].Cycles < out[j].Cycles })
+	}
+	return out
+}
+
+// randomPieces returns up to eight pieces: span logs (some truncated, some
+// past a block boundary) and plain streams, with random clocks, trace
+// bases and stamps.
+func randomPieces(rng *rand.Rand) []Piece {
+	pieces := make([]Piece, rng.Intn(9))
+	for i := range pieces {
+		p := Piece{Clock: rng.Int63n(50), TraceBase: rng.Int63n(30)}
+		if rng.Intn(2) == 0 {
+			p.Replica, p.Inc = rng.Intn(3), rng.Intn(3)
+		}
+		n := rng.Intn(200)
+		if rng.Intn(2) == 0 {
+			p.Log = &SpanLog{Limit: 1 + rng.Intn(150)}
+			for j := 0; j < n; j++ {
+				e := spanAt(j)
+				e.Cycles = rng.Int63n(40)
+				p.Log.Append(e)
+			}
+		} else {
+			p.Spans = randomStream(rng, n, fmt.Sprintf("piece%d", i), false)
+			for j := range p.Spans {
+				p.Spans[j].Trace = rng.Int63n(4)
+			}
+		}
+		pieces[i] = p
+	}
+	return pieces
+}
+
+// TestAssembleMatchesRebaseLoop: Assemble (and Assemble then Merge)
+// writes the same JSONL bytes as the append-and-grow loop it replaced.
+func TestAssembleMatchesRebaseLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		pieces := randomPieces(rng)
+		for _, merge := range []bool{false, true} {
+			got := Assemble(pieces...)
+			if merge {
+				Merge(got)
+			}
+			want := rebaseLoop(pieces, merge)
+			var gb, wb bytes.Buffer
+			if err := WriteSpans(&gb, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteSpans(&wb, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("iter %d (merge %v): Assemble differs from the rebase loop", iter, merge)
+			}
+			if len(got) != cap(got) {
+				t.Fatalf("iter %d: cap %d != len %d", iter, cap(got), len(got))
+			}
+		}
+	}
+}
+
+// TestAssembleAllocatesOnce: assembling any number of pieces (logs across
+// several blocks and plain streams) allocates once, the result, and the
+// in-place Merge allocates nothing.
+func TestAssembleAllocatesOnce(t *testing.T) {
+	var pieces []Piece
+	for i := 0; i < 6; i++ {
+		l := &SpanLog{}
+		for j := 0; j < 100*i+37; j++ {
+			l.Append(spanAt(j))
+		}
+		pieces = append(pieces,
+			Piece{Log: l, Clock: int64(i), Replica: i, Inc: 1},
+			Piece{Spans: l.Events(), TraceBase: int64(i)})
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Assemble(pieces...) }); allocs != 1 {
+		t.Errorf("Assemble of %d pieces: %v allocs, want 1", len(pieces), allocs)
+	}
+	spans := Assemble(pieces...)
+	if allocs := testing.AllocsPerRun(20, func() { Merge(spans) }); allocs != 0 {
+		t.Errorf("Merge: %v allocs, want 0", allocs)
 	}
 }

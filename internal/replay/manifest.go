@@ -178,10 +178,15 @@ type IncarnationRun struct {
 	Outcome     string
 	FinalCycles int64
 	FinalSteps  int64
-	Spans       []obsv.SpanEvent // the incarnation's own span log, pre-rebase
+	// Spans is the incarnation's own span log, pre-rebase. The recording
+	// keeps this slice as its Spans without copying it: the caller hands
+	// over a slice it owns (core.Runtime.Spans returns a fresh copy) and
+	// does not write it afterwards.
+	Spans []obsv.SpanEvent
 }
 
-// RecordIncarnation builds an incarnation recording.
+// RecordIncarnation builds an incarnation recording. It takes ownership
+// of r.Spans.
 func RecordIncarnation(r IncarnationRun) Recording {
 	chain, final := chainOf(r.Spans)
 	var fault *faultinj.Fault
@@ -213,7 +218,7 @@ func RecordIncarnation(r IncarnationRun) Recording {
 			Fingerprint: final,
 			SpanChain:   chain,
 		},
-		Spans: append([]obsv.SpanEvent(nil), r.Spans...),
+		Spans: r.Spans,
 	}
 }
 

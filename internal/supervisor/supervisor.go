@@ -204,6 +204,10 @@ func (s *Supervisor) WindowOccupancy() int {
 // timestamped on the campaign clock.
 func (s *Supervisor) Spans() []obsv.SpanEvent { return s.spans.Events() }
 
+// SpanLog returns the supervisor's span log itself, not a copy, for a
+// span-stream holder to assemble once the campaign is over.
+func (s *Supervisor) SpanLog() *obsv.SpanLog { return &s.spans }
+
 // backoff returns the k-th restart's backoff (k is 1-based).
 func (s *Supervisor) backoff(k int) int64 {
 	b := s.cfg.BackoffBase
