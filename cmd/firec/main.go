@@ -80,8 +80,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "firec: instrument: %v\n", terr)
 			return 1
 		}
+		gates, _, _ := tr.Analysis.Counts()
 		fmt.Printf("instrumented: %d -> %d instructions (%d gates)\n",
-			prog.InstrCount(), tr.Prog.InstrCount(), len(tr.Gates))
+			prog.InstrCount(), tr.Prog.InstrCount(), gates)
 		fmt.Println(tr.Prog.Dump())
 	}
 	return 0

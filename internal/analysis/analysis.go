@@ -28,6 +28,7 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
+	"github.com/firestarter-go/firestarter/internal/libsim"
 )
 
 // Role classifies a library call site's part in the transaction layout.
@@ -64,12 +65,23 @@ type Site struct {
 	Checked bool // return value flows into a conditional branch
 	Role    Role
 	Entry   *libmodel.Entry
+
+	// Lib is Name's library ID, resolved once here so the runtime
+	// dispatches the call and reads its entry by index (see
+	// libsim.FuncID).
+	Lib libsim.FuncID
+
+	// Gate numbers a RoleGate site among the program's gates, densely in
+	// ID order, so per-gate state is a slice of the gates alone.
+	Gate int
 }
 
 // Result is the analysis output.
 type Result struct {
-	Sites []*Site
-	ByID  map[int]*Site
+	Sites []*Site // in ID order
+	// ByID indexes the sites by ID: ByID[s.ID] == s, and ByID[0] is nil
+	// (no site has ID 0).
+	ByID []*Site
 }
 
 // Counts returns the number of sites per role.
@@ -92,10 +104,10 @@ func (r *Result) Counts() (gates, embeds, breaks int) {
 // site. Unknown library functions (no model entry) are treated
 // conservatively as irrecoverable Break sites.
 func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
-	res := &Result{ByID: map[int]*Site{}}
+	res := &Result{}
 	funcChecked := computeFuncChecked(prog)
 
-	next := 1
+	next, gates := 1, 0
 	for _, fname := range prog.FuncNames() {
 		f := prog.Funcs[fname]
 		for _, b := range f.Blocks {
@@ -104,13 +116,15 @@ func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
 				if in.Op != ir.OpLib {
 					continue
 				}
+				lib := libsim.Lookup(in.Name)
 				site := &Site{
 					ID:    next,
 					Func:  fname,
 					Block: b.ID,
 					Index: i,
 					Name:  in.Name,
-					Entry: model.Lookup(in.Name),
+					Entry: model.Entry(lib),
+					Lib:   lib,
 				}
 				next++
 				in.Site = site.ID
@@ -121,12 +135,16 @@ func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
 					site.Checked = funcChecked[fname]
 				}
 				site.Role = classify(site)
+				if site.Role == RoleGate {
+					site.Gate = gates
+					gates++
+				}
 				res.Sites = append(res.Sites, site)
-				res.ByID[site.ID] = site
 			}
 		}
 	}
 	prog.NumSites = next
+	res.ByID = append([]*Site{nil}, res.Sites...)
 	return res
 }
 

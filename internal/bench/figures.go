@@ -384,9 +384,12 @@ func (r Runner) Figure7() (Figure7Result, error) {
 	if err != nil {
 		return out, err
 	}
+	// Each run keeps only its figures, not its instance: twenty booted
+	// machines held until the rows assemble would set the campaign's
+	// peak heap.
 	type runOut struct {
-		inst *boot.Instance
-		cpr  float64
+		cpr      float64
+		abortPct float64 // HTM-only and hybrid runs only
 	}
 	results := make([]runOut, len(servers)*variants)
 	if err := r.forEach(len(results), func(i int) error {
@@ -406,7 +409,10 @@ func (r Runner) Figure7() (Figure7Result, error) {
 		if err != nil {
 			return err
 		}
-		results[i] = runOut{inst: inst, cpr: res.CyclesPerRequest()}
+		results[i] = runOut{cpr: res.CyclesPerRequest()}
+		if v := i % variants; v == 1 || v == 3 {
+			results[i].abortPct = 100 * inst.RT.Stats().HTMAbortRate()
+		}
 		return nil
 	}); err != nil {
 		return out, err
@@ -414,15 +420,13 @@ func (r Runner) Figure7() (Figure7Result, error) {
 
 	for si, app := range servers {
 		base := results[si*variants].cpr
-		htmInst := results[si*variants+1].inst
-		fsInst := results[si*variants+3].inst
 		out.Rows = append(out.Rows, Figure7Row{
 			Server:              app.Name,
 			HTMOnlyPct:          overheadPct(results[si*variants+1].cpr, base),
 			STMOnlyPct:          overheadPct(results[si*variants+2].cpr, base),
 			FIRestarterPct:      overheadPct(results[si*variants+3].cpr, base),
-			HTMOnlyAbortPct:     100 * htmInst.RT.Stats().HTMAbortRate(),
-			FIRestarterAbortPct: 100 * fsInst.RT.Stats().HTMAbortRate(),
+			HTMOnlyAbortPct:     results[si*variants+1].abortPct,
+			FIRestarterAbortPct: results[si*variants+3].abortPct,
 		})
 	}
 	return out, nil

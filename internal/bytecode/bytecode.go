@@ -210,32 +210,43 @@ type Program struct {
 	// runs the same program instance the bytecode was compiled from.
 	Src *ir.Program
 
-	codes map[*ir.Func]*Code
+	codes []*Code // indexed by ir.Func.Index
 }
 
 // Code returns the compiled stream for f (nil for functions the compiled
 // program does not know, e.g. after post-compile mutation).
-func (p *Program) Code(f *ir.Func) *Code { return p.codes[f] }
+func (p *Program) Code(f *ir.Func) *Code {
+	if uint(f.Index) < uint(len(p.codes)) {
+		if c := p.codes[f.Index]; c.Fn == f {
+			return c
+		}
+	}
+	return nil
+}
 
 // Compile lowers a resolved program (see ir.Program.Resolve) to bytecode.
 func Compile(src *ir.Program) (*Program, error) {
-	p := &Program{Src: src, codes: make(map[*ir.Func]*Code, len(src.Funcs))}
-	for _, name := range src.FuncNames() {
+	names := src.FuncNames()
+	p := &Program{Src: src, codes: make([]*Code, len(names))}
+	for i, name := range names {
 		f := src.Funcs[name]
+		if f.Index != i {
+			return nil, fmt.Errorf("bytecode: %s: unresolved function index (run ir.Program.Resolve before Compile)", name)
+		}
 		c, err := compileFunc(f)
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: %s: %w", name, err)
 		}
-		p.codes[f] = c
+		p.codes[i] = c
 	}
 	// Second pass: cross-function call targets become direct Code
-	// pointers so the executor switches streams without a map lookup.
-	for name, c := range p.codes {
+	// pointers so the executor switches streams without a lookup.
+	for _, c := range p.codes {
 		c.callCodes = make([]*Code, len(c.callFns))
 		for i, fn := range c.callFns {
-			cc := p.codes[fn]
+			cc := p.Code(fn)
 			if cc == nil {
-				return nil, fmt.Errorf("bytecode: %s calls %q outside the program", name.Name, fn.Name)
+				return nil, fmt.Errorf("bytecode: %s calls %q outside the program", c.Fn.Name, fn.Name)
 			}
 			c.callCodes[i] = cc
 		}

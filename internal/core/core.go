@@ -219,6 +219,13 @@ type gateState struct {
 	injectPending bool // inject at next gate execution
 	injected      bool // injected in the current episode
 	sticky        bool // permanently diverted (StickyDivert)
+
+	// last is the gate's boundary call as it last executed, for the
+	// compensation an injection runs (its call.Name is "" until then).
+	// It is overwritten in place: only the gate right after the call
+	// reads it, and no Capture or Compensate keeps Args past the next
+	// call at the same site.
+	last callRecord
 }
 
 // callRecord captures one executed boundary call for compensation.
@@ -228,6 +235,7 @@ type callRecord struct {
 }
 
 type deferredCall struct {
+	fn   libsim.FuncID
 	name string
 	args []int64
 }
@@ -317,7 +325,8 @@ type Stats struct {
 	// dirty cache lines for HTM commits, undo-log entries for STM.
 	TxWriteLines []int64
 
-	// Executed site sets by role (Table III).
+	// Executed site sets by role (Table III). Stats builds them fresh
+	// from the runtime's site bitset at every call.
 	GateSites  map[int]bool
 	EmbedSites map[int]bool
 	BreakSites map[int]bool
@@ -386,8 +395,10 @@ func (s Stats) HTMAbortRate() float64 {
 type Runtime struct {
 	cfg   Config
 	model *libmodel.Model
-	sites map[int]*analysis.Site
-	gates map[int]*analysis.Site
+	// sites is the program's site table, indexed by site ID: each site's
+	// role, model entry and library ID, bound once when the program was
+	// hardened and shared by every runtime booted from it.
+	sites []*analysis.Site
 
 	os   *libsim.OS
 	m    *interp.Machine
@@ -402,8 +413,9 @@ type Runtime struct {
 	tid         int
 	waitingLock bool
 
-	gs         []gateState
-	cur        *txState // nil, or &txBuf while a transaction is live
+	gs         []gateState // indexed by gate (analysis.Site.Gate)
+	executed   siteSet     // the sites whose library call has run (Table III)
+	cur        *txState    // nil, or &txBuf while a transaction is live
 	txBuf      txState
 	curVariant int64
 	pending    struct {
@@ -413,7 +425,6 @@ type Runtime struct {
 		dom     bool
 		snap    *interp.Snapshot
 	}
-	lastCall map[int]*callRecord
 
 	// quiesce is the boot-time snapshot of the app's request-handling
 	// frame (its accept/event loop, blocked in epoll_wait), registered by
@@ -449,20 +460,17 @@ var _ interp.Runtime = (*Runtime)(nil)
 // creating the machine.
 func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
+	gates, _, _ := tr.Analysis.Counts()
 	rt := &Runtime{
 		cfg:      cfg,
 		model:    tr.Model,
 		sites:    tr.Analysis.ByID,
-		gates:    tr.Gates,
 		os:       os,
 		tsx:      htm.New(cfg.HTM),
 		undo:     stm.New(os.Space),
-		gs:       make([]gateState, tr.Prog.NumSites+1),
-		lastCall: make(map[int]*callRecord),
+		gs:       make([]gateState, gates),
+		executed: newSiteSet(len(tr.Analysis.ByID)),
 	}
-	rt.stats.GateSites = map[int]bool{}
-	rt.stats.EmbedSites = map[int]bool{}
-	rt.stats.BreakSites = map[int]bool{}
 	rt.spans = &obsv.SpanLog{Limit: cfg.TraceLimit}
 	if cfg.EnableDomains {
 		// Per-request arenas over protection domains: the libsim arena
@@ -473,7 +481,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 			func(dom int32) {
 				rt.stats.DomainSwitches++
 				if rt.tracing {
-					rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", fmt.Sprintf("dom=%d", dom))
+					rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", detailf("dom=%d", int64(dom)))
 				}
 			},
 			func(dom int32) { rt.stats.DomainRetires++ },
@@ -522,31 +530,56 @@ func (rt *Runtime) OnResume() {
 	}
 }
 
-// cloneSiteSet deep-copies one of the Table III site sets.
-func cloneSiteSet(src map[int]bool) map[int]bool {
-	dst := make(map[int]bool, len(src))
-	for k, v := range src {
-		dst[k] = v
+// siteSet is a set of site IDs, one bit per site.
+type siteSet []uint64
+
+func newSiteSet(n int) siteSet { return make(siteSet, (n+63)/64) }
+
+func (s siteSet) add(id int) { s[id/64] |= 1 << (id % 64) }
+
+func (s siteSet) has(id int) bool { return s[id/64]&(1<<(id%64)) != 0 }
+
+// siteCounts returns how many executed sites each Table III role has,
+// indexed by analysis.Role.
+func (rt *Runtime) siteCounts() (n [analysis.RoleBreak + 1]int) {
+	for id, site := range rt.sites {
+		if site != nil && rt.executed.has(id) {
+			n[site.Role]++
+		}
 	}
-	return dst
+	return n
+}
+
+// siteRoles returns the executed sites of each Table III role as the
+// exported site sets: fresh maps, so a caller may keep or change them.
+func (rt *Runtime) siteRoles() (gates, embeds, breaks map[int]bool) {
+	n := rt.siteCounts()
+	var sets [analysis.RoleBreak + 1]map[int]bool
+	for role := analysis.RoleGate; role <= analysis.RoleBreak; role++ {
+		sets[role] = make(map[int]bool, n[role])
+	}
+	for id, site := range rt.sites {
+		if site != nil && rt.executed.has(id) {
+			sets[site.Role][id] = true
+		}
+	}
+	return sets[analysis.RoleGate], sets[analysis.RoleEmbed], sets[analysis.RoleBreak]
 }
 
 // Stats returns a snapshot of accumulated statistics. Every reference
-// field is deep-copied — the sample slices and the site-set maps — so the
-// snapshot stays frozen while the runtime keeps executing.
+// field is freshly built — the sample slices and the site-set maps — so
+// the snapshot stays frozen while the runtime keeps executing.
 func (rt *Runtime) Stats() Stats {
 	s := rt.snapshot()
 	s.LatencyCycles = append([]int64(nil), rt.stats.LatencyCycles...)
 	s.TxSteps, s.TxWriteLines = rt.txs.flatten()
-	s.GateSites = cloneSiteSet(rt.stats.GateSites)
-	s.EmbedSites = cloneSiteSet(rt.stats.EmbedSites)
-	s.BreakSites = cloneSiteSet(rt.stats.BreakSites)
+	s.GateSites, s.EmbedSites, s.BreakSites = rt.siteRoles()
 	return s
 }
 
 // snapshot returns the counters with the arena accounting filled in; its
-// latency samples and site sets alias the live ones, and it leaves the
-// transaction samples out (they live in rt.txs).
+// latency samples alias the live ones, and it leaves the transaction
+// samples and the site sets out (they live in rt.txs and rt.executed).
 func (rt *Runtime) snapshot() Stats {
 	s := rt.stats
 	if rt.os != nil {
@@ -567,30 +600,16 @@ func (rt *Runtime) MemoryOverheadBytes() int64 { return rt.undo.MemoryBytes() }
 
 // GateLatchedSTM reports whether a gate has permanently switched to STM
 // (tests and the Fig. 3/6 experiments).
-func (rt *Runtime) GateLatchedSTM(site int) bool {
-	if site <= 0 || site >= len(rt.gs) {
-		return false
-	}
-	return rt.gs[site].stmLatched
-}
+func (rt *Runtime) GateLatchedSTM(site int) bool { return rt.state(site).stmLatched }
 
 // GateLatchedDomains reports whether a gate has permanently switched to
 // the rewind-and-discard strategy (tests and the ablation experiments).
-func (rt *Runtime) GateLatchedDomains(site int) bool {
-	if site <= 0 || site >= len(rt.gs) {
-		return false
-	}
-	return rt.gs[site].domLatched
-}
+func (rt *Runtime) GateLatchedDomains(site int) bool { return rt.state(site).domLatched }
 
 // LatchSTM pins a gate to STM permanently before execution — the paper's
 // §IV-C "manual marking" policy, where hot regions (post-malloc
 // initialization) are hand-annotated to skip HTM entirely.
-func (rt *Runtime) LatchSTM(site int) {
-	if site > 0 && site < len(rt.gs) {
-		rt.gs[site].stmLatched = true
-	}
-}
+func (rt *Runtime) LatchSTM(site int) { rt.state(site).stmLatched = true }
 
 // SiteAbortRate describes one gate's HTM abort behaviour — the paper's
 // Fig. 3 attributes aborts to specific library calls this way (malloc,
@@ -615,18 +634,15 @@ func (s SiteAbortRate) AbortPct() float64 {
 // aborted at least once, ordered by site ID.
 func (rt *Runtime) SiteAbortRates() []SiteAbortRate {
 	var out []SiteAbortRate
-	for site := range rt.gs {
-		st := &rt.gs[site]
-		if st.htmAborts == 0 {
+	for site := range rt.sites {
+		g := rt.gate(site)
+		if g == nil || rt.gs[g.Gate].htmAborts == 0 {
 			continue
 		}
-		name := ""
-		if g := rt.gates[site]; g != nil {
-			name = g.Name
-		}
+		st := &rt.gs[g.Gate]
 		out = append(out, SiteAbortRate{
 			Site:    site,
-			Call:    name,
+			Call:    g.Name,
 			Execs:   st.execs,
 			Aborts:  st.htmAborts,
 			Latched: st.stmLatched,
@@ -639,20 +655,37 @@ func (rt *Runtime) SiteAbortRates() []SiteAbortRate {
 // a warmup run's learned policy into a fresh "manual" run).
 func (rt *Runtime) LatchedSites() []int {
 	var out []int
-	for site := range rt.gs {
-		if rt.gs[site].stmLatched {
+	for site := range rt.sites {
+		if g := rt.gate(site); g != nil && rt.gs[g.Gate].stmLatched {
 			out = append(out, site)
 		}
 	}
 	return out
 }
 
-func (rt *Runtime) state(site int) *gateState {
-	if site <= 0 || site >= len(rt.gs) {
-		// Defensive: unknown site, use a throwaway slot.
-		return &gateState{}
+// site returns the program's site with ID id, nil if it has none.
+func (rt *Runtime) site(id int) *analysis.Site {
+	if uint(id) < uint(len(rt.sites)) {
+		return rt.sites[id]
 	}
-	return &rt.gs[site]
+	return nil
+}
+
+// gate returns the gate site with ID id, nil if id is not a gate.
+func (rt *Runtime) gate(id int) *analysis.Site {
+	if s := rt.site(id); s != nil && s.Role == analysis.RoleGate {
+		return s
+	}
+	return nil
+}
+
+// state returns the gate's policy and recovery state.
+func (rt *Runtime) state(site int) *gateState {
+	if g := rt.gate(site); g != nil {
+		return &rt.gs[g.Gate]
+	}
+	// Defensive: not a gate of this program, use a throwaway slot.
+	return &gateState{}
 }
 
 // routeStore sends a program store through the active transaction.
@@ -692,46 +725,37 @@ func (rt *Runtime) routeStoreRange(addr int64, data []byte) (int, error) {
 
 // --- interp.Runtime implementation ------------------------------------------
 
-// LibCall implements interp.Runtime.
+// LibCall implements interp.Runtime. The call's site binds its role,
+// model entry and library ID, so dispatch indexes tables and hashes
+// nothing; a call without a site (none in a hardened program) resolves
+// its entry from the name.
 func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID int) (int64, error) {
-	site := rt.sites[siteID]
-	if site != nil && rt.gates[siteID] != nil {
-		// Boundary call: runs outside any transaction (the shaper put a
-		// TxEnd before it). Record it for compensation.
-		rt.stats.GateSites[siteID] = true
-		var aux any
-		if site.Entry.Capture != nil {
-			aux = site.Entry.Capture(rt.os, libmodel.Call{Name: name, Args: args})
-		}
-		ret, err := rt.os.Call(name, args)
-		if err != nil {
-			return 0, err
-		}
-		// The site's record is overwritten in place: only the gate right
-		// after this call reads it (inject), and no Capture or Compensate
-		// keeps Args past the next call at the same site.
-		rec := rt.lastCall[siteID]
-		if rec == nil {
-			rec = &callRecord{}
-			rt.lastCall[siteID] = rec
-		}
-		rec.call.Name = name
-		rec.call.Args = append(rec.call.Args[:0], args...)
-		rec.call.Ret = ret
-		rec.aux = aux
-		return ret, nil
-	}
-
-	if site != nil {
-		switch site.Role {
-		case analysis.RoleEmbed:
-			rt.stats.EmbedSites[siteID] = true
-		case analysis.RoleBreak:
-			rt.stats.BreakSites[siteID] = true
+	fn, entry := libsim.NoFunc, (*libmodel.Entry)(nil)
+	if site := rt.site(siteID); site == nil {
+		entry = rt.model.Lookup(name)
+	} else {
+		rt.executed.add(siteID)
+		fn, entry = site.Lib, site.Entry
+		if site.Role == analysis.RoleGate {
+			// Boundary call: runs outside any transaction (the shaper
+			// put a TxEnd before it). Record it for compensation.
+			var aux any
+			if entry.Capture != nil {
+				aux = entry.Capture(rt.os, libmodel.Call{Name: name, Args: args})
+			}
+			ret, err := rt.os.CallFunc(fn, name, args)
+			if err != nil {
+				return 0, err
+			}
+			rec := &rt.gs[site.Gate].last
+			rec.call.Name = name
+			rec.call.Args = append(rec.call.Args[:0], args...)
+			rec.call.Ret = ret
+			rec.aux = aux
+			return ret, nil
 		}
 	}
 
-	entry := rt.model.Lookup(name)
 	if tx := rt.cur; tx != nil && tx.variant != 0 && entry != nil {
 		switch {
 		case entry.Class == libmodel.Deferrable:
@@ -740,13 +764,13 @@ func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID 
 			n := len(tx.deferred)
 			tx.deferred = slices.Grow(tx.deferred, 1)[:n+1]
 			d := &tx.deferred[n]
-			d.name = name
+			d.fn, d.name = fn, name
 			d.args = append(d.args[:0], args...)
 			return 0, nil
 		case entry.Compensate != nil:
 			// Embedded reversible call: execute, but queue its
 			// compensation for rollback.
-			ret, err := rt.os.Call(name, args)
+			ret, err := rt.os.CallFunc(fn, name, args)
 			if err != nil {
 				return 0, err
 			}
@@ -756,7 +780,7 @@ func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID 
 			return ret, nil
 		}
 	}
-	return rt.os.Call(name, args)
+	return rt.os.CallFunc(fn, name, args)
 }
 
 // Gate implements interp.Runtime: the transaction entry gate dispatch.
@@ -813,18 +837,15 @@ func (rt *Runtime) Gate(m *interp.Machine, siteID int, snap *interp.Snapshot) (i
 // documentation, and return the documented error value for the gate to
 // install in the call's return register (§V-B).
 func (rt *Runtime) inject(m *interp.Machine, siteID int) int64 {
-	site := rt.gates[siteID]
-	entry := site.Entry
-	if rec := rt.lastCall[siteID]; rec != nil && entry.Compensate != nil {
+	entry := rt.gate(siteID).Entry
+	if rec := &rt.state(siteID).last; rec.call.Name != "" && entry.Compensate != nil {
 		entry.Compensate(rt.os, rec.call, rec.aux)
 		m.Cycles += costCompensation
 	}
 	if !entry.ErrnoDirect {
 		rt.os.Errno = entry.Errno
 	}
-	if rt.tracing {
-		rt.emitSpan(obsv.SpanInject, siteID, "", "", fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
-	}
+	rt.emitSpan(obsv.SpanInject, siteID, "", "", detailf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
 	return entry.ErrorReturn
 }
 
@@ -890,7 +911,7 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 	rt.cur = tx
 	rt.curVariant = variant
 	if rt.spanAll {
-		rt.emitSpan(obsv.SpanBegin, tx.site, txVariantName(tx), "", "")
+		rt.emitSpan(obsv.SpanBegin, tx.site, txVariantName(tx), "", spanDetail{})
 	}
 	return nil
 }
@@ -942,7 +963,7 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 	}
 	rt.cur = nil
 	if rt.spanAll {
-		rt.emitSpan(obsv.SpanCommit, tx.site, txVariantName(tx), "", "")
+		rt.emitSpan(obsv.SpanCommit, tx.site, txVariantName(tx), "", spanDetail{})
 	}
 
 	// A committed transaction closes its gate's crash episode.
@@ -958,7 +979,7 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 	// Deferred effects (free/close/...) become real at commit.
 	for _, d := range tx.deferred {
 		rt.stats.DeferredRuns++
-		if _, err := rt.os.Call(d.name, d.args); err != nil {
+		if _, err := rt.os.CallFunc(d.fn, d.name, d.args); err != nil {
 			return err
 		}
 	}
@@ -995,10 +1016,8 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 	if mean := st.stmUndo / st.stmTxs; mean >= rt.undoMin(st) {
 		st.domLatched = true
 		rt.stats.DomainLatches++
-		if rt.tracing {
-			rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
-				fmt.Sprintf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
-		}
+		rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
+			detailf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
 	}
 }
 
@@ -1024,10 +1043,8 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 	st.domBackoff = 0
 	st.stmTxs, st.stmUndo = 0, 0
 	st.stmLatched = true
-	if rt.tracing {
-		rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
-			fmt.Sprintf("fallbacks=%d undo_min=%d", rt.cfg.DomainBackoffMax, st.undoMin))
-	}
+	rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
+		detailf("fallbacks=%d undo_min=%d", int64(rt.cfg.DomainBackoffMax), st.undoMin))
 }
 
 // Store implements interp.Runtime.
@@ -1148,10 +1165,8 @@ func domainViolation(err error) (int64, bool) {
 // it.
 func (rt *Runtime) noteViolation(site int, addr int64) {
 	rt.stats.DomainViolations++
-	if rt.tracing {
-		rt.emitSpan(obsv.SpanDomainViolation, site, "", "",
-			fmt.Sprintf("addr=%#x dom=%d", addr, rt.os.Space.CurrentDomain()))
-	}
+	rt.emitSpan(obsv.SpanDomainViolation, site, "", "",
+		detailf("addr=%#x dom=%d", addr, int64(rt.os.Space.CurrentDomain())))
 }
 
 // handleHTMAbort processes a capacity/interrupt abort: the hardware rolled
@@ -1186,10 +1201,8 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 		st.capAborts++
 	}
 	rt.stats.HTMAborts++
-	if rt.tracing {
-		rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
-			fmt.Sprintf("aborts=%d execs=%d", st.htmAborts, st.execs))
-	}
+	rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
+		detailf("aborts=%d execs=%d", st.htmAborts, st.execs))
 	if rt.cfg.Mode == ModeHybrid && st.htmAborts%rt.cfg.SampleSize == 0 {
 		if float64(st.htmAborts)/float64(st.execs) > rt.cfg.Threshold {
 			if rt.cfg.EnableDomains && !st.domLatched && st.capAborts*2 >= st.htmAborts {
@@ -1199,14 +1212,12 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 				// detour.
 				st.domLatched = true
 				rt.stats.DomainLatches++
-				if rt.tracing {
-					rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
-						fmt.Sprintf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
-				}
+				rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
+					detailf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
 				return
 			}
 			if !st.stmLatched {
-				rt.emitSpan(obsv.SpanLatchSTM, site, "", "", "")
+				rt.emitSpan(obsv.SpanLatchSTM, site, "", "", spanDetail{})
 			}
 			st.stmLatched = true
 		}
@@ -1248,10 +1259,8 @@ func (rt *Runtime) shed(m *interp.Machine, site int, reason string) interp.Actio
 		rt.stats.ShedConnsLost++
 	}
 	rt.markTouched(trace)
-	if rt.tracing {
-		rt.emitSpanTrace(obsv.SpanShed, site, trace, "", reason,
-			fmt.Sprintf("fd=%d sheds=%d", fd, rt.stats.Sheds))
-	}
+	rt.emitSpanTrace(obsv.SpanShed, site, trace, "", reason,
+		detailf("fd=%d sheds=%d", fd, rt.stats.Sheds))
 	return interp.ActionContinue
 }
 
@@ -1274,7 +1283,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			return rt.shed(m, site, "crash outside any transaction")
 		}
 		rt.stats.Unrecovered++
-		rt.emitSpan(obsv.SpanUnrecovered, site, "", "", "crash outside any transaction")
+		rt.emitSpan(obsv.SpanUnrecovered, site, "", "", detailText("crash outside any transaction"))
 		return interp.ActionDie
 	}
 
@@ -1310,7 +1319,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		// deferred effects revert as usual, then the arena's bump pointer
 		// rewinds to the entry mark (tail rezeroed, O(1) in the cost
 		// model) and the register snapshot restores.
-		rt.emitSpan(obsv.SpanCrash, tx.site, "domain", cause, "")
+		rt.emitSpan(obsv.SpanCrash, tx.site, "domain", cause, spanDetail{})
 		rt.rollbackSideEffects(tx)
 		dom := rt.os.ActiveArenaDom()
 		mark := tx.arenaMark
@@ -1322,12 +1331,10 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		m.Cycles += costSignal + costDomainDiscard
 		rt.cur = nil
 		rt.stats.DomainDiscards++
-		if rt.tracing {
-			rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
-				fmt.Sprintf("dom=%d mark=%d", dom, mark))
-		}
+		rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
+			detailf("dom=%d mark=%d", int64(dom), mark))
 	} else {
-		rt.emitSpan(obsv.SpanCrash, tx.site, "stm", cause, "")
+		rt.emitSpan(obsv.SpanCrash, tx.site, "stm", cause, spanDetail{})
 		undone, rerr := rt.undo.Rollback()
 		if rerr != nil {
 			// The undo log could not restore memory: the heap is inconsistent,
@@ -1336,7 +1343,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			// every other unrecovered crash.
 			rt.stats.Unrecovered++
 			if rt.tracing {
-				rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", fmt.Sprintf("undo-log rollback failed: %v", rerr))
+				rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", detailText("undo-log rollback failed: "+rerr.Error()))
 			}
 			return interp.ActionDie
 		}
@@ -1361,15 +1368,13 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			st.oneShotSTM = true
 		}
 		rt.stats.Retries++
-		if rt.tracing {
-			rt.emitSpan(obsv.SpanRetry, tx.site, "", "", fmt.Sprintf("attempt=%d", st.crashes))
-		}
+		rt.emitSpan(obsv.SpanRetry, tx.site, "", "", detailf("attempt=%d", int64(st.crashes)))
 	default:
 		// Persistent: inject a fault at the gate, if the site allows it
 		// and we have not already diverted this episode. When injection is
 		// off the table the ladder escalates to shedding: close the crash
 		// episode, drop the request, and resume at the quiesce point.
-		site := rt.gates[tx.site]
+		site := rt.gate(tx.site)
 		if site == nil || !site.Entry.Injectable() || st.injected {
 			if rt.canShed() {
 				st.crashes = 0
@@ -1377,7 +1382,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 				return rt.shed(m, tx.site, "persistent fault, no injectable gate")
 			}
 			rt.stats.Unrecovered++
-			rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", "persistent fault, no injectable gate")
+			rt.emitSpan(obsv.SpanUnrecovered, tx.site, "", "", detailText("persistent fault, no injectable gate"))
 			return interp.ActionDie
 		}
 		st.injectPending = true
@@ -1388,9 +1393,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 	if len(rt.stats.LatencyCycles) < maxLatencySamples {
 		rt.stats.LatencyCycles = append(rt.stats.LatencyCycles, lat)
 	}
-	if rt.tracing {
-		rt.emitSpan(obsv.SpanRecovered, tx.site, "", "", fmt.Sprintf("latency=%d", lat))
-	}
+	rt.emitSpan(obsv.SpanRecovered, tx.site, "", "", detailf("latency=%d", lat))
 	return interp.ActionContinue
 }
 

@@ -18,8 +18,10 @@ import (
 // gateSite returns some gate site ID of the ladder program (its malloc).
 func gateSite(t *testing.T, rt *Runtime) int {
 	t.Helper()
-	for id := range rt.gates {
-		return id
+	for id := range rt.sites {
+		if rt.gate(id) != nil {
+			return id
+		}
 	}
 	t.Fatal("program has no gate sites")
 	return 0

@@ -108,8 +108,8 @@ func TestShedOnPersistentFaultWithoutInjectableGate(t *testing.T) {
 	site := 1
 	rt.undo.Begin()
 	rt.cur = &txState{site: site, variant: ir.TxSTM, snap: m.Snapshot()}
-	rt.gs[site].crashes = 1 // next crash exceeds RetryTransient
-	rt.gs[site].injected = true
+	rt.state(site).crashes = 1 // next crash exceeds RetryTransient
+	rt.state(site).injected = true
 
 	if act := rt.handleCrash(m, nil); act != interp.ActionContinue {
 		t.Fatalf("action = %v, want continue (shed)", act)
@@ -120,8 +120,8 @@ func TestShedOnPersistentFaultWithoutInjectableGate(t *testing.T) {
 	}
 	// The crash episode is closed: the site starts fresh if it crashes
 	// again after the shed.
-	if rt.gs[site].crashes != 0 || rt.gs[site].injected {
-		t.Errorf("crash episode not reset: %+v", rt.gs[site])
+	if rt.state(site).crashes != 0 || rt.state(site).injected {
+		t.Errorf("crash episode not reset: %+v", *rt.state(site))
 	}
 	e, ok := findSpan(rt, obsv.SpanShed)
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/firestarter-go/firestarter/internal/analysis"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/stm"
@@ -72,9 +73,10 @@ func (rt *Runtime) PublishMetrics(reg *obsv.Registry, labels ...obsv.Label) {
 		reg.Gauge("core.arena_slabs", labels...).Add(s.Arena.Slabs)
 	}
 
-	reg.Gauge("core.sites_gate", labels...).Add(int64(len(s.GateSites)))
-	reg.Gauge("core.sites_embed", labels...).Add(int64(len(s.EmbedSites)))
-	reg.Gauge("core.sites_break", labels...).Add(int64(len(s.BreakSites)))
+	sites := rt.siteCounts()
+	reg.Gauge("core.sites_gate", labels...).Add(int64(sites[analysis.RoleGate]))
+	reg.Gauge("core.sites_embed", labels...).Add(int64(sites[analysis.RoleEmbed]))
+	reg.Gauge("core.sites_break", labels...).Add(int64(sites[analysis.RoleBreak]))
 
 	reg.Counter("core.trace_events", labels...).Add(int64(rt.spans.Len()))
 	reg.Counter("core.trace_dropped", labels...).Add(rt.spans.Dropped())

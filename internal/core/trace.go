@@ -85,11 +85,44 @@ func variantName(variant int64) string {
 	}
 }
 
+// spanDetail is a span's Detail before rendering: literal text, or a
+// printf format with up to two integer operands. emitSpanTrace renders it
+// only for a span the log keeps, so a span dropped past the cap costs no
+// formatting and no allocation.
+type spanDetail struct {
+	format string
+	n      int // operands in args; 0 means format is literal text
+	args   [2]int64
+}
+
+// detailText is a literal span detail.
+func detailText(text string) spanDetail { return spanDetail{format: text} }
+
+// detailf is a span detail rendered as fmt.Sprintf(format, args...); it
+// takes one or two operands.
+func detailf(format string, args ...int64) spanDetail {
+	d := spanDetail{format: format, n: len(args)}
+	copy(d.args[:], args)
+	return d
+}
+
+// String renders the detail.
+func (d spanDetail) String() string {
+	switch d.n {
+	case 0:
+		return d.format
+	case 1:
+		return fmt.Sprintf(d.format, d.args[0])
+	default:
+		return fmt.Sprintf(d.format, d.args[0], d.args[1])
+	}
+}
+
 // emitSpan records one structured span event, attaching the trace ID of
 // the request currently being served (the serving connection's active
 // trace). Recovery-machinery kinds additionally mark that trace as
 // touched-by-recovery so the driver can split latency clean vs recovered.
-func (rt *Runtime) emitSpan(kind string, site int, variant, cause, detail string) {
+func (rt *Runtime) emitSpan(kind string, site int, variant, cause string, detail spanDetail) {
 	if !rt.tracing {
 		return
 	}
@@ -137,11 +170,11 @@ func (rt *Runtime) TouchedTraces() []int64 {
 }
 
 // emitSpanTrace records one structured span event with an explicit trace
-// ID. The call name resolves through rt.gates first and falls back to the
-// full site table, so events at embed/break sites carry their
-// library-call name too. Past the span log's cap the event is counted
-// as dropped without being built.
-func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, cause, detail string) {
+// ID. The call name resolves through the site table, so events at every
+// site role carry their library-call name. Past the span log's cap the
+// event is counted as dropped without being built: neither its call name
+// nor its detail is resolved.
+func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, cause string, detail spanDetail) {
 	if !rt.tracing {
 		return
 	}
@@ -154,9 +187,7 @@ func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, ca
 		return
 	}
 	call := ""
-	if s := rt.gates[site]; s != nil {
-		call = s.Name
-	} else if s := rt.sites[site]; s != nil {
+	if s := rt.site(site); s != nil {
 		call = s.Name
 	}
 	rt.spans.Append(obsv.SpanEvent{
@@ -168,7 +199,7 @@ func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, ca
 		Call:    call,
 		Variant: variant,
 		Cause:   cause,
-		Detail:  detail,
+		Detail:  detail.String(),
 	})
 }
 
@@ -177,7 +208,7 @@ func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, ca
 // and, with tracing off, allocates nothing.
 func (rt *Runtime) traceStart(trace int64) {
 	rt.stats.ReqStarts++
-	rt.emitSpanTrace(obsv.SpanReqStart, 0, trace, "", "", "")
+	rt.emitSpanTrace(obsv.SpanReqStart, 0, trace, "", "", spanDetail{})
 }
 
 // TraceHook exposes the activation hook so the scheduler can re-point the
@@ -191,11 +222,11 @@ func (rt *Runtime) TraceHook() libsim.TraceFunc { return rt.traceStart }
 // request — the driver's clean-vs-recovery latency split.
 func (rt *Runtime) ReqDone(trace int64, ok bool) bool {
 	rt.stats.ReqsDone++
-	detail := "ok"
+	verdict := detailText("ok")
 	if !ok {
-		detail = "bad"
+		verdict = detailText("bad")
 	}
-	rt.emitSpanTrace(obsv.SpanReqDone, 0, trace, "", "", detail)
+	rt.emitSpanTrace(obsv.SpanReqDone, 0, trace, "", "", verdict)
 	return rt.touched[trace]
 }
 
@@ -204,5 +235,5 @@ func (rt *Runtime) ReqDone(trace int64, ok bool) bool {
 // with it in flight). Emits the terminal req-lost span.
 func (rt *Runtime) ReqLost(trace int64, cause string) {
 	rt.stats.ReqsLost++
-	rt.emitSpanTrace(obsv.SpanReqLost, 0, trace, "", cause, "")
+	rt.emitSpanTrace(obsv.SpanReqLost, 0, trace, "", cause, spanDetail{})
 }

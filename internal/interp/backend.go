@@ -474,9 +474,7 @@ resync:
 				// A runtime event: deliver the deferred ticks, run the
 				// source instruction on the tree-walker's exec, refresh
 				// tick liveness (the event may have begun, committed or
-				// switched a transaction) and tick once. The runtime may
-				// have restored a snapshot or switched frames, so the
-				// position is re-derived from the frame.
+				// switched a transaction) and tick once.
 				f.Blk, f.Idx = in.Blk, in.Idx
 				if pending > 0 {
 					err = m.RT.Tick(m, pending)
@@ -485,6 +483,7 @@ resync:
 						goto fail
 					}
 				}
+				depth := len(m.frames)
 				if err = m.exec(f, code.Src(in)); err == nil {
 					tickLive = co == nil || co.TickLive()
 					if tickLive {
@@ -493,6 +492,21 @@ resync:
 				}
 				if err != nil {
 					goto fail
+				}
+				// The runtime may have restored a snapshot or switched
+				// frames. An event that left the top frame at the same
+				// depth, in this function, at the stream's next
+				// instruction (a library call, txbegin, txend or regsave
+				// that returned normally) resumes at pc+1 with the frame
+				// re-read; every other event re-derives the position.
+				if !m.exited && len(m.frames) == depth && pc+1 < len(insts) {
+					nf, nin := &m.frames[depth-1], &insts[pc+1]
+					if nf.Fn == code.Fn && nf.Blk == nin.Blk && nf.Idx == nin.Idx {
+						f, regs = nf, nf.Regs
+						tickGas = 0 // as on resync: transaction state may have changed
+						pc++
+						continue
+					}
 				}
 				continue resync
 			}

@@ -5,6 +5,7 @@ package interp
 // budget, frames), so they live inside the package.
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/ir"
@@ -282,6 +283,76 @@ func TestRestoreDuringLibCallWritesRestoredFrame(t *testing.T) {
 		t.Errorf("global g = %d (err %v), want 2", g, err)
 	}
 }
+
+// TestBytecodeResumeAfterSameFrameRestore: after a runtime event the
+// bytecode executor continues at the next stream instruction only when
+// the event left the top frame there. Here the first "kick" restores a
+// snapshot of the same frame (same function, same depth) taken at an
+// earlier "probe", so the frame is at a different position and the
+// executor must re-derive it. Continuing at pc+1 instead would skip the
+// re-executed add and return 109 rather than 18.
+func TestBytecodeResumeAfterSameFrameRestore(t *testing.T) {
+	type result struct {
+		out           Outcome
+		steps, cycles int64
+		topFn         string
+		topReg1       int64
+		kicks         int
+	}
+	run := func(bytecode, ticksLive bool) result {
+		prog := ir.NewProgram()
+		main := &ir.Func{Name: "main", NumRegs: 4}
+		mb := main.NewBlock("entry")
+		mb.Instrs = []ir.Instr{
+			{Op: ir.OpConst, Dst: 2, Imm: 10},
+			{Op: ir.OpLib, Dst: 0, Name: "probe"}, // snapshot here: r2 = 10
+			{Op: ir.OpConst, Dst: 3, Imm: 1},
+			{Op: ir.OpBin, Bin: ir.BinAdd, Dst: 2, A: 2, B: 3},
+			{Op: ir.OpLib, Dst: 1, Name: "kick"}, // first: restore; second: 7
+			{Op: ir.OpBin, Bin: ir.BinAdd, Dst: 0, A: 2, B: 1},
+			{Op: ir.OpRet, A: 0},
+		}
+		prog.AddFunc(main)
+		rt := &liveRestoreRT{}
+		var mrt Runtime = rt
+		if !ticksLive {
+			mrt = &rt.restoreRT
+		}
+		m := newTestMachine(t, prog, mrt)
+		if bytecode {
+			if err := UseBytecode(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := m.Run(0)
+		return result{out, m.Steps, m.Cycles, rt.topFn, rt.topReg1, rt.kicks}
+	}
+	tree := run(false, true)
+	if tree.out.Kind != OutExited || tree.out.Code != 18 {
+		t.Fatalf("tree-walker outcome = %+v, want exit 18", tree.out)
+	}
+	if tree.topFn != "main" || tree.topReg1 != 99 || tree.kicks != 2 {
+		t.Fatalf("tree-walker: restored frame %s r1=%d after %d kicks, want main r1=99 after 2",
+			tree.topFn, tree.topReg1, tree.kicks)
+	}
+	if bc := run(true, true); !reflect.DeepEqual(bc, tree) {
+		t.Errorf("bytecode, ticks live = %+v\ntree = %+v", bc, tree)
+	}
+	// With ticks dead the executor sees no tick to capture at, but its
+	// outcome and accounting must still match.
+	dead := run(true, false)
+	dead.topFn, dead.topReg1 = tree.topFn, tree.topReg1
+	if !reflect.DeepEqual(dead, tree) {
+		t.Errorf("bytecode, ticks dead = %+v\ntree = %+v", dead, tree)
+	}
+}
+
+// liveRestoreRT is restoreRT with ticks live, so the bytecode executor
+// delivers the post-restore tick that restoreRT captures at, as the
+// tree-walker does.
+type liveRestoreRT struct{ restoreRT }
+
+func (*liveRestoreRT) TickLive() bool { return true }
 
 // TestFramePoolingPreservesSnapshots: register slices recycled through the
 // frame pool must never alias a snapshot's copies — restoring the same

@@ -226,6 +226,10 @@ type Machine struct {
 	exited   bool
 	exitCode int64
 
+	// lib is the library ID (ir.Instr.Lib) of the last OpLib executed:
+	// during Runtime.LibCall, the call in progress.
+	lib libsim.FuncID
+
 	// argbuf is the scratch arena for marshalling OpCall/OpLib arguments;
 	// it is reused across instructions so the hot path never allocates.
 	// Safe because push copies the values into the callee frame and the
@@ -326,7 +330,9 @@ func New(prog *ir.Program, os *libsim.OS, rt Runtime) (*Machine, error) {
 // Link links prog for loading at the data segment (ir.Program.Link). New
 // links on first load; callers that share a program across goroutines
 // link it first, while they still own it.
-func Link(prog *ir.Program) error { return prog.Link(mem.GlobalBase) }
+func Link(prog *ir.Program) error {
+	return prog.Link(mem.GlobalBase, func(name string) int32 { return int32(libsim.Lookup(name)) })
+}
 
 // ThreadStackBytes is the simulated stack size of a thread created by
 // NewThread. Threads run shallow worker loops, so they get smaller stacks
@@ -860,6 +866,7 @@ func (m *Machine) exec(f *Frame, in *ir.Instr) error {
 		args := m.marshalArgs(in.Args, f.Regs)
 		c0 := m.Cycles
 		m.Cycles += CostLibBase
+		m.lib = libsim.FuncID(in.Lib)
 		ret, err := m.RT.LibCall(m, in.Name, args, in.Site)
 		if m.prof != nil {
 			m.prof.Lib(in.Name, in.Site, c0, m.Cycles, m.Steps)
@@ -996,9 +1003,10 @@ type Direct struct{}
 
 var _ Runtime = Direct{}
 
-// LibCall implements Runtime.
+// LibCall implements Runtime: the call dispatches on the library ID
+// linked into the OpLib being executed.
 func (Direct) LibCall(m *Machine, name string, args []int64, _ int) (int64, error) {
-	return m.OS.Call(name, args)
+	return m.OS.CallFunc(m.lib, name, args)
 }
 
 // Gate implements Runtime; uninstrumented programs have no gates.

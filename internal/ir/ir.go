@@ -186,7 +186,14 @@ type Instr struct {
 
 	// Pos is the source position (line number) carried from the frontend
 	// for diagnostics; zero when synthesized.
-	Pos int
+	Pos int32
+
+	// Lib (for OpLib) is the library function's dense ID, a resolution
+	// cache filled by Program.Link from the loader's library symbol
+	// table. Name stays authoritative here too: the library re-resolves
+	// a call whose ID does not name its function. Lib shares a word with
+	// Pos, so the cache does not grow the instruction.
+	Lib int32
 
 	// Callee (for OpCall) and Global (for OpGlobalAddr) are resolution
 	// caches filled by Program.Resolve so the interpreter's hot loop can
@@ -251,6 +258,11 @@ type Func struct {
 	// functions.
 	EntryHTM int
 	EntrySTM int
+
+	// Index is the function's dense index in its program, in name order
+	// (FuncNames), filled by Program.Resolve so per-function tables are
+	// slices rather than maps keyed by *Func.
+	Index int
 }
 
 // NewBlock appends a fresh block with the given label and returns it.
@@ -398,14 +410,18 @@ func (p *Program) Validate() error {
 	return fmt.Errorf("ir: invalid program:\n  %s", strings.Join(problems, "\n  "))
 }
 
-// Resolve fills the per-instruction resolution caches: OpCall gets a
-// direct *Func pointer and OpGlobalAddr a direct *Global pointer, so the
-// interpreter needs no map lookups on the hot path. It is idempotent and
-// cheap; Link runs it once before a program's first load, and the
-// transformation and fault-injection passes run it on their outputs so
-// instrumented programs arrive pre-resolved. Resolution never changes
-// observable semantics or the cost model — it only removes lookups.
+// Resolve fills the resolution caches: every function gets its dense
+// Index, OpCall a direct *Func pointer and OpGlobalAddr a direct *Global
+// pointer, so the interpreter needs no map lookups on the hot path. It
+// is idempotent and cheap; Link runs it once before a program's first
+// load, and the transformation and fault-injection passes run it on their
+// outputs so instrumented programs arrive pre-resolved. Resolution never
+// changes observable semantics or the cost model — it only removes
+// lookups.
 func (p *Program) Resolve() error {
+	for i, name := range p.FuncNames() {
+		p.Funcs[name].Index = i
+	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
@@ -431,19 +447,29 @@ func (p *Program) Resolve() error {
 }
 
 // Link readies p for loading, once: it validates p, resolves its
-// references (Resolve) and lays its globals out from base, each at the
-// next 16-byte boundary past the previous one's Extent. Every later call
-// returns the first call's verdict and writes nothing, so any number of
-// machines, on any number of goroutines, may load one linked program. A
-// linked program is immutable: passes that change a program work on a
-// Clone, and a clone starts unlinked.
-func (p *Program) Link(base int64) error {
+// references (Resolve), gives every OpLib its library ID (lib maps a
+// library function's name to it) and lays its globals out from base, each
+// at the next 16-byte boundary past the previous one's Extent. Every
+// later call returns the first call's verdict and writes nothing, so any
+// number of machines, on any number of goroutines, may load one linked
+// program. A linked program is immutable: passes that change a program
+// work on a Clone, and a clone starts unlinked.
+func (p *Program) Link(base int64, lib func(name string) int32) error {
 	p.link.Do(func() {
 		if p.linkErr = p.Validate(); p.linkErr != nil {
 			return
 		}
 		if p.linkErr = p.Resolve(); p.linkErr != nil {
 			return
+		}
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				for i := range b.Instrs {
+					if in := &b.Instrs[i]; in.Op == OpLib {
+						in.Lib = lib(in.Name)
+					}
+				}
+			}
 		}
 		addr := base
 		for _, g := range p.Globals {
@@ -738,6 +764,7 @@ func (p *Program) Clone() *Program {
 			Cloned:    f.Cloned,
 			EntryHTM:  f.EntryHTM,
 			EntrySTM:  f.EntrySTM,
+			Index:     f.Index,
 			Blocks:    make([]*Block, len(f.Blocks)),
 		}
 		for i, b := range f.Blocks {

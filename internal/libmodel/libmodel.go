@@ -107,19 +107,33 @@ func (e *Entry) Recoverable() bool { return e.Class != Irrecoverable }
 // this call: the function must be both recoverable and divertable.
 func (e *Entry) Injectable() bool { return e.Recoverable() && e.Divertable }
 
-// Model is the complete knowledge base.
+// Model is the complete knowledge base. Its entries are indexed by
+// library ID (libsim.FuncID): every entry's name is declared in libsim's
+// symbol table, so a caller that resolved a call's ID once reads the
+// entry without hashing the name.
 type Model struct {
-	entries map[string]*Entry
+	byID []*Entry
 }
 
 // Lookup returns the entry for a function, or nil if unknown.
-func (m *Model) Lookup(name string) *Entry { return m.entries[name] }
+func (m *Model) Lookup(name string) *Entry { return m.Entry(libsim.Lookup(name)) }
+
+// Entry returns the entry for library function id, or nil if the model
+// does not describe it.
+func (m *Model) Entry(id libsim.FuncID) *Entry {
+	if uint(id) >= uint(len(m.byID)) {
+		return nil
+	}
+	return m.byID[id]
+}
 
 // Names returns all function names in sorted order.
 func (m *Model) Names() []string {
-	names := make([]string, 0, len(m.entries))
-	for n := range m.entries {
-		names = append(names, n)
+	var names []string
+	for _, e := range m.byID {
+		if e != nil {
+			names = append(names, e.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -130,8 +144,8 @@ func (m *Model) Names() []string {
 // possible, counts[class][1] where it is not.
 func (m *Model) TableII() map[Class][2]int {
 	counts := make(map[Class][2]int)
-	for _, e := range m.entries {
-		if !e.InTable {
+	for _, e := range m.byID {
+		if e == nil || !e.InTable {
 			continue
 		}
 		c := counts[e.Class]
@@ -148,8 +162,8 @@ func (m *Model) TableII() map[Class][2]int {
 // CanonicalCount returns the number of Table II functions (101).
 func (m *Model) CanonicalCount() int {
 	n := 0
-	for _, e := range m.entries {
-		if e.InTable {
+	for _, e := range m.byID {
+		if e != nil && e.InTable {
 			n++
 		}
 	}
@@ -159,7 +173,7 @@ func (m *Model) CanonicalCount() int {
 // Default builds the standard knowledge base. The function lists mirror
 // Table II's totals exactly; see the package comment.
 func Default() *Model {
-	m := &Model{entries: make(map[string]*Entry)}
+	m := &Model{}
 
 	compCloseRet := func(o *libsim.OS, c Call, _ any) {
 		if c.Ret >= 0 {
@@ -467,8 +481,8 @@ func Default() *Model {
 func DefaultMasked() *Model {
 	m := Default()
 	for _, name := range []string{"write", "send"} {
-		e := m.entries[name]
-		masked := *e
+		id := libsim.Lookup(name)
+		masked := *m.byID[id]
 		masked.Class = StateRestore
 		masked.Divertable = true
 		masked.ErrorReturn = -1
@@ -487,7 +501,7 @@ func DefaultMasked() *Model {
 				o.TruncateSockOut(c.Args[0], mark)
 			}
 		}
-		m.entries[name] = &masked
+		m.byID[id] = &masked
 	}
 	return m
 }
@@ -519,8 +533,12 @@ func WithArena() *Model {
 }
 
 func (m *Model) add(e *Entry) {
-	if _, dup := m.entries[e.Name]; dup {
+	id := libsim.Declare(e.Name)
+	if n := int(id) + 1; n > len(m.byID) {
+		m.byID = append(m.byID, make([]*Entry, n-len(m.byID))...)
+	}
+	if m.byID[id] != nil {
 		panic("libmodel: duplicate entry " + e.Name)
 	}
-	m.entries[e.Name] = e
+	m.byID[id] = e
 }

@@ -1,6 +1,7 @@
 package libmodel
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/libsim"
@@ -342,5 +343,58 @@ func TestMaskedWriteOnFileIsNoopCompensation(t *testing.T) {
 	e.Compensate(o, c, aux) // must not panic or touch the file
 	if f := o.FS().Lookup("/f"); string(f.Data) != "data" {
 		t.Fatalf("file data = %q", f.Data)
+	}
+}
+
+// TestEntriesByIDMatchByName: in each model, every entry is reachable by
+// its library ID and by its name, as the same *Entry, and Lookup of a
+// name is the lookup of its ID.
+func TestEntriesByIDMatchByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{{"Default", Default()}, {"DefaultMasked", DefaultMasked()}, {"WithArena", WithArena()}} {
+		names := c.m.Names()
+		if len(names) < 101 {
+			t.Fatalf("%s: %d entries", c.name, len(names))
+		}
+		for _, name := range names {
+			id := libsim.Lookup(name)
+			e := c.m.Lookup(name)
+			if id == libsim.NoFunc || e == nil || e.Name != name || c.m.Entry(id) != e {
+				t.Errorf("%s: %s has ID %d, entry by name %p, by ID %p", c.name, name, id, e, c.m.Entry(id))
+			}
+		}
+		if c.m.Entry(libsim.NoFunc) != nil || c.m.Lookup("no_such_call") != nil {
+			t.Errorf("%s: an unknown function has an entry", c.name)
+		}
+	}
+}
+
+// TestModelsBuildConcurrently: models built on several goroutines at once
+// declare their names into libsim's shared symbol table; every build
+// sees one ID per name.
+func TestModelsBuildConcurrently(t *testing.T) {
+	const builders = 8
+	models := make([]*Model, builders)
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				models[i] = WithArena()
+			} else {
+				models[i] = DefaultMasked()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range models {
+		for _, name := range m.Names() {
+			if e := m.Entry(libsim.Lookup(name)); e == nil || e.Name != name {
+				t.Errorf("model %d: %s resolves to %+v", i, name, e)
+			}
+		}
 	}
 }

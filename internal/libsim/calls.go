@@ -2,6 +2,8 @@ package libsim
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"github.com/firestarter-go/firestarter/internal/mem"
 )
@@ -71,6 +73,85 @@ type handler struct {
 	fn   func(o *OS, a []int64) (int64, error)
 }
 
+// FuncID is a library function's dense index in the library's symbol
+// table. It is a resolution cache beside the function's name, filled
+// once at link time so a library call indexes a slice instead of hashing
+// a name; the name stays authoritative (see CallFunc).
+//
+// The functions libsim simulates hold IDs 0..n-1, in name order. Declare
+// gives the names a library model describes without a simulation the IDs
+// after them, so one name has one ID in every table indexed by it.
+type FuncID int32
+
+// NoFunc is the ID of a name the symbol table does not hold.
+const NoFunc FuncID = -1
+
+// funcs holds the simulated functions' handlers and names, indexed by
+// FuncID. It is filled at package initialization and never changes.
+var funcs, funcIDs = buildFuncs()
+
+// declared holds the symbol table's unsimulated names (see Declare).
+var declared struct {
+	sync.Mutex
+	ids map[string]FuncID
+}
+
+// libFunc is one simulated function: its name and its handler.
+type libFunc struct {
+	name string
+	handler
+}
+
+func buildFuncs() ([]libFunc, map[string]FuncID) {
+	t := buildCallTable()
+	names := make([]string, 0, len(t))
+	for name := range t {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fs := make([]libFunc, len(names))
+	ids := make(map[string]FuncID, len(names))
+	for i, name := range names {
+		fs[i].name, fs[i].handler = name, t[name]
+		ids[name] = FuncID(i)
+	}
+	return fs, ids
+}
+
+// Lookup returns name's ID, or NoFunc for a name neither simulated nor
+// declared.
+func Lookup(name string) FuncID {
+	if id, ok := funcIDs[name]; ok {
+		return id
+	}
+	declared.Lock()
+	defer declared.Unlock()
+	if id, ok := declared.ids[name]; ok {
+		return id
+	}
+	return NoFunc
+}
+
+// Declare returns name's ID, first adding name to the symbol table as an
+// unsimulated function if it holds no such name. A call to a declared
+// function fails exactly like a call to an unknown name.
+func Declare(name string) FuncID {
+	if id, ok := funcIDs[name]; ok {
+		return id
+	}
+	declared.Lock()
+	defer declared.Unlock()
+	if id, ok := declared.ids[name]; ok {
+		return id
+	}
+	if declared.ids == nil {
+		declared.ids = make(map[string]FuncID)
+	}
+	id := FuncID(len(funcs) + len(declared.ids))
+	declared.ids[name] = id
+	return id
+}
+
 // Call executes the named library function. It returns the call's result
 // and sets o.Errno on failure. The error return is reserved for simulation-
 // level conditions: ErrBlocked (the interpreter should yield and retry),
@@ -78,10 +159,21 @@ type handler struct {
 // turns into aborts/crashes), and ErrCorrupt for operations that real libc
 // would abort the process for (wild free).
 func (o *OS) Call(name string, args []int64) (int64, error) {
-	h, ok := callTable[name]
-	if !ok {
-		return 0, fmt.Errorf("libsim: unknown library function %q", name)
+	return o.CallFunc(Lookup(name), name, args)
+}
+
+// CallFunc executes library function id, which callers resolved from
+// name once, at link time; it behaves exactly like Call(name, args). The
+// name stays authoritative: an id that does not name a simulated function
+// called name is resolved again from name, so a stale or missing cache
+// costs a lookup, never a wrong call.
+func (o *OS) CallFunc(id FuncID, name string, args []int64) (int64, error) {
+	if uint(id) >= uint(len(funcs)) || funcs[id].name != name {
+		if id = Lookup(name); uint(id) >= uint(len(funcs)) {
+			return 0, fmt.Errorf("libsim: unknown library function %q", name)
+		}
 	}
+	h := &funcs[id]
 	if h.args >= 0 && len(args) != h.args {
 		return 0, fmt.Errorf("libsim: %s called with %d args, want %d", name, len(args), h.args)
 	}
@@ -92,17 +184,12 @@ func (o *OS) Call(name string, args []int64) (int64, error) {
 }
 
 // Known reports whether name is an implemented library function.
-func Known(name string) bool {
-	_, ok := callTable[name]
-	return ok
-}
+func Known(name string) bool { return uint(Lookup(name)) < uint(len(funcs)) }
 
 // ErrCorrupt reports heap corruption (wild/double free): real allocators
 // abort the process, so the interpreter converts this into a fail-stop
 // crash inside the application.
 var ErrCorrupt = fmt.Errorf("libsim: heap corruption detected")
-
-var callTable = buildCallTable()
 
 func buildCallTable() map[string]handler {
 	t := map[string]handler{}

@@ -41,10 +41,6 @@ type Result struct {
 	// Analysis is the site analysis of the instrumented program.
 	Analysis *analysis.Result
 
-	// Gates maps site ID → site for every site that received a
-	// transaction entry gate.
-	Gates map[int]*analysis.Site
-
 	// Model is the library model used.
 	Model *libmodel.Model
 }
@@ -58,21 +54,14 @@ func Apply(prog *ir.Program, model *libmodel.Model) (*Result, error) {
 
 	// Pass 1: Library Interface Analyzer.
 	res := analysis.Analyze(p, model)
-	siteByID := res.ByID
 
 	// Passes 2+3 per function.
 	for _, name := range p.FuncNames() {
 		f := p.Funcs[name]
-		shapeFunc(f, siteByID)
+		shapeFunc(f, res.ByID)
 		cloneFunc(f)
 	}
 
-	gates := make(map[int]*analysis.Site)
-	for _, s := range res.Sites {
-		if s.Role == analysis.RoleGate {
-			gates[s.ID] = s
-		}
-	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("transform: instrumented program invalid: %w", err)
 	}
@@ -81,7 +70,7 @@ func Apply(prog *ir.Program, model *libmodel.Model) (*Result, error) {
 	if err := p.Resolve(); err != nil {
 		return nil, fmt.Errorf("transform: resolving instrumented program: %w", err)
 	}
-	return &Result{Prog: p, Analysis: res, Gates: gates, Model: model}, nil
+	return &Result{Prog: p, Analysis: res, Model: model}, nil
 }
 
 // shapeFunc is the Adaptive Transaction Shaper: it splits blocks at Gate
@@ -89,7 +78,7 @@ func Apply(prog *ir.Program, model *libmodel.Model) (*Result, error) {
 // is the second-to-last instruction of its block, followed only by an
 // OpGate terminator whose Then/Else both point at the continuation block
 // (retargeted to the variant clones by cloneFunc).
-func shapeFunc(f *ir.Func, sites map[int]*analysis.Site) {
+func shapeFunc(f *ir.Func, sites []*analysis.Site) {
 	// Iterate with an explicit index: blocks appended during splitting
 	// must themselves be scanned.
 	for bi := 0; bi < len(f.Blocks); bi++ {

@@ -91,8 +91,8 @@ func TestGateStructure(t *testing.T) {
 	if txEnds != 2 {
 		t.Errorf("txends = %d, want 2", txEnds)
 	}
-	if len(tr.Gates) != 1 {
-		t.Errorf("gate sites = %d, want 1", len(tr.Gates))
+	if sites, _, _ := tr.Analysis.Counts(); sites != 1 {
+		t.Errorf("gate sites = %d, want 1", sites)
 	}
 }
 
