@@ -119,28 +119,36 @@ diff-smoke: smoke-tools
 
 # Flight-recorder smoke: a chaos campaign with -record-out captures a
 # replay manifest for every incarnation that ended unrecovered or with
-# the breaker open; each one must then (a) re-execute to completion
-# with every span verified against the recorded hash chain and the
-# replayed stream byte-identical to the companion file, (b) halt at the
-# recorded faulting instruction under the default -stop-at-cycle -1,
-# and (c) survive a -reverse-step (re-execution to the boundary one
-# retired instruction earlier, cross-checked against the checkpoint
-# ring). Any divergence — one span, one digest — fails the build.
+# the breaker open, and the open-loop sweep one for every failing rung;
+# each one must then (a) re-execute to completion with every span
+# verified against the recorded hash chain and the replayed stream
+# byte-identical to the companion file, (b) halt at the recorded
+# faulting instruction under the default -stop-at-cycle -1, and (c) for
+# an incarnation manifest, survive a -reverse-step (re-execution to the
+# boundary one retired instruction earlier, cross-checked against the
+# checkpoint ring). firetrace accepts -reverse-step only for incarnation
+# manifests, so the openloop ones skip (c). Any divergence — one span,
+# one digest — fails the build.
 replay-smoke: smoke-tools
-	rm -rf /tmp/fire-replay /tmp/fire-replay2
+	rm -rf /tmp/fire-replay /tmp/fire-replay2 /tmp/fire-replay-open
 	$(BIN)/firebench -experiment chaos -requests 24 -faults 1 \
 		-concurrency 2 -seed 3 -parallel 4 \
 		-record-out /tmp/fire-replay -fingerprint > /dev/null
 	$(BIN)/firebench -experiment chaos -requests 40 -faults 2 \
 		-concurrency 2 -parallel 4 \
 		-record-out /tmp/fire-replay2 -fingerprint > /dev/null
-	ls /tmp/fire-replay/*.json /tmp/fire-replay2/*.json > /dev/null
-	for m in /tmp/fire-replay/*.json /tmp/fire-replay2/*.json; do \
+	$(BIN)/firebench -experiment openloop -requests 600 -seed 2 -parallel 4 \
+		-record-out /tmp/fire-replay-open -fingerprint > /dev/null
+	ls /tmp/fire-replay/*.json /tmp/fire-replay2/*.json \
+		/tmp/fire-replay-open/*.json > /dev/null
+	for m in /tmp/fire-replay/*.json /tmp/fire-replay2/*.json \
+		/tmp/fire-replay-open/*.json; do \
 		$(BIN)/firetrace -manifest $$m > /dev/null || exit 1; \
 		$(BIN)/firetrace -replay $$m -stop-at-cycle 0 \
 			-replay-spans $$m.replayed.jsonl > /dev/null || exit 1; \
 		cmp $$m.replayed.jsonl $${m%.json}.spans.jsonl || exit 1; \
 		$(BIN)/firetrace -replay $$m > /dev/null || exit 1; \
+		case $$m in /tmp/fire-replay-open/*) continue;; esac; \
 		$(BIN)/firetrace -replay $$m -reverse-step -ckpt-every 1000 \
 			> /dev/null || exit 1; \
 	done

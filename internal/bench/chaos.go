@@ -7,7 +7,6 @@ import (
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
-	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
@@ -35,21 +34,15 @@ type ChaosRow struct {
 	StateLost int // incarnation deaths (in-memory state discarded)
 }
 
-// ChaosResult is the chaos soak campaign outcome.
+// ChaosResult is the chaos soak campaign outcome. Its stream is every
+// campaign's span stream on one campaign-global clock and trace-ID space.
 type ChaosResult struct {
 	Rows      []ChaosRow
 	Requests  int // workload size per campaign
 	Campaigns int
 	Survived  int
 
-	// Spans is every campaign's merged span log concatenated on a single
-	// campaign-global clock (suitable for obsvlint's trace schema).
-	Spans []obsv.SpanEvent
-
-	// Traces is the total number of traced requests delivered across all
-	// campaigns; rebasing gives them campaign-global IDs 1..Traces, and
-	// every one must reach exactly one terminal span in Spans.
-	Traces int64
+	stream
 }
 
 // chaosKinds are the fault models the soak sweeps: the paper's fail-stop
@@ -71,80 +64,32 @@ var chaosKinds = []faultinj.Kind{
 // fails the whole experiment.
 func (r Runner) Chaos() (ChaosResult, error) {
 	r = r.withDefaults()
-	var out ChaosResult
-	out.Requests = r.Requests
-
-	// Plan serially (planning shares nothing and is cheap relative to the
-	// supervised runs); fan the campaigns out below.
-	type chaosJob struct {
-		app   *apps.App
-		kind  faultinj.Kind
-		fault faultinj.Fault
+	out := ChaosResult{Requests: r.Requests}
+	jobs, err := r.planMatrix("chaos", apps.All(), chaosKinds, func(kind faultinj.Kind) int {
+		if kind == faultinj.FailStop {
+			return r.FaultsPerServer
+		}
+		return r.FaultsPerServer/(len(chaosKinds)-1) + 1
+	})
+	if err != nil {
+		return out, err
 	}
-	var jobs []chaosJob
-	for _, app := range apps.All() {
-		for _, kind := range chaosKinds {
-			max := r.FaultsPerServer
-			if kind != faultinj.FailStop {
-				max = r.FaultsPerServer/(len(chaosKinds)-1) + 1
-			}
-			faults, err := r.planFaults(app, kind, max)
-			if err != nil {
-				return out, fmt.Errorf("chaos %s/%s: %w", app.Name, kind, err)
-			}
-			for _, f := range faults {
-				jobs = append(jobs, chaosJob{app: app, kind: kind, fault: f})
-			}
-		}
+	runs, err := runCells(r, len(jobs), func(i int) string { return jobs[i].label("chaos") },
+		func(i int) (*ladderRun, error) {
+			return r.ladderRun(jobs[i].app, boot.Options{Fault: &jobs[i].fault},
+				supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
+		})
+	if err != nil {
+		return out, err
 	}
-
-	runs := make([]*ladderRun, len(jobs))
-	if err := r.forEach(len(jobs), func(i int) error {
-		j := jobs[i]
-		f := j.fault
-		lr, err := r.ladderRun(j.app, boot.Options{Fault: &f},
-			supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
-		if err != nil {
-			return fmt.Errorf("chaos %s/%s fault %d: %w", j.app.Name, j.kind, f.ID, err)
-		}
-		if errs := lr.reconcile(); len(errs) > 0 {
-			return fmt.Errorf("chaos %s/%s fault %d: accounting did not reconcile:\n  %s",
-				j.app.Name, j.kind, f.ID, strings.Join(errs, "\n  "))
-		}
-		runs[i] = lr
-		return nil
-	}); err != nil {
+	if out.stream, err = reduce(r.RecordDir, "chaos", runs...); err != nil {
 		return out, err
 	}
 
-	// Reduce in job order so the render and the combined span log are
-	// byte-identical for every Parallelism setting. Cycles are rebased
-	// onto a campaign-global clock and trace IDs onto a campaign-global
-	// ID space, so the merged log stays causally valid (obsvlint
-	// -causality) across campaigns.
-	rowIdx := map[string]int{}
-	var clock, traceBase int64
-	pieces := make([]obsv.Piece, 0, len(jobs))
-	recIdx := 0
+	var rows rowFold[matrixKey, ChaosRow]
 	for i, j := range jobs {
 		lr := runs[i]
-		// Flight-recorder output rides the same job-order reduction, so
-		// the manifest numbering is identical at any Parallelism.
-		for _, rec := range lr.Recordings {
-			if _, err := rec.Write(r.RecordDir, fmt.Sprintf("chaos-%03d", recIdx)); err != nil {
-				return out, fmt.Errorf("chaos: recording %s/%s fault %d: %w",
-					j.app.Name, j.kind, j.fault.ID, err)
-			}
-			recIdx++
-		}
-		key := j.app.Name + "/" + j.kind.String()
-		idx, ok := rowIdx[key]
-		if !ok {
-			idx = len(out.Rows)
-			rowIdx[key] = idx
-			out.Rows = append(out.Rows, ChaosRow{App: j.app.Name, Kind: j.kind.String()})
-		}
-		row := &out.Rows[idx]
+		row := rows.row(j.key(), func() ChaosRow { return ChaosRow{App: j.app.Name, Kind: j.kind.String()} })
 		row.Faults++
 		out.Campaigns++
 		if !lr.Sup.BreakerOpen {
@@ -153,27 +98,29 @@ func (r Runner) Chaos() (ChaosResult, error) {
 		}
 		row.Lost += r.Requests - lr.Completed
 		row.StateLost += lr.Sup.StateLost
-		switch lr.rung() {
-		case "breaker-open":
-			row.Breaker++
-		case "rebooted":
-			row.Rebooted++
-		case "shed":
-			row.Shed++
-		case "injected":
-			row.Injected++
-		case "recovered":
-			row.Recovered++
-		default:
-			row.None++
-		}
-		pieces = append(pieces, obsv.Piece{Spans: lr.Spans, Clock: clock, TraceBase: traceBase})
-		clock += lr.Sup.ClockCycles
-		traceBase += lr.Traces
+		row.countRung(lr)
 	}
-	out.Spans = obsv.Assemble(pieces...)
-	out.Traces = traceBase
+	out.Rows = rows.rows
 	return out, nil
+}
+
+// countRung attributes a campaign to the coarsest ladder rung it
+// escalated to — the rung that absorbed (or failed to absorb) its fault.
+func (row *ChaosRow) countRung(l *ladderRun) {
+	switch {
+	case l.Sup.BreakerOpen:
+		row.Breaker++
+	case l.Sup.Restarts > 0:
+		row.Rebooted++
+	case l.Totals.Get("core.sheds") > 0:
+		row.Shed++
+	case l.Totals.Get("core.injections") > 0:
+		row.Injected++
+	case l.Totals.Get("core.crashes") > 0:
+		row.Recovered++
+	default:
+		row.None++
+	}
 }
 
 // Render prints the soak table plus the campaign-level summary.
@@ -205,12 +152,4 @@ func (c ChaosResult) Render() string {
 		c.Survived, c.Campaigns, pct,
 		rungs.None, rungs.Recovered, rungs.Injected, rungs.Shed, rungs.Rebooted, rungs.Breaker)
 	return sb.String()
-}
-
-// Fingerprint returns the hash-chain value of the campaign-global span
-// stream in its exported (densely re-sequenced) form — one number that
-// commits to every byte -trace-out would write. Identical for a fixed
-// seed at any Parallelism.
-func (c ChaosResult) Fingerprint() uint64 {
-	return obsv.Sequence(c.Spans).Fingerprint()
 }

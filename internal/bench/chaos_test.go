@@ -127,11 +127,11 @@ func TestLadderCountsBreakerResidualAsFailed(t *testing.T) {
 // linter — with every counter consistent, it is the only finding.
 func TestLadderReconcileAppliesDomainOrdering(t *testing.T) {
 	st := core.Stats{DomainBegins: 1, DomainCommits: 1, DomainDiscards: 1}
-	lr := &ladderRun{Registry: obsv.NewRegistry(), Spans: []obsv.SpanEvent{
+	lr := &ladderRun{cell: cell{Registry: obsv.NewRegistry(), Spans: []obsv.SpanEvent{
 		{Cycles: 10, Kind: obsv.SpanBegin, Variant: "domain"},
 		{Cycles: 20, Kind: obsv.SpanCommit, Variant: "domain"},
 		{Cycles: 30, Kind: obsv.SpanDomainDiscard, Variant: "domain", Detail: "dom=0 mark=0"},
-	}}
+	}}}
 	core.AddTotals(&lr.Totals, &st)
 	core.Metrics.Publish(lr.Registry, &st)
 	core.DomainMetrics.Publish(lr.Registry, &st)

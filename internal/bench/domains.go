@@ -209,7 +209,9 @@ type ContainRow struct {
 	Silent     int64 // deaths unattributed to a reboot or the breaker (must be 0)
 }
 
-// ContainResult is the chaos containment campaign outcome.
+// ContainResult is the chaos containment campaign outcome. Its stream,
+// as ChaosResult's, suits obsvlint's trace schema and -causality (which
+// also validates the domain switch/discard/violation ordering rules).
 type ContainResult struct {
 	Rows      []ContainRow
 	Requests  int
@@ -217,12 +219,7 @@ type ContainResult struct {
 	Survived  int
 	Writes    int64
 
-	// Spans and Traces mirror ChaosResult: every campaign's span log
-	// merged on a campaign-global clock and trace-ID space, suitable for
-	// obsvlint's trace schema and -causality (which also validates the
-	// domain switch/discard/violation ordering rules).
-	Spans  []obsv.SpanEvent
-	Traces int64
+	stream
 }
 
 // containKinds is the fail-silent fault matrix: every silent-corruption
@@ -242,68 +239,32 @@ var containKinds = []faultinj.Kind{
 // accounting drift fails the experiment.
 func (r Runner) Containment() (ContainResult, error) {
 	r = r.withDefaults()
-	var out ContainResult
-	out.Requests = r.Requests
-
-	type job struct {
-		app   *apps.App
-		kind  faultinj.Kind
-		fault faultinj.Fault
+	out := ContainResult{Requests: r.Requests}
+	jobs, err := r.planMatrix("containment", apps.PoolApps(), containKinds, func(faultinj.Kind) int {
+		return r.FaultsPerServer/len(containKinds) + 1
+	})
+	if err != nil {
+		return out, err
 	}
-	var jobs []job
-	for _, app := range apps.PoolApps() {
-		for _, kind := range containKinds {
-			max := r.FaultsPerServer/len(containKinds) + 1
-			faults, err := r.planFaults(app, kind, max)
-			if err != nil {
-				return out, fmt.Errorf("containment %s/%s: %w", app.Name, kind, err)
-			}
-			for _, f := range faults {
-				jobs = append(jobs, job{app: app, kind: kind, fault: f})
-			}
-		}
+	runs, err := runCells(r, len(jobs), func(i int) string { return jobs[i].label("containment") },
+		func(i int) (*ladderRun, error) {
+			return r.ladderRun(jobs[i].app, boot.Options{
+				Core:  core.Config{EnableDomains: true},
+				Fault: &jobs[i].fault,
+				Model: libmodel.WithArena(),
+			}, supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
+		})
+	if err != nil {
+		return out, err
 	}
-
-	runs := make([]*ladderRun, len(jobs))
-	if err := r.forEach(len(jobs), func(i int) error {
-		j := jobs[i]
-		f := j.fault
-		lr, err := r.ladderRun(j.app, boot.Options{
-			Core:  core.Config{EnableDomains: true},
-			Fault: &f,
-			Model: libmodel.WithArena(),
-		}, supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
-		if err != nil {
-			return fmt.Errorf("containment %s/%s fault %d: %w", j.app.Name, j.kind, f.ID, err)
-		}
-		if errs := lr.reconcile(); len(errs) > 0 {
-			return fmt.Errorf("containment %s/%s fault %d: accounting did not reconcile:\n  %s",
-				j.app.Name, j.kind, f.ID, strings.Join(errs, "\n  "))
-		}
-		if len(lr.Leaks) > 0 {
-			return fmt.Errorf("containment %s/%s fault %d: cross-request corruption leaked:\n  %v",
-				j.app.Name, j.kind, f.ID, lr.Leaks)
-		}
-		runs[i] = lr
-		return nil
-	}); err != nil {
+	if out.stream, err = reduce(r.RecordDir, "containment", runs...); err != nil {
 		return out, err
 	}
 
-	// Reduce in job order (byte-identical for every Parallelism setting).
-	rowIdx := map[string]int{}
-	var clock, traceBase int64
-	pieces := make([]obsv.Piece, 0, len(jobs))
+	var rows rowFold[matrixKey, ContainRow]
 	for i, j := range jobs {
 		lr := runs[i]
-		key := j.app.Name + "/" + j.kind.String()
-		idx, ok := rowIdx[key]
-		if !ok {
-			idx = len(out.Rows)
-			rowIdx[key] = idx
-			out.Rows = append(out.Rows, ContainRow{App: j.app.Name, Kind: j.kind.String()})
-		}
-		row := &out.Rows[idx]
+		row := rows.row(j.key(), func() ContainRow { return ContainRow{App: j.app.Name, Kind: j.kind.String()} })
 		row.Faults++
 		out.Campaigns++
 		if !lr.Sup.BreakerOpen {
@@ -318,12 +279,8 @@ func (r Runner) Containment() (ContainResult, error) {
 		row.Leaks += len(lr.Leaks)
 		row.Silent += int64(lr.Sup.StateLost) - int64(lr.Sup.Restarts) - obsv.Flag(lr.Sup.BreakerOpen)
 		out.Writes += lr.Taints
-		pieces = append(pieces, obsv.Piece{Spans: lr.Spans, Clock: clock, TraceBase: traceBase})
-		clock += lr.Sup.ClockCycles
-		traceBase += lr.Traces
 	}
-	out.Spans = obsv.Assemble(pieces...)
-	out.Traces = traceBase
+	out.Rows = rows.rows
 	return out, nil
 }
 

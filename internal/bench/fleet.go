@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
+	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/fleet"
 	"github.com/firestarter-go/firestarter/internal/obsv"
@@ -51,102 +52,88 @@ type FleetResult struct {
 	Campaigns int
 	Survived  int
 
-	// Spans is every campaign's merged span log concatenated on a single
-	// experiment-global clock and trace-ID space (obsvlint trace schema,
-	// causality-clean).
-	Spans  []obsv.SpanEvent
-	Traces int64
+	stream
 }
 
 // fleetRun is one fleet campaign: a replicated supervised fleet of app
 // instances (all carrying the same seeded fault) behind the balancer,
-// driven to workload completion.
+// driven to workload completion. Closed-loop runs fill only Res.Result.
 type fleetRun struct {
-	Res  workload.Result
-	St   fleet.Stats
-	Sups []supervisor.Stats
+	cell
 
-	Spans []obsv.SpanEvent
-	Wall  int64
-	Reg   *obsv.Registry
+	Res workload.OpenResult
+	St  fleet.Stats
 }
 
-// fleetRun boots and drives one campaign. Every replica incarnation is a
-// full hardened boot with spans enabled and its quiesce point armed; the
-// incarnation's HTM interrupt seed is the replica supervisor's
+// newFleet builds app's hardened image and a fleet of size replicas
+// booting every replica and incarnation from it (Image.Replica on the
+// Runner's backend), plus the driver aimed at the fleet. Every
+// incarnation is a full hardened boot with spans enabled and its quiesce
+// point armed; its HTM interrupt seed is the replica supervisor's
 // per-incarnation seed, so no two incarnations anywhere in the fleet
 // replay the same interrupt process.
-func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleetRun, error) {
-	fcfg := fleet.Config{
+func (r Runner) newFleet(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleet.Fleet, *workload.Driver, error) {
+	o := boot.Options{Fault: fault, Backend: r.Backend}
+	img, err := r.build(app, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	fl := fleet.New(fleet.Config{
 		Replicas: size,
 		Port:     app.Port,
 		Sup:      supervisor.Config{Seed: seed},
-	}
-	bootFn, err := r.fleetBoot(app, fault)
-	if err != nil {
-		return nil, err
-	}
-	fl := fleet.New(fcfg, bootFn)
-	d := &workload.Driver{
+	}, img.Replica(o))
+	return fl, &workload.Driver{
 		Port:        app.Port,
 		Gen:         workload.ForProtocol(app.Protocol),
 		Concurrency: r.Concurrency,
 		Seed:        seed,
 		Srv:         fl,
 		Sink:        fl,
-	}
-	res := d.Run(r.Requests)
+	}, nil
+}
+
+// finishFleet finishes fl once its driver's run res is over and harvests
+// it into a cell: Totals sum the replica runtimes', the balancer's and
+// every replica supervisor's tables, and the cell carries the
+// balancer-vs-supervisor identities and one terminal per traced request.
+func finishFleet(fl *fleet.Fleet, res workload.OpenResult) (*fleetRun, error) {
 	fl.Finish()
 	if err := fl.Err(); err != nil {
 		return nil, err
 	}
-	fr := &fleetRun{Res: res, St: fl.Stats(), Spans: fl.Spans(), Wall: fl.Cycles(), Reg: fl.Registry()}
-	for i := 0; i < size; i++ {
-		fr.Sups = append(fr.Sups, fl.SupStats(i))
+	st := fl.Stats()
+	fr := &fleetRun{Res: res, St: st, cell: cell{
+		Totals:   slices.Clone(st.Runtime),
+		Registry: fl.Registry(),
+		Spans:    fl.Spans(),
+		Dropped:  st.Dropped,
+		Wall:     fl.Cycles(),
+		Traces:   int64(res.Sent),
+	}}
+	tot := &fr.Totals
+	fleet.Metrics.AddTo(tot, &st)
+	for i := 0; i < st.Replicas; i++ {
+		sup := fl.SupStats(i)
+		supervisor.Metrics.AddTo(tot, &sup)
 	}
-	return fr, nil
-}
-
-// reconcile cross-checks the campaign's three accounting surfaces — the
-// fleet/supervisor/runtime stats, the published metrics registry, and the
-// merged span log — and returns every discrepancy. Zero silent deaths:
-// every incarnation death must be attributed to a reboot or a breaker,
-// and every traced request to exactly one terminal.
-func (fr *fleetRun) reconcile() []string {
-	st := fr.St
-	tot := slices.Clone(st.Runtime)
-	fleet.Metrics.AddTo(&tot, &st)
-	for i := range fr.Sups {
-		supervisor.Metrics.AddTo(&tot, &fr.Sups[i])
-	}
-	errs := tot.CheckMetrics(fr.Reg)
-
-	// Cross-surface identities: the supervisors' view of each event vs
-	// the balancer's, zero silent deaths (every incarnation death is a
-	// reboot or a breaker), and one terminal per traced request.
-	for _, id := range []struct {
-		name      string
-		got, want int64
-	}{
+	fr.ids = []identity{
 		{"supervisor incarnations vs fleet boots", tot.Get("supervisor.incarnations"), tot.Get("fleet.boots")},
 		{"supervisor state_lost vs fleet deaths", tot.Get("supervisor.state_lost"), tot.Get("fleet.deaths")},
 		{"supervisor conns_lost vs fleet conns_lost", tot.Get("supervisor.conns_lost"), tot.Get("fleet.conns_lost")},
 		{"fleet breakers vs supervisor breakers", tot.Get("fleet.breakers_open"), tot.Get("supervisor.breaker_open")},
-		{"silent deaths (state_lost vs restarts+breakers)", tot.Get("supervisor.state_lost"),
-			tot.Get("supervisor.restarts") + tot.Get("supervisor.breaker_open")},
-		{"terminals vs sent", st.ReqsDone + st.ReqsLost, int64(fr.Res.Sent)},
-	} {
-		if id.got != id.want {
-			errs = append(errs, fmt.Sprintf("%s: %d != %d", id.name, id.got, id.want))
-		}
+		{"terminals vs sent", st.ReqsDone + st.ReqsLost, fr.Traces},
 	}
+	return fr, nil
+}
 
-	// Span-log cross-check (skipped when the bounded log overflowed).
-	if st.Dropped == 0 {
-		errs = append(errs, tot.CheckSpans(fr.Spans)...)
-		errs = append(errs, obsv.CheckCausality(fr.Spans)...)
+// fleetRun drives one closed-loop campaign against a fresh fleet.
+func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleetRun, error) {
+	fl, d, err := r.newFleet(app, fault, size, seed)
+	if err != nil {
+		return nil, err
 	}
-	return errs
+	return finishFleet(fl, workload.OpenResult{Result: d.Run(r.Requests)})
 }
 
 // fleetSizes is the paper-style scaling sweep.
@@ -163,73 +150,47 @@ func (r Runner) Fleet(sizes ...int) (FleetResult, error) {
 	if len(sizes) == 0 {
 		sizes = fleetSizes
 	}
-	var out FleetResult
-	out.Requests = r.Requests
+	out := FleetResult{Requests: r.Requests}
 
-	// Plan serially: one planted fault per app x kind cell, shared by
-	// every replica of every campaign that runs the cell (a homogeneous
-	// fleet with a seeded bug).
+	// One planted fault per app x kind cell, shared by every replica of
+	// every campaign that runs the cell (a homogeneous fleet with a
+	// seeded bug).
+	cells, err := r.planMatrix("fleet", apps.All(), chaosKinds, func(faultinj.Kind) int { return 1 })
+	if err != nil {
+		return out, err
+	}
 	type fleetJob struct {
-		app   *apps.App
-		kind  faultinj.Kind
-		fault faultinj.Fault
-		size  int
+		faultCell
+		size int
 	}
 	var jobs []fleetJob
-	for _, app := range apps.All() {
-		for _, kind := range chaosKinds {
-			faults, err := r.planFaults(app, kind, 1)
-			if err != nil {
-				return out, fmt.Errorf("fleet %s/%s: %w", app.Name, kind, err)
-			}
-			if len(faults) == 0 {
-				continue
-			}
-			for _, size := range sizes {
-				jobs = append(jobs, fleetJob{app: app, kind: kind, fault: faults[0], size: size})
-			}
+	for _, c := range cells {
+		for _, size := range sizes {
+			jobs = append(jobs, fleetJob{c, size})
 		}
 	}
-
-	runs := make([]*fleetRun, len(jobs))
-	if err := r.forEach(len(jobs), func(i int) error {
+	runs, err := runCells(r, len(jobs), func(i int) string {
 		j := jobs[i]
-		f := j.fault
-		fr, err := r.fleetRun(j.app, &f, j.size, r.Seed+1000*int64(i+1))
-		if err != nil {
-			return fmt.Errorf("fleet %s/%s x%d: %w", j.app.Name, j.kind, j.size, err)
-		}
-		if errs := fr.reconcile(); len(errs) > 0 {
-			return fmt.Errorf("fleet %s/%s x%d: accounting did not reconcile:\n  %s",
-				j.app.Name, j.kind, j.size, strings.Join(errs, "\n  "))
-		}
-		runs[i] = fr
-		return nil
-	}); err != nil {
+		return fmt.Sprintf("fleet %s/%s x%d", j.app.Name, j.kind, j.size)
+	}, func(i int) (*fleetRun, error) {
+		return r.fleetRun(jobs[i].app, &jobs[i].fault, jobs[i].size, r.Seed+1000*int64(i+1))
+	})
+	if err != nil {
+		return out, err
+	}
+	if out.stream, err = reduce(r.RecordDir, "fleet", runs...); err != nil {
 		return out, err
 	}
 
-	// Reduce in job order: rows aggregate per size; spans concatenate on
-	// an experiment-global clock and trace-ID space so the merged log is
-	// causally valid across campaigns at any Parallelism.
-	rowIdx := map[int]int{}
-	var clock, traceBase int64
-	pieces := make([]obsv.Piece, 0, len(jobs))
+	var rows rowFold[int, FleetRow]
 	for i, j := range jobs {
 		fr := runs[i]
-		idx, ok := rowIdx[j.size]
-		if !ok {
-			idx = len(out.Rows)
-			rowIdx[j.size] = idx
-			out.Rows = append(out.Rows, FleetRow{
-				Replicas: j.size, cleanHist: obsv.NewHist(), recovHist: obsv.NewHist(),
-			})
-		}
-		row := &out.Rows[idx]
+		row := rows.row(j.size, func() FleetRow {
+			return FleetRow{Replicas: j.size, cleanHist: obsv.NewHist(), recovHist: obsv.NewHist()}
+		})
 		row.Campaigns++
 		out.Campaigns++
-		survived := !fr.Res.ServerDied && !fr.Res.Stalled
-		if survived {
+		if !fr.Res.ServerDied && !fr.Res.Stalled {
 			row.Survived++
 			out.Survived++
 		}
@@ -248,12 +209,8 @@ func (r Runner) Fleet(sizes ...int) (FleetResult, error) {
 		if fr.Res.RecoveryLatency != nil {
 			row.recovHist.Merge(fr.Res.RecoveryLatency)
 		}
-		pieces = append(pieces, obsv.Piece{Spans: fr.Spans, Clock: clock, TraceBase: traceBase})
-		clock += fr.Wall
-		traceBase += int64(fr.Res.Sent)
 	}
-	out.Spans = obsv.Assemble(pieces...)
-	out.Traces = traceBase
+	out.Rows = rows.rows
 
 	var base float64
 	for i := range out.Rows {

@@ -57,7 +57,7 @@ func TestFleetReconcileChecksShedConnsLost(t *testing.T) {
 	if errs := fr.reconcile(); len(errs) > 0 {
 		t.Fatalf("clean campaign did not reconcile:\n  %s", strings.Join(errs, "\n  "))
 	}
-	fr.Reg.Counter("core.shed_conns_lost", obsv.L("replica", "1")).Inc()
+	fr.Registry.Counter("core.shed_conns_lost", obsv.L("replica", "1")).Inc()
 	errs := fr.reconcile()
 	if !strings.Contains(strings.Join(errs, "\n"), "core.shed_conns_lost") {
 		t.Errorf("corrupted core.shed_conns_lost not reported: %v", errs)

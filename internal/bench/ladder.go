@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
@@ -19,41 +17,24 @@ import (
 // (rollback -> STM retry -> gate injection -> request shedding ->
 // supervised microreboot -> crash-loop breaker).
 type ladderRun struct {
+	// The cell's Totals sum every incarnation's runtime accounting tables
+	// plus the supervisor's (empty runtime rows for vanilla campaigns,
+	// which have no runtime); its Spans merge every incarnation's runtime
+	// spans, rebased onto the supervisor's campaign clock (Wall), with the
+	// supervisor's own reboot/breaker-open events; its Recordings hold one
+	// capture per incarnation that ended unrecovered, plus the final
+	// incarnation when the breaker opened.
+	cell
+
 	Completed int
 	Failed    int
 	Cycles    int64 // workload cycles across incarnations (throughput accounting)
 
-	// Totals sums every incarnation's runtime accounting tables, plus the
-	// supervisor's, exactly as they were published into Registry (empty
-	// runtime rows for vanilla campaigns, which have no runtime). Traces
-	// is the total trace IDs the drivers consumed — the campaign's ID
-	// space is [1, Traces], which Chaos rebases per campaign.
-	Totals obsv.Totals
-	Traces int64
-
-	// The corruption-reach audit over every connection write of a
-	// heap-domain campaign: Taints writes checked, Leaks the
-	// (must-be-empty) verdicts.
+	// Taints counts the connection writes of a heap-domain campaign the
+	// corruption-reach audit checked (its verdicts are the cell's Leaks).
 	Taints int64
-	Leaks  []faultinj.Leak
 
 	Sup supervisor.Stats
-
-	// Spans holds every incarnation's runtime span events rebased onto the
-	// supervisor's campaign clock and merged with the supervisor's own
-	// reboot/breaker-open events, in non-decreasing cycle order.
-	Spans   []obsv.SpanEvent
-	Dropped int64
-
-	// Registry accumulates each incarnation's published runtime metrics
-	// plus the supervisor's; reconcile() checks it against Totals.
-	Registry *obsv.Registry
-
-	// Recordings holds the flight-recorder captures (Runner.RecordDir
-	// set): one per incarnation that ended unrecovered, plus the final
-	// incarnation when the breaker opened. The campaign reducers write
-	// them out in job order.
-	Recordings []replay.Recording
 }
 
 // ladderRun drives r.Requests against app under supervision. The
@@ -68,7 +49,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	if err != nil {
 		return nil, err
 	}
-	lr := &ladderRun{Registry: obsv.NewRegistry()}
+	lr := &ladderRun{cell: cell{Registry: obsv.NewRegistry()}}
 	// Each incarnation's span log, kept (not copied) until the campaign
 	// is over and assembled into lr.Spans in one pass.
 	var pieces []obsv.Piece
@@ -78,19 +59,16 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	sup := supervisor.New(sc)
 	remaining := r.Requests
 
-	// Flight-recorder candidates: with RecordDir set, every incarnation
-	// is captured (spans in machine-local cycles, pre-rebase) and the
-	// failing ones are kept once the campaign's verdicts are known. A
-	// manifest stores app, backend, core config and fault, and replay
-	// boots under the default library model with no prelatched sites, so
-	// only such boots are captured: a recording of any other boot would
-	// replay a different program and diverge.
+	// Flight recorder: with RecordDir set, every incarnation is captured
+	// (spans in machine-local cycles, pre-rebase). An unrecovered one is
+	// kept at once; the latest other one is held until the campaign's end
+	// says whether the crash-loop breaker gave up on it. A manifest
+	// stores app, backend, core config and fault, and replay boots under
+	// the default library model with no prelatched sites, so only such
+	// boots are captured: a recording of any other boot would replay a
+	// different program and diverge.
 	record := r.RecordDir != "" && o.Model == nil && len(o.Prelatch) == 0
-	type incCand struct {
-		rec   replay.Recording
-		unrec bool
-	}
-	var recCands []incCand
+	var last *replay.Recording
 
 	err = sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
 		if remaining <= 0 {
@@ -144,24 +122,28 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 			lr.Dropped += inst.RT.TraceDropped()
 			inst.RT.PublishMetrics(lr.Registry)
 			if record {
-				recCands = append(recCands, incCand{
-					rec: replay.RecordIncarnation(replay.IncarnationRun{
-						App:         app.Name,
-						Backend:     r.Backend,
-						Core:        o.Core,
-						Fault:       o.Fault,
-						Incarnation: inc,
-						Seed:        seed,
-						Proto:       app.Protocol,
-						Requests:    reqBefore,
-						Concurrency: r.Concurrency,
-						TraceBase:   d.TraceBase,
-						FinalCycles: inst.M.Cycles,
-						FinalSteps:  inst.M.Steps,
-						Spans:       inst.RT.Spans(),
-					}),
-					unrec: st.Unrecovered > 0,
+				rec := replay.RecordIncarnation(replay.IncarnationRun{
+					App:         app.Name,
+					Backend:     r.Backend,
+					Core:        o.Core,
+					Fault:       o.Fault,
+					Incarnation: inc,
+					Seed:        seed,
+					Proto:       app.Protocol,
+					Requests:    reqBefore,
+					Concurrency: r.Concurrency,
+					TraceBase:   d.TraceBase,
+					FinalCycles: inst.M.Cycles,
+					FinalSteps:  inst.M.Steps,
+					Spans:       inst.RT.Spans(),
 				})
+				last = nil
+				if st.Unrecovered > 0 {
+					rec.Manifest.Outcome = replay.OutcomeUnrecovered
+					lr.Recordings = append(lr.Recordings, rec)
+				} else {
+					last = &rec
+				}
 			}
 		}
 		if res.ServerDied || res.Stalled {
@@ -185,6 +167,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 		return nil, err
 	}
 	lr.Sup = sup.Stats()
+	lr.Wall = lr.Sup.ClockCycles
 	// Residual work the breaker abandoned is failed, not forgotten (the
 	// old inline restart loop under-reported exactly this).
 	if remaining > 0 {
@@ -196,60 +179,9 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	// about them.
 	lr.Spans = obsv.Assemble(append(pieces, obsv.Piece{Log: sup.SpanLog()})...)
 	obsv.Merge(lr.Spans)
-	// Keep the failing incarnations' recordings: every unrecovered one,
-	// plus the final incarnation when the crash-loop breaker gave up.
-	for i := range recCands {
-		c := &recCands[i]
-		switch {
-		case c.unrec:
-			c.rec.Manifest.Outcome = replay.OutcomeUnrecovered
-		case lr.Sup.BreakerOpen && i == len(recCands)-1:
-			c.rec.Manifest.Outcome = replay.OutcomeBreakerOpen
-		default:
-			continue
-		}
-		lr.Recordings = append(lr.Recordings, c.rec)
+	if lr.Sup.BreakerOpen && last != nil {
+		last.Manifest.Outcome = replay.OutcomeBreakerOpen
+		lr.Recordings = append(lr.Recordings, *last)
 	}
 	return lr, nil
-}
-
-// rung names the coarsest ladder rung the campaign escalated to — the
-// rung that absorbed (or failed to absorb) its fault.
-func (l *ladderRun) rung() string {
-	switch {
-	case l.Sup.BreakerOpen:
-		return "breaker-open"
-	case l.Sup.Restarts > 0:
-		return "rebooted"
-	case l.Totals.Get("core.sheds") > 0:
-		return "shed"
-	case l.Totals.Get("core.injections") > 0:
-		return "injected"
-	case l.Totals.Get("core.crashes") > 0:
-		return "recovered"
-	default:
-		return "none"
-	}
-}
-
-// reconcile cross-checks the campaign's three accounting surfaces —
-// aggregated runtime/supervisor stats, the published metrics registry,
-// and the span log — and returns every discrepancy. An empty slice means
-// the ladder accounted for every fault on every surface.
-func (l *ladderRun) reconcile() []string {
-	errs := l.Totals.CheckMetrics(l.Registry)
-
-	// Zero silent deaths: every incarnation that died is attributed to a
-	// reboot or to the breaker opening.
-	breaker := obsv.Flag(l.Sup.BreakerOpen)
-	if got, want := int64(l.Sup.StateLost), int64(l.Sup.Restarts)+breaker; got != want {
-		errs = append(errs, fmt.Sprintf("silent deaths: state_lost %d != restarts %d + breaker %d", got, int64(l.Sup.Restarts), breaker))
-	}
-
-	// Span log cross-check (skipped if the bounded log overflowed).
-	if l.Dropped == 0 {
-		errs = append(errs, l.Totals.CheckSpans(l.Spans)...)
-		errs = append(errs, obsv.CheckCausality(l.Spans)...)
-	}
-	return errs
 }

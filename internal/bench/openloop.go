@@ -5,12 +5,9 @@ import (
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
-	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
-	"github.com/firestarter-go/firestarter/internal/fleet"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
-	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -54,55 +51,41 @@ type OpenLoopResult struct {
 
 	Rows []OpenLoopRow
 
-	// Spans concatenates the calibration campaign and every rung on one
-	// experiment-global clock and trace-ID space (obsvlint trace schema,
-	// causality-clean).
-	Spans  []obsv.SpanEvent
-	Traces int64
+	// The stream's first cell is the calibration campaign, then every
+	// rung in sweep order.
+	stream
 }
 
 // openLoopMults is the offered-load sweep, in multiples of the calibrated
 // service rate: well under, at, and well past saturation.
 var openLoopMults = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5}
 
-// fleetBoot builds app's hardened image and returns the replica boot
-// function the fleet and open-loop campaigns boot every replica and
-// incarnation with (Image.Replica on the Runner's backend).
-func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) (fleet.BootFunc, error) {
-	o := boot.Options{Fault: fault, Backend: r.Backend}
-	img, err := r.build(app, o)
+// openRun drives one open-loop rung against a fresh 1-replica fleet.
+// With RecordDir set, a failing rung (any unrecovered fault or opened
+// breaker behind the fleet) is captured for firetrace -replay.
+func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg workload.OpenConfig) (*fleetRun, error) {
+	fl, d, err := r.newFleet(app, fault, 1, seed)
 	if err != nil {
 		return nil, err
 	}
-	return img.Replica(o), nil
-}
-
-// openRun drives one open-loop rung against a fresh 1-replica fleet.
-func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg workload.OpenConfig) (*fleetRun, workload.OpenResult, error) {
-	bootFn, err := r.fleetBoot(app, fault)
-	if err != nil {
-		return nil, workload.OpenResult{}, err
+	fr, err := finishFleet(fl, d.RunOpen(cfg))
+	if err != nil || r.RecordDir == "" {
+		return fr, err
 	}
-	fl := fleet.New(fleet.Config{
-		Replicas: 1,
-		Port:     app.Port,
-		Sup:      supervisor.Config{Seed: seed},
-	}, bootFn)
-	d := &workload.Driver{
-		Port: app.Port,
-		Gen:  workload.ForProtocol(app.Protocol),
-		Seed: seed,
-		Srv:  fl,
-		Sink: fl,
+	if outcome := replay.FailureOutcome(fr.Spans); outcome != "" {
+		fr.Recordings = append(fr.Recordings, replay.RecordOpenLoop(replay.OpenLoopRun{
+			App:         app.Name,
+			Backend:     r.Backend,
+			Fault:       fault,
+			Seed:        seed,
+			Proto:       app.Protocol,
+			Open:        cfg,
+			Outcome:     outcome,
+			FinalCycles: fr.Wall,
+			Spans:       fr.Spans,
+		}))
 	}
-	res := d.RunOpen(cfg)
-	fl.Finish()
-	if err := fl.Err(); err != nil {
-		return nil, res, err
-	}
-	fr := &fleetRun{Res: res.Result, St: fl.Stats(), Spans: fl.Spans(), Wall: fl.Cycles(), Reg: fl.Registry()}
-	fr.Sups = append(fr.Sups, fl.SupStats(0))
-	return fr, res, nil
+	return fr, nil
 }
 
 // OpenLoop runs the offered-load sweep. A closed-loop campaign first
@@ -141,14 +124,12 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 	var cal *fleetRun
 	var fault faultinj.Fault
 	for i := range faults {
-		f := faults[i]
-		fr, err := r.fleetRun(app, &f, 1, r.Seed+1000)
+		runs, err := runCells(r, 1, func(int) string { return "openloop calibration" },
+			func(int) (*fleetRun, error) { return r.fleetRun(app, &faults[i], 1, r.Seed+1000) })
 		if err != nil {
-			return out, fmt.Errorf("openloop calibration: %w", err)
+			return out, err
 		}
-		if errs := fr.reconcile(); len(errs) > 0 {
-			return out, fmt.Errorf("openloop calibration: accounting did not reconcile:\n  %s", strings.Join(errs, "\n  "))
-		}
+		fr := runs[0]
 		if cal == nil {
 			cal, fault = fr, faults[i] // fallback: the first planted fault
 		}
@@ -169,13 +150,9 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 	// saturated queue's growth) before its client gives up.
 	patience := int64(25e6 / out.ServiceRate)
 
-	type openJob struct {
-		mult float64
-		cfg  workload.OpenConfig
-	}
-	jobs := make([]openJob, len(openLoopMults))
+	cfgs := make([]workload.OpenConfig, len(openLoopMults))
 	for i, mult := range openLoopMults {
-		jobs[i] = openJob{mult: mult, cfg: workload.OpenConfig{
+		cfgs[i] = workload.OpenConfig{
 			Shape:         workload.ShapePoisson,
 			RatePerMcycle: out.ServiceRate * mult,
 			Total:         r.Requests,
@@ -186,66 +163,25 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 			ChurnEvery:    5,
 			SlowEvery:     7,
 			FragmentEvery: 11,
-		}}
+		}
 	}
-
-	runs := make([]*fleetRun, len(jobs))
-	open := make([]workload.OpenResult, len(jobs))
-	if err := r.forEach(len(jobs), func(i int) error {
-		fa := fault
-		fr, ores, err := r.openRun(app, &fa, r.Seed+1000*int64(i+2), jobs[i].cfg)
-		if err != nil {
-			return fmt.Errorf("openloop %.2fx: %w", jobs[i].mult, err)
-		}
-		if errs := fr.reconcile(); len(errs) > 0 {
-			return fmt.Errorf("openloop %.2fx: accounting did not reconcile:\n  %s",
-				jobs[i].mult, strings.Join(errs, "\n  "))
-		}
-		runs[i], open[i] = fr, ores
-		return nil
-	}); err != nil {
+	runs, err := runCells(r, len(cfgs), func(i int) string { return fmt.Sprintf("openloop %.2fx", openLoopMults[i]) },
+		func(i int) (*fleetRun, error) {
+			fa := fault
+			return r.openRun(app, &fa, r.Seed+1000*int64(i+2), cfgs[i])
+		})
+	if err != nil {
+		return out, err
+	}
+	if out.stream, err = reduce(r.RecordDir, "openloop", append([]*fleetRun{cal}, runs...)...); err != nil {
 		return out, err
 	}
 
-	// Reduce in job order on an experiment-global clock and trace-ID
-	// space, calibration campaign first.
-	var clock, traceBase int64
-	pieces := make([]obsv.Piece, 0, len(jobs)+1)
-	appendSpans := func(spans []obsv.SpanEvent, wall int64, sent int) {
-		pieces = append(pieces, obsv.Piece{Spans: spans, Clock: clock, TraceBase: traceBase})
-		clock += wall
-		traceBase += int64(sent)
-	}
-	appendSpans(cal.Spans, cal.Wall, cal.Res.Sent)
-
-	recIdx := 0
-	for i, j := range jobs {
-		fr, ores := runs[i], open[i]
-		// Record failing rungs (any unrecovered fault or opened breaker
-		// behind the fleet) for firetrace -replay, in job order.
-		if r.RecordDir != "" {
-			if outcome := replay.FailureOutcome(fr.Spans); outcome != "" {
-				fa := fault
-				rec := replay.RecordOpenLoop(replay.OpenLoopRun{
-					App:         app.Name,
-					Backend:     r.Backend,
-					Fault:       &fa,
-					Seed:        r.Seed + 1000*int64(i+2),
-					Proto:       app.Protocol,
-					Open:        jobs[i].cfg,
-					Outcome:     outcome,
-					FinalCycles: fr.Wall,
-					Spans:       fr.Spans,
-				})
-				if _, err := rec.Write(r.RecordDir, fmt.Sprintf("openloop-%03d", recIdx)); err != nil {
-					return out, fmt.Errorf("openloop %.2fx: recording: %w", j.mult, err)
-				}
-				recIdx++
-			}
-		}
+	for i, fr := range runs {
+		ores := fr.Res
 		row := OpenLoopRow{
-			Mult:       j.mult,
-			Rate:       j.cfg.RatePerMcycle,
+			Mult:       openLoopMults[i],
+			Rate:       cfgs[i].RatePerMcycle,
 			Offered:    ores.Offered,
 			Done:       ores.Completed + ores.BadResp,
 			Shed:       ores.Shed,
@@ -265,13 +201,10 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 			row.Recovery = ores.RecoveryLatency.Percentiles()
 		}
 		if out.Knee == 0 && row.Shed > 0 {
-			out.Knee = j.mult
+			out.Knee = row.Mult
 		}
 		out.Rows = append(out.Rows, row)
-		appendSpans(fr.Spans, fr.Wall, fr.Res.Sent)
 	}
-	out.Spans = obsv.Assemble(pieces...)
-	out.Traces = traceBase
 	return out, nil
 }
 
@@ -298,11 +231,4 @@ func (o OpenLoopResult) Render() string {
 	}
 	fmt.Fprintf(&sb, "overall: %d traced requests across %d spans\n", o.Traces, len(o.Spans))
 	return sb.String()
-}
-
-// Fingerprint returns the hash-chain value of the experiment-global
-// span stream in its exported (densely re-sequenced) form. Identical
-// for a fixed seed at any Parallelism.
-func (o OpenLoopResult) Fingerprint() uint64 {
-	return obsv.Sequence(o.Spans).Fingerprint()
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
+	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
@@ -55,6 +56,10 @@ func TestChaosFingerprintAndRecordingInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The in-place fingerprint matches the sequenced log it stands for.
+	if got, want := base.Fingerprint(), obsv.Sequence(base.Spans).Fingerprint(); got != want {
+		t.Errorf("chaos stream of %d spans: fingerprint %016x, sequenced log %016x", len(base.Spans), got, want)
+	}
 	if got, want := recSerial.Fingerprint(), base.Fingerprint(); got != want {
 		t.Errorf("recording perturbed the span stream: fingerprint %016x, want %016x", got, want)
 	}

@@ -46,19 +46,30 @@ func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 		return RestartResult{}, err
 	}
 
+	// The two supervised strategies are ladder runs, checked like every
+	// campaign cell:
+	//   - supervised restart of the unprotected server: the breaker cap
+	//     replaces the old ad-hoc 50-incarnation loop, and work still
+	//     outstanding when it opens is counted as failed, not dropped;
+	//   - the full ladder: FIRestarter hardened, quiesce point armed,
+	//     supervised with the default microreboot policy.
+	ladders := []struct {
+		strategy string
+		o        boot.Options
+		sc       supervisor.Config
+	}{
+		{"restart-on-crash (vanilla)", boot.Options{Vanilla: true, Fault: &fault},
+			supervisor.Config{MaxRestarts: 49, WindowCycles: 1 << 60}},
+		{"FIRestarter + supervisor", boot.Options{Fault: &fault}, supervisor.Config{}},
+	}
 	var out RestartResult
-
-	// Strategy 1: supervised restart of the unprotected server. The
-	// breaker cap replaces the old ad-hoc 50-incarnation loop; work still
-	// outstanding when it opens is counted as failed, not dropped.
-	lr, err := r.ladderRun(app, boot.Options{Vanilla: true, Fault: &fault},
-		supervisor.Config{MaxRestarts: 49, WindowCycles: 1 << 60})
+	runs, err := runCells(r, len(ladders), func(i int) string { return "restart " + ladders[i].strategy },
+		func(i int) (*ladderRun, error) { return r.ladderRun(app, ladders[i].o, ladders[i].sc) })
 	if err != nil {
 		return out, err
 	}
-	out.Rows = append(out.Rows, lr.row("restart-on-crash (vanilla)"))
 
-	// Strategy 2: FIRestarter alone on the same fault and workload volume.
+	// FIRestarter alone on the same fault and workload volume.
 	_, res, err := r.measure(app, boot.Options{Fault: &fault})
 	if err != nil {
 		return out, err
@@ -73,15 +84,7 @@ func (r Runner) AblationRestartBaseline() (RestartResult, error) {
 		firRow.Restarts = 1
 		firRow.StateLost = 1
 	}
-	out.Rows = append(out.Rows, firRow)
-
-	// Strategy 3: the full ladder — FIRestarter hardened, quiesce point
-	// armed, supervised with the default microreboot policy.
-	lrFull, err := r.ladderRun(app, boot.Options{Fault: &fault}, supervisor.Config{})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = append(out.Rows, lrFull.row("FIRestarter + supervisor"))
+	out.Rows = []RestartRow{runs[0].row(ladders[0].strategy), firRow, runs[1].row(ladders[1].strategy)}
 	return out, nil
 }
 

@@ -16,9 +16,9 @@ import (
 // stream allocated at its final length, rebasing it onto the outer clock
 // and trace-ID space on the way; Merge puts an assembled stream in cycle
 // order in place; and Sequence densely re-sequences it before it is
-// fingerprinted or exported (WriteSpans; ReadSpans reads it back). An
-// assembled stream carries no sequence numbers until Sequence stamps
-// them.
+// exported (WriteSpans; ReadSpans reads it back), as SequenceFingerprint
+// does on the fly to fingerprint it. An assembled stream carries no
+// sequence numbers until Sequence stamps them.
 
 // Piece is one input of Assemble: a span log (Log) or, when Log is nil,
 // an assembled stream (Spans). Its cycles are shifted by Clock and its
@@ -104,6 +104,18 @@ func Sequence(spans []SpanEvent) *SpanLog {
 		l.Append(e)
 	}
 	return l
+}
+
+// SequenceFingerprint returns Sequence(spans).Fingerprint() without
+// building the log: it folds the chain over spans in place, each event
+// stamped with its dense Seq as it goes, and allocates nothing.
+func SequenceFingerprint(spans []SpanEvent) uint64 {
+	h := FingerprintSeed
+	for i, e := range spans {
+		e.Seq = int64(i + 1)
+		h = ChainFingerprint(h, e)
+	}
+	return h
 }
 
 // WriteSpans writes a span stream as JSONL, one event per line. It is the

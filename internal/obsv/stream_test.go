@@ -308,3 +308,37 @@ func TestAssembleAllocatesOnce(t *testing.T) {
 		t.Errorf("Merge: %v allocs, want 0", allocs)
 	}
 }
+
+// TestSequenceFingerprintMatchesSequence: the in-place fingerprint equals
+// the sequenced log's, for an assembled stream holding a truncated marker
+// (whose Detail stays out of the chain) and for the empty stream, and it
+// allocates nothing.
+func TestSequenceFingerprintMatchesSequence(t *testing.T) {
+	full := &SpanLog{Limit: 5}
+	for j := 0; j < 9; j++ {
+		full.Append(spanAt(j))
+	}
+	other := &SpanLog{}
+	for j := 0; j < 40; j++ {
+		other.Append(spanAt(j))
+	}
+	spans := Assemble(Piece{Log: full, Clock: 3, TraceBase: 2}, Piece{Log: other, Clock: 100, TraceBase: 9})
+	at := full.Len() - 1
+	if spans[at].Kind != SpanTruncated || spans[at].Detail == "" {
+		t.Fatalf("event %d = %+v, want the truncated marker", at, spans[at])
+	}
+	want := Sequence(spans).Fingerprint()
+	if got := SequenceFingerprint(spans); got != want {
+		t.Errorf("SequenceFingerprint %016x, Sequence(...).Fingerprint() %016x", got, want)
+	}
+	spans[at].Detail = "dropped=999 limit=5"
+	if got := SequenceFingerprint(spans); got != want {
+		t.Errorf("the marker's Detail entered the chain: %016x, want %016x", got, want)
+	}
+	if got := SequenceFingerprint(nil); got != FingerprintSeed || got != Sequence(nil).Fingerprint() {
+		t.Errorf("empty stream: %016x, want FingerprintSeed %016x", got, FingerprintSeed)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { SequenceFingerprint(spans) }); allocs != 0 {
+		t.Errorf("SequenceFingerprint: %v allocs, want 0", allocs)
+	}
+}
