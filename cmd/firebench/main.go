@@ -307,19 +307,19 @@ func (o *obsvOut) check(selected []experiment) error {
 }
 
 // export writes the output files the flags ask for and returns the run's
-// text, with the span fingerprint line appended under -fingerprint. Every
-// span log goes through one obsv.Sequence: the bytes -trace-out writes
-// are the bytes the fingerprint commits to.
+// text, with the span fingerprint line appended under -fingerprint.
+// -trace-out writes the densely re-sequenced stream (obsv.Sequence) and
+// the fingerprint is that stream's chain value, folded in place
+// (obsv.SequenceFingerprint), so -fingerprint alone copies no spans.
 func (o *obsvOut) export(e experiment, res output) (string, error) {
 	text := res.text
-	if e.spans && (o.traceOut != "" || o.fingerprint) {
-		log := obsv.Sequence(res.spans)
-		if err := writeFile(o.traceOut, log.WriteJSONL); err != nil {
+	if e.spans && o.traceOut != "" {
+		if err := writeFile(o.traceOut, obsv.Sequence(res.spans).WriteJSONL); err != nil {
 			return "", err
 		}
-		if o.fingerprint {
-			text += fmt.Sprintf("span fingerprint: %016x\n", log.Fingerprint())
-		}
+	}
+	if e.spans && o.fingerprint {
+		text += fmt.Sprintf("span fingerprint: %016x\n", obsv.SequenceFingerprint(res.spans))
 	}
 	if e.obs {
 		if err := writeFile(o.metricsOut, res.obs.WriteMetrics); err != nil {

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
+	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
 // TestReduceStacksCells: cell i's cycles and nonzero trace IDs shift by
@@ -141,5 +144,31 @@ func TestOpenLoopRecordsFailingRungs(t *testing.T) {
 		if rec.Manifest.Kind != replay.KindOpenLoop || rec.Manifest.Outcome == "" {
 			t.Errorf("%s: kind %q outcome %q", name, rec.Manifest.Kind, rec.Manifest.Outcome)
 		}
+	}
+}
+
+// TestOpenLoopTerminalIdentity: an open-loop rung's cell carries the
+// identity that every offered arrival reaches exactly one terminal, and a
+// cell whose terminals miss an arrival fails its check.
+func TestOpenLoopTerminalIdentity(t *testing.T) {
+	r := Runner{Requests: 40, Seed: 1}.withDefaults()
+	fr, err := r.openRun(apps.ByName("nginx"), nil, 1, workload.OpenConfig{Total: 40, PipelineDepth: 2, ChurnEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.check(); err != nil {
+		t.Fatalf("clean rung: %v", err)
+	}
+	res := fr.Res
+	if res.Offered != 40 || !slices.Contains(fr.ids, openTerminals(res)) {
+		t.Fatalf("rung offered %d, identities %v: want 40 and the terminal identity", res.Offered, fr.ids)
+	}
+
+	res.Completed--
+	c := &cell{Registry: obsv.NewRegistry(), ids: []identity{openTerminals(res)}}
+	want := fmt.Sprintf("accounting did not reconcile:\n  "+
+		"open-loop terminals (completed+bad_resp+shed+conn_lost+outstanding+abandoned) vs offered: %d != 40", 39)
+	if err := c.check(); err == nil || err.Error() != want {
+		t.Errorf("check = %v\nwant %s", err, want)
 	}
 }

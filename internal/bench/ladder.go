@@ -59,16 +59,17 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	sup := supervisor.New(sc)
 	remaining := r.Requests
 
-	// Flight recorder: with RecordDir set, every incarnation is captured
-	// (spans in machine-local cycles, pre-rebase). An unrecovered one is
-	// kept at once; the latest other one is held until the campaign's end
-	// says whether the crash-loop breaker gave up on it. A manifest
-	// stores app, backend, core config and fault, and replay boots under
-	// the default library model with no prelatched sites, so only such
-	// boots are captured: a recording of any other boot would replay a
-	// different program and diverge.
+	// Flight recorder: with RecordDir set, an incarnation that ended
+	// unrecovered is recorded at once (spans in machine-local cycles,
+	// pre-rebase). The latest other one is only held, its span log by
+	// reference, until the campaign's end says whether the crash-loop
+	// breaker gave up on it. A manifest stores app, backend, core config
+	// and fault, and replay boots under the default library model with no
+	// prelatched sites, so only such boots are captured: a recording of
+	// any other boot would replay a different program and diverge.
 	record := r.RecordDir != "" && o.Model == nil && len(o.Prelatch) == 0
-	var last *replay.Recording
+	var last *replay.IncarnationRun
+	var lastLog *obsv.SpanLog
 
 	err = sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
 		if remaining <= 0 {
@@ -122,7 +123,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 			lr.Dropped += inst.RT.TraceDropped()
 			inst.RT.PublishMetrics(lr.Registry)
 			if record {
-				rec := replay.RecordIncarnation(replay.IncarnationRun{
+				run := replay.IncarnationRun{
 					App:         app.Name,
 					Backend:     r.Backend,
 					Core:        o.Core,
@@ -135,14 +136,14 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 					TraceBase:   d.TraceBase,
 					FinalCycles: inst.M.Cycles,
 					FinalSteps:  inst.M.Steps,
-					Spans:       inst.RT.Spans(),
-				})
+				}
 				last = nil
 				if st.Unrecovered > 0 {
-					rec.Manifest.Outcome = replay.OutcomeUnrecovered
-					lr.Recordings = append(lr.Recordings, rec)
+					run.Outcome = replay.OutcomeUnrecovered
+					run.Spans = inst.RT.Spans()
+					lr.Recordings = append(lr.Recordings, replay.RecordIncarnation(run))
 				} else {
-					last = &rec
+					last, lastLog = &run, inst.RT.SpanLog()
 				}
 			}
 		}
@@ -180,8 +181,9 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	lr.Spans = obsv.Assemble(append(pieces, obsv.Piece{Log: sup.SpanLog()})...)
 	obsv.Merge(lr.Spans)
 	if lr.Sup.BreakerOpen && last != nil {
-		last.Manifest.Outcome = replay.OutcomeBreakerOpen
-		lr.Recordings = append(lr.Recordings, *last)
+		last.Outcome = replay.OutcomeBreakerOpen
+		last.Spans = lastLog.Events()
+		lr.Recordings = append(lr.Recordings, replay.RecordIncarnation(*last))
 	}
 	return lr, nil
 }

@@ -69,8 +69,12 @@ func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg wo
 		return nil, err
 	}
 	fr, err := finishFleet(fl, d.RunOpen(cfg))
-	if err != nil || r.RecordDir == "" {
-		return fr, err
+	if err != nil {
+		return nil, err
+	}
+	fr.ids = append(fr.ids, openTerminals(fr.Res))
+	if r.RecordDir == "" {
+		return fr, nil
 	}
 	if outcome := replay.FailureOutcome(fr.Spans); outcome != "" {
 		fr.Recordings = append(fr.Recordings, replay.RecordOpenLoop(replay.OpenLoopRun{
@@ -86,6 +90,14 @@ func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg wo
 		}))
 	}
 	return fr, nil
+}
+
+// openTerminals is the open-loop accounting identity: every offered
+// arrival reaches exactly one terminal.
+func openTerminals(res workload.OpenResult) identity {
+	return identity{"open-loop terminals (completed+bad_resp+shed+conn_lost+outstanding+abandoned) vs offered",
+		int64(res.Completed + res.BadResp + res.Shed + res.ConnLost + res.Outstanding + res.Abandoned),
+		int64(res.Offered)}
 }
 
 // OpenLoop runs the offered-load sweep. A closed-loop campaign first

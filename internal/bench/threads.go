@@ -11,6 +11,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
+	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/sched"
@@ -96,6 +97,14 @@ func (r Runner) bootMT(app *apps.App, cfg core.Config, fault *faultinj.Fault) (*
 	return inst, nil
 }
 
+// The workload driver fronts a scheduled instance through its Server
+// seam: connections on the shared OS, slices over every runnable thread,
+// and wall cycles (the largest per-thread count) as the throughput clock.
+func (inst *mtInstance) Connect(port int64) *libsim.Conn   { return inst.os.Connect(port) }
+func (inst *mtInstance) Slice(budget int64) interp.Outcome { return inst.s.Run(budget) }
+func (inst *mtInstance) Cycles() int64                     { return inst.s.WallCycles() }
+func (inst *mtInstance) Steps() int64                      { return inst.s.TotalSteps() }
+
 // driveMT runs the standard workload against a scheduled instance. The
 // client pool is widened to at least 8 so every worker of the largest
 // configuration has work.
@@ -105,7 +114,7 @@ func (r Runner) driveMT(inst *mtInstance) workload.Result {
 		conc = 8
 	}
 	d := &workload.Driver{
-		OS: inst.os, M: inst.s.Main(), S: inst.s, Port: inst.app.Port,
+		Srv: inst, Port: inst.app.Port,
 		Gen:         workload.ForProtocol(inst.app.Protocol),
 		Concurrency: conc,
 		Seed:        r.Seed,

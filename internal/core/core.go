@@ -197,21 +197,54 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// strategy is a checkpoint strategy: how one execution of a gate's
+// region is protected, and the runtime's one record of that choice — per
+// gate (the policy's latch and one-shot retry), from a gate to its
+// TxBegin (pending), and for the live transaction. The protected
+// strategies are ordered along the §IV-C escalation HTM → STM → domain.
+type strategy uint8
+
+const (
+	stratNone   strategy = iota // nothing chosen: no latch, no retry, no transaction yet
+	stratRaw                    // unprotected: the HTM-only fallback after an abort
+	stratHTM                    // hardware transaction (package htm)
+	stratSTM                    // software undo log (package stm)
+	stratDomain                 // rewind-and-discard: registers plus an arena mark
+)
+
+// strategyNames names the strategies in span output.
+var strategyNames = [...]string{stratRaw: "raw", stratHTM: "htm", stratSTM: "stm", stratDomain: "domain"}
+
+func (s strategy) String() string { return strategyNames[s] }
+
+// variant is the IR flow variant the strategy executes: only STM has an
+// instrumented clone; raw and domain execution take the HTM-shaped code
+// path, whose stores routeStore sends straight to memory.
+func (s strategy) variant() int64 {
+	switch s {
+	case stratNone:
+		return 0
+	case stratSTM:
+		return ir.TxSTM
+	}
+	return ir.TxHTM
+}
+
 // gateState is the per-gate adaptive policy and recovery state.
 type gateState struct {
 	execs     int64
 	htmAborts int64
 
-	stmLatched bool // permanent STM (policy decision)
-	oneShotSTM bool // next execution in STM (post-abort re-execution)
-	oneShotRaw bool // next execution unprotected (ModeHTMOnly fallback)
-	oneShotDom bool // next execution under the rewind strategy (domain retry)
+	// latched is the policy's permanent decision (stratNone until the
+	// gate latches STM or domain); retry is the strategy of the next
+	// execution only, left by an HTM abort or a crash re-execution.
+	latched strategy
+	retry   strategy
 
 	// Rewind-strategy policy state (§IV-C extended to three options).
 	stmTxs     int64 // STM commits since the gate latched to STM
 	stmUndo    int64 // undo-log entries across those commits
 	capAborts  int64 // HTM capacity aborts (rewind skips the STM detour)
-	domLatched bool  // permanently on the rewind strategy
 	domBackoff int   // domain transactions that overflowed into the heap
 	undoMin    int64 // per-gate undo-volume threshold (doubles on back-off)
 
@@ -243,22 +276,18 @@ type deferredCall struct {
 // txState is the live transaction.
 type txState struct {
 	site       int
-	variant    int64 // ir.TxHTM, ir.TxSTM, or 0 for unprotected
+	strat      strategy // stratHTM, stratSTM or stratDomain
 	snap       *interp.Snapshot
-	htmTx      *htm.Tx
+	htmTx      *htm.Tx // the hardware transaction under stratHTM
 	stdoutMark int
 	startSteps int64
 	deferred   []deferredCall
 	comps      []func()
 
-	// Rewind-and-discard strategy: the IR only knows the HTM and STM
-	// variants, so a domain transaction executes the HTM-shaped code path
-	// (variant ir.TxHTM, no per-store instrumentation) with htmTx nil —
-	// routeStore falls through to raw stores — and dom marks it for the
-	// runtime. arenaMark is the O(1) checkpoint: the live arena's bump
-	// offset at entry (-1 when no arena was live). fallbackMark snapshots
-	// the arena manager's heap-fallback counter for the back-off policy.
-	dom          bool
+	// Rewind-and-discard strategy: arenaMark is the O(1) checkpoint, the
+	// live arena's bump offset at entry (-1 when no arena was live).
+	// fallbackMark snapshots the arena manager's heap-fallback counter
+	// for the back-off policy.
 	arenaMark    int64
 	fallbackMark int64
 }
@@ -413,17 +442,16 @@ type Runtime struct {
 	tid         int
 	waitingLock bool
 
-	gs         []gateState // indexed by gate (analysis.Site.Gate)
-	executed   siteSet     // the sites whose library call has run (Table III)
-	cur        *txState    // nil, or &txBuf while a transaction is live
-	txBuf      txState
-	curVariant int64
-	pending    struct {
-		site    int
-		variant int64
-		raw     bool
-		dom     bool
-		snap    *interp.Snapshot
+	gs       []gateState // indexed by gate (analysis.Site.Gate)
+	executed siteSet     // the sites whose library call has run (Table III)
+	cur      *txState    // nil, or &txBuf while a transaction is live
+	// txBuf is the last transaction begun; its strat outlives the
+	// transaction as the flow-switch selector (Variant).
+	txBuf   txState
+	pending struct { // the last gate's choice, for its RegSave and TxBegin
+		site  int
+		strat strategy
+		snap  *interp.Snapshot
 	}
 
 	// quiesce is the boot-time snapshot of the app's request-handling
@@ -472,6 +500,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 		executed: newSiteSet(len(tr.Analysis.ByID)),
 	}
 	rt.spans = &obsv.SpanLog{Limit: cfg.TraceLimit}
+	rt.pending.strat = stratHTM // what a TxBegin before any gate begins
 	if cfg.EnableDomains {
 		// Per-request arenas over protection domains: the libsim arena
 		// manager owns the memory half; these hooks thread its lifecycle
@@ -523,7 +552,7 @@ func (rt *Runtime) WaitingCommitLock() bool { return rt.waitingLock }
 // the aggressor, so the registers are restored and the region re-executes
 // before the thread runs any further instruction.
 func (rt *Runtime) OnResume() {
-	if tx := rt.cur; tx != nil && tx.htmTx != nil && rt.m != nil {
+	if tx := rt.cur; tx != nil && tx.strat == stratHTM && rt.m != nil {
 		if err := tx.htmTx.PendingAbort(); err != nil {
 			rt.Handle(rt.m, err)
 		}
@@ -600,16 +629,24 @@ func (rt *Runtime) MemoryOverheadBytes() int64 { return rt.undo.MemoryBytes() }
 
 // GateLatchedSTM reports whether a gate has permanently switched to STM
 // (tests and the Fig. 3/6 experiments).
-func (rt *Runtime) GateLatchedSTM(site int) bool { return rt.state(site).stmLatched }
+func (rt *Runtime) GateLatchedSTM(site int) bool { return rt.state(site).latchedSTM() }
+
+// latchedSTM reports whether the gate latched STM, also when it went on
+// to domains from there: a gate counts STM commits only while latched to
+// STM, so a domain latch with counted commits came through STM, while
+// one without went straight to domains on capacity aborts.
+func (st *gateState) latchedSTM() bool {
+	return st.latched == stratSTM || st.latched == stratDomain && st.stmTxs > 0
+}
 
 // GateLatchedDomains reports whether a gate has permanently switched to
 // the rewind-and-discard strategy (tests and the ablation experiments).
-func (rt *Runtime) GateLatchedDomains(site int) bool { return rt.state(site).domLatched }
+func (rt *Runtime) GateLatchedDomains(site int) bool { return rt.state(site).latched == stratDomain }
 
 // LatchSTM pins a gate to STM permanently before execution — the paper's
 // §IV-C "manual marking" policy, where hot regions (post-malloc
 // initialization) are hand-annotated to skip HTM entirely.
-func (rt *Runtime) LatchSTM(site int) { rt.state(site).stmLatched = true }
+func (rt *Runtime) LatchSTM(site int) { rt.state(site).latched = stratSTM }
 
 // SiteAbortRate describes one gate's HTM abort behaviour — the paper's
 // Fig. 3 attributes aborts to specific library calls this way (malloc,
@@ -645,7 +682,7 @@ func (rt *Runtime) SiteAbortRates() []SiteAbortRate {
 			Call:    g.Name,
 			Execs:   st.execs,
 			Aborts:  st.htmAborts,
-			Latched: st.stmLatched,
+			Latched: st.latchedSTM(),
 		})
 	}
 	return out
@@ -656,7 +693,7 @@ func (rt *Runtime) SiteAbortRates() []SiteAbortRate {
 func (rt *Runtime) LatchedSites() []int {
 	var out []int
 	for site := range rt.sites {
-		if g := rt.gate(site); g != nil && rt.gs[g.Gate].stmLatched {
+		if g := rt.gate(site); g != nil && rt.gs[g.Gate].latchedSTM() {
 			out = append(out, site)
 		}
 	}
@@ -691,10 +728,10 @@ func (rt *Runtime) state(site int) *gateState {
 // routeStore sends a program store through the active transaction.
 func (rt *Runtime) routeStore(addr, val int64, width int) error {
 	if tx := rt.cur; tx != nil {
-		switch {
-		case tx.htmTx != nil:
+		switch tx.strat {
+		case stratHTM:
 			return tx.htmTx.Store(addr, val, width)
-		case tx.variant == ir.TxSTM:
+		case stratSTM:
 			if rt.m != nil {
 				rt.m.Cycles += costStmStore
 			}
@@ -709,10 +746,10 @@ func (rt *Runtime) routeStore(addr, val int64, width int) error {
 // Under STM each unit costs an instrumented store, the failing one too.
 func (rt *Runtime) routeStoreRange(addr int64, data []byte) (int, error) {
 	if tx := rt.cur; tx != nil {
-		switch {
-		case tx.htmTx != nil:
+		switch tx.strat {
+		case stratHTM:
 			return tx.htmTx.StoreRange(addr, data)
-		case tx.variant == ir.TxSTM:
+		case stratSTM:
 			units, err := rt.undo.StoreRange(addr, data)
 			if rt.m != nil {
 				rt.m.Cycles += costStmStore * int64(units)
@@ -756,7 +793,7 @@ func (rt *Runtime) LibCall(m *interp.Machine, name string, args []int64, siteID 
 		}
 	}
 
-	if tx := rt.cur; tx != nil && tx.variant != 0 && entry != nil {
+	if tx := rt.cur; tx != nil && entry != nil {
 		switch {
 		case entry.Class == libmodel.Deferrable:
 			// Defer the effect to commit time; report success now. The
@@ -791,45 +828,32 @@ func (rt *Runtime) Gate(m *interp.Machine, siteID int, snap *interp.Snapshot) (i
 
 	rt.pending.site = siteID
 	rt.pending.snap = snap
-	rt.pending.raw = false
-	rt.pending.dom = false
 
 	if st.injectPending || st.sticky {
 		st.injectPending = false
 		st.injected = true
 		rt.stats.Injections++
-		rt.pending.variant = ir.TxSTM
+		rt.pending.strat = stratSTM
 		errRet := rt.inject(m, siteID)
 		return ir.TxSTM, true, errRet
 	}
 
-	variant := int64(ir.TxHTM)
+	s := stratHTM
 	switch rt.cfg.Mode {
 	case ModeSTMOnly:
-		variant = ir.TxSTM
+		s = stratSTM
 	case ModeRewind:
-		// Every gate runs the rewind-and-discard strategy. The IR has no
-		// third flow variant: a domain transaction executes the HTM-shaped
-		// code path (no per-store instrumentation) with the dom flag
-		// routing it past the hardware model.
-		rt.pending.dom = true
+		s = stratDomain
 	case ModeHTMOnly:
-		if st.oneShotRaw {
-			st.oneShotRaw = false
-			rt.pending.raw = true
+		if st.retry == stratRaw {
+			s = stratRaw
 		}
-	default: // ModeHybrid
-		switch {
-		case st.domLatched || st.oneShotDom:
-			st.oneShotDom = false
-			rt.pending.dom = true
-		case st.stmLatched || st.oneShotSTM:
-			st.oneShotSTM = false
-			variant = ir.TxSTM
-		}
+	default: // ModeHybrid: the latch and the retry only ever escalate
+		s = max(s, st.latched, st.retry)
 	}
-	rt.pending.variant = variant
-	return variant, false, 0
+	st.retry = stratNone
+	rt.pending.strat = s
+	return s.variant(), false, 0
 }
 
 // inject performs the Fault Injector's runtime action for a persistent
@@ -849,8 +873,9 @@ func (rt *Runtime) inject(m *interp.Machine, siteID int) int64 {
 	return entry.ErrorReturn
 }
 
-// TxBegin implements interp.Runtime.
-func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
+// TxBegin implements interp.Runtime: it begins the strategy the gate
+// chose (the site and the clone's variant only repeat that choice).
+func (rt *Runtime) TxBegin(m *interp.Machine, _ int, _ int64) error {
 	if rt.cur != nil {
 		// A new gate while a transaction is live should not happen (the
 		// shaper ends transactions before boundary calls); recover by
@@ -859,42 +884,14 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 			return err
 		}
 	}
-	if rt.pending.raw {
+	s := rt.pending.strat
+	switch s {
+	case stratRaw:
 		// HTM-only fallback: run unprotected (no recovery guarantee).
-		rt.pending.raw = false
 		rt.stats.Unprotected++
-		rt.cur = nil
-		rt.curVariant = ir.TxHTM
+		rt.txBuf.strat = s
 		return nil
-	}
-	// One record serves every transaction of this runtime: at most one is
-	// live, and each handler finishes reading the ended one before the
-	// next TxBegin can run. The side-effect queues keep their capacity.
-	tx := &rt.txBuf
-	*tx = txState{
-		site:       rt.pending.site,
-		variant:    variant,
-		snap:       rt.pending.snap,
-		stdoutMark: rt.os.StdoutLen(),
-		startSteps: m.Steps,
-		deferred:   tx.deferred[:0],
-		comps:      tx.comps[:0],
-	}
-	if rt.pending.dom {
-		// Rewind-and-discard: switch nothing, log nothing — record the
-		// live arena's bump offset and snapshot registers only. Rollback
-		// is O(1) regardless of how many stores follow.
-		rt.pending.dom = false
-		tx.dom = true
-		tx.arenaMark = rt.os.ArenaTxMark()
-		tx.fallbackMark = rt.os.ArenaStats().Fallbacks
-		rt.stats.DomainBegins++
-		m.Cycles += costDomainBegin
-	} else if variant == ir.TxHTM {
-		tx.htmTx = rt.tsx.Begin(rt.os.Space)
-		rt.stats.HTMBegins++
-		m.Cycles += costHTMBegin
-	} else {
+	case stratSTM:
 		// The STM fallback serializes against every other thread: take
 		// the global commit lock (dooming live hardware transactions,
 		// which subscribed to its line at Begin), or block until the
@@ -904,24 +901,43 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 			return libsim.ErrBlocked
 		}
 		rt.waitingLock = false
+	}
+	// One record serves every transaction of this runtime: at most one is
+	// live, and each handler finishes reading the ended one before the
+	// next TxBegin can run. The side-effect queues keep their capacity.
+	tx := &rt.txBuf
+	*tx = txState{
+		site:       rt.pending.site,
+		strat:      s,
+		snap:       rt.pending.snap,
+		stdoutMark: rt.os.StdoutLen(),
+		startSteps: m.Steps,
+		deferred:   tx.deferred[:0],
+		comps:      tx.comps[:0],
+	}
+	switch s {
+	case stratDomain:
+		// Rewind-and-discard: switch nothing, log nothing — record the
+		// live arena's bump offset and snapshot registers only. Rollback
+		// is O(1) regardless of how many stores follow.
+		tx.arenaMark = rt.os.ArenaTxMark()
+		tx.fallbackMark = rt.os.ArenaStats().Fallbacks
+		rt.stats.DomainBegins++
+		m.Cycles += costDomainBegin
+	case stratSTM:
 		rt.undo.Begin()
 		rt.stats.STMBegins++
 		m.Cycles += costSTMBegin
+	default:
+		tx.htmTx = rt.tsx.Begin(rt.os.Space)
+		rt.stats.HTMBegins++
+		m.Cycles += costHTMBegin
 	}
 	rt.cur = tx
-	rt.curVariant = variant
 	if rt.spanAll {
-		rt.emitSpan(obsv.SpanBegin, tx.site, txVariantName(tx), "", spanDetail{})
+		rt.emitSpan(obsv.SpanBegin, tx.site, s.String(), "", spanDetail{})
 	}
 	return nil
-}
-
-// txVariantName renders a live transaction's strategy for span output.
-func txVariantName(tx *txState) string {
-	if tx.dom {
-		return "domain"
-	}
-	return variantName(tx.variant)
 }
 
 // TxEnd implements interp.Runtime: commit.
@@ -932,24 +948,26 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 	}
 	if rt.txs.n < maxLatencySamples {
 		var wset int64
-		if tx.htmTx != nil {
+		switch tx.strat {
+		case stratHTM:
 			wset = int64(tx.htmTx.WriteSetLines())
-		} else if tx.variant == ir.TxSTM {
+		case stratSTM:
 			wset = int64(rt.undo.Len())
 		}
 		rt.txs.add(m.Steps-tx.startSteps, wset)
 	}
-	if tx.dom {
+	switch tx.strat {
+	case stratDomain:
 		rt.stats.DomainCommits++
 		m.Cycles += costDomainCommit
 		rt.domCommitPolicy(tx)
-	} else if tx.htmTx != nil {
+	case stratHTM:
 		if err := tx.htmTx.Commit(); err != nil {
 			return err
 		}
 		rt.stats.HTMCommits++
 		m.Cycles += costHTMCommit
-	} else if tx.variant == ir.TxSTM {
+	case stratSTM:
 		entries := int64(rt.undo.Len())
 		if err := rt.undo.Commit(); err != nil {
 			return err
@@ -963,7 +981,7 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 	}
 	rt.cur = nil
 	if rt.spanAll {
-		rt.emitSpan(obsv.SpanCommit, tx.site, txVariantName(tx), "", spanDetail{})
+		rt.emitSpan(obsv.SpanCommit, tx.site, tx.strat.String(), "", spanDetail{})
 	}
 
 	// A committed transaction closes its gate's crash episode.
@@ -1005,7 +1023,7 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 		return
 	}
 	st := rt.state(site)
-	if !st.stmLatched || st.domLatched {
+	if st.latched != stratSTM {
 		return
 	}
 	st.stmTxs++
@@ -1014,7 +1032,7 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 		return
 	}
 	if mean := st.stmUndo / st.stmTxs; mean >= rt.undoMin(st) {
-		st.domLatched = true
+		st.latched = stratDomain
 		rt.stats.DomainLatches++
 		rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
 			detailf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
@@ -1031,7 +1049,7 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 		return
 	}
 	st := rt.state(tx.site)
-	if !st.domLatched || rt.os.ArenaStats().Fallbacks == tx.fallbackMark {
+	if st.latched != stratDomain || rt.os.ArenaStats().Fallbacks == tx.fallbackMark {
 		return
 	}
 	st.domBackoff++
@@ -1039,10 +1057,9 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 		return
 	}
 	st.undoMin = 2 * rt.undoMin(st)
-	st.domLatched = false
+	st.latched = stratSTM
 	st.domBackoff = 0
 	st.stmTxs, st.stmUndo = 0, 0
-	st.stmLatched = true
 	rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
 		detailf("fallbacks=%d undo_min=%d", int64(rt.cfg.DomainBackoffMax), st.undoMin))
 }
@@ -1057,7 +1074,7 @@ func (rt *Runtime) Store(m *interp.Machine, addr, val int64, width int, _ bool) 
 // pending cross-thread abort is delivered); otherwise they are plain
 // memory loads. No extra cycles — the machine charges CostMem either way.
 func (rt *Runtime) Load(m *interp.Machine, addr int64, width int) (int64, error) {
-	if tx := rt.cur; tx != nil && tx.htmTx != nil {
+	if tx := rt.cur; tx != nil && tx.strat == stratHTM {
 		return tx.htmTx.Load(addr, width)
 	}
 	return rt.os.Space.Load(addr, width)
@@ -1067,7 +1084,7 @@ func (rt *Runtime) Load(m *interp.Machine, addr int64, width int) (int64, error)
 // machine snapshot (taken at the gate) already preserves registers; this
 // charges the cost the software path would pay (setjmp analog).
 func (rt *Runtime) RegSave(m *interp.Machine) {
-	if rt.pending.variant == ir.TxSTM && !rt.pending.raw {
+	if rt.pending.strat == stratSTM {
 		if d := m.Depth(); d > 0 {
 			m.Cycles += costRegSavePer * 16
 		}
@@ -1085,7 +1102,7 @@ func (rt *Runtime) Tick(m *interp.Machine, n int64) error {
 			rt.ckptNext += rt.ckptEvery
 		}
 	}
-	if tx := rt.cur; tx != nil && tx.htmTx != nil {
+	if tx := rt.cur; tx != nil && tx.strat == stratHTM {
 		return tx.htmTx.Tick(n)
 	}
 	return nil
@@ -1102,7 +1119,7 @@ func (rt *Runtime) TickLive() bool {
 		return true
 	}
 	tx := rt.cur
-	return tx != nil && tx.htmTx != nil
+	return tx != nil && tx.strat == stratHTM
 }
 
 // TickBudget implements interp.TickBatcher: while a hardware transaction
@@ -1113,19 +1130,15 @@ func (rt *Runtime) TickBudget() int64 {
 		return 1
 	}
 	tx := rt.cur
-	if tx == nil || tx.htmTx == nil {
+	if tx == nil || tx.strat != stratHTM {
 		return math.MaxInt64
 	}
 	return tx.htmTx.TickBudget()
 }
 
-// Variant implements interp.Runtime: the flow-switch selector.
-func (rt *Runtime) Variant() int64 {
-	if tx := rt.cur; tx != nil && tx.variant != 0 {
-		return tx.variant
-	}
-	return rt.curVariant
-}
+// Variant implements interp.Runtime: the flow-switch selector, the
+// variant of the last transaction begun (0 before the first).
+func (rt *Runtime) Variant() int64 { return rt.txBuf.strat.variant() }
 
 // Handle implements interp.Runtime: the recovery brain.
 func (rt *Runtime) Handle(m *interp.Machine, err error) interp.Action {
@@ -1169,25 +1182,32 @@ func (rt *Runtime) noteViolation(site int, addr int64) {
 		detailf("addr=%#x dom=%d", addr, int64(rt.os.Space.CurrentDomain())))
 }
 
-// handleHTMAbort processes a capacity/interrupt abort: the hardware rolled
-// memory back; restore registers, apply the adaptive policy, and re-execute
-// the region (via STM in hybrid mode, unprotected in HTM-only mode).
+// handleHTMAbort processes a capacity/interrupt/conflict abort of the
+// live hardware transaction.
 func (rt *Runtime) handleHTMAbort(m *interp.Machine, cause htm.AbortCause) interp.Action {
 	tx := rt.cur
-	if tx == nil || tx.htmTx == nil {
+	if tx == nil || tx.strat != stratHTM {
 		return interp.ActionDie
 	}
+	return rt.rollbackHTM(m, tx, cause)
+}
+
+// rollbackHTM ends a hardware transaction that aborted with cause: the
+// hardware rolls memory back (Abort is a no-op for an abort it already
+// reported), the policy notes the abort, side effects revert, registers
+// restore, and the region re-executes — via STM, or unprotected in
+// HTM-only mode.
+func (rt *Runtime) rollbackHTM(m *interp.Machine, tx *txState, cause htm.AbortCause) interp.Action {
+	tx.htmTx.Abort(cause)
 	rt.noteHTMAbort(tx.site, cause)
 	rt.rollbackSideEffects(tx)
 	m.Restore(tx.snap)
 	m.Cycles += costHTMAbort
 	rt.cur = nil
-
 	st := rt.state(tx.site)
+	st.retry = stratSTM
 	if rt.cfg.Mode == ModeHTMOnly {
-		st.oneShotRaw = true
-	} else {
-		st.oneShotSTM = true
+		st.retry = stratRaw
 	}
 	return interp.ActionContinue
 }
@@ -1201,26 +1221,24 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 		st.capAborts++
 	}
 	rt.stats.HTMAborts++
-	rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
+	rt.emitSpan(obsv.SpanAbort, site, stratHTM.String(), cause.String(),
 		detailf("aborts=%d execs=%d", st.htmAborts, st.execs))
-	if rt.cfg.Mode == ModeHybrid && st.htmAborts%rt.cfg.SampleSize == 0 {
-		if float64(st.htmAborts)/float64(st.execs) > rt.cfg.Threshold {
-			if rt.cfg.EnableDomains && !st.domLatched && st.capAborts*2 >= st.htmAborts {
-				// Capacity-dominant aborts: the write set is what does
-				// not fit, so the undo log would be long too — latch
-				// straight to rewind-and-discard, skipping the STM
-				// detour.
-				st.domLatched = true
-				rt.stats.DomainLatches++
-				rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
-					detailf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
-				return
-			}
-			if !st.stmLatched {
-				rt.emitSpan(obsv.SpanLatchSTM, site, "", "", spanDetail{})
-			}
-			st.stmLatched = true
-		}
+	if rt.cfg.Mode != ModeHybrid || st.htmAborts%rt.cfg.SampleSize != 0 ||
+		float64(st.htmAborts)/float64(st.execs) <= rt.cfg.Threshold {
+		return
+	}
+	switch {
+	case rt.cfg.EnableDomains && st.latched != stratDomain && st.capAborts*2 >= st.htmAborts:
+		// Capacity-dominant aborts: the write set is what does not fit,
+		// so the undo log would be long too — latch straight to
+		// rewind-and-discard, skipping the STM detour.
+		st.latched = stratDomain
+		rt.stats.DomainLatches++
+		rt.emitSpan(obsv.SpanLatchDomains, site, "", "",
+			detailf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
+	case st.latched == stratNone:
+		rt.emitSpan(obsv.SpanLatchSTM, site, "", "", spanDetail{})
+		st.latched = stratSTM
 	}
 }
 
@@ -1267,42 +1285,27 @@ func (rt *Runtime) shed(m *interp.Machine, site int, reason string) interp.Actio
 // handleCrash processes a fail-stop trap.
 func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 	tx := rt.cur
-	if tx == nil || tx.variant == 0 {
+	if tx == nil {
 		// Unprotected execution (startup, post-irrecoverable region, or
 		// the HTM-only fallback): nothing to roll back. With a quiesce
 		// point armed the crash is shed; otherwise it is fatal.
-		site := 0
-		if tx != nil {
-			site = tx.site
-		}
 		if addr, ok := domainViolation(err); ok {
-			rt.noteViolation(site, addr)
+			rt.noteViolation(0, addr)
 		}
 		if rt.canShed() {
 			m.Cycles += costSignal
-			return rt.shed(m, site, "crash outside any transaction")
+			return rt.shed(m, 0, "crash outside any transaction")
 		}
 		rt.stats.Unrecovered++
-		rt.emitSpan(obsv.SpanUnrecovered, site, "", "", detailText("crash outside any transaction"))
+		rt.emitSpan(obsv.SpanUnrecovered, 0, "", "", detailText("crash outside any transaction"))
 		return interp.ActionDie
 	}
 
-	if tx.htmTx != nil {
+	if tx.strat == stratHTM {
 		// A fault inside a hardware transaction surfaces as an abort;
 		// per the paper the runtime cannot yet distinguish a crash from
 		// a resource abort, so it re-executes under STM first (§IV-C).
-		tx.htmTx.Abort(htm.AbortExplicit)
-		rt.noteHTMAbort(tx.site, htm.AbortExplicit)
-		rt.rollbackSideEffects(tx)
-		m.Restore(tx.snap)
-		m.Cycles += costHTMAbort
-		rt.cur = nil
-		if rt.cfg.Mode == ModeHTMOnly {
-			rt.state(tx.site).oneShotRaw = true
-		} else {
-			rt.state(tx.site).oneShotSTM = true
-		}
-		return interp.ActionContinue
+		return rt.rollbackHTM(m, tx, htm.AbortExplicit)
 	}
 
 	// Crash under STM or a domain-armed transaction: a confirmed
@@ -1314,12 +1317,12 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		cause = "domain-violation"
 		rt.noteViolation(tx.site, addr)
 	}
-	if tx.dom {
+	rt.emitSpan(obsv.SpanCrash, tx.site, tx.strat.String(), cause, spanDetail{})
+	if tx.strat == stratDomain {
 		// Rewind-and-discard rollback: no undo replay. Compensations and
 		// deferred effects revert as usual, then the arena's bump pointer
 		// rewinds to the entry mark (tail rezeroed, O(1) in the cost
 		// model) and the register snapshot restores.
-		rt.emitSpan(obsv.SpanCrash, tx.site, "domain", cause, spanDetail{})
 		rt.rollbackSideEffects(tx)
 		dom := rt.os.ActiveArenaDom()
 		mark := tx.arenaMark
@@ -1331,10 +1334,9 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		m.Cycles += costSignal + costDomainDiscard
 		rt.cur = nil
 		rt.stats.DomainDiscards++
-		rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
+		rt.emitSpan(obsv.SpanDomainDiscard, tx.site, tx.strat.String(), "",
 			detailf("dom=%d mark=%d", int64(dom), mark))
 	} else {
-		rt.emitSpan(obsv.SpanCrash, tx.site, "stm", cause, spanDetail{})
 		undone, rerr := rt.undo.Rollback()
 		if rerr != nil {
 			// The undo log could not restore memory: the heap is inconsistent,
@@ -1362,11 +1364,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 	switch {
 	case st.crashes <= rt.cfg.RetryTransient:
 		// Assume transient: re-execute under the same strategy.
-		if tx.dom {
-			st.oneShotDom = true
-		} else {
-			st.oneShotSTM = true
-		}
+		st.retry = tx.strat
 		rt.stats.Retries++
 		rt.emitSpan(obsv.SpanRetry, tx.site, "", "", detailf("attempt=%d", int64(st.crashes)))
 	default:

@@ -16,7 +16,7 @@ import (
 )
 
 // gateSite returns some gate site ID of the ladder program (its malloc).
-func gateSite(t *testing.T, rt *Runtime) int {
+func gateSite(t testing.TB, rt *Runtime) int {
 	t.Helper()
 	for id := range rt.sites {
 		if rt.gate(id) != nil {
@@ -32,19 +32,19 @@ func TestUndoVolumeLatchesDomains(t *testing.T) {
 	rt.EnableSpans()
 	site := gateSite(t, rt)
 	st := rt.state(site)
-	st.stmLatched = true
+	st.latched = stratSTM
 
 	// SampleSize defaults to 4: three heavy commits must not latch (the
 	// sample window is not full), the fourth must. Mean undo volume
 	// 30 >= DomainUndoMin default 24.
 	for i := 0; i < 3; i++ {
 		rt.stmCommitPolicy(site, 30)
-		if st.domLatched {
+		if st.latched == stratDomain {
 			t.Fatalf("latched after %d commits, want 4", i+1)
 		}
 	}
 	rt.stmCommitPolicy(site, 30)
-	if !st.domLatched || !rt.GateLatchedDomains(site) {
+	if st.latched != stratDomain || !rt.GateLatchedDomains(site) {
 		t.Fatal("undo volume did not latch domains")
 	}
 	if s := rt.Stats(); s.DomainLatches != 1 {
@@ -65,11 +65,11 @@ func TestLowUndoVolumeStaysSTM(t *testing.T) {
 	rt, _ := newLadderRuntime(t, Config{EnableDomains: true})
 	site := gateSite(t, rt)
 	st := rt.state(site)
-	st.stmLatched = true
+	st.latched = stratSTM
 	for i := 0; i < 8; i++ {
 		rt.stmCommitPolicy(site, 10) // mean 10 < 24
 	}
-	if st.domLatched {
+	if st.latched == stratDomain {
 		t.Fatal("low undo volume latched domains")
 	}
 	if s := rt.Stats(); s.DomainLatches != 0 {
@@ -91,10 +91,10 @@ func TestCapacityAbortsLatchStraightToDomains(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rt.noteHTMAbort(site, htm.AbortCapacity)
 	}
-	if !st.domLatched {
+	if st.latched != stratDomain {
 		t.Fatal("capacity-dominant aborts did not latch domains")
 	}
-	if st.stmLatched {
+	if rt.GateLatchedSTM(site) {
 		t.Fatal("gate latched STM despite capacity-dominant aborts")
 	}
 	if s := rt.Stats(); s.DomainLatches != 1 {
@@ -110,10 +110,10 @@ func TestInterruptAbortsStillLatchSTM(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rt.noteHTMAbort(site, htm.AbortInterrupt)
 	}
-	if st.domLatched {
+	if st.latched == stratDomain {
 		t.Fatal("interrupt aborts latched domains")
 	}
-	if !st.stmLatched {
+	if st.latched != stratSTM {
 		t.Fatal("gate did not latch STM")
 	}
 }
@@ -123,21 +123,21 @@ func TestDomainBackoffRelatchesSTMWithDoubledThreshold(t *testing.T) {
 	rt.EnableSpans()
 	site := gateSite(t, rt)
 	st := rt.state(site)
-	st.domLatched = true
+	st.latched = stratDomain
 
 	// Each commit of a transaction whose arena overflowed into the heap
 	// (fallbackMark below the manager's counter) counts one back-off
 	// strike; the DomainBackoffMax'th (default 4) re-latches STM.
-	overflowed := &txState{site: site, dom: true, fallbackMark: -1}
+	overflowed := &txState{site: site, strat: stratDomain, fallbackMark: -1}
 	for i := 0; i < 3; i++ {
 		rt.domCommitPolicy(overflowed)
-		if !st.domLatched {
+		if st.latched != stratDomain {
 			t.Fatalf("backed off after %d strikes, want 4", i+1)
 		}
 	}
 	rt.domCommitPolicy(overflowed)
-	if st.domLatched || !st.stmLatched {
-		t.Fatalf("back-off state: dom=%v stm=%v", st.domLatched, st.stmLatched)
+	if st.latched != stratSTM {
+		t.Fatalf("back-off state: latched %v, want stm", st.latched)
 	}
 	if st.undoMin != 48 {
 		t.Fatalf("undoMin = %d, want doubled 48", st.undoMin)
@@ -152,13 +152,13 @@ func TestDomainBackoffRelatchesSTMWithDoubledThreshold(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rt.stmCommitPolicy(site, 30)
 	}
-	if st.domLatched {
+	if st.latched == stratDomain {
 		t.Fatal("re-latched below the doubled threshold")
 	}
 	for i := 0; i < 4; i++ {
 		rt.stmCommitPolicy(site, 90)
 	}
-	if !st.domLatched {
+	if st.latched != stratDomain {
 		t.Fatal("did not re-latch above the doubled threshold")
 	}
 }
@@ -179,7 +179,7 @@ func armDomainTx(t *testing.T, rt *Runtime, m *interp.Machine, site int) *txStat
 		t.Fatalf("TxBegin: %v", err)
 	}
 	tx := rt.cur
-	if tx == nil || !tx.dom || tx.htmTx != nil {
+	if tx == nil || tx.strat != stratDomain || tx.htmTx != nil {
 		t.Fatalf("armed tx = %+v, want domain-armed", tx)
 	}
 	return tx
@@ -228,7 +228,7 @@ func TestSnapshotRestoreDuringDomainArmedTransaction(t *testing.T) {
 	if v, _ := rt.os.Space.Load(in, 8); v != 0 {
 		t.Fatalf("in-tx chunk = %d, want 0 (rewound)", v)
 	}
-	if !rt.state(site).oneShotDom {
+	if rt.state(site).retry != stratDomain {
 		t.Fatal("retry not armed under the domain strategy")
 	}
 	if _, ok := findSpan(rt, obsv.SpanDomainDiscard); !ok {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/minic"
@@ -17,7 +16,7 @@ import (
 // at least one gate site, so escalation-ladder paths can be exercised by
 // rigging the crash state directly (several of them — rollback failure,
 // shed exhaustion — cannot be reached through ordinary execution).
-func newLadderRuntime(t *testing.T, cfg Config) (*Runtime, *interp.Machine) {
+func newLadderRuntime(t testing.TB, cfg Config) (*Runtime, *interp.Machine) {
 	t.Helper()
 	src := `
 int main() {
@@ -107,7 +106,7 @@ func TestShedOnPersistentFaultWithoutInjectableGate(t *testing.T) {
 	// already-injected sites take the same no-gate escalation path.
 	site := 1
 	rt.undo.Begin()
-	rt.cur = &txState{site: site, variant: ir.TxSTM, snap: m.Snapshot()}
+	rt.cur = &txState{site: site, strat: stratSTM, snap: m.Snapshot()}
 	rt.state(site).crashes = 1 // next crash exceeds RetryTransient
 	rt.state(site).injected = true
 
@@ -143,7 +142,7 @@ func TestRollbackFailureIsVisiblyUnrecovered(t *testing.T) {
 	rt.ArmQuiesce(m)
 
 	// An STM transaction whose undo log was never begun: Rollback fails.
-	rt.cur = &txState{site: 1, variant: ir.TxSTM, snap: m.Snapshot()}
+	rt.cur = &txState{site: 1, strat: stratSTM, snap: m.Snapshot()}
 
 	if act := rt.handleCrash(m, nil); act != interp.ActionDie {
 		t.Fatalf("action = %v, want die", act)

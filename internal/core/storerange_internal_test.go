@@ -16,7 +16,6 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/stm"
@@ -150,7 +149,7 @@ func newSRWorld(p srParams) *srWorld {
 		if p.flags&1 != 0 {
 			_ = w.tx.Commit()
 		}
-		w.rt.cur = &txState{variant: ir.TxHTM, htmTx: w.tx}
+		w.rt.cur = &txState{strat: stratHTM, htmTx: w.tx}
 	case srHTMConflict:
 		w.dom = htm.NewDomain()
 		w.tsx, w.peer = htm.New(cfg), htm.New(cfg)
@@ -169,16 +168,16 @@ func newSRWorld(p srParams) *srWorld {
 			_ = w.peerTx.Store(last, 1, 8)
 		}
 		w.os.SetThreads(noThreads{})
-		w.rt.cur = &txState{variant: ir.TxHTM, htmTx: w.tx}
+		w.rt.cur = &txState{strat: stratHTM, htmTx: w.tx}
 	case srSTM:
 		w.rt.undo.Begin()
 		prior(w.rt.undo.Store)
 		if p.flags&1 != 0 {
 			_ = w.rt.undo.Commit()
 		}
-		w.rt.cur = &txState{variant: ir.TxSTM}
+		w.rt.cur = &txState{strat: stratSTM}
 	case srDomainTx:
-		w.rt.cur = &txState{variant: ir.TxHTM, dom: true}
+		w.rt.cur = &txState{strat: stratDomain}
 	}
 	return w
 }

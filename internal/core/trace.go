@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
@@ -71,18 +70,6 @@ func (rt *Runtime) RenderTrace() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// variantName renders a transaction variant for span output.
-func variantName(variant int64) string {
-	switch variant {
-	case ir.TxHTM:
-		return "htm"
-	case ir.TxSTM:
-		return "stm"
-	default:
-		return ""
-	}
 }
 
 // spanDetail is a span's Detail before rendering: literal text, or a

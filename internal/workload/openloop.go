@@ -222,7 +222,7 @@ func activate(active []*openClient, c *openClient) []*openClient {
 }
 
 // RunOpen drives the server open-loop. It shares every seam with Run —
-// OS/M, a sched, or a Server such as the fleet balancer — plus the trace
+// OS/M or a Server such as the fleet balancer — plus the trace
 // sink: every arrival consumes a trace ID in arrival order, so shed
 // arrivals reach a req-lost terminal without a req-start (legal
 // causality: the server never saw them).
@@ -254,9 +254,6 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		res.Steps = d.steps() - startSteps
 		if d.Metrics != nil {
 			Metrics.Publish(d.Metrics, &res.Result)
-			if d.S != nil {
-				d.S.PublishMetrics(d.Metrics)
-			}
 		}
 		return res
 	}

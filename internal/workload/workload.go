@@ -8,10 +8,11 @@
 // Throughput is measured in cost-model cycles per completed request, which
 // is deterministic and host-independent.
 //
-// A Driver can equally drive a multi-threaded server: set S to the
-// scheduler instead of M, and each slice runs all runnable threads.
-// Throughput then uses wall cycles — the maximum per-thread cycle count —
-// so adding workers shows up as fewer cycles per request.
+// A Driver can equally drive anything behind the Server seam instead of
+// M: the fleet balancer over N replicas, or a multi-threaded server under
+// the scheduler, where each slice runs all runnable threads and
+// throughput uses wall cycles — the maximum per-thread cycle count — so
+// adding workers shows up as fewer cycles per request.
 package workload
 
 import (
@@ -24,7 +25,6 @@ import (
 	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
-	"github.com/firestarter-go/firestarter/internal/sched"
 )
 
 // Generator produces and validates protocol traffic.
@@ -73,7 +73,7 @@ type Result struct {
 	BadResp    int
 	ServerDied bool
 	TrapCode   int64
-	Cycles     int64 // machine (or wall, see Driver.S) cycles consumed
+	Cycles     int64 // machine (or Server, see Driver.Srv) cycles consumed
 	Steps      int64
 	Stalled    bool // driver gave up waiting for progress
 
@@ -138,14 +138,9 @@ type Driver struct {
 	Concurrency int
 	Seed        int64
 
-	// S, when non-nil, is a multi-threaded scheduler driven in place of M:
-	// each slice runs every runnable thread and Cycles reports wall cycles
-	// (max per-thread) rather than one machine's count.
-	S *sched.Sched
-
-	// Srv, when non-nil, is driven in place of OS/M/S entirely: the
-	// driver connects, slices and reads the clock through the Server
-	// interface. The fleet balancer plugs in here.
+	// Srv, when non-nil, is driven in place of OS/M entirely: the driver
+	// connects, slices and reads the clock through the Server interface.
+	// The fleet balancer and the multi-threaded scheduler plug in here.
 	Srv Server
 
 	// StepBudget bounds each machine slice (default 2M instructions).
@@ -164,8 +159,7 @@ type Driver struct {
 	// blocked rounds, matching the old closed-loop behavior.
 	StallCycles int64
 
-	// Metrics, when non-nil, receives the run's outcome counters (and,
-	// under a scheduler, the per-thread cycle accounting) when Run
+	// Metrics, when non-nil, receives the run's outcome counters when Run
 	// returns. Collection-time only: the drive loop never touches it.
 	Metrics *obsv.Registry
 
@@ -373,9 +367,6 @@ func (d *Driver) Run(total int) Result {
 	res.Steps = d.steps() - startSteps
 	if d.Metrics != nil {
 		Metrics.Publish(d.Metrics, &res)
-		if d.S != nil {
-			d.S.PublishMetrics(d.Metrics)
-		}
 	}
 	return res
 }
@@ -389,14 +380,10 @@ func (d *Driver) connect() *libsim.Conn {
 }
 
 // cycles returns the throughput clock: the Server's clock when one is
-// plugged in, wall cycles under a scheduler, the machine's cycle count
-// otherwise.
+// plugged in, the machine's cycle count otherwise.
 func (d *Driver) cycles() int64 {
 	if d.Srv != nil {
 		return d.Srv.Cycles()
-	}
-	if d.S != nil {
-		return d.S.WallCycles()
 	}
 	return d.M.Cycles
 }
@@ -405,24 +392,19 @@ func (d *Driver) steps() int64 {
 	if d.Srv != nil {
 		return d.Srv.Steps()
 	}
-	if d.S != nil {
-		return d.S.TotalSteps()
-	}
 	return d.M.Steps
 }
 
-// slice runs the machine (or all runnable threads, or the plugged-in
-// Server) until it blocks; ok is false when the server died or exited,
-// and busy reports a slice that exhausted its step budget mid-work (the
-// stall detector must not count such rounds as idle).
+// slice runs the machine (or the plugged-in Server) until it blocks; ok
+// is false when the server died or exited, and busy reports a slice that
+// exhausted its step budget mid-work (the stall detector must not count
+// such rounds as idle).
 func (d *Driver) slice(res *Result) (ok, busy bool) {
 	for {
 		var out interp.Outcome
 		switch {
 		case d.Srv != nil:
 			out = d.Srv.Slice(d.StepBudget)
-		case d.S != nil:
-			out = d.S.Run(d.StepBudget)
 		default:
 			out = d.M.Run(d.StepBudget)
 		}
