@@ -2,6 +2,10 @@
 
 GO ?= go
 
+# Where the smokes below put the CLIs they build and the files they
+# write.
+SMOKE_DIR ?= /tmp/fire-smoke
+
 .PHONY: all build test vet bench bench-smoke obsv-smoke smoke-tools trace-smoke campaign-smoke diff-smoke replay-smoke eval examples cover clean
 
 all: build vet test
@@ -35,17 +39,18 @@ bench-smoke:
 # The Observe run itself fails if metrics totals don't reconcile with the
 # runtime counters or profiler attribution doesn't sum to machine cycles.
 obsv-smoke:
+	mkdir -p $(SMOKE_DIR)
 	$(GO) run ./cmd/firebench -experiment nginx -requests 60 \
-		-trace-out /tmp/fire-trace.jsonl \
-		-metrics-out /tmp/fire-metrics.jsonl \
-		-profile /tmp/fire-profile.jsonl > /dev/null
-	$(GO) run ./cmd/obsvlint -schema trace /tmp/fire-trace.jsonl
-	$(GO) run ./cmd/obsvlint -schema metrics /tmp/fire-metrics.jsonl
-	$(GO) run ./cmd/obsvlint -schema profile /tmp/fire-profile.jsonl
+		-trace-out $(SMOKE_DIR)/trace.jsonl \
+		-metrics-out $(SMOKE_DIR)/metrics.jsonl \
+		-profile $(SMOKE_DIR)/profile.jsonl > /dev/null
+	$(GO) run ./cmd/obsvlint -schema trace $(SMOKE_DIR)/trace.jsonl
+	$(GO) run ./cmd/obsvlint -schema metrics $(SMOKE_DIR)/metrics.jsonl
+	$(GO) run ./cmd/obsvlint -schema profile $(SMOKE_DIR)/profile.jsonl
 	@echo obsv-smoke OK
 
 # The CLIs the smokes below drive, built once per make invocation.
-BIN := /tmp/fire-bin
+BIN := $(SMOKE_DIR)/bin
 
 smoke-tools:
 	$(GO) build -o $(BIN)/ ./cmd/firebench ./cmd/obsvlint ./cmd/firetrace
@@ -60,26 +65,26 @@ smoke-tools:
 trace-smoke: smoke-tools
 	$(BIN)/firebench -experiment chaos -requests 30 -faults 2 \
 		-concurrency 2 -parallel 4 \
-		-trace-out /tmp/fire-trace-smoke.jsonl > /dev/null
-	$(BIN)/obsvlint -schema trace -causality /tmp/fire-trace-smoke.jsonl
+		-trace-out $(SMOKE_DIR)/trace-smoke.jsonl > /dev/null
+	$(BIN)/obsvlint -schema trace -causality $(SMOKE_DIR)/trace-smoke.jsonl
 	$(BIN)/firebench -experiment nginx -requests 60 \
-		-trace-out /tmp/fire-trace-nginx.jsonl \
-		-profile /tmp/fire-trace-prof.jsonl > /dev/null
-	$(BIN)/obsvlint -schema trace -causality /tmp/fire-trace-nginx.jsonl
+		-trace-out $(SMOKE_DIR)/trace-nginx.jsonl \
+		-profile $(SMOKE_DIR)/trace-prof.jsonl > /dev/null
+	$(BIN)/obsvlint -schema trace -causality $(SMOKE_DIR)/trace-nginx.jsonl
 	$(BIN)/firetrace -strict -breakdown -timeline 3 \
-		-chrome /tmp/fire-trace-chrome.json \
-		-folded /tmp/fire-trace-folded.txt -profile /tmp/fire-trace-prof.jsonl \
-		/tmp/fire-trace-smoke.jsonl > /tmp/fire-trace-report.txt
+		-chrome $(SMOKE_DIR)/trace-chrome.json \
+		-folded $(SMOKE_DIR)/trace-folded.txt -profile $(SMOKE_DIR)/trace-prof.jsonl \
+		$(SMOKE_DIR)/trace-smoke.jsonl > $(SMOKE_DIR)/trace-report.txt
 	$(BIN)/firebench -experiment chaos -requests 30 -faults 2 \
 		-concurrency 2 -parallel 4 \
-		-trace-out /tmp/fire-trace-smoke2.jsonl > /dev/null
-	cmp /tmp/fire-trace-smoke.jsonl /tmp/fire-trace-smoke2.jsonl
-	cp /tmp/fire-trace-smoke2.jsonl /tmp/fire-trace-smoke.jsonl
+		-trace-out $(SMOKE_DIR)/trace-smoke2.jsonl > /dev/null
+	cmp $(SMOKE_DIR)/trace-smoke.jsonl $(SMOKE_DIR)/trace-smoke2.jsonl
+	cp $(SMOKE_DIR)/trace-smoke2.jsonl $(SMOKE_DIR)/trace-smoke.jsonl
 	$(BIN)/firetrace -strict -breakdown -timeline 3 \
-		-chrome /tmp/fire-trace-chrome2.json \
-		/tmp/fire-trace-smoke.jsonl > /tmp/fire-trace-report2.txt
-	cmp /tmp/fire-trace-report.txt /tmp/fire-trace-report2.txt
-	cmp /tmp/fire-trace-chrome.json /tmp/fire-trace-chrome2.json
+		-chrome $(SMOKE_DIR)/trace-chrome2.json \
+		$(SMOKE_DIR)/trace-smoke.jsonl > $(SMOKE_DIR)/trace-report2.txt
+	cmp $(SMOKE_DIR)/trace-report.txt $(SMOKE_DIR)/trace-report2.txt
+	cmp $(SMOKE_DIR)/trace-chrome.json $(SMOKE_DIR)/trace-chrome2.json
 	@echo trace-smoke OK
 
 # Campaign smoke: one row per span-log experiment, each run at
@@ -100,8 +105,8 @@ campaign-smoke: smoke-tools
 		"domains -requests 60 -faults 4 -concurrency 2"; do \
 		set -- $$row; exp=$$1; shift; \
 		$(BIN)/firebench -experiment $$exp "$$@" -parallel 4 \
-			-trace-out /tmp/fire-$$exp.jsonl > /tmp/fire-$$exp-report.txt; \
-		$(BIN)/obsvlint -schema trace -causality /tmp/fire-$$exp.jsonl; \
+			-trace-out $(SMOKE_DIR)/$$exp.jsonl > $(SMOKE_DIR)/$$exp-report.txt; \
+		$(BIN)/obsvlint -schema trace -causality $(SMOKE_DIR)/$$exp.jsonl; \
 	done
 	@echo campaign-smoke OK
 
@@ -111,10 +116,10 @@ campaign-smoke: smoke-tools
 # (docs/RUNTIME.md "Bytecode backend") checked end to end.
 diff-smoke: smoke-tools
 	$(BIN)/firebench -backend tree -requests 40 -faults 4 \
-		-concurrency 2 -parallel 4 > /tmp/fire-diff-tree.txt
+		-concurrency 2 -parallel 4 > $(SMOKE_DIR)/diff-tree.txt
 	$(BIN)/firebench -backend bytecode -requests 40 -faults 4 \
-		-concurrency 2 -parallel 4 > /tmp/fire-diff-bytecode.txt
-	cmp /tmp/fire-diff-tree.txt /tmp/fire-diff-bytecode.txt
+		-concurrency 2 -parallel 4 > $(SMOKE_DIR)/diff-bytecode.txt
+	cmp $(SMOKE_DIR)/diff-tree.txt $(SMOKE_DIR)/diff-bytecode.txt
 	@echo diff-smoke OK
 
 # Flight-recorder smoke: a chaos campaign with -record-out captures a
@@ -130,25 +135,25 @@ diff-smoke: smoke-tools
 # manifests, so the openloop ones skip (c). Any divergence — one span,
 # one digest — fails the build.
 replay-smoke: smoke-tools
-	rm -rf /tmp/fire-replay /tmp/fire-replay2 /tmp/fire-replay-open
+	rm -rf $(SMOKE_DIR)/replay $(SMOKE_DIR)/replay2 $(SMOKE_DIR)/replay-open
 	$(BIN)/firebench -experiment chaos -requests 24 -faults 1 \
 		-concurrency 2 -seed 3 -parallel 4 \
-		-record-out /tmp/fire-replay -fingerprint > /dev/null
+		-record-out $(SMOKE_DIR)/replay -fingerprint > /dev/null
 	$(BIN)/firebench -experiment chaos -requests 40 -faults 2 \
 		-concurrency 2 -parallel 4 \
-		-record-out /tmp/fire-replay2 -fingerprint > /dev/null
+		-record-out $(SMOKE_DIR)/replay2 -fingerprint > /dev/null
 	$(BIN)/firebench -experiment openloop -requests 600 -seed 2 -parallel 4 \
-		-record-out /tmp/fire-replay-open -fingerprint > /dev/null
-	ls /tmp/fire-replay/*.json /tmp/fire-replay2/*.json \
-		/tmp/fire-replay-open/*.json > /dev/null
-	for m in /tmp/fire-replay/*.json /tmp/fire-replay2/*.json \
-		/tmp/fire-replay-open/*.json; do \
+		-record-out $(SMOKE_DIR)/replay-open -fingerprint > /dev/null
+	ls $(SMOKE_DIR)/replay/*.json $(SMOKE_DIR)/replay2/*.json \
+		$(SMOKE_DIR)/replay-open/*.json > /dev/null
+	for m in $(SMOKE_DIR)/replay/*.json $(SMOKE_DIR)/replay2/*.json \
+		$(SMOKE_DIR)/replay-open/*.json; do \
 		$(BIN)/firetrace -manifest $$m > /dev/null || exit 1; \
 		$(BIN)/firetrace -replay $$m -stop-at-cycle 0 \
 			-replay-spans $$m.replayed.jsonl > /dev/null || exit 1; \
 		cmp $$m.replayed.jsonl $${m%.json}.spans.jsonl || exit 1; \
 		$(BIN)/firetrace -replay $$m > /dev/null || exit 1; \
-		case $$m in /tmp/fire-replay-open/*) continue;; esac; \
+		case $$m in $(SMOKE_DIR)/replay-open/*) continue;; esac; \
 		$(BIN)/firetrace -replay $$m -reverse-step -ckpt-every 1000 \
 			> /dev/null || exit 1; \
 	done

@@ -8,6 +8,7 @@ import (
 
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
+	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
 // printManifest renders a flight-recorder manifest for humans. Only the
@@ -45,7 +46,7 @@ func renderManifest(path string, man replay.Manifest) string {
 	}
 	sc := man.Schedule
 	switch sc.Kind {
-	case "open":
+	case workload.OpenLoop:
 		out += fmt.Sprintf("schedule: open %s, seed %d", sc.Proto, sc.Seed)
 		if sc.Open != nil {
 			out += fmt.Sprintf(", %s %.2f arrivals/Mcycle, %d arrivals, %d clients",

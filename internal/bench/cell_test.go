@@ -122,7 +122,8 @@ func TestRunCellsLowestFailure(t *testing.T) {
 
 // TestOpenLoopRecordsFailingRungs: with RecordDir set, every failing rung
 // of the sweep leaves an openloop manifest, numbered from openloop-000,
-// whose companion span stream loads against its fingerprint.
+// whose companion span stream loads against its fingerprint. The
+// manifests' bytes are pinned.
 func TestOpenLoopRecordsFailingRungs(t *testing.T) {
 	dir := t.TempDir()
 	r := Runner{Requests: 600, Seed: 2, Parallelism: 4, RecordDir: dir}
@@ -133,6 +134,13 @@ func TestOpenLoopRecordsFailingRungs(t *testing.T) {
 	if _, ok := files["openloop-000.json"]; !ok {
 		t.Fatalf("no failing rung recorded as openloop-000.json: %d files", len(files))
 	}
+	checkPinned(t, files, func(name string) bool { return strings.HasSuffix(name, ".json") }, map[string]string{
+		"openloop-000.json": "1424150947912f4590a39b4c5ab40a716640c55617b63be5d8f625a330cc3733",
+		"openloop-001.json": "ca9c415f969ccda2db062e00c63eb4e5e7cb7f01dd852abc2b034b0c220e2cfb",
+		"openloop-002.json": "86d413091e8803bbc2193644aa9c516c72ba3655422e7389520e988ffe3300d1",
+		"openloop-003.json": "b91091d377dd0f88dcfffe952d8f197c6f3676cd428ac3f0b3b25182dea3e771",
+		"openloop-004.json": "7d2c0aa494779f5f6af197866c4edc9797f9735470049fef918660c3eb281a9a",
+	})
 	for name := range files {
 		if !strings.HasSuffix(name, ".json") {
 			continue

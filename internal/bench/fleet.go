@@ -65,41 +65,32 @@ type fleetRun struct {
 	St  fleet.Stats
 }
 
-// newFleet builds app's hardened image and a fleet of size replicas
-// booting every replica and incarnation from it (Image.Replica on the
-// Runner's backend), plus the driver aimed at the fleet. Every
-// incarnation is a full hardened boot with spans enabled and its quiesce
-// point armed; its HTM interrupt seed is the replica supervisor's
-// per-incarnation seed, so no two incarnations anywhere in the fleet
-// replay the same interrupt process.
-func (r Runner) newFleet(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleet.Fleet, *workload.Driver, error) {
+// fleetRun drives one closed-loop campaign of r.Requests requests
+// against a fresh fleet of size replicas.
+func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleetRun, error) {
+	return r.runFleet(app, fault, size, workload.Schedule{
+		Kind:        workload.ClosedLoop,
+		Proto:       app.Protocol,
+		Seed:        seed,
+		Requests:    r.Requests,
+		Concurrency: r.Concurrency,
+	})
+}
+
+// runFleet builds app's hardened image and drives sc against a fleet of
+// size replicas booting every replica and incarnation from it
+// (Image.RunFleet on the Runner's backend), then harvests the finished
+// fleet into a cell: Totals sum the replica runtimes', the balancer's and
+// every replica supervisor's tables, and the cell carries the
+// balancer-vs-supervisor identities and one terminal per traced request.
+func (r Runner) runFleet(app *apps.App, fault *faultinj.Fault, size int, sc workload.Schedule) (*fleetRun, error) {
 	o := boot.Options{Fault: fault, Backend: r.Backend}
 	img, err := r.build(app, o)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fl := fleet.New(fleet.Config{
-		Replicas: size,
-		Port:     app.Port,
-		Sup:      supervisor.Config{Seed: seed},
-	}, img.Replica(o))
-	return fl, &workload.Driver{
-		Port:        app.Port,
-		Gen:         workload.ForProtocol(app.Protocol),
-		Concurrency: r.Concurrency,
-		Seed:        seed,
-		Srv:         fl,
-		Sink:        fl,
-	}, nil
-}
-
-// finishFleet finishes fl once its driver's run res is over and harvests
-// it into a cell: Totals sum the replica runtimes', the balancer's and
-// every replica supervisor's tables, and the cell carries the
-// balancer-vs-supervisor identities and one terminal per traced request.
-func finishFleet(fl *fleet.Fleet, res workload.OpenResult) (*fleetRun, error) {
-	fl.Finish()
-	if err := fl.Err(); err != nil {
+	fl, res, err := img.RunFleet(o, size, sc)
+	if err != nil {
 		return nil, err
 	}
 	st := fl.Stats()
@@ -125,15 +116,6 @@ func finishFleet(fl *fleet.Fleet, res workload.OpenResult) (*fleetRun, error) {
 		{"terminals vs sent", st.ReqsDone + st.ReqsLost, fr.Traces},
 	}
 	return fr, nil
-}
-
-// fleetRun drives one closed-loop campaign against a fresh fleet.
-func (r Runner) fleetRun(app *apps.App, fault *faultinj.Fault, size int, seed int64) (*fleetRun, error) {
-	fl, d, err := r.newFleet(app, fault, size, seed)
-	if err != nil {
-		return nil, err
-	}
-	return finishFleet(fl, workload.OpenResult{Result: d.Run(r.Requests)})
 }
 
 // fleetSizes is the paper-style scaling sweep.

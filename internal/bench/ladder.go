@@ -68,7 +68,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	// prelatched sites, so only such boots are captured: a recording of
 	// any other boot would replay a different program and diverge.
 	record := r.RecordDir != "" && o.Model == nil && len(o.Prelatch) == 0
-	var last *replay.IncarnationRun
+	var last *replay.Manifest
 	var lastLog *obsv.SpanLog
 
 	err = sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
@@ -88,22 +88,19 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 				return supervisor.RunResult{}, err
 			}
 		}
-		d := &workload.Driver{
-			OS: inst.OS, M: inst.M, Port: app.Port,
-			Gen:         workload.ForProtocol(app.Protocol),
-			Concurrency: r.Concurrency,
+		// The incarnation's workload: the remaining budget, driven from
+		// the supervisor-issued seed, its trace IDs continuing where the
+		// previous incarnation stopped so the campaign's causal chains
+		// never collide. A recording stores this same value.
+		sched := workload.Schedule{
+			Kind:        workload.ClosedLoop,
+			Proto:       app.Protocol,
 			Seed:        seed,
+			Requests:    remaining,
+			Concurrency: r.Concurrency,
+			TraceBase:   lr.Traces,
 		}
-		if inst.RT != nil {
-			// Trace every request; IDs continue where the previous
-			// incarnation stopped so the campaign's causal chains never
-			// collide. (Guarded: a typed-nil *core.Runtime in the
-			// interface would defeat the driver's nil check.)
-			d.Sink = inst.RT
-			d.TraceBase = lr.Traces
-		}
-		reqBefore := remaining
-		res := d.Run(remaining)
+		res := inst.Drive(sched)
 		lr.Completed += res.Completed
 		lr.Failed += res.BadResp
 		lr.Cycles += res.Cycles
@@ -123,27 +120,23 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 			lr.Dropped += inst.RT.TraceDropped()
 			inst.RT.PublishMetrics(lr.Registry)
 			if record {
-				run := replay.IncarnationRun{
+				man := replay.Manifest{
+					Kind:        replay.KindIncarnation,
 					App:         app.Name,
 					Backend:     r.Backend,
 					Core:        o.Core,
 					Fault:       o.Fault,
 					Incarnation: inc,
-					Seed:        seed,
-					Proto:       app.Protocol,
-					Requests:    reqBefore,
-					Concurrency: r.Concurrency,
-					TraceBase:   d.TraceBase,
+					Schedule:    sched,
 					FinalCycles: inst.M.Cycles,
 					FinalSteps:  inst.M.Steps,
 				}
 				last = nil
 				if st.Unrecovered > 0 {
-					run.Outcome = replay.OutcomeUnrecovered
-					run.Spans = inst.RT.Spans()
-					lr.Recordings = append(lr.Recordings, replay.RecordIncarnation(run))
+					man.Outcome = replay.OutcomeUnrecovered
+					lr.Recordings = append(lr.Recordings, replay.Record(man, inst.RT.Spans()))
 				} else {
-					last, lastLog = &run, inst.RT.SpanLog()
+					last, lastLog = &man, inst.RT.SpanLog()
 				}
 			}
 		}
@@ -182,8 +175,7 @@ func (r Runner) ladderRun(app *apps.App, o boot.Options, sc supervisor.Config) (
 	obsv.Merge(lr.Spans)
 	if lr.Sup.BreakerOpen && last != nil {
 		last.Outcome = replay.OutcomeBreakerOpen
-		last.Spans = lastLog.Events()
-		lr.Recordings = append(lr.Recordings, replay.RecordIncarnation(*last))
+		lr.Recordings = append(lr.Recordings, replay.Record(*last, lastLog.Events()))
 	}
 	return lr, nil
 }

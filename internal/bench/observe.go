@@ -31,8 +31,6 @@ type ObserveResult struct {
 	// clean/recovery split lives on Workload.CleanLatency /
 	// Workload.RecoveryLatency.
 	RecoveryEvents *obsv.Hist
-
-	errors []string
 }
 
 // Observe boots the named app hardened (default config, the Fig. 7
@@ -78,39 +76,34 @@ func (r Runner) Observe(appName string) (*ObserveResult, error) {
 		TopN:           12,
 		RecoveryEvents: recovery,
 	}
-	out.reconcile(inst)
-	if len(out.errors) > 0 {
+	if errs := out.cell(inst).reconcile(); len(errs) > 0 {
 		return out, fmt.Errorf("bench: observability reconciliation failed:\n  %s",
-			strings.Join(out.errors, "\n  "))
+			strings.Join(errs, "\n  "))
 	}
 	return out, nil
 }
 
-// reconcile cross-checks the three observability outputs against the
-// runtime's hand-rolled counters — the tentpole's acceptance criterion.
-func (o *ObserveResult) reconcile(inst *boot.Instance) {
-	check := func(name string, got, want int64) {
-		if got != want {
-			o.errors = append(o.errors, fmt.Sprintf("%s: %d != %d", name, got, want))
-		}
-	}
+// cell is the run as a campaign cell, so it reconciles like one: the
+// runtime, HTM, STM and workload tables against the registry and the
+// span stream, and the stream's causality. Its own identities tie the
+// driver's request tracing, the recovery histogram and the profiler to
+// the runtime's hand-rolled counters and the machine's cycles.
+func (o *ObserveResult) cell(inst *boot.Instance) *cell {
 	st, hs, ss := inst.RT.Stats(), inst.RT.HTMStats(), inst.RT.STMStats()
-	var tot obsv.Totals
-	core.AddTotals(&tot, &st)
-	htm.Metrics.AddTo(&tot, &hs)
-	stm.Metrics.AddTo(&tot, &ss)
-	workload.Metrics.AddTo(&tot, &o.Workload)
-	o.errors = append(o.errors, tot.CheckMetrics(o.Registry)...)
-	if o.Dropped == 0 {
-		o.errors = append(o.errors, tot.CheckSpans(o.Spans)...)
-	}
+	c := &cell{Registry: o.Registry, Spans: o.Spans, Dropped: o.Dropped}
+	core.AddTotals(&c.Totals, &st)
+	htm.Metrics.AddTo(&c.Totals, &hs)
+	stm.Metrics.AddTo(&c.Totals, &ss)
+	workload.Metrics.AddTo(&c.Totals, &o.Workload)
 
 	// Request tracing: every request reaches one terminal, and the
 	// driver's latency split must account for exactly the requests that
 	// reached a terminal req-done.
-	check("req terminals vs sent", st.ReqsDone+st.ReqsLost, int64(o.Workload.Sent))
 	clean, recovered := o.Workload.CleanLatency, o.Workload.RecoveryLatency
-	check("latency split count vs req_done", clean.Count()+recovered.Count(), st.ReqsDone)
+	c.ids = []identity{
+		{"req terminals vs sent", st.ReqsDone + st.ReqsLost, int64(o.Workload.Sent)},
+		{"latency split count vs req_done", clean.Count() + recovered.Count(), st.ReqsDone},
+	}
 	if o.Dropped == 0 {
 		// Replay the span log in emission order: a request lands in the
 		// recovery-touched split iff a recovery span referenced its trace
@@ -126,7 +119,7 @@ func (o *ObserveResult) reconcile(inst *boot.Instance) {
 				touched[e.Trace] = true
 			}
 		}
-		check("recovery-touched req-done vs latency split", touchedDone, recovered.Count())
+		c.ids = append(c.ids, identity{"recovery-touched req-done vs latency split", touchedDone, recovered.Count()})
 	}
 
 	// The recovery-event histogram must reproduce Stats().LatencyCycles
@@ -138,17 +131,19 @@ func (o *ObserveResult) reconcile(inst *boot.Instance) {
 			latMax = v
 		}
 	}
-	check("recovery hist count vs LatencyCycles", o.RecoveryEvents.Count(), int64(len(st.LatencyCycles)))
-	check("recovery hist sum vs LatencyCycles", o.RecoveryEvents.Sum(), latSum)
-	check("recovery hist max vs LatencyCycles", o.RecoveryEvents.Max(), latMax)
-
 	// Profiler: flat attribution must sum to the machine's charged total.
 	var flat int64
 	for _, f := range o.Profile.Funcs() {
 		flat += f.FlatCycles
 	}
-	check("profiler flat sum vs machine cycles", flat, inst.M.Cycles)
-	check("profiler total vs machine cycles", o.Profile.TotalCycles(), inst.M.Cycles)
+	c.ids = append(c.ids,
+		identity{"recovery hist count vs LatencyCycles", o.RecoveryEvents.Count(), int64(len(st.LatencyCycles))},
+		identity{"recovery hist sum vs LatencyCycles", o.RecoveryEvents.Sum(), latSum},
+		identity{"recovery hist max vs LatencyCycles", o.RecoveryEvents.Max(), latMax},
+		identity{"profiler flat sum vs machine cycles", flat, inst.M.Cycles},
+		identity{"profiler total vs machine cycles", o.Profile.TotalCycles(), inst.M.Cycles},
+	)
+	return c
 }
 
 // histOf builds a histogram over a sample slice.

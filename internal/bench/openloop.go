@@ -64,11 +64,8 @@ var openLoopMults = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5}
 // With RecordDir set, a failing rung (any unrecovered fault or opened
 // breaker behind the fleet) is captured for firetrace -replay.
 func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg workload.OpenConfig) (*fleetRun, error) {
-	fl, d, err := r.newFleet(app, fault, 1, seed)
-	if err != nil {
-		return nil, err
-	}
-	fr, err := finishFleet(fl, d.RunOpen(cfg))
+	sc := workload.Schedule{Kind: workload.OpenLoop, Proto: app.Protocol, Seed: seed, Open: &cfg}
+	fr, err := r.runFleet(app, fault, 1, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -77,17 +74,15 @@ func (r Runner) openRun(app *apps.App, fault *faultinj.Fault, seed int64, cfg wo
 		return fr, nil
 	}
 	if outcome := replay.FailureOutcome(fr.Spans); outcome != "" {
-		fr.Recordings = append(fr.Recordings, replay.RecordOpenLoop(replay.OpenLoopRun{
+		fr.Recordings = append(fr.Recordings, replay.Record(replay.Manifest{
+			Kind:        replay.KindOpenLoop,
 			App:         app.Name,
 			Backend:     r.Backend,
 			Fault:       fault,
-			Seed:        seed,
-			Proto:       app.Protocol,
-			Open:        cfg,
+			Schedule:    sc,
 			Outcome:     outcome,
 			FinalCycles: fr.Wall,
-			Spans:       fr.Spans,
-		}))
+		}, fr.Spans))
 	}
 	return fr, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,9 +33,35 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// checkPinned fails unless the files whose names match keep are exactly
+// the pinned names, each with its pinned SHA-256.
+func checkPinned(t *testing.T, files map[string][]byte, keep func(name string) bool, pins map[string]string) {
+	t.Helper()
+	n := 0
+	for name, data := range files {
+		if !keep(name) {
+			continue
+		}
+		n++
+		want, ok := pins[name]
+		if !ok {
+			t.Errorf("%s: written but not pinned", name)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: sha256 %s, pinned %s", name, got, want)
+		}
+	}
+	if n != len(pins) {
+		t.Errorf("wrote %d pinned-kind files, %d pinned", n, len(pins))
+	}
+}
+
 // The span fingerprint commits to every byte -trace-out would write, so
 // it must be identical serial vs parallel — and arming the flight
-// recorder must not perturb the campaign at all.
+// recorder must not perturb the campaign at all. The recording's bytes
+// are pinned: a manifest is the run's own schedule and counters, so a
+// change to how a campaign is set up or recorded must not move them.
 func TestChaosFingerprintAndRecordingInvariance(t *testing.T) {
 	serial := Runner{Requests: 24, Concurrency: 2, Seed: 3, FaultsPerServer: 1}
 	parallel := serial
@@ -74,6 +102,10 @@ func TestChaosFingerprintAndRecordingInvariance(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("no recordings written")
 	}
+	checkPinned(t, a, func(string) bool { return true }, map[string]string{
+		"chaos-000.json":        "33525efbbd9821627f79ce5b057a2e38dcc663ccecdecaf453181b68e362c6cf",
+		"chaos-000.spans.jsonl": "19472e3a52e1035df71f628817205a99fe965f4942990e262b56dadd473d5eb5",
+	})
 	if len(a) != len(b) {
 		t.Fatalf("serial wrote %d files, parallel %d", len(a), len(b))
 	}

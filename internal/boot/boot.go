@@ -24,6 +24,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/mem"
+	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
@@ -257,6 +258,45 @@ func (img *Image) Replica(o Options) fleet.BootFunc {
 		}
 		return &fleet.Backend{OS: inst.OS, Exec: fleet.MachineExec(inst.M), RT: inst.RT}, nil
 	}
+}
+
+// Drive drives sc, a closed-loop schedule, against the booted server: the
+// schedule's driver on the instance's OS and machine, aimed at its app's
+// port, run for sc.Requests requests. A hardened boot traces every
+// request into its runtime, with trace IDs above sc.TraceBase.
+func (in *Instance) Drive(sc workload.Schedule) workload.Result {
+	d := sc.Driver()
+	d.OS, d.M, d.Port = in.OS, in.M, in.App.Port
+	if in.RT != nil {
+		// Guarded: a typed-nil *core.Runtime in the interface would
+		// defeat the driver's nil check.
+		d.Sink = in.RT
+	}
+	return d.Run(sc.Requests)
+}
+
+// RunFleet drives sc against a fleet of the given number of replicas,
+// each booted from the hardened image (Replica with o) and supervised
+// under the schedule's seed: a closed-loop schedule runs sc.Requests
+// requests, an open-loop one its arrival schedule, every request traced
+// into the fleet. It returns the finished fleet, for its stats and
+// spans, and the driven run.
+func (img *Image) RunFleet(o Options, replicas int, sc workload.Schedule) (*fleet.Fleet, workload.OpenResult, error) {
+	fl := fleet.New(fleet.Config{
+		Replicas: replicas,
+		Port:     img.App.Port,
+		Sup:      supervisor.Config{Seed: sc.Seed},
+	}, img.Replica(o))
+	d := sc.Driver()
+	d.Port, d.Srv, d.Sink = img.App.Port, fl, fl
+	var res workload.OpenResult
+	if sc.Kind == workload.OpenLoop {
+		res = d.RunOpen(*sc.Open)
+	} else {
+		res.Result = d.Run(sc.Requests)
+	}
+	fl.Finish()
+	return fl, res, fl.Err()
 }
 
 // ServingProfile is an app's fault-planning profile: the blocks a vanilla

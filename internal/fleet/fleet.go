@@ -93,23 +93,22 @@ type Config struct {
 	Port int64
 
 	// Sup is the per-replica supervision policy. Replica r supervises with
-	// Seed + SeedStride*r so incarnation seeds never collide across
+	// Seed + seedStride*r so incarnation seeds never collide across
 	// replicas.
-	Sup        supervisor.Config
-	SeedStride int64 // default 1_000_000
+	Sup supervisor.Config
 
 	// DrainWindow is the breaker-window occupancy at which a replica is
 	// drained instead of taking new work (default MaxRestarts-1, min 1):
 	// one more death inside the window would open its breaker.
 	DrainWindow int
-
-	// DrainCycles is the drain deadline: conns still on a draining replica
-	// this many cycles after the drain began are forced off (default 2M).
-	DrainCycles int64
-
-	// SpanLimit bounds the balancer's own span log (0 = obsv default).
-	SpanLimit int
 }
+
+// seedStride separates the replicas' supervision seeds.
+const seedStride = 1_000_000
+
+// drainCycles is the drain deadline: conns still on a draining replica
+// this many cycles after the drain began are forced off.
+const drainCycles = 2_000_000
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -117,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyRoundRobin
-	}
-	if c.SeedStride == 0 {
-		c.SeedStride = 1_000_000
-	}
-	if c.DrainCycles == 0 {
-		c.DrainCycles = 2_000_000
 	}
 	if c.DrainWindow == 0 {
 		mr := c.Sup.MaxRestarts
@@ -293,10 +286,9 @@ func New(cfg Config, boot BootFunc) *Fleet {
 		touched: map[int64]bool{},
 		reg:     obsv.NewRegistry(),
 	}
-	f.spans.Limit = cfg.SpanLimit
 	for i := 0; i < cfg.Replicas; i++ {
 		sc := cfg.Sup
-		sc.Seed = cfg.Sup.Seed + cfg.SeedStride*int64(i)
+		sc.Seed = cfg.Sup.Seed + seedStride*int64(i)
 		f.reps = append(f.reps, &replica{id: i, sup: supervisor.New(sc)})
 	}
 	f.stats.Replicas = cfg.Replicas
@@ -538,7 +530,7 @@ func (f *Fleet) refreshHealth() {
 			if rep.sup.WindowOccupancy() < f.cfg.DrainWindow {
 				rep.state = repUp
 				rep.drainStart = 0
-			} else if f.wall-rep.drainStart >= f.cfg.DrainCycles {
+			} else if f.wall-rep.drainStart >= drainCycles {
 				f.expireDrain(rep)
 			}
 		}

@@ -162,114 +162,26 @@ func faultCycle(spans []obsv.SpanEvent, final int64) int64 {
 	return final
 }
 
-// IncarnationRun is everything one supervised incarnation consumed —
-// the input to RecordIncarnation.
-type IncarnationRun struct {
-	App         string
-	Backend     string
-	Core        core.Config
-	Fault       *faultinj.Fault
-	Incarnation int
-	Seed        int64 // supervisor-issued incarnation seed (= driver seed)
-	Proto       string
-	Requests    int // remaining workload budget at incarnation start
-	Concurrency int
-	TraceBase   int64 // trace-ID base at incarnation start
-	Outcome     string
-	FinalCycles int64
-	FinalSteps  int64
-	// Spans is the incarnation's own span log, pre-rebase. The recording
-	// keeps this slice as its Spans without copying it: the caller hands
-	// over a slice it owns (core.Runtime.Spans returns a fresh copy) and
-	// does not write it afterwards.
-	Spans []obsv.SpanEvent
-}
-
-// RecordIncarnation builds an incarnation recording. It takes ownership
-// of r.Spans.
-func RecordIncarnation(r IncarnationRun) Recording {
-	chain, final := chainOf(r.Spans)
-	var fault *faultinj.Fault
-	if r.Fault != nil {
-		f := *r.Fault
-		fault = &f
+// Record builds a recording from m, the manifest header of a failing
+// run (kind, app, backend, core config, fault, incarnation, the schedule
+// the run was driven from, outcome and final counters), and spans, the
+// span stream the run produced. It fills in the version, a copy of the
+// fault, FaultCycle and the span chain. An openloop recording
+// fingerprints the stream densely re-sequenced by obsv.Sequence, as its
+// replay does; an incarnation recording keeps spans itself, so the
+// caller hands over a slice it owns and does not write afterwards.
+func Record(m Manifest, spans []obsv.SpanEvent) Recording {
+	if m.Kind == KindOpenLoop {
+		spans = obsv.Sequence(spans).Events()
 	}
-	return Recording{
-		Manifest: Manifest{
-			Version:     Version,
-			Kind:        KindIncarnation,
-			App:         r.App,
-			Backend:     r.Backend,
-			Core:        r.Core,
-			Fault:       fault,
-			Incarnation: r.Incarnation,
-			Schedule: workload.Schedule{
-				Kind:        "closed",
-				Proto:       r.Proto,
-				Seed:        r.Seed,
-				Requests:    r.Requests,
-				Concurrency: r.Concurrency,
-				TraceBase:   r.TraceBase,
-			},
-			Outcome:     r.Outcome,
-			FaultCycle:  faultCycle(r.Spans, r.FinalCycles),
-			FinalCycles: r.FinalCycles,
-			FinalSteps:  r.FinalSteps,
-			Fingerprint: final,
-			SpanChain:   chain,
-		},
-		Spans: r.Spans,
+	m.Version = Version
+	if m.Fault != nil {
+		f := *m.Fault
+		m.Fault = &f
 	}
-}
-
-// OpenLoopRun is everything one open-loop rung consumed — the input to
-// RecordOpenLoop.
-type OpenLoopRun struct {
-	App         string
-	Backend     string
-	Core        core.Config
-	Fault       *faultinj.Fault
-	Seed        int64 // rung seed: driver + fleet supervision
-	Proto       string
-	Open        workload.OpenConfig
-	Outcome     string
-	FinalCycles int64            // fleet wall cycles
-	Spans       []obsv.SpanEvent // fleet-merged spans, before obsv.Sequence
-}
-
-// RecordOpenLoop builds an open-loop rung recording. The fingerprinted
-// stream is the fleet span log densely re-sequenced by obsv.Sequence.
-func RecordOpenLoop(r OpenLoopRun) Recording {
-	spans := obsv.Sequence(r.Spans).Events()
-	chain, final := chainOf(spans)
-	var fault *faultinj.Fault
-	if r.Fault != nil {
-		f := *r.Fault
-		fault = &f
-	}
-	open := r.Open
-	return Recording{
-		Manifest: Manifest{
-			Version: Version,
-			Kind:    KindOpenLoop,
-			App:     r.App,
-			Backend: r.Backend,
-			Core:    r.Core,
-			Fault:   fault,
-			Schedule: workload.Schedule{
-				Kind:  "open",
-				Proto: r.Proto,
-				Seed:  r.Seed,
-				Open:  &open,
-			},
-			Outcome:     r.Outcome,
-			FaultCycle:  faultCycle(spans, r.FinalCycles),
-			FinalCycles: r.FinalCycles,
-			Fingerprint: final,
-			SpanChain:   chain,
-		},
-		Spans: spans,
-	}
+	m.FaultCycle = faultCycle(spans, m.FinalCycles)
+	m.SpanChain, m.Fingerprint = chainOf(spans)
+	return Recording{Manifest: m, Spans: spans}
 }
 
 // writeFile creates path and writes through render, propagating close

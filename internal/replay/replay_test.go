@@ -5,15 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/bench"
 	"github.com/firestarter-go/firestarter/internal/boot"
-	"github.com/firestarter-go/firestarter/internal/fleet"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/replay"
-	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -222,6 +221,42 @@ func TestLoadRejectsTamperedSpans(t *testing.T) {
 	}
 }
 
+// The manifest's schedule is what a replay drives, not a note beside
+// it: a manifest with one schedule field edited still loads (its span
+// chain matches the companion), but its replay diverges from the
+// recording, while the unedited manifest verifies.
+func TestReplayDrivesRecordedSchedule(t *testing.T) {
+	rec, err := replay.Load(recordChaos(t, chaosRunner)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&replay.Runner{Rec: rec}).Replay(); err != nil {
+		t.Fatalf("unedited manifest: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*workload.Schedule)
+	}{
+		{"concurrency", func(sc *workload.Schedule) { sc.Concurrency++ }},
+		{"seed", func(sc *workload.Schedule) { sc.Seed++ }},
+	} {
+		edited := rec
+		tc.edit(&edited.Manifest.Schedule)
+		path, err := edited.Write(t.TempDir(), "edited")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := replay.Load(path)
+		if err != nil {
+			t.Fatalf("%s edited: Load rejected the manifest: %v", tc.field, err)
+		}
+		_, err = (&replay.Runner{Rec: loaded}).Replay()
+		if err == nil || !strings.HasPrefix(err.Error(), "replay diverged") {
+			t.Errorf("%s edited: replay error %v, want a divergence", tc.field, err)
+		}
+	}
+}
+
 // An open-loop recording round-trips: the replayed 1-replica fleet
 // reproduces the normalized merged span stream span for span.
 func TestOpenLoopRecordingRoundTrip(t *testing.T) {
@@ -246,33 +281,19 @@ func TestOpenLoopRecordingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := fleet.New(fleet.Config{
-		Replicas: 1,
-		Port:     app.Port,
-		Sup:      supervisor.Config{Seed: seed},
-	}, img.Replica(boot.Options{}))
-	d := &workload.Driver{
-		Port: app.Port,
-		Gen:  workload.ForProtocol(app.Protocol),
-		Seed: seed,
-		Srv:  fl,
-		Sink: fl,
-	}
-	d.RunOpen(cfg)
-	fl.Finish()
-	if err := fl.Err(); err != nil {
+	sc := workload.Schedule{Kind: workload.OpenLoop, Proto: app.Protocol, Seed: seed, Open: &cfg}
+	fl, _, err := img.RunFleet(boot.Options{}, 1, sc)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	rec := replay.RecordOpenLoop(replay.OpenLoopRun{
+	rec := replay.Record(replay.Manifest{
+		Kind:        replay.KindOpenLoop,
 		App:         app.Name,
-		Seed:        seed,
-		Proto:       app.Protocol,
-		Open:        cfg,
+		Schedule:    sc,
 		Outcome:     replay.OutcomeUnrecovered,
 		FinalCycles: fl.Cycles(),
-		Spans:       fl.Spans(),
-	})
+	}, fl.Spans())
 	dir := t.TempDir()
 	path, err := rec.Write(dir, "openloop-000")
 	if err != nil {

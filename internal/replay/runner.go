@@ -7,11 +7,9 @@ import (
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/fleet"
 	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
-	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
@@ -240,7 +238,7 @@ func (r *Runner) stopTarget() (watchCycles, watchSteps int64, err error) {
 func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) {
 	man := &r.Rec.Manifest
 	sc := man.Schedule
-	if sc.Kind != "closed" {
+	if sc.Kind != workload.ClosedLoop {
 		return nil, fmt.Errorf("replay: incarnation manifest with %q schedule", sc.Kind)
 	}
 	img, err := r.image()
@@ -271,9 +269,7 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 		return nil, err
 	}
 	if dump == nil {
-		d := sc.Driver()
-		d.OS, d.M, d.Port, d.Sink = inst.OS, inst.M, inst.App.Port, inst.RT
-		d.Run(sc.Requests)
+		inst.Drive(sc)
 	}
 
 	res := &Result{
@@ -308,28 +304,15 @@ func (r *Runner) runIncarnation(watchCycles, watchSteps int64) (*Result, error) 
 func (r *Runner) replayOpenLoop() (*Result, error) {
 	man := &r.Rec.Manifest
 	sc := man.Schedule
-	if sc.Kind != "open" || sc.Open == nil {
+	if sc.Kind != workload.OpenLoop || sc.Open == nil {
 		return nil, fmt.Errorf("replay: openloop manifest without an open schedule")
 	}
 	img, err := r.image()
 	if err != nil {
 		return nil, err
 	}
-	fl := fleet.New(fleet.Config{
-		Replicas: 1,
-		Port:     img.App.Port,
-		Sup:      supervisor.Config{Seed: sc.Seed},
-	}, img.Replica(man.bootOptions()))
-	d := &workload.Driver{
-		Port: img.App.Port,
-		Gen:  workload.ForProtocol(sc.Proto),
-		Seed: sc.Seed,
-		Srv:  fl,
-		Sink: fl,
-	}
-	d.RunOpen(*sc.Open)
-	fl.Finish()
-	if err := fl.Err(); err != nil {
+	fl, _, err := img.RunFleet(man.bootOptions(), 1, sc)
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{FinalCycles: fl.Cycles()}

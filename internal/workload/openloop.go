@@ -237,9 +237,6 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 	if d.StepBudget <= 0 {
 		d.StepBudget = 2_000_000
 	}
-	if d.StallCycles <= 0 {
-		d.StallCycles = DefaultStallCycles
-	}
 
 	var res OpenResult
 	if d.Sink != nil {
@@ -535,7 +532,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		} else {
 			idleRounds++
 		}
-		if idleRounds > stallRounds || idleCycles > d.StallCycles {
+		if idleRounds > stallRounds || idleCycles > DefaultStallCycles {
 			res.Stalled = true
 			break
 		}

@@ -146,19 +146,6 @@ type Driver struct {
 	// StepBudget bounds each machine slice (default 2M instructions).
 	StepBudget int64
 
-	// StallCycles bounds the backend cycles the driver lets progress-free
-	// rounds consume before declaring the run stalled (default
-	// DefaultStallCycles). It replaces the old progress-free *round*
-	// counter as the primary stall detector: a long in-server compute
-	// burst — slices that exhaust their step budget without a response
-	// ready yet — consumes cycles but is real work, and no longer trips
-	// the detector until the budget is spent. A server that is *blocked*
-	// with requests queued and nothing moving is stuck now (its clock
-	// barely advances, so a cycle budget alone would never fire); that
-	// zero-progress fixpoint still stalls after stallRounds consecutive
-	// blocked rounds, matching the old closed-loop behavior.
-	StallCycles int64
-
 	// Metrics, when non-nil, receives the run's outcome counters when Run
 	// returns. Collection-time only: the drive loop never touches it.
 	Metrics *obsv.Registry
@@ -176,9 +163,19 @@ type Driver struct {
 	TraceBase int64
 }
 
-// DefaultStallCycles is the default Driver.StallCycles: generous
-// enough for any legitimate compute burst or supervised reboot wait,
-// small enough that a livelocked server is still caught.
+// DefaultStallCycles bounds the backend cycles the driver lets
+// progress-free rounds consume before declaring the run stalled:
+// generous enough for any legitimate compute burst or supervised reboot
+// wait, small enough that a livelocked server is still caught. It
+// replaces the old progress-free *round* counter as the primary stall
+// detector: a long in-server compute burst — slices that exhaust their
+// step budget without a response ready yet — consumes cycles but is real
+// work, and no longer trips the detector until the budget is spent. A
+// server that is *blocked* with requests queued and nothing moving is
+// stuck now (its clock barely advances, so a cycle budget alone would
+// never fire); that zero-progress fixpoint still stalls after
+// stallRounds consecutive blocked rounds, matching the old closed-loop
+// behavior.
 const DefaultStallCycles = 50_000_000
 
 // stallRounds is the consecutive-blocked-round limit: a server that is
@@ -212,9 +209,6 @@ func (d *Driver) Run(total int) Result {
 	}
 	if d.StepBudget <= 0 {
 		d.StepBudget = 2_000_000
-	}
-	if d.StallCycles <= 0 {
-		d.StallCycles = DefaultStallCycles
 	}
 	var res Result
 	if d.Sink != nil {
@@ -341,7 +335,7 @@ func (d *Driver) Run(total int) Result {
 			} else {
 				idleRounds++
 			}
-			if idleRounds > stallRounds || idleCycles > d.StallCycles {
+			if idleRounds > stallRounds || idleCycles > DefaultStallCycles {
 				res.Stalled = true
 				break
 			}
