@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/firestarter-go/firestarter/internal/bench"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
@@ -111,6 +112,47 @@ func TestSpanLogExperimentsHonourOutputFlags(t *testing.T) {
 		want := fmt.Sprintf("span fingerprint: %016x\n", obsv.Fingerprint(spans))
 		if !strings.HasSuffix(stdout.String(), want+"\n") {
 			t.Errorf("%v: output does not end with %q:\n%s", args, want, stdout.String())
+		}
+	}
+}
+
+// A recording depends on the run, not on the entry point: the same chaos
+// run recorded by firebench (whose -backend defaults to "tree") and by a
+// bench.Runner left at the empty default backend writes byte-identical
+// manifests and companions.
+func TestRecordingsIndependentOfEntryPoint(t *testing.T) {
+	cli, lib := t.TempDir(), t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-experiment", "chaos", "-requests", "24", "-faults", "1",
+		"-seed", "3", "-concurrency", "2", "-record-out", cli}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	r := bench.Runner{Requests: 24, Concurrency: 2, Seed: 3, FaultsPerServer: 1, RecordDir: lib}
+	if _, err := r.Chaos(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("firebench wrote no recordings")
+	}
+	if others, err := os.ReadDir(lib); err != nil || len(others) != len(entries) {
+		t.Fatalf("bench.Runner wrote %d files (err %v), firebench %d", len(others), err, len(entries))
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(cli, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(lib, e.Name()))
+		if err != nil {
+			t.Fatalf("bench.Runner did not write %s: %v", e.Name(), err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between firebench and bench.Runner:\n%s\nvs\n%s", e.Name(), a, b)
 		}
 	}
 }

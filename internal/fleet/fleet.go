@@ -258,9 +258,11 @@ type Fleet struct {
 	boot BootFunc
 	reps []*replica
 
-	conns []*vconn
-	nconn int64
-	rr    int // round-robin cursor
+	conns  []*vconn
+	nconn  int64
+	rr     int              // round-robin cursor
+	fronts libsim.QueuePool // queue storage of the front conns
+	backs  libsim.QueuePool // of the back conns, shared by every incarnation
 
 	wall      int64 // fleet wall clock: max replica campaign clock
 	stepsDone int64 // steps of harvested incarnations
@@ -342,7 +344,7 @@ func (f *Fleet) Connect(port int64) *libsim.Conn {
 		return nil
 	}
 	f.nconn++
-	vc := &vconn{id: f.nconn, front: libsim.NewConn(), rep: -1, from: -1}
+	vc := &vconn{id: f.nconn, front: f.fronts.NewConn(), rep: -1, from: -1}
 	f.conns = append(f.conns, vc)
 	if t := f.pick(); t >= 0 {
 		f.attach(vc, t)
@@ -594,6 +596,7 @@ func (f *Fleet) bootReplica(rep *replica) {
 		rep.state = repBroken
 		return
 	}
+	be.OS.SetQueuePool(&f.backs)
 	rep.be = be
 	rep.inc = inc
 	rep.lastCycles = be.Exec.Cycles() // startup-to-quiesce cycles
@@ -705,22 +708,26 @@ func (f *Fleet) migrate(vc *vconn, cause string) {
 	}
 }
 
-// release retires a vconn.
+// release retires a vconn. The balancer is done with both halves, so it
+// closes its end of each: the front's server end (a client still there
+// observes ServerClosed and reconnects), and the back's client
+// end once the back's server has closed. A conn closed at both ends
+// hands its queue storage back to its pool (the fleet's for the front,
+// the replica OS's for the back). A back whose server is still open (a
+// drain expiring mid-response) is left open, as before: closing it
+// would show the replica an EOF it never saw.
 func (f *Fleet) release(vc *vconn) {
 	if vc.rep >= 0 {
 		f.reps[vc.rep].outstanding--
 	}
+	if vc.back != nil && vc.back.ServerClosed() {
+		vc.back.ClientClose()
+	}
+	vc.front.CloseServer()
 	vc.rep = -1
 	vc.back = nil
 	vc.closed = true
 	f.stats.ConnsClosed++
-}
-
-// closeFront propagates a server-side close to the client and retires the
-// vconn; the driver observes ServerClosed and reconnects.
-func (f *Fleet) closeFront(vc *vconn) {
-	vc.front.CloseServer()
-	f.release(vc)
 }
 
 // drainBack forwards everything the back's server has written toward the
@@ -779,7 +786,7 @@ func (f *Fleet) pump() bool {
 			if f.drainBack(vc) {
 				progress = true
 			}
-			f.closeFront(vc)
+			f.release(vc)
 			progress = true
 			continue
 		}
@@ -861,14 +868,14 @@ func (f *Fleet) replicaDied(rep *replica, cause, detail string) {
 		vc.refreshStarted()
 		if vc.back.ServerClosed() {
 			f.drainBack(vc)
-			f.closeFront(vc)
+			f.release(vc)
 			continue
 		}
 		f.drainBack(vc)
 		if vc.phase == phaseRequest {
 			f.migrate(vc, CauseFailover)
 		} else {
-			f.closeFront(vc)
+			f.release(vc)
 			lost++
 		}
 	}
@@ -909,14 +916,14 @@ func (f *Fleet) expireDrain(rep *replica) {
 		vc.refreshStarted()
 		if vc.back.ServerClosed() {
 			f.drainBack(vc)
-			f.closeFront(vc)
+			f.release(vc)
 			continue
 		}
 		f.drainBack(vc)
 		if vc.phase == phaseRequest {
 			f.migrate(vc, CauseDrainExpired)
 		} else {
-			f.closeFront(vc)
+			f.release(vc)
 		}
 	}
 	rep.drainStart = f.wall

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/interp"
@@ -12,6 +14,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
+	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
 // fakeRep is a scripted replica: a newline-framed server driven Go-side
@@ -742,5 +745,50 @@ func TestSpansPinnedAcrossDrainAndFailover(t *testing.T) {
 	grown := append(spans, obsv.SpanEvent{Kind: "appended"})
 	if &grown[0] == &spans[0] || len(f.Spans()) != len(spans) {
 		t.Error("an append to Spans wrote into the fleet's stream")
+	}
+}
+
+// lineGen sends numbered lines and expects each echoed back.
+type lineGen struct{ n int }
+
+func (g *lineGen) Next(i int, rng *rand.Rand) []byte {
+	g.n++
+	return []byte(fmt.Sprintf("c%d-%d-%s\n", i, g.n, strings.Repeat("x", rng.Intn(200))))
+}
+
+func (g *lineGen) Split(buf []byte) int { return bytes.IndexByte(buf, '\n') + 1 }
+
+func (g *lineGen) Check(req, resp []byte) bool { return bytes.Equal(req, resp) }
+
+// TestOpenLoopChurnBoundsQueuePools drives an open-loop crowd with
+// forced connection churn through two echo replicas. Every conn ends
+// closed at both ends (the client closes the front, the balancer closes
+// the front's server end and the back's client end, the replica closes
+// the back), so each hands its queue storage back: the front and back
+// pools end up holding about as many slices as conns were live at once,
+// not one per conn opened.
+func TestOpenLoopChurnBoundsQueuePools(t *testing.T) {
+	f, _ := fleetOf(t, Config{Replicas: 2}, echoMode)
+	cfg := workload.OpenConfig{
+		Total: 400, Clients: 50, RatePerMcycle: 2000,
+		MaxConns: 4, ChurnEvery: 2, Patience: 1 << 40,
+	}
+	d := &workload.Driver{Srv: f, Port: 80, Gen: &lineGen{}, Seed: 5}
+	res := d.RunOpen(cfg)
+	if res.Completed != cfg.Total || res.Stalled {
+		t.Fatalf("completed %d of %d: %+v", res.Completed, cfg.Total, res.Result)
+	}
+	f.Finish()
+	opened := f.Stats().ConnsClosed
+	if opened < 10*cfg.MaxConns {
+		t.Fatalf("only %d conns closed: no churn to recycle", opened)
+	}
+	for _, p := range []struct {
+		name string
+		n    int
+	}{{"front", f.fronts.Len()}, {"back", f.backs.Len()}} {
+		if p.n == 0 || p.n > 2*cfg.MaxConns {
+			t.Errorf("%s pool holds %d slices after %d conns, want 1..%d", p.name, p.n, opened, 2*cfg.MaxConns)
+		}
 	}
 }

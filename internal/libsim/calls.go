@@ -430,8 +430,16 @@ func buildCallTable() map[string]handler {
 			o.Errno = EAGAIN
 			return -1, nil
 		}
-		c := s.Listener.queue[0]
-		s.Listener.queue = s.Listener.queue[1:]
+		q := s.Listener.queue
+		c := q[0]
+		q[0] = nil
+		if len(q) == 1 {
+			// Drained: rewind so the next Connect reuses the array.
+			q = q[:0]
+		} else {
+			q = q[1:]
+		}
+		s.Listener.queue = q
 		fd := o.allocFD(FD{Kind: FDConn, Conn: c})
 		if fd < 0 {
 			o.Errno = EMFILE
@@ -695,7 +703,7 @@ func buildCallTable() map[string]handler {
 
 	// --- misc ----------------------------------------------------------------
 	t["getpid"] = handler{0, func(o *OS, a []int64) (int64, error) {
-		return o.pid, nil
+		return pid, nil
 	}}
 	t["errno"] = handler{0, func(o *OS, a []int64) (int64, error) {
 		return o.Errno, nil

@@ -123,8 +123,7 @@ type OS struct {
 	fds    []FD // value slab: slots are reused in place, never freed to the GC
 	heap   *Heap
 	fs     *FS
-	clock  int64 // nanoseconds, advanced by Tick and time calls
-	pid    int64
+	clock  int64  // nanoseconds, advanced by Tick and time calls
 	stdout []byte // bytes written to fd 1/2 (program log)
 
 	store     StoreFunc
@@ -152,6 +151,11 @@ type OS struct {
 	// ports maps bound port → listener for the client side (netsim).
 	ports map[int64]*Listener
 
+	// queues recycles the outbound queue storage of Connect's conns: it
+	// is &ownQueues unless SetQueuePool shares another pool.
+	queues    *QueuePool
+	ownQueues QueuePool
+
 	// arena is the per-request bump-arena manager (see arena.go);
 	// inert until EnableArenas.
 	arena arenaState
@@ -171,11 +175,11 @@ func New(space *mem.Space) *OS {
 		Space:     space,
 		heap:      newHeap(space),
 		fs:        NewFS(),
-		pid:       4242,
 		ports:     make(map[int64]*Listener),
 		servingFD: -1,
 	}
 	o.store = space.StoreRange
+	o.queues = &o.ownQueues
 	o.lastRead.FD = -1
 	// Reserve stdin/stdout/stderr so application fds start at 3.
 	o.fds = []FD{{Kind: FDFile}, {Kind: FDFile}, {Kind: FDFile}}
@@ -258,8 +262,11 @@ func (o *OS) TruncateStdout(n int) {
 	}
 }
 
+// pid is the simulated process id; every OS runs one process.
+const pid = 4242
+
 // Pid returns the simulated process id.
-func (o *OS) Pid() int64 { return o.pid }
+func (o *OS) Pid() int64 { return pid }
 
 // Now returns the simulated clock in nanoseconds.
 func (o *OS) Now() int64 { return o.clock }

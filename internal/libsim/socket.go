@@ -27,9 +27,10 @@ type Conn struct {
 	// no consumed prefix once it catches up.
 	out          []byte
 	outHead      int
-	clientClosed bool // client sent FIN: reads drain then return 0
-	serverClosed bool // server closed its fd
-	reset        bool // client sent RST: reads/writes fail with ECONNRESET
+	pool         *QueuePool // where out comes from and returns to; nil: not pooled
+	clientClosed bool       // client sent FIN: reads drain then return 0
+	serverClosed bool       // server closed its fd
+	reset        bool       // client sent RST: reads/writes fail with ECONNRESET
 
 	// trace is the causal trace ID of the request the server is currently
 	// consuming on this connection; pendingTrace holds a delivered-but-
@@ -40,8 +41,57 @@ type Conn struct {
 	pendingTrace int64
 }
 
+// QueuePool is a free list of outbound queue storage. A conn drawn from
+// a pool takes its queue's storage from the pool on its first write and
+// gives it back at the call that closes its second end (CloseServer,
+// ClientClose or ClientReset, whichever comes last). After that neither
+// side reads or writes the conn: a closed server fd is gone and a write
+// on a shut-down one fails with EPIPE, and a closed client no longer
+// drains. close and shutdown are deferred to commit by the recovery
+// runtime, so a rollback never reopens a conn whose storage went back.
+//
+// The pool holds at most as many slices as its conns ever held at once,
+// so a workload that opens and closes many short connections keeps the
+// storage of its peak concurrency instead of allocating per connection.
+type QueuePool struct {
+	free [][]byte
+}
+
+// NewConn returns a detached connection (see the package-level NewConn)
+// whose queue storage comes from p.
+func (p *QueuePool) NewConn() *Conn { return &Conn{pool: p} }
+
+// Len returns the number of storage slices waiting in the pool.
+func (p *QueuePool) Len() int { return len(p.free) }
+
+func (p *QueuePool) get() []byte {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	return b
+}
+
+// release hands c's queue storage back to its pool once both ends are
+// closed. It drops the pool too, so it runs once per conn and a later
+// write (none is legal) could only allocate fresh storage, never share.
+func (c *Conn) release() {
+	if c.pool == nil || !c.serverClosed || !(c.clientClosed || c.reset) {
+		return
+	}
+	if cap(c.out) > 0 {
+		c.pool.free = append(c.pool.free, c.out[:0])
+	}
+	c.out, c.outHead, c.pool = nil, 0, nil
+}
+
 // CloseServer closes the server side of the connection.
-func (c *Conn) CloseServer() { c.serverClosed = true }
+func (c *Conn) CloseServer() {
+	c.serverClosed = true
+	c.release()
+}
 
 // ServerClosed reports whether the server closed its end.
 func (c *Conn) ServerClosed() bool { return c.serverClosed }
@@ -77,7 +127,10 @@ func (c *Conn) PromoteTrace(trace int64) {
 }
 
 // ClientClose marks the client end closed (FIN).
-func (c *Conn) ClientClose() { c.clientClosed = true }
+func (c *Conn) ClientClose() {
+	c.clientClosed = true
+	c.release()
+}
 
 // ClientReset aborts the connection from the client end (RST, the effect
 // of closing with unread data or SO_LINGER 0). Queued inbound data is
@@ -86,13 +139,18 @@ func (c *Conn) ClientClose() { c.clientClosed = true }
 func (c *Conn) ClientReset() {
 	c.reset = true
 	c.in = nil
+	c.release()
 }
 
 // pushOut queues bytes toward the client. When the storage is full, the
 // move to a larger array copies only the undrained bytes, so a reader
 // that never drains completely retains its backlog but no consumed
 // prefix. Bytes already returned by ClientTakeN stay in the old array.
+// A pooled conn with no storage yet draws it from its pool.
 func (c *Conn) pushOut(data []byte) {
+	if c.out == nil && c.pool != nil {
+		c.out = c.pool.get()
+	}
 	if c.outHead > 0 && len(c.out)+len(data) > cap(c.out) {
 		c.out, c.outHead = append(c.out[c.outHead:], data...), 0
 		return
@@ -102,7 +160,8 @@ func (c *Conn) pushOut(data []byte) {
 
 // ClientTake drains and returns everything the server has written
 // (netsim side). Ownership of the queue's backing array passes to the
-// caller, so the server's next write starts a new one.
+// caller, so the server's next write starts a new one (drawn from the
+// conn's pool, if it has one) and nothing goes back to the pool at close.
 func (c *Conn) ClientTake() []byte {
 	out := c.out[c.outHead:]
 	c.out, c.outHead = nil, 0
@@ -128,8 +187,9 @@ func (c *Conn) ClientTakeAppend(dst []byte) []byte {
 //
 // The returned bytes are a view of the queue's storage, not a copy. They
 // stay unchanged until the queue has drained completely and the server
-// writes again (a full drain rewinds the storage for reuse); a caller
-// that keeps them longer copies them.
+// writes again (a full drain rewinds the storage for reuse), or until
+// the conn is closed at both ends (the storage goes back to its pool); a
+// caller that keeps them longer copies them.
 func (c *Conn) ClientTakeN(n int) []byte {
 	live := len(c.out) - c.outHead
 	if n <= 0 || live == 0 {
@@ -203,7 +263,8 @@ func (c *Conn) InboundLen() int { return len(c.in) }
 
 // Connect establishes a client connection to a bound port, Go-side. It
 // returns the connection to drive from the client end, or nil if no
-// listener is bound or the accept queue is full.
+// listener is bound or the accept queue is full. The conn's queue
+// storage comes from and returns to the OS's pool.
 func (o *OS) Connect(port int64) *Conn {
 	l, ok := o.ports[port]
 	if !ok || l.closed {
@@ -212,10 +273,17 @@ func (o *OS) Connect(port int64) *Conn {
 	if l.backlog > 0 && len(l.queue) >= l.backlog {
 		return nil
 	}
-	c := &Conn{}
+	c := o.queues.NewConn()
 	l.queue = append(l.queue, c)
 	return c
 }
+
+// SetQueuePool makes Connect's conns draw their queue storage from p and
+// return it there. A fleet gives one pool to every incarnation of its
+// replicas, so a rebooted replica's conns reuse the storage its
+// predecessors' conns returned. Conns connected earlier keep the pool
+// they came from.
+func (o *OS) SetQueuePool(p *QueuePool) { o.queues = p }
 
 // ListenerOn returns the listener bound to port, or nil (tests).
 func (o *OS) ListenerOn(port int64) *Listener { return o.ports[port] }

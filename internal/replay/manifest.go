@@ -56,7 +56,7 @@ type Manifest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"` // "incarnation" or "openloop"
 	App     string `json:"app"`
-	Backend string `json:"backend,omitempty"` // "" / "tree" / "bytecode"
+	Backend string `json:"backend,omitempty"` // "" (tree, the default) or "bytecode"
 
 	// Core is the runtime configuration the run booted with. For
 	// openloop manifests the HTM seed is per-incarnation (the fleet
@@ -166,15 +166,21 @@ func faultCycle(spans []obsv.SpanEvent, final int64) int64 {
 // run (kind, app, backend, core config, fault, incarnation, the schedule
 // the run was driven from, outcome and final counters), and spans, the
 // span stream the run produced. It fills in the version, a copy of the
-// fault, FaultCycle and the span chain. An openloop recording
-// fingerprints the stream densely re-sequenced by obsv.Sequence, as its
-// replay does; an incarnation recording keeps spans itself, so the
-// caller hands over a slice it owns and does not write afterwards.
+// fault, FaultCycle and the span chain, and stores the default backend
+// ("tree") as "". An openloop recording fingerprints the stream densely
+// re-sequenced by obsv.Sequence, as its replay does; an incarnation
+// recording keeps spans itself, so the caller hands over a slice it owns
+// and does not write afterwards.
 func Record(m Manifest, spans []obsv.SpanEvent) Recording {
 	if m.Kind == KindOpenLoop {
 		spans = obsv.Sequence(spans).Events()
 	}
 	m.Version = Version
+	if m.Backend == "tree" {
+		// The default backend has one spelling in a recording, so the
+		// manifest bytes depend on the run, not on the entry point.
+		m.Backend = ""
+	}
 	if m.Fault != nil {
 		f := *m.Fault
 		m.Fault = &f

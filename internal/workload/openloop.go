@@ -184,12 +184,59 @@ type openArrival struct {
 	frag  bool // deliver in fragments
 }
 
+// stepSource is an open-loop client's rng source: math/rand's generator,
+// held while the client is active (see handOnSteps for past that), plus
+// the number of steps the client has taken from it. Int63 and Uint64
+// each take one step, and every draw of a rand.Rand (Intn's rejection
+// sampling included) reaches the source only through them, so steps is
+// exactly how far the client's stream has advanced.
+type stepSource struct {
+	rand.Source64
+	steps int64
+}
+
+func (s *stepSource) Int63() int64 {
+	s.steps++
+	return s.Source64.Int63()
+}
+
+func (s *stepSource) Uint64() uint64 {
+	s.steps++
+	return s.Source64.Uint64()
+}
+
+// handOnSteps bounds the steps of a source an idle client hands on.
+// Resuming a stream costs one Seed (about 12 µs on a 2-vCPU Xeon) plus a
+// replay of its steps (about 4 ns each), so up to this bound the replay
+// costs less than the Seed every resume pays anyway. A client that drew
+// more keeps its source while idle: a returning client's resume never
+// grows with its request count.
+const handOnSteps = 1024
+
+// resume gives s a generator positioned where a fresh
+// rand.NewSource(seed) is after s.steps steps: a handed-on one from
+// spare when there is one, else a new one. It returns the shortened
+// spare list.
+func (s *stepSource) resume(seed int64, spare []rand.Source64) []rand.Source64 {
+	if n := len(spare); n > 0 {
+		s.Source64, spare = spare[n-1], spare[:n-1]
+		s.Source64.Seed(seed)
+	} else {
+		s.Source64 = rand.NewSource(seed).(rand.Source64)
+	}
+	for i := int64(0); i < s.steps; i++ {
+		s.Source64.Uint64()
+	}
+	return spare
+}
+
 // openClient is the per-client connection state. Request content comes
 // from the client's own rng; connections come and go underneath it.
 type openClient struct {
 	id       int
-	order    int // first-touch index: the order every sweep visits clients in
-	rng      *rand.Rand
+	order    int        // first-touch index: the order every sweep visits clients in
+	rng      rand.Rand  // over src: the stream of rand.NewSource(Seed ^ id)
+	src      stepSource // its generator comes and goes; rng keeps Read's buffered bytes
 	conn     *libsim.Conn
 	queue    []*openArrival // offered, not yet fully delivered (FIFO)
 	inflight []*openArrival // delivered, awaiting response (FIFO)
@@ -231,7 +278,10 @@ func activate(active []*openClient, c *openClient) []*openClient {
 // sweeps walk only clients with a queued arrival, a request in flight or
 // an open connection, in first-touch order. An offer activates its
 // client; a client leaves the set at the end of the round that left it
-// idle.
+// idle, and hands its empty response buffer and its rng's generator on
+// to the next client that needs one. A client that takes a generator
+// re-seeds it and replays the steps it had drawn, so its request stream
+// is the one a fresh rand.NewSource(Seed ^ id) gives.
 func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 	cfg.defaults()
 	if d.StepBudget <= 0 {
@@ -277,6 +327,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		byID      = map[int]*openClient{} // every client ever touched
 		active    []*openClient           // the non-idle ones, first-touch order
 		spareResp [][]byte                // empty response buffers of idle clients
+		spareSrc  []rand.Source64         // rng sources handed on by idle clients
 	)
 
 	lose := func(a *openArrival, cause string) {
@@ -304,7 +355,8 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			id := clock.rng.Intn(cfg.Clients)
 			c := byID[id]
 			if c == nil {
-				c = &openClient{id: id, order: len(byID), rng: rand.New(rand.NewSource(d.Seed ^ int64(id)))}
+				c = &openClient{id: id, order: len(byID)}
+				c.rng = *rand.New(&c.src)
 				if cfg.SlowEvery > 0 && (c.order+1)%cfg.SlowEvery == 0 {
 					c.slow = true
 				}
@@ -313,8 +365,11 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			if !c.active {
 				active = activate(active, c)
 			}
+			if c.src.Source64 == nil {
+				spareSrc = c.src.resume(d.Seed^int64(id), spareSrc)
+			}
 			a := &openArrival{at: nextAt, idx: offered}
-			a.req = d.Gen.Next(id, c.rng)
+			a.req = d.Gen.Next(id, &c.rng)
 			if cfg.FragmentEvery > 0 && (offered+1)%cfg.FragmentEvery == 0 && len(a.req) > cfg.FragSize {
 				a.frag = true
 			}
@@ -358,8 +413,9 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 					queued--
 					c.fragLeft = nil
 				}
-				c.conn = nil
-				conns--
+				// Close our end too, as a client does after EOF: the conn
+				// is then closed at both ends and its storage recycled.
+				closeConn(c)
 				progressed = true
 			}
 			if c.conn == nil {
@@ -505,6 +561,9 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 				c.active = false
 				if c.resp != nil && len(c.resp) == 0 {
 					spareResp, c.resp = append(spareResp, c.resp), nil
+				}
+				if c.src.Source64 != nil && c.src.steps <= handOnSteps {
+					spareSrc, c.src.Source64 = append(spareSrc, c.src.Source64), nil
 				}
 			} else {
 				kept = append(kept, c)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -390,6 +391,73 @@ func BenchmarkRunOpen(b *testing.B) {
 		res := d.RunOpen(crowdConfig)
 		if res.Offered != crowdConfig.Total {
 			b.Fatalf("offered %d, want %d", res.Offered, crowdConfig.Total)
+		}
+	}
+}
+
+// rejectReq draws one request from rng: three bytes from Read, whose
+// unused bytes carry over to the client's next request, and an Intn with
+// a bound just past 2^30, which rejection-samples a second source step
+// about half the time.
+func rejectReq(rng *rand.Rand) string {
+	var b [3]byte
+	rng.Read(b[:])
+	return fmt.Sprintf("r%d-%x\n", rng.Intn(1<<30+1), b)
+}
+
+// rejectGen records every client's requests in order.
+type rejectGen struct{ got map[int][]string }
+
+func (g *rejectGen) Next(i int, rng *rand.Rand) []byte {
+	if g.got == nil {
+		g.got = map[int][]string{}
+	}
+	req := rejectReq(rng)
+	g.got[i] = append(g.got[i], req)
+	return []byte(req)
+}
+func (g *rejectGen) Split(buf []byte) int        { return (&echoGen{}).Split(buf) }
+func (g *rejectGen) Check(req, resp []byte) bool { return string(req) == string(resp) }
+
+// TestOpenLoopRngHandOn checks that clients handing their rng sources on
+// while idle leaves every client's request stream exactly the one a
+// fresh rand.NewSource(Seed ^ id) gives. Arrivals are far apart, so each
+// request completes and its client goes idle before the next arrival:
+// every return takes over a source another client handed on. With two
+// clients a client draws past handOnSteps and keeps its source instead.
+func TestOpenLoopRngHandOn(t *testing.T) {
+	for _, tc := range []struct {
+		clients, total int
+		keeps          bool // some client draws past handOnSteps
+	}{
+		{clients: 12, total: 300},
+		{clients: 2, total: 1000, keeps: true},
+	} {
+		g := &rejectGen{}
+		d := &Driver{Srv: &echoFake{}, Port: 9000, Gen: g, Seed: 11}
+		res := d.RunOpen(OpenConfig{Total: tc.total, Clients: tc.clients, RatePerMcycle: 100})
+		if res.Completed != tc.total {
+			t.Fatalf("clients=%d: completed %d of %d: %+v", tc.clients, res.Completed, tc.total, res.Result)
+		}
+		if len(g.got) != tc.clients {
+			t.Fatalf("clients=%d: %d clients drew requests", tc.clients, len(g.got))
+		}
+		var maxSteps int64
+		for id, reqs := range g.got {
+			if len(reqs) < 2 {
+				t.Fatalf("clients=%d: client %d never returned", tc.clients, id)
+			}
+			src := &stepSource{Source64: rand.NewSource(d.Seed ^ int64(id)).(rand.Source64)}
+			rng := rand.New(src)
+			for j, got := range reqs {
+				if want := rejectReq(rng); got != want {
+					t.Fatalf("clients=%d: client %d request %d = %q, want %q", tc.clients, id, j, got, want)
+				}
+			}
+			maxSteps = max(maxSteps, src.steps)
+		}
+		if keeps := maxSteps > handOnSteps; keeps != tc.keeps {
+			t.Errorf("clients=%d: most steps of a client %d, want past %d: %t", tc.clients, maxSteps, handOnSteps, tc.keeps)
 		}
 	}
 }
