@@ -29,8 +29,12 @@ bench:
 
 # A fast end-to-end pass over every experiment with a reduced workload —
 # CI smoke coverage for the full firebench surface, parallel harness on.
+# The output must equal the pinned golden byte for byte (rewrite it only
+# for an intended change: go test ./cmd/firebench -update).
 bench-smoke:
-	$(GO) run ./cmd/firebench -requests 40 -faults 4 -concurrency 2 -parallel 4 > /dev/null
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/firebench -requests 40 -faults 4 -concurrency 2 -parallel 4 > $(SMOKE_DIR)/suite.txt
+	cmp $(SMOKE_DIR)/suite.txt cmd/firebench/testdata/suite.golden
 	@echo bench-smoke OK
 
 # End-to-end observability smoke: drive the hardened nginx analog with

@@ -38,22 +38,8 @@ func BenchmarkTableII(b *testing.B) {
 	b.Log("\n" + res.Render())
 }
 
-func BenchmarkTableIII(b *testing.B) {
-	r := benchRunner()
-	var res bench.TableIIIResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = r.TableIII()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.RecoverablePct, row.Server+"_recoverable_%")
-	}
-	b.Log("\n" + res.Render())
-}
-
+// BenchmarkTableIV times the fault campaigns Table IV and Figure 5 both
+// render from.
 func BenchmarkTableIV(b *testing.B) {
 	r := benchRunner()
 	var res bench.TableIVResult
@@ -71,7 +57,10 @@ func BenchmarkTableIV(b *testing.B) {
 	}
 	b.ReportMetric(float64(injected), "failstop_injected")
 	b.ReportMetric(float64(recovered), "failstop_recovered")
-	b.Log("\n" + res.Render())
+	for _, row := range res.Latency {
+		b.ReportMetric(row.P50us, row.Server+"_p50_us")
+	}
+	b.Log("\n" + res.Render() + "\n" + res.RenderFigure5())
 }
 
 func BenchmarkFigure3(b *testing.B) {
@@ -93,22 +82,6 @@ func BenchmarkFigure3(b *testing.B) {
 		default:
 			b.ReportMetric(row.DegradationPct, "dynamic_degr_%")
 		}
-	}
-	b.Log("\n" + res.Render())
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	r := benchRunner()
-	var res bench.Figure5Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = r.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.P50us, row.Server+"_p50_us")
 	}
 	b.Log("\n" + res.Render())
 }
@@ -140,6 +113,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.Log("\n" + res.Render())
 }
 
+// BenchmarkFigure7 times the runs Figures 7, 8 and 9 all render from.
 func BenchmarkFigure7(b *testing.B) {
 	r := benchRunner()
 	var res bench.Figure7Result
@@ -152,8 +126,11 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 	for _, row := range res.Rows {
 		b.ReportMetric(row.FIRestarterPct, row.Server+"_overhead_%")
+		b.ReportMetric(row.HTMOnlyAbortPct, row.Server+"_htmonly_abort_%")
+		b.ReportMetric(row.FIRestarterAbortPct, row.Server+"_fir_abort_%")
+		b.ReportMetric(row.FIRestarterMemPct, row.Server+"_mem_overhead_%")
 	}
-	b.Log("\n" + res.Render())
+	b.Log("\n" + res.Render() + "\n" + res.RenderFigure8() + "\n" + res.RenderFigure9())
 }
 
 // BenchmarkFigure7Bytecode runs the same campaign with guests executing
@@ -193,39 +170,6 @@ func BenchmarkFigure7Parallel(b *testing.B) {
 	for _, row := range res.Rows {
 		b.ReportMetric(row.FIRestarterPct, row.Server+"_overhead_%")
 	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	r := benchRunner()
-	var res bench.Figure7Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = r.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.HTMOnlyAbortPct, row.Server+"_htmonly_abort_%")
-		b.ReportMetric(row.FIRestarterAbortPct, row.Server+"_fir_abort_%")
-	}
-	b.Log("\n" + res.RenderFigure8())
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	r := benchRunner()
-	var res bench.Figure9Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = r.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.FIRestarterPct, row.Server+"_mem_overhead_%")
-	}
-	b.Log("\n" + res.Render())
 }
 
 func BenchmarkRealWorldBugs(b *testing.B) {
@@ -337,6 +281,8 @@ func BenchmarkRestartBaseline(b *testing.B) {
 	b.Log("\n" + res.Render())
 }
 
+// BenchmarkTxWindows times the runs the window profile and Table III
+// both render from.
 func BenchmarkTxWindows(b *testing.B) {
 	r := benchRunner()
 	var res bench.WindowResult
@@ -351,7 +297,11 @@ func BenchmarkTxWindows(b *testing.B) {
 		b.ReportMetric(float64(row.StepsP50), row.Server+"_window_p50_steps")
 		b.ReportMetric(row.PerRequest, row.Server+"_tx_per_req")
 	}
-	b.Log("\n" + res.Render())
+	table3 := res.TableIII()
+	for _, row := range table3.Rows {
+		b.ReportMetric(row.RecoverablePct, row.Server+"_recoverable_%")
+	}
+	b.Log("\n" + res.Render() + "\n" + table3.Render())
 }
 
 // BenchmarkTableI is a placeholder for the paper's Table I, which surveys

@@ -12,7 +12,14 @@
 // -list prints the experiment names -experiment accepts (plus "all",
 // the default, which runs every table/figure experiment in order; the
 // per-app observability runs are extras, selected by name only, so the
-// default suite's output stays stable). -parallel fans each campaign's
+// default suite's output stays stable). The reduced default suite's
+// output is pinned in testdata/suite.golden.
+//
+// Some experiments render the same runs: fig7, fig8 and fig9 share the
+// Figure 7 campaign, table4 and fig5 the Table IV fault campaign, and
+// table3 and windows the windows campaign. One invocation runs each
+// campaign once, at the first experiment that needs it, so fig5 alone
+// runs all of Table IV. -parallel fans each campaign's
 // isolated measurement runs across N workers; output is byte-identical
 // to a serial run for the same seed. -backend selects the guest
 // execution strategy (the tree-walking interpreter or the compiled
@@ -127,62 +134,54 @@ func parseSizes(s string) ([]int, error) {
 // -experiment dispatch, the -list output, the error message, and the
 // flag's usage string.
 func experiments(out *obsvOut) []experiment {
-	// fig7 and fig8 render different series of the same measurement runs;
-	// memoize so `-experiment all` pays for them once.
-	var fig7 *bench.Figure7Result
-	sharedFig7 := func(r bench.Runner) (bench.Figure7Result, error) {
-		if fig7 != nil {
-			return *fig7, nil
-		}
-		res, err := r.Figure7()
-		if err == nil {
-			fig7 = &res
-		}
-		return res, err
-	}
+	// Several experiments render the same campaign's runs; memoize each
+	// campaign so `-experiment all` runs it once.
+	fig7 := once(bench.Runner.Figure7)
+	table4 := once(bench.Runner.TableIV)
+	windows := once(bench.Runner.TxWindows)
 
 	exps := []experiment{
-		{name: "table2", desc: "Table II: the 101 canonical libc functions by recovery class", run: func(bench.Runner) (output, error) {
+		{name: "table2", desc: bench.TableIITitle, run: func(bench.Runner) (output, error) {
 			return text(bench.TableII().Render(), nil)
 		}},
-		{name: "table3", desc: "Table III: normalized performance overhead per server", run: func(r bench.Runner) (output, error) {
-			res, err := r.TableIII()
+		{name: "table3", desc: bench.TableIIITitle, run: func(r bench.Runner) (output, error) {
+			res, err := windows(r)
+			return text(res.TableIII().Render(), err)
+		}},
+		{name: "table4", desc: bench.TableIVTitle, run: func(r bench.Runner) (output, error) {
+			res, err := table4(r)
 			return text(res.Render(), err)
 		}},
-		{name: "table4", desc: "Table IV: fault-injection survival campaigns", run: func(r bench.Runner) (output, error) {
-			res, err := r.TableIV()
-			return text(res.Render(), err)
-		}},
-		{name: "fig3", desc: "Figure 3: adaptive-transaction policies on Nginx", run: func(r bench.Runner) (output, error) {
+		{name: "fig3", desc: bench.Figure3Title, run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure3()
 			return text(res.Render(), err)
 		}},
-		{name: "fig5", desc: "Figure 5: overhead vs transaction-window length", run: func(r bench.Runner) (output, error) {
-			res, err := r.Figure5()
-			return text(res.Render(), err)
+		{name: "fig5", desc: bench.Figure5Title, run: func(r bench.Runner) (output, error) {
+			res, err := table4(r)
+			return text(res.RenderFigure5(), err)
 		}},
-		{name: "fig6", desc: "Figure 6: overhead vs abort-rate threshold θ", run: func(r bench.Runner) (output, error) {
+		{name: "fig6", desc: bench.Figure6Title, run: func(r bench.Runner) (output, error) {
 			res, err := r.Figure6()
 			return text(res.Render(), err)
 		}},
-		{name: "fig7", desc: "Figure 7: overhead vs working-set footprint", run: func(r bench.Runner) (output, error) {
-			res, err := sharedFig7(r)
+		{name: "fig7", desc: bench.Figure7Title, run: func(r bench.Runner) (output, error) {
+			res, err := fig7(r)
 			return text(res.Render(), err)
 		}},
-		{name: "fig8", desc: "Figure 8: abort rate vs working-set footprint (same runs as fig7)", run: func(r bench.Runner) (output, error) {
-			res, err := sharedFig7(r)
+		{name: "fig8", desc: bench.Figure8Title, run: func(r bench.Runner) (output, error) {
+			res, err := fig7(r)
 			return text(res.RenderFigure8(), err)
 		}},
-		{name: "fig9", desc: "Figure 9: throughput under a persistent injected fault", run: func(r bench.Runner) (output, error) {
-			res, err := r.Figure9()
-			return text(res.Render(), err)
+		{name: "fig9", desc: bench.Figure9Title, run: func(r bench.Runner) (output, error) {
+			res, err := fig7(r)
+			return text(res.RenderFigure9(), err)
 		}},
-		{name: "realworld", desc: "§VI-F: the real-world crash case studies", run: func(r bench.Runner) (output, error) {
+		{name: "realworld", desc: bench.RealWorldTitle, run: func(r bench.Runner) (output, error) {
 			res, err := r.RealWorld()
 			return text(res.Render(), err)
 		}},
-		{name: "windows", desc: "transaction-window composition per server", run: func(r bench.Runner) (output, error) {
-			res, err := r.TxWindows()
+		{name: "windows", desc: bench.WindowsTitle, run: func(r bench.Runner) (output, error) {
+			res, err := windows(r)
 			return text(res.Render(), err)
 		}},
 		{name: "ablation", desc: "ablations: divert, retry, geometry, masked writes, restart baseline", run: func(r bench.Runner) (output, error) {
@@ -259,6 +258,23 @@ func experiments(out *obsvOut) []experiment {
 		exps = append(exps, observeExperiment(app.Name))
 	}
 	return exps
+}
+
+// once memoizes one campaign for an invocation: the first experiment
+// that renders it runs it, and the others reuse its result.
+func once[T any](campaign func(bench.Runner) (T, error)) func(bench.Runner) (T, error) {
+	var (
+		done bool
+		res  T
+		err  error
+	)
+	return func(r bench.Runner) (T, error) {
+		if !done {
+			res, err = campaign(r)
+			done = true
+		}
+		return res, err
+	}
 }
 
 // observeExperiment builds the per-app observability extra: the hardened

@@ -46,6 +46,29 @@ func TestKnownBackendsRunTable2(t *testing.T) {
 	}
 }
 
+// Each default-suite experiment that renders one table is described in
+// -list by that table's title, the same const its Render prints, so each
+// description is a line of the pinned default suite. ablation and threads
+// print several tables and describe them instead.
+func TestListDescriptionsAreSuiteTitles(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		lines[line] = true
+	}
+	for _, e := range experiments(&obsvOut{}) {
+		if e.extra || e.name == "ablation" || e.name == "threads" {
+			continue
+		}
+		if !lines[e.desc] {
+			t.Errorf("%s: description %q is not a line of the default suite", e.name, e.desc)
+		}
+	}
+}
+
 // An output flag that no selected experiment honours exits 2 before
 // anything runs, instead of being silently ignored: table2 and the
 // default suite have no span log, metrics or profile, and fleet has a

@@ -111,7 +111,7 @@ func TestAblationRestartBaseline(t *testing.T) {
 }
 
 func TestTxWindows(t *testing.T) {
-	res, err := testRunner().TxWindows()
+	res, err := testWindows()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,22 @@ import (
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
+// The title each single-table experiment's Render prints first; firebench
+// -list describes the experiment by it.
+const (
+	TableIITitle   = "Table II: library functions by recoverability × diversion"
+	TableIIITitle  = "Table III: runtime recoverable surface (standard workloads)"
+	TableIVTitle   = "Table IV: crash recovery effectiveness against injected persistent faults"
+	Figure3Title   = "Figure 3: adaptive transaction policies on Nginx"
+	Figure5Title   = "Figure 5: crash recovery latency (cost-model µs)"
+	Figure6Title   = "Figure 6: dynamic adaptation sweep — degradation % by (threshold, sample size)"
+	Figure7Title   = "Figure 7: normalized runtime overhead (% over vanilla)"
+	Figure8Title   = "Figure 8: HTM transaction abort rate (%)"
+	Figure9Title   = "Figure 9: normalized mean memory overhead (% over vanilla)"
+	RealWorldTitle = "§VI-F: real-world bug reproductions"
+	WindowsTitle   = "Crash-transaction windows: small and frequent (abstract's claim)"
+)
+
 // Runner parameterizes all experiments.
 type Runner struct {
 	// Requests per measurement run (default 300).
@@ -203,6 +219,17 @@ func (r Runner) measureImage(img *boot.Image, o boot.Options) (*boot.Instance, w
 	}
 	res := r.drive(inst)
 	return inst, res, nil
+}
+
+// isWebServer reports whether the named app is one of the web servers,
+// the apps Table III and Figure 5 cover.
+func isWebServer(name string) bool {
+	for _, app := range apps.WebServers() {
+		if app.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // overheadPct converts a variant/baseline cycles-per-request pair into the

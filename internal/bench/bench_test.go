@@ -2,6 +2,7 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/libmodel"
@@ -12,6 +13,15 @@ import (
 func testRunner() Runner {
 	return Runner{Requests: 80, Concurrency: 4, Seed: 1, FaultsPerServer: 4}
 }
+
+// The campaigns several figures and tables render from, run once for all
+// the tests that check those renders: Figure 7's runs give Figures 7, 8
+// and 9, Table IV's give Figure 5, and the windows runs give Table III.
+var (
+	testFigure7 = sync.OnceValues(testRunner().Figure7)
+	testTableIV = sync.OnceValues(testRunner().TableIV)
+	testWindows = sync.OnceValues(testRunner().TxWindows)
+)
 
 func TestTableIIMatchesPaperExactly(t *testing.T) {
 	res := TableII()
@@ -39,10 +49,11 @@ func TestTableIIMatchesPaperExactly(t *testing.T) {
 }
 
 func TestTableIIIRecoverableSurface(t *testing.T) {
-	res, err := testRunner().TableIII()
+	windows, err := testWindows()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := windows.TableIII()
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
@@ -62,7 +73,7 @@ func TestTableIIIRecoverableSurface(t *testing.T) {
 }
 
 func TestTableIVSurvivability(t *testing.T) {
-	res, err := testRunner().TableIV()
+	res, err := testTableIV()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +125,15 @@ func TestFigure3PolicyOrdering(t *testing.T) {
 }
 
 func TestFigure5LatencyDistribution(t *testing.T) {
-	res, err := testRunner().Figure5()
+	res, err := testTableIV()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Latency) != 3 {
+		t.Fatalf("latency rows = %d, want 3", len(res.Latency))
+	}
 	gotSamples := false
-	for _, row := range res.Rows {
+	for _, row := range res.Latency {
 		if row.Samples > 0 {
 			gotSamples = true
 			if row.MaxUs < row.P50us {
@@ -130,7 +144,7 @@ func TestFigure5LatencyDistribution(t *testing.T) {
 	if !gotSamples {
 		t.Fatal("no recovery latency samples collected")
 	}
-	t.Logf("\n%s", res.Render())
+	t.Logf("\n%s", res.RenderFigure5())
 }
 
 func TestFigure6SweepInsensitive(t *testing.T) {
@@ -148,7 +162,7 @@ func TestFigure6SweepInsensitive(t *testing.T) {
 }
 
 func TestFigure7And8Shape(t *testing.T) {
-	res, err := testRunner().Figure7()
+	res, err := testFigure7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,21 +185,21 @@ func TestFigure7And8Shape(t *testing.T) {
 }
 
 func TestFigure9MemoryOverhead(t *testing.T) {
-	res, err := testRunner().Figure9()
+	res, err := testFigure7()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range res.Rows {
 		// Instrumented variants must cost memory (code duplication), but
 		// not absurd amounts.
-		if row.FIRestarterPct <= 0 {
-			t.Errorf("%s: FIRestarter memory overhead %.1f%% <= 0", row.Server, row.FIRestarterPct)
+		if row.FIRestarterMemPct <= 0 {
+			t.Errorf("%s: FIRestarter memory overhead %.1f%% <= 0", row.Server, row.FIRestarterMemPct)
 		}
-		if row.FIRestarterPct > 400 {
-			t.Errorf("%s: FIRestarter memory overhead %.1f%% implausibly high", row.Server, row.FIRestarterPct)
+		if row.FIRestarterMemPct > 400 {
+			t.Errorf("%s: FIRestarter memory overhead %.1f%% implausibly high", row.Server, row.FIRestarterMemPct)
 		}
 	}
-	t.Logf("\n%s", res.Render())
+	t.Logf("\n%s", res.RenderFigure9())
 }
 
 func TestRealWorldCaseStudies(t *testing.T) {

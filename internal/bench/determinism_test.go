@@ -114,10 +114,12 @@ type detOutput struct {
 // pool must render byte-identical tables and write a byte-identical span
 // trace, and every trace must pass the shared causality checker (what
 // `obsvlint -schema trace -causality` enforces on the exported file).
-// Figure 6 covers the flattened multi-stage sweep, Figure 7 the
-// per-server/per-variant fan-out, Table IV the fault-campaign reduction,
-// threads the registry aggregation, and chaos/domains/fleet/openloop the
-// experiment-global span logs rebased across campaigns.
+// Figure 6 covers the flattened multi-stage sweep, Figure 7 (with the
+// Figures 8 and 9 it gives) the per-server/per-variant fan-out, Table IV
+// (with Figure 5) the fault-campaign reduction, the windows runs (with
+// Table III) the per-server fan-out, threads the registry aggregation,
+// and chaos/domains/fleet/openloop the experiment-global span logs
+// rebased across campaigns.
 func TestSerialEqualsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -134,11 +136,15 @@ func TestSerialEqualsParallel(t *testing.T) {
 		}},
 		{"figure7", paper, func(r Runner) (detOutput, error) {
 			res, err := r.Figure7()
-			return detOutput{render: res.Render() + res.RenderFigure8()}, err
+			return detOutput{render: res.Render() + res.RenderFigure8() + res.RenderFigure9()}, err
 		}},
 		{"tableIV", paper, func(r Runner) (detOutput, error) {
 			res, err := r.TableIV()
-			return detOutput{render: res.Render()}, err
+			return detOutput{render: res.Render() + res.RenderFigure5()}, err
+		}},
+		{"windows", paper, func(r Runner) (detOutput, error) {
+			res, err := r.TxWindows()
+			return detOutput{render: res.Render() + res.TableIII().Render()}, err
 		}},
 		{"threads", Runner{Requests: 40, Concurrency: 4, Seed: 9}, func(r Runner) (detOutput, error) {
 			res, err := r.Threads()

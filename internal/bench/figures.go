@@ -8,7 +8,6 @@ import (
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/mem"
 )
@@ -121,7 +120,7 @@ func (r Runner) Figure3() (Figure3Result, error) {
 // the naive policy's aborts.
 func (f Figure3Result) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Figure 3: adaptive transaction policies on Nginx\n")
+	sb.WriteString(Figure3Title + "\n")
 	fmt.Fprintf(&sb, "%-34s %12s %16s\n", "policy", "HTM abort %", "degradation %")
 	for _, row := range f.Rows {
 		fmt.Fprintf(&sb, "%-34s %12.2f %16.1f\n", row.Policy, row.HTMAbortPct, row.DegradationPct)
@@ -156,70 +155,30 @@ type Figure5Row struct {
 	MaxUs   float64
 }
 
-// Figure5Result is the latency distribution per web server.
-type Figure5Result struct {
-	Rows []Figure5Row
+// figure5Row summarizes one server's recovery-latency samples (cycles),
+// sorting them in place.
+func figure5Row(server string, samples []int64) Figure5Row {
+	row := Figure5Row{Server: server, Samples: len(samples)}
+	if len(samples) > 0 {
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		row.P50us = float64(samples[len(samples)/2]) / 1000
+		row.P90us = float64(samples[len(samples)*9/10]) / 1000
+		row.MaxUs = float64(samples[len(samples)-1]) / 1000
+	}
+	return row
 }
 
-// Figure5 measures recovery latency (trap → resumed execution) across
-// fault-triggered executions. Latency is reported in cost-model
-// microseconds (1 cycle ≈ 1 ns); the paper's absolute numbers are larger
-// because its transactions span real servers' working sets, but the
-// shape — tight distribution with undo-log-sized outliers — is the
-// comparison target.
-func (r Runner) Figure5() (Figure5Result, error) {
-	r = r.withDefaults()
-	var out Figure5Result
-	servers := apps.WebServers()
-
-	// Stage 1: plan each server's fault campaign (one profiling run per
-	// server, fanned across the pool).
-	plans := make([][]faultinj.Fault, len(servers))
-	if err := r.forEach(len(servers), func(i int) error {
-		faults, err := r.planFaults(servers[i], faultinj.FailStop, r.FaultsPerServer)
-		plans[i] = faults
-		return err
-	}); err != nil {
-		return out, err
-	}
-
-	for si, app := range servers {
-		faults := plans[si]
-		// Stage 2: one isolated run per fault; samples are merged in
-		// fault-plan order so the distribution is order-stable.
-		perFault := make([][]int64, len(faults))
-		if err := r.forEach(len(faults), func(i int) error {
-			inst, _, err := r.measure(app, boot.Options{Fault: &faults[i]})
-			if err != nil {
-				return err
-			}
-			perFault[i] = inst.RT.Stats().LatencyCycles
-			return nil
-		}); err != nil {
-			return out, err
-		}
-		var samples []int64
-		for _, s := range perFault {
-			samples = append(samples, s...)
-		}
-		row := Figure5Row{Server: app.Name, Samples: len(samples)}
-		if len(samples) > 0 {
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			row.P50us = float64(samples[len(samples)/2]) / 1000
-			row.P90us = float64(samples[len(samples)*9/10]) / 1000
-			row.MaxUs = float64(samples[len(samples)-1]) / 1000
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// Render prints the distribution summary.
-func (f Figure5Result) Render() string {
+// RenderFigure5 prints Fig. 5 from Table IV's fail-stop runs: recovery
+// latency (trap → resumed execution) across the web servers'
+// fault-triggered executions. Latency is in cost-model microseconds
+// (1 cycle ≈ 1 ns); the paper's absolute numbers are larger because its
+// transactions span real servers' working sets, but the shape — tight
+// distribution with undo-log-sized outliers — is the comparison target.
+func (t TableIVResult) RenderFigure5() string {
 	var sb strings.Builder
-	sb.WriteString("Figure 5: crash recovery latency (cost-model µs)\n")
+	sb.WriteString(Figure5Title + "\n")
 	fmt.Fprintf(&sb, "%-10s %8s %10s %10s %10s\n", "server", "samples", "p50", "p90", "max")
-	for _, row := range f.Rows {
+	for _, row := range t.Latency {
 		fmt.Fprintf(&sb, "%-10s %8d %10.1f %10.1f %10.1f\n", row.Server, row.Samples, row.P50us, row.P90us, row.MaxUs)
 	}
 	return sb.String()
@@ -311,7 +270,7 @@ func (r Runner) Figure6() (Figure6Result, error) {
 // Render prints one matrix per server.
 func (f Figure6Result) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Figure 6: dynamic adaptation sweep — degradation % by (threshold, sample size)\n")
+	sb.WriteString(Figure6Title + "\n")
 	for _, name := range f.Order {
 		cells := f.Servers[name]
 		fmt.Fprintf(&sb, "%s:\n", name)
@@ -347,7 +306,7 @@ func (f Figure6Result) Render() string {
 	return sb.String()
 }
 
-// --- Figures 7 & 8 ----------------------------------------------------------------
+// --- Figures 7, 8 & 9 -------------------------------------------------------------
 
 // Figure7Row is one server's overhead under the three schemes.
 type Figure7Row struct {
@@ -359,116 +318,17 @@ type Figure7Row struct {
 	// Abort rates feed Figure 8.
 	HTMOnlyAbortPct     float64
 	FIRestarterAbortPct float64
+
+	// Memory overheads feed Figure 9.
+	HTMOnlyMemPct     float64
+	STMOnlyMemPct     float64
+	FIRestarterMemPct float64
 }
 
-// Figure7Result carries both Fig. 7 (overhead) and Fig. 8 (abort rates).
+// Figure7Result carries Fig. 7 (overhead), Fig. 8 (abort rates) and
+// Fig. 9 (memory overhead), all from the same runs.
 type Figure7Result struct {
 	Rows []Figure7Row
-}
-
-// Figure7 measures normalized runtime overhead of HTM-only, STM-only and
-// FIRestarter across all five servers (paper: FIRestarter ≤17 % on the
-// web servers, ≤12 % Redis, with STM-only far worse; Fig. 8: FIRestarter
-// slashes the HTM abort rate, least so on PostgreSQL).
-func (r Runner) Figure7() (Figure7Result, error) {
-	r = r.withDefaults()
-	var out Figure7Result
-	servers := apps.All()
-
-	// Four isolated runs per server (vanilla + three schemes), all
-	// flattened into one job list; rows assemble in server order below.
-	// The three schemes are boot-time configurations of one hardened
-	// image per server.
-	const variants = 4 // 0: vanilla, 1: HTM-only, 2: STM-only, 3: hybrid
-	vanilla, hardened, err := r.buildPair(servers)
-	if err != nil {
-		return out, err
-	}
-	// Each run keeps only its figures, not its instance: twenty booted
-	// machines held until the rows assemble would set the campaign's
-	// peak heap.
-	type runOut struct {
-		cpr      float64
-		abortPct float64 // HTM-only and hybrid runs only
-	}
-	results := make([]runOut, len(servers)*variants)
-	if err := r.forEach(len(results), func(i int) error {
-		img := hardened[i/variants]
-		var o boot.Options
-		switch i % variants {
-		case 0:
-			img = vanilla[i/variants]
-		case 1:
-			o = boot.Options{Core: perfConfig(core.ModeHTMOnly, 0.01, 4, r.Seed)}
-		case 2:
-			o = boot.Options{Core: perfConfig(core.ModeSTMOnly, 0.01, 4, r.Seed)}
-		case 3:
-			o = boot.Options{Core: perfConfig(core.ModeHybrid, 0.01, 4, r.Seed)}
-		}
-		inst, res, err := r.measureImage(img, o)
-		if err != nil {
-			return err
-		}
-		results[i] = runOut{cpr: res.CyclesPerRequest()}
-		if v := i % variants; v == 1 || v == 3 {
-			results[i].abortPct = 100 * inst.RT.Stats().HTMAbortRate()
-		}
-		return nil
-	}); err != nil {
-		return out, err
-	}
-
-	for si, app := range servers {
-		base := results[si*variants].cpr
-		out.Rows = append(out.Rows, Figure7Row{
-			Server:              app.Name,
-			HTMOnlyPct:          overheadPct(results[si*variants+1].cpr, base),
-			STMOnlyPct:          overheadPct(results[si*variants+2].cpr, base),
-			FIRestarterPct:      overheadPct(results[si*variants+3].cpr, base),
-			HTMOnlyAbortPct:     results[si*variants+1].abortPct,
-			FIRestarterAbortPct: results[si*variants+3].abortPct,
-		})
-	}
-	return out, nil
-}
-
-// Render prints the Fig. 7 overhead series.
-func (f Figure7Result) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 7: normalized runtime overhead (% over vanilla)\n")
-	fmt.Fprintf(&sb, "%-10s %10s %10s %13s\n", "server", "HTM-only", "STM-only", "FIRestarter")
-	for _, row := range f.Rows {
-		fmt.Fprintf(&sb, "%-10s %9.1f%% %9.1f%% %12.1f%%\n",
-			row.Server, row.HTMOnlyPct, row.STMOnlyPct, row.FIRestarterPct)
-	}
-	return sb.String()
-}
-
-// RenderFigure8 prints the Fig. 8 abort-rate series from the same runs.
-func (f Figure7Result) RenderFigure8() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 8: HTM transaction abort rate (%)\n")
-	fmt.Fprintf(&sb, "%-10s %10s %13s\n", "server", "HTM-only", "FIRestarter")
-	for _, row := range f.Rows {
-		fmt.Fprintf(&sb, "%-10s %9.2f%% %12.2f%%\n",
-			row.Server, row.HTMOnlyAbortPct, row.FIRestarterAbortPct)
-	}
-	return sb.String()
-}
-
-// --- Figure 9 -------------------------------------------------------------------
-
-// Figure9Row is one server's memory overhead.
-type Figure9Row struct {
-	Server         string
-	HTMOnlyPct     float64
-	STMOnlyPct     float64
-	FIRestarterPct float64
-}
-
-// Figure9Result is the normalized memory overhead per server.
-type Figure9Result struct {
-	Rows []Figure9Row
 }
 
 // memFootprint charges the simulated RSS plus instrumentation costs: the
@@ -490,53 +350,106 @@ func memFootprint(inst *boot.Instance) int64 {
 	return rss + code + undo
 }
 
-// Figure9 measures mean memory overhead (RSS + code + checkpointing
-// structures) normalized to vanilla (paper: modest overheads, mostly from
-// code duplication; STM-only slightly higher from the undo log).
-func (r Runner) Figure9() (Figure9Result, error) {
+// Figure7 measures normalized runtime overhead of HTM-only, STM-only and
+// FIRestarter across all five servers (paper: FIRestarter ≤17 % on the
+// web servers, ≤12 % Redis, with STM-only far worse; Fig. 8: FIRestarter
+// slashes the HTM abort rate, least so on PostgreSQL; Fig. 9: modest
+// memory overheads, mostly from code duplication, STM-only slightly
+// higher from the undo log).
+func (r Runner) Figure7() (Figure7Result, error) {
 	r = r.withDefaults()
-	var out Figure9Result
+	var out Figure7Result
 	servers := apps.All()
-	modes := []core.Mode{0, core.ModeHTMOnly, core.ModeSTMOnly, core.ModeHybrid} // index 0 = vanilla
+
+	// Four isolated runs per server (vanilla + three schemes), all
+	// flattened into one job list; rows assemble in server order below.
+	// The three schemes are boot-time configurations of one hardened
+	// image per server.
+	modes := [...]core.Mode{0, core.ModeHTMOnly, core.ModeSTMOnly, core.ModeHybrid} // 0: vanilla
+	const variants = len(modes)
 	vanilla, hardened, err := r.buildPair(servers)
 	if err != nil {
 		return out, err
 	}
-	footprints := make([]int64, len(servers)*len(modes))
-	if err := r.forEach(len(footprints), func(i int) error {
-		img, o := vanilla[i/len(modes)], boot.Options{}
-		if mi := i % len(modes); mi != 0 {
-			img, o = hardened[i/len(modes)], boot.Options{Core: perfConfig(modes[mi], 0.01, 4, r.Seed)}
+	// Each run keeps only its figures, not its instance: twenty booted
+	// machines held until the rows assemble would set the campaign's
+	// peak heap.
+	type runOut struct {
+		cpr       float64
+		abortPct  float64 // HTM-only and hybrid runs only
+		footprint float64
+	}
+	results := make([]runOut, len(servers)*variants)
+	if err := r.forEach(len(results), func(i int) error {
+		img, o := vanilla[i/variants], boot.Options{}
+		if v := i % variants; v != 0 {
+			img, o = hardened[i/variants], boot.Options{Core: perfConfig(modes[v], 0.01, 4, r.Seed)}
 		}
-		inst, _, err := r.measureImage(img, o)
+		inst, res, err := r.measureImage(img, o)
 		if err != nil {
 			return err
 		}
-		footprints[i] = memFootprint(inst)
+		results[i] = runOut{cpr: res.CyclesPerRequest(), footprint: float64(memFootprint(inst))}
+		if v := i % variants; v == 1 || v == 3 {
+			results[i].abortPct = 100 * inst.RT.Stats().HTMAbortRate()
+		}
 		return nil
 	}); err != nil {
 		return out, err
 	}
+
 	for si, app := range servers {
-		base := float64(footprints[si*len(modes)])
-		out.Rows = append(out.Rows, Figure9Row{
-			Server:         app.Name,
-			HTMOnlyPct:     overheadPct(float64(footprints[si*len(modes)+1]), base),
-			STMOnlyPct:     overheadPct(float64(footprints[si*len(modes)+2]), base),
-			FIRestarterPct: overheadPct(float64(footprints[si*len(modes)+3]), base),
+		run := results[si*variants : (si+1)*variants]
+		out.Rows = append(out.Rows, Figure7Row{
+			Server:              app.Name,
+			HTMOnlyPct:          overheadPct(run[1].cpr, run[0].cpr),
+			STMOnlyPct:          overheadPct(run[2].cpr, run[0].cpr),
+			FIRestarterPct:      overheadPct(run[3].cpr, run[0].cpr),
+			HTMOnlyAbortPct:     run[1].abortPct,
+			FIRestarterAbortPct: run[3].abortPct,
+			HTMOnlyMemPct:       overheadPct(run[1].footprint, run[0].footprint),
+			STMOnlyMemPct:       overheadPct(run[2].footprint, run[0].footprint),
+			FIRestarterMemPct:   overheadPct(run[3].footprint, run[0].footprint),
 		})
 	}
 	return out, nil
 }
 
-// Render prints the memory overhead series.
-func (f Figure9Result) Render() string {
+// Render prints the Fig. 7 overhead series.
+func (f Figure7Result) Render() string {
+	return f.renderSchemes(Figure7Title, func(row Figure7Row) [3]float64 {
+		return [3]float64{row.HTMOnlyPct, row.STMOnlyPct, row.FIRestarterPct}
+	})
+}
+
+// RenderFigure8 prints the Fig. 8 abort-rate series from the same runs.
+func (f Figure7Result) RenderFigure8() string {
 	var sb strings.Builder
-	sb.WriteString("Figure 9: normalized mean memory overhead (% over vanilla)\n")
+	sb.WriteString(Figure8Title + "\n")
+	fmt.Fprintf(&sb, "%-10s %10s %13s\n", "server", "HTM-only", "FIRestarter")
+	for _, row := range f.Rows {
+		fmt.Fprintf(&sb, "%-10s %9.2f%% %12.2f%%\n",
+			row.Server, row.HTMOnlyAbortPct, row.FIRestarterAbortPct)
+	}
+	return sb.String()
+}
+
+// RenderFigure9 prints the Fig. 9 memory-overhead series (RSS + code +
+// checkpointing structures, normalized to vanilla) from the same runs.
+func (f Figure7Result) RenderFigure9() string {
+	return f.renderSchemes(Figure9Title, func(row Figure7Row) [3]float64 {
+		return [3]float64{row.HTMOnlyMemPct, row.STMOnlyMemPct, row.FIRestarterMemPct}
+	})
+}
+
+// renderSchemes prints one percentage per scheme and server under title.
+func (f Figure7Result) renderSchemes(title string, pcts func(Figure7Row) [3]float64) string {
+	var sb strings.Builder
+	sb.WriteString(title + "\n")
 	fmt.Fprintf(&sb, "%-10s %10s %10s %13s\n", "server", "HTM-only", "STM-only", "FIRestarter")
 	for _, row := range f.Rows {
-		fmt.Fprintf(&sb, "%-10s %9.1f%% %9.1f%% %12.1f%%\n",
-			row.Server, row.HTMOnlyPct, row.STMOnlyPct, row.FIRestarterPct)
+		p := pcts(row)
+		fmt.Fprintf(&sb, "%-10s %9.1f%% %9.1f%% %12.1f%%\n", row.Server, p[0], p[1], p[2])
 	}
 	return sb.String()
 }

@@ -107,7 +107,7 @@ func (r Runner) runCase(app *apps.App, fn, lib string, nth int, trigger, followu
 // Render prints the case-study outcomes.
 func (c RealWorldResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("§VI-F: real-world bug reproductions\n")
+	sb.WriteString(RealWorldTitle + "\n")
 	for _, cs := range c.Cases {
 		fmt.Fprintf(&sb, "  %-45s survived=%v injections=%d response=%q followup200=%v\n",
 			cs.Name, cs.Survived, cs.Injections, cs.FaultResponse, cs.FollowupOK)

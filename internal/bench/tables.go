@@ -28,7 +28,7 @@ func TableII() TableIIResult {
 // Render prints the matrix in the paper's layout.
 func (t TableIIResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Table II: library functions by recoverability × diversion\n")
+	sb.WriteString(TableIITitle + "\n")
 	fmt.Fprintf(&sb, "%-28s %9s %13s %6s\n", "Recoverability", "possible", "NOT possible", "Total")
 	order := []libmodel.Class{
 		libmodel.Reversible, libmodel.NoReversion, libmodel.Deferrable,
@@ -61,50 +61,36 @@ type TableIIIResult struct {
 	Rows []TableIIIRow
 }
 
-// TableIII measures the runtime recoverable surface of the three web
-// servers under their standard test-suite workload (paper: 84.6 / 77.3 /
-// 77.9 %).
-func (r Runner) TableIII() (TableIIIResult, error) {
-	r = r.withDefaults()
+// TableIII is the runtime recoverable surface of the three web servers
+// under their standard test-suite workload (paper: 84.6 / 77.3 / 77.9 %),
+// taken from the windows runs, which measure the same unfaulted hardened
+// boots.
+func (w WindowResult) TableIII() TableIIIResult {
 	var out TableIIIResult
-	servers := apps.WebServers()
-	rows := make([]TableIIIRow, len(servers))
-	if err := r.forEach(len(servers), func(i int) error {
-		app := servers[i]
-		inst, res, err := r.measure(app, boot.Options{})
-		if err != nil {
-			return fmt.Errorf("table III %s: %w", app.Name, err)
+	for _, row := range w.Rows {
+		if !isWebServer(row.Server) {
+			continue
 		}
-		if res.ServerDied {
-			return fmt.Errorf("table III %s: server died (trap %d)", app.Name, res.TrapCode)
-		}
-		st := inst.RT.Stats()
-		gates := len(st.GateSites)
-		breaks := len(st.BreakSites)
-		total := gates + breaks
+		total := row.GateSites + row.BreakSites
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(gates) / float64(total)
+			pct = 100 * float64(row.GateSites) / float64(total)
 		}
-		rows[i] = TableIIIRow{
-			Server:          app.Name,
+		out.Rows = append(out.Rows, TableIIIRow{
+			Server:          row.Server,
 			UniqueTx:        total,
-			EmbeddedCalls:   len(st.EmbedSites),
-			IrrecoverableTx: breaks,
+			EmbeddedCalls:   row.EmbedSites,
+			IrrecoverableTx: row.BreakSites,
 			RecoverablePct:  pct,
-		}
-		return nil
-	}); err != nil {
-		return out, err
+		})
 	}
-	out.Rows = rows
-	return out, nil
+	return out
 }
 
 // Render prints the table in the paper's layout.
 func (t TableIIIResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Table III: runtime recoverable surface (standard workloads)\n")
+	sb.WriteString(TableIIITitle + "\n")
 	fmt.Fprintf(&sb, "%-36s", "")
 	for _, row := range t.Rows {
 		fmt.Fprintf(&sb, "%10s", row.Server)
@@ -140,15 +126,20 @@ type TableIVRow struct {
 	SilRecovered int // of those, recovered
 }
 
-// TableIVResult is the full table.
+// TableIVResult is the full table, plus Figure 5's latency rows.
 type TableIVResult struct {
 	Rows []TableIVRow
+
+	// Latency is the recovery latency of the web servers' fail-stop
+	// runs, one row per server (RenderFigure5).
+	Latency []Figure5Row
 }
 
 // TableIV runs the paper's §VI-B survivability campaign: one persistent
 // fault per experiment, planted in a profiled non-critical block, with the
 // server's standard workload; then the same with fail-silent software
-// faults (most of which must not crash).
+// faults (most of which must not crash). The web servers' fail-stop runs
+// also give Figure 5's recovery latencies.
 func (r Runner) TableIV() (TableIVResult, error) {
 	r = r.withDefaults()
 	var out TableIVResult
@@ -160,11 +151,14 @@ func (r Runner) TableIV() (TableIVResult, error) {
 			return out, fmt.Errorf("table IV %s: %w", app.Name, err)
 		}
 		// Fan the per-fault runs across the pool; the outcomes reduce in
-		// fault-plan order, so counters match the serial campaign.
+		// fault-plan order, so counters and latency samples match the
+		// serial campaign.
 		type fsOutcome struct {
 			triggered bool
 			died      bool
+			latency   []int64 // web servers only
 		}
+		web := isWebServer(app.Name)
 		fsResults := make([]fsOutcome, len(failStop))
 		if err := r.forEach(len(failStop), func(i int) error {
 			inst, res, err := r.measure(app, boot.Options{Fault: &failStop[i]})
@@ -176,11 +170,16 @@ func (r Runner) TableIV() (TableIVResult, error) {
 				triggered: st.Crashes > 0 || st.Unrecovered > 0 || res.ServerDied,
 				died:      res.ServerDied,
 			}
+			if web {
+				fsResults[i].latency = st.LatencyCycles
+			}
 			return nil
 		}); err != nil {
 			return out, err
 		}
+		var latency []int64
 		for _, o := range fsResults {
+			latency = append(latency, o.latency...)
 			if !o.triggered {
 				continue // the workload never reached the fault
 			}
@@ -188,6 +187,9 @@ func (r Runner) TableIV() (TableIVResult, error) {
 			if !o.died {
 				row.FSRecovered++
 			}
+		}
+		if web {
+			out.Latency = append(out.Latency, figure5Row(app.Name, latency))
 		}
 
 		// Fail-silent faults: mix the HSFI corruption types. Planning
@@ -241,7 +243,7 @@ func (r Runner) TableIV() (TableIVResult, error) {
 // Render prints the table in the paper's layout.
 func (t TableIVResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Table IV: crash recovery effectiveness against injected persistent faults\n")
+	sb.WriteString(TableIVTitle + "\n")
 	fmt.Fprintf(&sb, "%-10s | %9s %9s | %9s %9s %9s\n",
 		"Server", "FS inj", "FS recov", "Sil inj", "Sil crash", "Sil recov")
 	for _, r := range t.Rows {

@@ -24,7 +24,7 @@ func sortedCopy(samples []int64) []int64 {
 // the byte-for-byte output contract and must match exactly — not merely
 // within a histogram error bound.
 func TestTxWindowPercentilesPinned(t *testing.T) {
-	res, err := testRunner().TxWindows()
+	res, err := testWindows()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -507,11 +507,14 @@ func (g *HTTPGen) Split(buf []byte) int {
 }
 
 // Check implements Generator: the status line must match the expected
-// status for the requested path.
+// status for the requested path, the request line's second field. It
+// allocates nothing.
 func (g *HTTPGen) Check(req, resp []byte) bool {
 	var path []byte
-	if parts := bytes.SplitN(req, []byte(" "), 3); len(parts) == 3 {
-		path = parts[1]
+	if _, rest, ok := bytes.Cut(req, []byte(" ")); ok {
+		if p, _, ok := bytes.Cut(rest, []byte(" ")); ok {
+			path = p
+		}
 	}
 	want := 200
 	for _, p := range g.Paths {
@@ -520,7 +523,10 @@ func (g *HTTPGen) Check(req, resp []byte) bool {
 			break
 		}
 	}
-	return bytes.HasPrefix(resp, []byte(fmt.Sprintf("HTTP/1.1 %d", want)))
+	const proto = "HTTP/1.1 "
+	var status [20]byte
+	return bytes.HasPrefix(resp, []byte(proto)) &&
+		bytes.HasPrefix(resp[len(proto):], strconv.AppendInt(status[:0], int64(want), 10))
 }
 
 // --- Redis ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -47,6 +48,71 @@ func TestHTTPCheck(t *testing.T) {
 	ok := []byte("GET /index.html HTTP/1.1\r\n\r\n")
 	if !g.Check(ok, []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi")) {
 		t.Error("200 for /index.html rejected")
+	}
+}
+
+// checkBySplit is HTTPGen.Check as it was written with bytes.SplitN and
+// fmt.Sprintf: the reference the allocation-free Check must agree with.
+func checkBySplit(g *HTTPGen, req, resp []byte) bool {
+	var path []byte
+	if parts := bytes.SplitN(req, []byte(" "), 3); len(parts) == 3 {
+		path = parts[1]
+	}
+	want := 200
+	for _, p := range g.Paths {
+		if string(path) == p.Path {
+			want = p.Status
+			break
+		}
+	}
+	return bytes.HasPrefix(resp, []byte(fmt.Sprintf("HTTP/1.1 %d", want)))
+}
+
+// Check gives the reference verdict for every path of the mix, an unknown
+// path and malformed request lines, against right and wrong status lines,
+// and allocates nothing.
+func TestHTTPCheckMatchesReferenceWithoutAllocating(t *testing.T) {
+	g := TestSuiteHTTPMix()
+	reqs := []string{
+		"GET /unknown.html HTTP/1.1\r\n\r\n",
+		"GET /index.html", // one space: no path field
+		"GET",
+		"",
+		"GET  /index.html HTTP/1.1\r\n\r\n", // empty second field
+		"GET /missing.html HTTP/1.1 extra\r\n\r\n",
+	}
+	for _, p := range g.Paths {
+		reqs = append(reqs, "GET "+p.Path+" HTTP/1.1\r\nHost: sim\r\n\r\n")
+	}
+	resps := []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 500 Internal Server Error\r\n\r\n",
+		"HTTP/1.1 2000 OK\r\n\r\n",
+		"HTTP/1.0 200 OK\r\n\r\n",
+		"HTTP/1.1 20",
+		"HTTP/1.1 ",
+		"",
+	}
+	accepted := 0
+	for _, req := range reqs {
+		for _, resp := range resps {
+			got, want := g.Check([]byte(req), []byte(resp)), checkBySplit(g, []byte(req), []byte(resp))
+			if got != want {
+				t.Errorf("Check(%q, %q) = %v, reference %v", req, resp, got, want)
+			}
+			if got {
+				accepted++
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no request/response pair was accepted")
+	}
+	req := []byte("GET /missing.html HTTP/1.1\r\n\r\n")
+	resp := []byte("HTTP/1.1 404 Not Found\r\n\r\n")
+	if n := testing.AllocsPerRun(100, func() { g.Check(req, resp) }); n != 0 {
+		t.Errorf("Check allocates %v times per call, want 0", n)
 	}
 }
 
