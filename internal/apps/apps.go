@@ -75,16 +75,27 @@ func WebServers() []*App {
 	return []*App{Nginx(), Apache(), Lighttpd()}
 }
 
-// docRoot installs the standard document root used by the HTTP servers'
-// workloads.
+// docFiles is the standard document root used by the HTTP servers'
+// workloads. Every boot's FS shares these bytes (FS.Add does not copy and
+// a written file copies first), so nothing may modify them.
+var docFiles = []struct {
+	name string
+	data []byte
+}{
+	{"/www/index.html", []byte("<html><body>welcome to the test suite</body></html>")},
+	{"/www/about.html", []byte("<html><body>about page with somewhat longer content: " +
+		"the quick brown fox jumps over the lazy dog</body></html>")},
+	{"/www/small.txt", []byte("ok")},
+	{"/www/data.bin", make([]byte, 16*1024)},
+	{"/www/ssi.shtml", []byte("<html>header <!--#echo var=x--> footer</html>")},
+	{"/www/big.bin", make([]byte, 48*1024)},
+	{"/dav/notes.txt", []byte("dav resource content")},
+}
+
+// docRoot installs the standard document root.
 func docRoot(o *libsim.OS) {
 	fs := o.FS()
-	fs.Add("/www/index.html", []byte("<html><body>welcome to the test suite</body></html>"))
-	fs.Add("/www/about.html", []byte("<html><body>about page with somewhat longer content: "+
-		"the quick brown fox jumps over the lazy dog</body></html>"))
-	fs.Add("/www/small.txt", []byte("ok"))
-	fs.Add("/www/data.bin", make([]byte, 16*1024))
-	fs.Add("/www/ssi.shtml", []byte("<html>header <!--#echo var=x--> footer</html>"))
-	fs.Add("/www/big.bin", make([]byte, 48*1024))
-	fs.Add("/dav/notes.txt", []byte("dav resource content"))
+	for _, f := range docFiles {
+		fs.Add(f.name, f.data)
+	}
 }

@@ -515,3 +515,78 @@ func BenchmarkConnChurn(b *testing.B) {
 		got = churnCycle(o, a, got)
 	}
 }
+
+// TestProxyTakeCycleAllocFree pins the balancer's front-conn cycle: the
+// client delivers a request and ProxyTake hands its bytes over as a view
+// of the conn's inbound storage, which the conn keeps for the next
+// delivery, so a request allocates nothing once the storage is sized.
+func TestProxyTakeCycleAllocFree(t *testing.T) {
+	c := NewConn()
+	req := []byte("GET /index.html\n")
+	var inflight []byte
+	cycle := func() {
+		c.ClientDeliverTraced(req, 7)
+		data, trace := c.ProxyTake()
+		if trace != 7 {
+			t.Fatalf("ProxyTake trace = %d, want 7", trace)
+		}
+		inflight = append(inflight[:0], data...)
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("deliver/ProxyTake cycle allocates %.1f objects/request, want 0", allocs)
+	}
+	if string(inflight) != string(req) {
+		t.Fatalf("took %q, want %q", inflight, req)
+	}
+	if data, trace := c.ProxyTake(); len(data) != 0 || trace != 0 {
+		t.Fatalf("second ProxyTake = %q/%d, want nothing", data, trace)
+	}
+}
+
+// TestOpenAndPutsAllocFree pins the C-string paths: open of an existing
+// file looks its path up without building a Go string, and puts/printf
+// append straight to stdout, so neither allocates once the buffers are
+// sized.
+func TestOpenAndPutsAllocFree(t *testing.T) {
+	o := newOS(t)
+	o.FS().Add("/www/index.html", []byte("<html></html>"))
+	path := putStr(t, o, 0, "/www/index.html")
+	line := putStr(t, o, 256, "hello")
+	openArgs, putsArgs := []int64{path, ORdOnly}, []int64{line}
+	var closeArgs []int64
+	open := func() {
+		fd, err := o.Call("open", openArgs)
+		if err != nil || fd < 0 {
+			t.Fatalf("open: fd=%d err=%v errno=%d", fd, err, o.Errno)
+		}
+		if closeArgs == nil {
+			closeArgs = []int64{fd}
+		}
+		o.Call("close", closeArgs)
+	}
+	puts := func() {
+		o.TruncateStdout(0)
+		if n, err := o.Call("puts", putsArgs); err != nil || n != 6 {
+			t.Fatalf("puts = %d, %v; want 6", n, err)
+		}
+		if n, err := o.Call("printf", putsArgs); err != nil || n != 5 {
+			t.Fatalf("printf = %d, %v; want 5", n, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		open()
+		puts()
+	}
+	if allocs := testing.AllocsPerRun(200, open); allocs != 0 {
+		t.Fatalf("open+close of an existing file allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, puts); allocs != 0 {
+		t.Fatalf("puts+printf allocates %.1f objects, want 0", allocs)
+	}
+	if got := o.Stdout(); got != "hello\nhello" {
+		t.Fatalf("stdout = %q", got)
+	}
+}

@@ -631,10 +631,7 @@ func buildCallTable() map[string]handler {
 		}
 		f := s.File.File
 		off := a[3]
-		for int64(len(f.Data)) < off+a[2] {
-			f.Data = append(f.Data, 0)
-		}
-		copy(f.Data[off:], buf)
+		f.writeAt(off, buf)
 		o.fs.WriteLog = append(o.fs.WriteLog, fmt.Sprintf("pwrite %s %d@%d", f.Name, a[2], off))
 		return a[2], nil
 	}}
@@ -733,21 +730,15 @@ func buildCallTable() map[string]handler {
 		return 0, nil
 	}}
 	t["puts"] = handler{1, func(o *OS, a []int64) (int64, error) {
-		s, err := o.Space.ReadCString(a[0], 4096)
+		n, err := o.printString(a[0])
 		if err != nil {
 			return 0, err
 		}
-		o.stdout = append(o.stdout, s...)
 		o.stdout = append(o.stdout, '\n')
-		return int64(len(s)) + 1, nil
+		return n + 1, nil
 	}}
 	t["printf"] = handler{1, func(o *OS, a []int64) (int64, error) {
-		s, err := o.Space.ReadCString(a[0], 4096)
-		if err != nil {
-			return 0, err
-		}
-		o.stdout = append(o.stdout, s...)
-		return int64(len(s)), nil
+		return o.printString(a[0])
 	}}
 	t["putint"] = handler{1, func(o *OS, a []int64) (int64, error) {
 		s := fmt.Sprintf("%d", a[0])
@@ -973,10 +964,7 @@ func (o *OS) doWrite(fd, buf, n int64) (int64, error) {
 		if f.Flags&OAppend != 0 {
 			f.Offset = int64(len(file.Data))
 		}
-		for int64(len(file.Data)) < f.Offset+n {
-			file.Data = append(file.Data, 0)
-		}
-		copy(file.Data[f.Offset:], data)
+		file.writeAt(f.Offset, data)
 		f.Offset += n
 		o.fs.WriteLog = append(o.fs.WriteLog, fmt.Sprintf("write %s %d", file.Name, n))
 		return n, nil
@@ -986,23 +974,39 @@ func (o *OS) doWrite(fd, buf, n int64) (int64, error) {
 	}
 }
 
-func (o *OS) doOpen(pathAddr, flags int64) (int64, error) {
-	path, err := o.Space.ReadCString(pathAddr, 256)
+// printString appends the C string at addr to stdout (puts and printf)
+// and returns its length. On error stdout is unchanged.
+func (o *OS) printString(addr int64) (int64, error) {
+	out, err := o.Space.AppendCString(o.stdout, addr, 4096)
 	if err != nil {
 		return 0, err
 	}
-	f := o.fs.Lookup(path)
+	n := int64(len(out) - len(o.stdout))
+	o.stdout = out
+	return n, nil
+}
+
+func (o *OS) doOpen(pathAddr, flags int64) (int64, error) {
+	// The path is read into the write scratch and looked up as bytes;
+	// only creating a file allocates its name.
+	path, err := o.Space.AppendCString(o.wscratch[:0], pathAddr, 256)
+	if err != nil {
+		return 0, err
+	}
+	o.wscratch = path[:0]
+	f := o.fs.files[string(path)]
 	if f == nil {
 		if flags&OCreat == 0 {
 			o.Errno = ENOENT
 			return -1, nil
 		}
-		f = o.fs.Add(path, nil)
-		o.fs.WriteLog = append(o.fs.WriteLog, "creat "+path)
+		name := string(path)
+		f = o.fs.Add(name, nil)
+		o.fs.WriteLog = append(o.fs.WriteLog, "creat "+name)
 	}
 	if flags&OTrunc != 0 {
 		f.Data = nil
-		o.fs.WriteLog = append(o.fs.WriteLog, "trunc "+path)
+		o.fs.WriteLog = append(o.fs.WriteLog, "trunc "+string(path))
 	}
 	fd := o.allocFD(FD{Kind: FDFile})
 	if fd < 0 {

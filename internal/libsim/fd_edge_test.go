@@ -1,6 +1,12 @@
 package libsim
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/mem"
+)
 
 // TestDescriptorTableExhaustionEMFILE exercises the fd-table limit: every
 // allocating call fails with EMFILE once 1024 descriptors are live, and a
@@ -125,5 +131,69 @@ func TestAcceptEAGAINOnEmptyQueue(t *testing.T) {
 	}
 	if fd := call(t, o, "accept", s); fd != -1 || o.Errno != EAGAIN {
 		t.Fatalf("second accept: fd=%d errno=%d, want -1/EAGAIN", fd, o.Errno)
+	}
+}
+
+// TestCStringErrorsKeepStdout checks that puts and open report an
+// unmapped or unterminated string with ReadCString's errors and leave
+// stdout as it was.
+func TestCStringErrorsKeepStdout(t *testing.T) {
+	o := newOS(t)
+	call(t, o, "puts", putStr(t, o, 0, "kept"))
+	runOff := int64(mem.GlobalBase + 1<<16 - 8) // no NUL before the unmapped page
+	if err := o.Space.WriteBytes(runOff, []byte("xxxxxxxx")); err != nil {
+		t.Fatal(err)
+	}
+	long := putStr(t, o, 1024, strings.Repeat("y", 300)) // past open's limit
+	limits := map[string]int{"puts": 4096, "printf": 4096, "open": 256}
+	for name, limit := range limits {
+		for _, addr := range []int64{runOff, 0x10, long} {
+			_, want := o.Space.ReadCString(addr, limit)
+			if want == nil {
+				continue
+			}
+			args := []int64{addr}
+			if name == "open" {
+				args = append(args, ORdOnly)
+			}
+			if _, got := o.Call(name, args); got == nil || got.Error() != want.Error() {
+				t.Errorf("%s(%#x) error %v, want %v", name, addr, got, want)
+			}
+		}
+	}
+	if got := o.Stdout(); got != "kept\n" {
+		t.Fatalf("stdout = %q after failed prints, want %q", got, "kept\n")
+	}
+}
+
+// TestFileWritesNeverReachSharedBytes adds one slice to two file systems,
+// as every boot's setup does, and writes through one of them: the slice
+// and the other file system keep the original bytes, spare capacity
+// included, and only the written file changes.
+func TestFileWritesNeverReachSharedBytes(t *testing.T) {
+	shared := make([]byte, 4, 64)
+	copy(shared, "abcd")
+	orig := append([]byte(nil), shared[:cap(shared)]...)
+	a, b := newOS(t), newOS(t)
+	a.FS().Add("/f", shared)
+	b.FS().Add("/f", shared)
+	path := putStr(t, a, 0, "/f")
+	data := putStr(t, a, 64, "XYZ")
+
+	fd := call(t, a, "open", path, ORdWr)
+	call(t, a, "pwrite", fd, data, 3, 1) // in place
+	call(t, a, "close", fd)
+	fd = call(t, a, "open", path, OWrOnly|OAppend)
+	call(t, a, "write", fd, data, 3) // grows past the end
+	call(t, a, "close", fd)
+
+	if got := string(a.FS().Lookup("/f").Data); got != "aXYZXYZ" {
+		t.Fatalf("written file = %q, want %q", got, "aXYZXYZ")
+	}
+	if got := string(b.FS().Lookup("/f").Data); got != "abcd" {
+		t.Fatalf("other file system's file = %q, want %q", got, "abcd")
+	}
+	if !bytes.Equal(shared[:cap(shared)], orig) {
+		t.Fatal("a file write reached the slice the file was added with")
 	}
 }

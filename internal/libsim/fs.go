@@ -7,6 +7,25 @@ type File struct {
 	Name string
 	Data []byte
 	Mode int64
+
+	// shared marks Data as the slice Add was given, which the caller
+	// (and every other FS it was added to) still holds: writeAt copies
+	// it before the first write.
+	shared bool
+}
+
+// writeAt writes data at off, zero-filling any gap past the end. A file
+// still sharing the bytes it was added with copies them first, so no
+// write reaches another FS.
+func (f *File) writeAt(off int64, data []byte) {
+	if f.shared {
+		f.Data = append([]byte(nil), f.Data...)
+		f.shared = false
+	}
+	if end := off + int64(len(data)); end > int64(len(f.Data)) {
+		f.Data = append(f.Data, make([]byte, end-int64(len(f.Data)))...)
+	}
+	copy(f.Data[off:], data)
 }
 
 // FS is the in-memory filesystem. Paths are flat strings (the example
@@ -26,9 +45,11 @@ func NewFS() *FS {
 	return &FS{files: make(map[string]*File)}
 }
 
-// Add creates or replaces a file with the given contents.
+// Add creates or replaces a file with the given contents. The file keeps
+// data, without copying it, until its first write, so one slice can serve
+// every boot's FS; the caller must not modify data afterwards.
 func (fs *FS) Add(name string, data []byte) *File {
-	f := &File{Name: name, Data: append([]byte(nil), data...), Mode: 0644}
+	f := &File{Name: name, Data: data, Mode: 0644, shared: true}
 	fs.files[name] = f
 	return f
 }

@@ -14,8 +14,13 @@ import (
 type Heap struct {
 	space *mem.Space
 	brk   int64 // next never-used address
-	live  map[int64]int64
-	free  []span // address-ordered
+	// mapEnd is the end of the highest heap page ever mapped. Memory
+	// at or above it has never been mapped, so it still reads as zero
+	// (mem's shared zero page) and needs no scrub. It only grows:
+	// frees, compensation and rollback never unmap a heap page.
+	mapEnd int64
+	live   map[int64]int64
+	free   []span // address-ordered
 
 	// accounting
 	liveBytes  int64
@@ -53,9 +58,10 @@ func (h *Heap) scrub(addr, size int64) error {
 
 func newHeap(space *mem.Space) *Heap {
 	return &Heap{
-		space: space,
-		brk:   mem.HeapBase,
-		live:  make(map[int64]int64),
+		space:  space,
+		brk:    mem.HeapBase,
+		mapEnd: mem.HeapBase,
+		live:   make(map[int64]int64),
 	}
 }
 
@@ -94,12 +100,17 @@ func (h *Heap) Alloc(size int64) int64 {
 	if addr == 0 {
 		return 0
 	}
-	if err := h.space.Map(addr, size); err != nil {
+	mapped := h.mapEnd
+	if err := h.mapChunk(addr, size); err != nil {
 		return 0
 	}
-	// Scrub recycled memory so allocations are deterministic.
-	if err := h.scrub(addr, size); err != nil {
-		return 0
+	// Scrub the part of the chunk that was mapped before, which a past
+	// owner (or an overflow from a neighbour) may have written, so
+	// allocations are deterministic.
+	if addr < mapped {
+		if err := h.scrub(addr, min(size, mapped-addr)); err != nil {
+			return 0
+		}
 	}
 	h.live[addr] = size
 	h.liveBytes += size
@@ -126,7 +137,7 @@ func (h *Heap) AllocAligned(alignment, size int64) int64 {
 		return 0
 	}
 	h.brk = end
-	if err := h.space.Map(aligned, align(size)); err != nil {
+	if err := h.mapChunk(aligned, align(size)); err != nil {
 		return 0
 	}
 	h.live[aligned] = align(size)
@@ -136,6 +147,18 @@ func (h *Heap) AllocAligned(alignment, size int64) int64 {
 	}
 	h.allocCount++
 	return aligned
+}
+
+// mapChunk maps the pages covering a chunk about to be handed out and
+// raises mapEnd past them.
+func (h *Heap) mapChunk(addr, size int64) error {
+	if err := h.space.Map(addr, size); err != nil {
+		return err
+	}
+	if end := (addr + size + mem.PageSize - 1) &^ (mem.PageSize - 1); end > h.mapEnd {
+		h.mapEnd = end
+	}
+	return nil
 }
 
 // take finds space in the free list or bumps brk.

@@ -1,6 +1,7 @@
 package libsim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,5 +161,60 @@ func TestSizeOf(t *testing.T) {
 	}
 	if h.SizeOf(p+16) != -1 {
 		t.Error("interior pointer reported as chunk")
+	}
+}
+
+// TestHeapAllocReturnsZeroedChunks checks that Alloc's scrub, which skips
+// memory never mapped before, still returns every chunk zeroed: chunks
+// are dirtied (and written past their end up to the mapped page end, as
+// an overflow would), freed (as a rollback's compensation frees them)
+// and re-taken from the free list, from brk and past aligned gaps.
+func TestHeapAllocReturnsZeroedChunks(t *testing.T) {
+	f := func(seed int64) bool {
+		s := mem.NewSpace()
+		h := newHeap(s)
+		rng := rand.New(rand.NewSource(seed))
+		var live []int64
+		for op := 0; op < 200; op++ {
+			switch r := rng.Intn(8); {
+			case r < 4 || len(live) == 0:
+				size := int64(1 + rng.Intn(3*mem.PageSize))
+				var p int64
+				if r == 0 {
+					p = h.AllocAligned(int64(mem.PageSize), size)
+				} else {
+					p = h.Alloc(size)
+				}
+				if p == 0 {
+					t.Logf("allocation of %d bytes failed", size)
+					return false
+				}
+				got, err := s.ReadBytes(p, h.SizeOf(p))
+				if err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+					t.Logf("op %d: chunk %#x (+%d) not zeroed (err %v)", op, p, h.SizeOf(p), err)
+					return false
+				}
+				// Dirty the chunk and the rest of its last page.
+				end := (p + h.SizeOf(p) + mem.PageSize - 1) &^ (mem.PageSize - 1)
+				junk := make([]byte, end-p)
+				rng.Read(junk)
+				if err := s.WriteBytes(p, junk); err != nil {
+					t.Logf("dirty %#x: %v", p, err)
+					return false
+				}
+				live = append(live, p)
+			default:
+				i := rng.Intn(len(live))
+				if !h.Free(live[i]) {
+					t.Logf("free of live chunk %#x rejected", live[i])
+					return false
+				}
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }

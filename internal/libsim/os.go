@@ -131,7 +131,7 @@ type OS struct {
 	threads   ThreadOps
 	deferFree DeferFreeFunc
 	cycles    *int64
-	wscratch  []byte  // reusable buffer for doWrite payloads (never escapes)
+	wscratch  []byte  // reusable buffer for doWrite payloads and open's path (never escapes)
 	stage     []byte  // memset/memcpy staging, at most one page (never escapes)
 	word      [8]byte // scalar store staging (a stack buffer would escape through the hook)
 	epready   []int64 // reusable ready-list for readyFDs (never escapes)

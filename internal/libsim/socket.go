@@ -237,11 +237,13 @@ func NewConn() *Conn { return &Conn{} }
 // everything the client delivered, plus the pending (not yet active)
 // trace ID stamped on it, which is cleared — the balancer re-stamps it
 // on the back-end connection so the replica's first read still promotes
-// it. Returns (nil, 0) when nothing is queued.
+// it. data views the conn's inbound storage, which the conn keeps for the
+// client's next delivery, so data is valid only until then. Returns an
+// empty data and 0 when nothing is queued.
 func (c *Conn) ProxyTake() (data []byte, trace int64) {
 	data = c.in
 	trace = c.pendingTrace
-	c.in = nil
+	c.in = c.in[:0]
 	c.pendingTrace = 0
 	return data, trace
 }

@@ -1,9 +1,13 @@
 // Package mem implements the simulated 64-bit address space that protected
 // programs execute against.
 //
-// The space is paged (4 KiB pages) and sparse: pages materialize on Map and
-// any access to an unmapped page raises ErrUnmapped, which the interpreter
-// converts into a fail-stop crash (the SIGSEGV of the paper's fault model).
+// The space is paged (4 KiB pages) and sparse: Map makes pages accessible
+// and any access to an unmapped page raises ErrUnmapped, which the
+// interpreter converts into a fail-stop crash (the SIGSEGV of the paper's
+// fault model). A freshly mapped page shares one never-written zero page and
+// gets storage of its own at its first store, so a mapping costs the host
+// only what the guest writes into it; every count the guest can see
+// (MappedPages, PeakPages, RSS, Digest) is of mapped pages.
 // Three conventional segments are laid out by Layout: globals, a heap
 // managed by the allocator in package libsim, and a downward-growing stack.
 //
@@ -62,13 +66,17 @@ func (e *AccessError) Unwrap() error { return ErrUnmapped }
 // Space is not safe for concurrent use; the simulation is single-threaded,
 // matching the paper's fault model (§VII defers multithreading).
 type Space struct {
+	// pages maps each mapped page index to its storage: &zeroPage until
+	// the page's first store (see writable), then a page of its own.
 	pages map[int64]*[PageSize]byte
 
 	// tlb is a small direct-mapped translation cache in front of the
 	// page map: interpreter memory traffic alternates between a handful
 	// of pages (stack, heap object, globals), so most accesses skip the
-	// map lookup entirely. Entries are invalidated on Unmap; Map only
-	// adds pages, which cannot stale an entry.
+	// map lookup entirely. An entry may point at zeroPage, which every
+	// write path checks before it writes. Entries are invalidated on
+	// Unmap and repointed when a store gives a page its own storage
+	// (writable); Map only adds pages, which cannot stale an entry.
 	tlb [tlbSize]tlbEntry
 
 	// peakPages tracks the high-water mark of mapped pages for RSS
@@ -105,13 +113,28 @@ func (s *Space) lookup(pageIdx int64) *[PageSize]byte {
 	return p
 }
 
+// zeroPage backs every mapped page that has not been stored to. It is
+// never written: each write path swaps it for a private page first.
+var zeroPage [PageSize]byte
+
+// writable gives page idx, which maps zeroPage, storage of its own and
+// points the translation cache at it. The new page is zero, as the
+// shared one is.
+func (s *Space) writable(idx int64) *[PageSize]byte {
+	p := new([PageSize]byte)
+	s.pages[idx] = p
+	s.tlb[idx&(tlbSize-1)] = tlbEntry{page: p, idx: idx}
+	return p
+}
+
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
 	return &Space{pages: make(map[int64]*[PageSize]byte)}
 }
 
-// Map materializes all pages covering [addr, addr+size). Already-mapped
-// pages are left untouched. size must be positive.
+// Map maps all pages covering [addr, addr+size), each reading as zero and
+// sharing zeroPage until its first store. Already-mapped pages are left
+// untouched. size must be positive.
 func (s *Space) Map(addr, size int64) error {
 	if size <= 0 || addr < 0 || addr+size < addr {
 		return fmt.Errorf("%w: map [%#x, +%d)", ErrBadRange, addr, size)
@@ -123,7 +146,7 @@ func (s *Space) Map(addr, size int64) error {
 	last := (addr + size - 1) / PageSize
 	for p := first; p <= last; p++ {
 		if _, ok := s.pages[p]; !ok {
-			s.pages[p] = new([PageSize]byte)
+			s.pages[p] = &zeroPage
 		}
 	}
 	if len(s.pages) > s.peakPages {
@@ -257,14 +280,18 @@ func (s *Space) Store(addr int64, val int64, width int) error {
 	}
 	// Fast path: single-page access (see Load).
 	if off := addr % PageSize; addr >= 0 && off <= PageSize-int64(width) {
-		page := s.lookup(addr / PageSize)
+		idx := addr / PageSize
+		page := s.lookup(idx)
 		if page == nil {
 			return &AccessError{Addr: addr, Width: width, Write: true}
 		}
 		if s.domOn {
-			if d, deny := s.domDeny(addr / PageSize); deny {
+			if d, deny := s.domDeny(idx); deny {
 				return &DomainError{Addr: addr, Width: width, Write: true, Dom: d, Cur: s.curDom}
 			}
+		}
+		if page == &zeroPage {
+			page = s.writable(idx)
 		}
 		switch width {
 		case 1:
@@ -372,18 +399,29 @@ func (s *Space) WriteBytes(addr int64, data []byte) error {
 // ReadCString reads a NUL-terminated string starting at addr, up to max
 // bytes (a safety bound against runaway reads of corrupted memory).
 func (s *Space) ReadCString(addr int64, max int) (string, error) {
-	out := make([]byte, 0, 32)
+	out, err := s.AppendCString(make([]byte, 0, 32), addr, max)
+	if err != nil {
+		return "", err
+	}
+	return string(out), nil
+}
+
+// AppendCString appends the NUL-terminated string starting at addr to dst
+// and returns the extended slice, with ReadCString's limit and errors. It
+// is the allocation-free variant for callers that own a buffer. On error
+// it returns nil; bytes past len(dst) may have been overwritten.
+func (s *Space) AppendCString(dst []byte, addr int64, max int) ([]byte, error) {
 	for i := 0; i < max; i++ {
 		b, err := s.Load(addr+int64(i), 1)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if b == 0 {
-			return string(out), nil
+			return dst, nil
 		}
-		out = append(out, byte(b))
+		dst = append(dst, byte(b))
 	}
-	return "", fmt.Errorf("mem: unterminated string at %#x (limit %d)", addr, max)
+	return nil, fmt.Errorf("mem: unterminated string at %#x (limit %d)", addr, max)
 }
 
 func (s *Space) read(addr int64, dst []byte) error {
@@ -408,9 +446,13 @@ func (s *Space) write(addr int64, src []byte) error {
 		return ErrUnmapped
 	}
 	for len(src) > 0 {
-		page := s.lookup(addr / PageSize)
+		idx := addr / PageSize
+		page := s.lookup(idx)
 		if page == nil {
 			return ErrUnmapped
+		}
+		if page == &zeroPage {
+			page = s.writable(idx)
 		}
 		off := int(addr % PageSize)
 		n := copy(page[off:], src)
