@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/replay"
 )
 
@@ -51,5 +52,38 @@ func TestLoadFixtureRecording(t *testing.T) {
 	}
 	if rec.Manifest.Outcome != replay.OutcomeBreakerOpen {
 		t.Fatalf("outcome = %q", rec.Manifest.Outcome)
+	}
+}
+
+// A manifest whose fault names a negative block or instruction is an
+// error for -replay, not a panic: planting rejects the coordinates before
+// anything runs.
+func TestReplayRejectsNegativeFaultCoordinates(t *testing.T) {
+	rec, err := replay.Load("testdata/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*faultinj.Fault)
+	}{
+		{"block", func(f *faultinj.Fault) { f.Block = -1 }},
+		{"index", func(f *faultinj.Fault) { f.Index = -1 }},
+	} {
+		edited := rec
+		fault := *rec.Manifest.Fault
+		tc.edit(&fault)
+		edited.Manifest.Fault = &fault
+		path, err := edited.Write(t.TempDir(), "negative")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := runReplay(path, -1, false, 0, 0, ""); code != 1 {
+			t.Errorf("%s -1: -replay exited %d, want 1", tc.field, code)
+		}
+		_, err = (&replay.Runner{Rec: edited}).Replay()
+		if want := "faultinj: sa_int"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s -1: replay error %v, want one naming %q", tc.field, err, want)
+		}
 	}
 }

@@ -82,6 +82,19 @@ type Result struct {
 	// ByID indexes the sites by ID: ByID[s.ID] == s, and ByID[0] is nil
 	// (no site has ID 0).
 	ByID []*Site
+	// Funcs holds, per function in name order, what numbering and
+	// classifying its sites takes from the rest of the program.
+	Funcs []FuncSites
+}
+
+// FuncSites is what a function's sites take from outside the function:
+// the functions before it number the sites, and its callers decide
+// whether a forwarded return value is checked. Two analyses under one
+// model that give a function with the same body equal FuncSites give its
+// sites the same IDs and roles.
+type FuncSites struct {
+	First   int  // ID of the function's first site (the next ID if it has none)
+	Checked bool // some caller checks the function's return value
 }
 
 // Counts returns the number of sites per role.
@@ -104,12 +117,25 @@ func (r *Result) Counts() (gates, embeds, breaks int) {
 // site. Unknown library functions (no model entry) are treated
 // conservatively as irrecoverable Break sites.
 func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
-	res := &Result{}
-	funcChecked := computeFuncChecked(prog)
+	res := Classify(prog, model)
+	for i, name := range prog.FuncNames() {
+		res.Number(i, prog.Funcs[name])
+	}
+	prog.NumSites = len(res.ByID)
+	return res
+}
 
+// Classify numbers and classifies every site of prog as Analyze does but
+// writes nothing into prog, so prog may share its functions: the IDs
+// reach a function's instructions only through Number, on a copy.
+func Classify(prog *ir.Program, model *libmodel.Model) *Result {
+	funcChecked := computeFuncChecked(prog)
+	names := prog.FuncNames()
+	res := &Result{Funcs: make([]FuncSites, len(names))}
 	next, gates := 1, 0
-	for _, fname := range prog.FuncNames() {
+	for fi, fname := range names {
 		f := prog.Funcs[fname]
+		res.Funcs[fi] = FuncSites{First: next, Checked: funcChecked[fname]}
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
@@ -127,7 +153,6 @@ func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
 					Lib:   lib,
 				}
 				next++
-				in.Site = site.ID
 				switch traceUse(f, b, i, in.Dst) {
 				case useChecked:
 					site.Checked = true
@@ -143,9 +168,22 @@ func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
 			}
 		}
 	}
-	prog.NumSites = next
 	res.ByID = append([]*Site{nil}, res.Sites...)
 	return res
+}
+
+// Number writes the IDs the analysis gave the sites of f, the program's
+// i-th function in name order, into f's OpLib instructions.
+func (r *Result) Number(i int, f *ir.Func) {
+	id := r.Funcs[i].First
+	for _, b := range f.Blocks {
+		for j := range b.Instrs {
+			if in := &b.Instrs[j]; in.Op == ir.OpLib {
+				in.Site = id
+				id++
+			}
+		}
+	}
 }
 
 func classify(s *Site) Role {

@@ -9,7 +9,6 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -70,12 +69,32 @@ type Runner struct {
 	// nothing and changes no output.
 	RecordDir string
 
-	// progs and profiles memoize each app's compile and fault-planning
-	// profile for one experiment call: withDefaults creates them when the
-	// experiment starts, and they are dropped when it returns. Nil outside
-	// an experiment call, where nothing is memoized.
-	progs    *memo[*ir.Program]
-	profiles *memo[*boot.ServingProfile]
+	// progs, profiles and images memoize, for one experiment call, each
+	// app's compile, its fault-planning profile and its unplanted images
+	// of the default model: withDefaults creates them when the experiment
+	// starts, and they are dropped when it returns. Nil outside an
+	// experiment call, where nothing is memoized.
+	progs    *memo[appID, *ir.Program]
+	profiles *memo[profileKey, *boot.ServingProfile]
+	images   *memo[imageKey, *boot.Image]
+}
+
+// appID identifies an app by what it compiles to.
+type appID struct{ name, source string }
+
+// profileKey identifies a fault-planning profile: the app and the run it
+// profiles.
+type profileKey struct {
+	app               appID
+	requests, clients int
+	seed              int64
+	backend           string
+}
+
+// imageKey identifies an unplanted image of the default model.
+type imageKey struct {
+	app     appID
+	vanilla bool
 }
 
 func (r Runner) withDefaults() Runner {
@@ -92,20 +111,24 @@ func (r Runner) withDefaults() Runner {
 		r.FaultsPerServer = 12
 	}
 	if r.progs == nil {
-		r.progs, r.profiles = &memo[*ir.Program]{}, &memo[*boot.ServingProfile]{}
+		r.progs = &memo[appID, *ir.Program]{}
+		r.profiles = &memo[profileKey, *boot.ServingProfile]{}
+		r.images = &memo[imageKey, *boot.Image]{}
 	}
 	return r
 }
 
-// memo computes one value per key, once: each app is compiled once, and
-// profiled for fault planning once, however many images and fault plans
-// an experiment derives from it. Concurrent lookups of one key wait for
-// a single computation; a nil memo computes every lookup afresh. Images
-// are not memoized: each is held by the run or campaign that boots from
-// it, and is freed with its holder.
-type memo[T any] struct {
+// memo computes one value per key, once: each app is compiled once,
+// profiled for fault planning once, and built once hardened and once
+// vanilla, however many images and fault plans an experiment derives from
+// it. Concurrent lookups of one key wait for a single computation; a nil
+// memo computes every lookup afresh. Only unplanted images of the default
+// model are memoized; every planted image is derived from one of them
+// (boot.Image.Plant), is held by the run or campaign that boots from it
+// and is freed with its holder.
+type memo[K comparable, T any] struct {
 	mu      sync.Mutex
-	entries map[string]*memoEntry[T]
+	entries map[K]*memoEntry[T]
 }
 
 type memoEntry[T any] struct {
@@ -115,7 +138,7 @@ type memoEntry[T any] struct {
 }
 
 // get returns the value for key, computing it with fn on first use.
-func (m *memo[T]) get(key string, fn func() (T, error)) (T, error) {
+func (m *memo[K, T]) get(key K, fn func() (T, error)) (T, error) {
 	if m == nil {
 		return fn()
 	}
@@ -123,7 +146,7 @@ func (m *memo[T]) get(key string, fn func() (T, error)) (T, error) {
 	e := m.entries[key]
 	if e == nil {
 		if m.entries == nil {
-			m.entries = map[string]*memoEntry[T]{}
+			m.entries = map[K]*memoEntry[T]{}
 		}
 		e = &memoEntry[T]{}
 		m.entries[key] = e
@@ -133,8 +156,9 @@ func (m *memo[T]) get(key string, fn func() (T, error)) (T, error) {
 	return e.v, e.err
 }
 
-// appKey identifies what an app compiles to.
-func appKey(app *apps.App) string { return app.Name + "\x00" + app.Source }
+// appKey identifies what an app compiles to: apps of one name and source
+// are the same app.
+func appKey(app *apps.App) appID { return appID{app.Name, app.Source} }
 
 // compile returns app's compiled program, compiled once per experiment
 // call. The program is shared, so it is only ever read: every image is
@@ -143,13 +167,29 @@ func (r Runner) compile(app *apps.App) (*ir.Program, error) {
 	return r.progs.get(appKey(app), app.Compile)
 }
 
-// build builds app's image from the experiment's compile of it.
+// build returns app's image for o. With the default model, the
+// experiment's unplanted image of app (hardened, or vanilla for
+// o.Vanilla) is built once and shared: an unplanted build returns it, and
+// a planted one plants o.Fault into it.
 func (r Runner) build(app *apps.App, o boot.Options) (*boot.Image, error) {
-	prog, err := r.compile(app)
-	if err != nil {
-		return nil, err
+	if o.Model != nil {
+		prog, err := r.compile(app)
+		if err != nil {
+			return nil, err
+		}
+		return boot.BuildCompiled(app, prog, o)
 	}
-	return boot.BuildCompiled(app, prog, o)
+	base, err := r.images.get(imageKey{appKey(app), o.Vanilla}, func() (*boot.Image, error) {
+		prog, err := r.compile(app)
+		if err != nil {
+			return nil, err
+		}
+		return boot.BuildCompiled(app, prog, boot.Options{Vanilla: o.Vanilla})
+	})
+	if err != nil || o.Fault == nil {
+		return base, err
+	}
+	return base.Plant(*o.Fault)
 }
 
 // buildAll builds one image per app with o, fanned across the pool.
@@ -259,7 +299,7 @@ func (r Runner) libFault(app *apps.App, fn, lib string, nth int) (faultinj.Fault
 // profile is taken once per app and experiment call and plans every
 // fault kind.
 func (r Runner) planFaults(app *apps.App, kind faultinj.Kind, max int) ([]faultinj.Fault, error) {
-	key := fmt.Sprintf("%s\x00%d/%d/%d/%s", appKey(app), r.Requests/2, r.Concurrency, r.Seed, r.Backend)
+	key := profileKey{appKey(app), r.Requests / 2, r.Concurrency, r.Seed, r.Backend}
 	p, err := r.profiles.get(key, func() (*boot.ServingProfile, error) {
 		prog, err := r.compile(app)
 		if err != nil {

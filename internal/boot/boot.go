@@ -1,6 +1,9 @@
 // Package boot owns the order in which a server is brought up, in two
-// steps. Build does the config-independent work once: compile, plant the
-// fault, harden (unless vanilla) and link, producing an immutable Image.
+// steps. Build does the config-independent work once: compile, harden
+// (unless vanilla) and link, producing an immutable Image, and plant the
+// fault, if any, into it. Image.Plant derives a planted image from a
+// built one: it copies, plants and re-hardens only the functions the
+// fault changes and shares the rest with the image it plants into.
 // Boot does the per-run work from an image: build the simulated OS and
 // run its setup, attach the recovery runtime, load, select the
 // interpreter backend and, for supervised boots, run to the quiesce
@@ -40,7 +43,7 @@ type Options struct {
 	Vanilla bool
 	// Core configures the recovery runtime of a hardened boot.
 	Core core.Config
-	// Fault, when set, is planted before hardening.
+	// Fault, when set, is planted into the built image (Image.Plant).
 	Fault *faultinj.Fault
 	// Model is the library model the hardening passes consult (nil:
 	// libmodel.Default()).
@@ -51,11 +54,12 @@ type Options struct {
 	Prelatch []int
 }
 
-// Image is a built server program: compiled, fault-planted, hardened
-// (unless vanilla) and linked. It is immutable once built, so any number
-// of instances may boot from it, on any goroutines; it lives as long as
-// its holder keeps it. The bytecode lowering is made on the first
-// bytecode boot and shared by every later one.
+// Image is a built server program: compiled, hardened (unless vanilla),
+// linked and possibly fault-planted. It is immutable once built, so any
+// number of instances may boot from it, and any number of planted images
+// may be derived from it, on any goroutines; it lives as long as its
+// holder keeps it. The bytecode lowering is made on the first bytecode
+// boot and shared by every later one.
 type Image struct {
 	App  *apps.App         // nil for Program boots
 	Prog *ir.Program       // the linked program every instance loads
@@ -109,34 +113,60 @@ func BuildCompiled(app *apps.App, prog *ir.Program, o Options) (*Image, error) {
 	return img, nil
 }
 
-// build plants o.Fault into a copy of prog, hardens it with o.Model
-// unless o.Vanilla, and links the result; setup prepares every boot's OS.
+// build hardens a copy of prog with o.Model unless o.Vanilla, links the
+// result and plants o.Fault into it; setup prepares every boot's OS.
 func build(prog *ir.Program, setup func(*libsim.OS), o Options) (*Image, error) {
 	img := &Image{setup: setup}
-	owned := false
-	if o.Fault != nil {
-		var err error
-		if prog, err = faultinj.Apply(prog, *o.Fault); err != nil {
-			return nil, err
-		}
-		owned = true
-	}
-	switch {
-	case !o.Vanilla:
+	if o.Vanilla {
+		img.Prog = prog.Clone()
+	} else {
 		tr, err := transform.Apply(prog, o.Model)
 		if err != nil {
 			return nil, err
 		}
 		img.TR, img.Prog = tr, tr.Prog
-	case owned:
-		img.Prog = prog
-	default:
-		img.Prog = prog.Clone()
 	}
 	if err := interp.Link(img.Prog); err != nil {
 		return nil, err
 	}
+	if o.Fault != nil {
+		return img.Plant(*o.Fault)
+	}
 	return img, nil
+}
+
+// Plant returns the image of img's program with f planted in its vanilla
+// form, hardened as img is (or vanilla): the image a build with Fault f
+// makes. Only the faulted function is copied and planted, and only the
+// functions whose hardening the fault changes (their own body, their
+// first site ID or their callers-check flag, see transform.Reapply) are
+// hardened again; the planted image shares every other function, and its
+// globals, with img, and writes nothing into them.
+func (img *Image) Plant(f faultinj.Fault) (*Image, error) {
+	src := img.Prog
+	if img.TR != nil {
+		src = img.TR.Src
+	}
+	fn, err := faultinj.Plant(src, f)
+	if err != nil {
+		return nil, err
+	}
+	planted := &Image{App: img.App, setup: img.setup}
+	if img.TR == nil {
+		// A vanilla image links the planted function itself, so it gets
+		// a copy that shares no block with img's.
+		planted.Prog = src.Derive(fn.Clone())
+	} else {
+		tr, err := transform.Reapply(img.TR, src.Derive(fn))
+		if err != nil {
+			return nil, err
+		}
+		planted.TR, planted.Prog = tr, tr.Prog
+	}
+	if err := interp.Link(planted.Prog); err != nil {
+		return nil, err
+	}
+	return planted, nil
 }
 
 // NewOS returns a fresh simulated OS with the image's setup run on it:

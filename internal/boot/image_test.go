@@ -38,18 +38,24 @@ func drive(img *boot.Image, app *apps.App, o boot.Options) (ran, error) {
 	if err != nil {
 		return ran{}, err
 	}
+	return driveInstance(inst, 30), nil
+}
+
+// driveInstance runs a fixed closed-loop workload of the given number of
+// requests against a booted instance.
+func driveInstance(inst *boot.Instance, requests int) ran {
 	d := &workload.Driver{
-		OS: inst.OS, M: inst.M, Port: app.Port,
-		Gen:         workload.ForProtocol(app.Protocol),
+		OS: inst.OS, M: inst.M, Port: inst.App.Port,
+		Gen:         workload.ForProtocol(inst.App.Protocol),
 		Concurrency: 2,
 		Seed:        5,
 	}
-	res := d.Run(30)
+	res := d.Run(requests)
 	out := ran{steps: inst.M.Steps, cycles: inst.M.Cycles, digest: inst.OS.Space.Digest(), completed: res.Completed}
 	if inst.RT != nil {
 		out.stats = inst.RT.Stats()
 	}
-	return out, nil
+	return out
 }
 
 // programKey renders everything a run could write into a shared program:

@@ -233,7 +233,7 @@ func Compile(src *ir.Program) (*Program, error) {
 		if f.Index != i {
 			return nil, fmt.Errorf("bytecode: %s: unresolved function index (run ir.Program.Resolve before Compile)", name)
 		}
-		c, err := compileFunc(f)
+		c, err := compileFunc(src, f)
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: %s: %w", name, err)
 		}
@@ -254,7 +254,7 @@ func Compile(src *ir.Program) (*Program, error) {
 	return p, nil
 }
 
-func compileFunc(f *ir.Func) (*Code, error) {
+func compileFunc(src *ir.Program, f *ir.Func) (*Code, error) {
 	c := &Code{
 		Fn:      f,
 		blockPC: make([]int, len(f.Blocks)),
@@ -268,7 +268,7 @@ func compileFunc(f *ir.Func) (*Code, error) {
 		row := make([]int32, len(b.Instrs))
 		for i := 0; i < len(b.Instrs); {
 			pc := len(c.Insts)
-			inst, n, err := translate(c, b, i)
+			inst, n, err := translate(c, src, b, i)
 			if err != nil {
 				return nil, fmt.Errorf("b%d.%d: %w", b.ID, i, err)
 			}
@@ -307,7 +307,7 @@ func fusableBin(b ir.BinKind) bool { return b != ir.BinDiv && b != ir.BinRem }
 // branch-target) differences, and the matcher treats the two store kinds
 // identically, so both clones fuse at the same boundaries — which keeps
 // the interpreter's same-index flow switches landing on boundaries.
-func translate(c *Code, b *ir.Block, i int) (Inst, int, error) {
+func translate(c *Code, src *ir.Program, b *ir.Block, i int) (Inst, int, error) {
 	ins := b.Instrs
 	in := &ins[i]
 
@@ -348,11 +348,11 @@ func translate(c *Code, b *ir.Block, i int) (Inst, int, error) {
 		}
 	}
 
-	inst, err := single(c, in)
+	inst, err := single(c, src, in)
 	return inst, 1, err
 }
 
-func single(c *Code, in *ir.Instr) (Inst, error) {
+func single(c *Code, src *ir.Program, in *ir.Instr) (Inst, error) {
 	switch in.Op {
 	case ir.OpConst:
 		return Inst{Op: OpConst, Dst: in.Dst, Imm: in.Imm}, nil
@@ -378,11 +378,12 @@ func single(c *Code, in *ir.Instr) (Inst, error) {
 		}
 		return Inst{Op: OpGlobalAddr, Dst: in.Dst, Imm: in.Global.Addr}, nil
 	case ir.OpCall:
-		if in.Callee == nil {
+		callee := src.Callee(in)
+		if callee == nil {
 			return Inst{}, fmt.Errorf("unresolved callee %q (run ir.Program.Resolve before Compile)", in.Name)
 		}
 		off, n := c.internArgs(in.Args)
-		return Inst{Op: OpCall, Dst: in.Dst, CalleeIdx: c.internCall(in.Callee), ArgOff: off, ArgN: n}, nil
+		return Inst{Op: OpCall, Dst: in.Dst, CalleeIdx: c.internCall(callee), ArgOff: off, ArgN: n}, nil
 	case ir.OpJmp:
 		return Inst{Op: OpJmp, Then: in.Then}, nil
 	case ir.OpBr:

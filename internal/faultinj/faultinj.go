@@ -263,17 +263,45 @@ func pickIndex(blk *ir.Block, kind Kind, rng *rand.Rand) (int, bool) {
 // Apply plants the fault into a deep copy of the program and returns it.
 func Apply(prog *ir.Program, f Fault) (*ir.Program, error) {
 	p := prog.Clone()
-	fn := p.Funcs[f.Func]
+	fn, err := Plant(p, f)
+	if err != nil {
+		return nil, err
+	}
+	p.AddFunc(fn)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("faultinj: fault %s broke the program: %w", f, err)
+	}
+	// Keep the planted program pre-resolved: the clone kept existing
+	// caches, but a FailStop truncation may have synthesized instructions.
+	if err := p.Resolve(); err != nil {
+		return nil, fmt.Errorf("faultinj: resolving planted program: %w", err)
+	}
+	return p, nil
+}
+
+// Plant returns prog's function f.Func with the fault planted: a new
+// function whose faulted block is a copy and whose other blocks are
+// prog's. prog is only read, so its functions may be shared, and so is
+// the planted function: a planted program is prog with it in place of
+// prog's own (ir.Program.Derive), and whoever writes into it, linking
+// it for one, writes into a copy (ir.Func.Clone).
+func Plant(prog *ir.Program, f Fault) (*ir.Func, error) {
+	fn := prog.Funcs[f.Func]
 	if fn == nil {
 		return nil, fmt.Errorf("faultinj: no function %q", f.Func)
 	}
-	if f.Block >= len(fn.Blocks) {
+	if f.Block < 0 || f.Block >= len(fn.Blocks) {
 		return nil, fmt.Errorf("faultinj: %s has no block %d", f.Func, f.Block)
 	}
-	blk := fn.Blocks[f.Block]
-	if f.Index >= len(blk.Instrs) {
+	if f.Index < 0 || f.Index >= len(fn.Blocks[f.Block].Instrs) {
 		return nil, fmt.Errorf("faultinj: %s.b%d has no instruction %d", f.Func, f.Block, f.Index)
 	}
+	planted := *fn
+	planted.Blocks = append([]*ir.Block(nil), fn.Blocks...)
+	blk := new(ir.Block)
+	*blk = *fn.Blocks[f.Block]
+	blk.Instrs = append([]ir.Instr(nil), blk.Instrs...)
+	planted.Blocks[f.Block] = blk
 	in := &blk.Instrs[f.Index]
 	switch f.Kind {
 	case FailStop:
@@ -304,15 +332,7 @@ func Apply(prog *ir.Program, f Fault) (*ir.Program, error) {
 	default:
 		return nil, fmt.Errorf("faultinj: unknown kind %v", f.Kind)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("faultinj: fault %s broke the program: %w", f, err)
-	}
-	// Keep the planted program pre-resolved: the clone remapped existing
-	// caches, but a FailStop truncation may have synthesized instructions.
-	if err := p.Resolve(); err != nil {
-		return nil, fmt.Errorf("faultinj: resolving planted program: %w", err)
-	}
-	return p, nil
+	return &planted, nil
 }
 
 // wrongOp maps an operator to HSFI's "wrong operator" substitution.

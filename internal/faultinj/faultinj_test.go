@@ -147,6 +147,52 @@ func TestApplyValidatesTargets(t *testing.T) {
 	}
 }
 
+// Negative coordinates are errors, not index panics: a replay manifest
+// may carry any integers.
+func TestPlantRejectsNegativeCoordinates(t *testing.T) {
+	prog := compileTarget(t)
+	for _, f := range []faultinj.Fault{
+		{Kind: faultinj.FailStop, Func: "helper", Block: -1, Index: 0},
+		{Kind: faultinj.FailStop, Func: "helper", Block: 0, Index: -1},
+		{Kind: faultinj.OffByOne, Func: "helper", Block: -3, Index: -3},
+	} {
+		if _, err := faultinj.Plant(prog, f); err == nil {
+			t.Errorf("Plant(%v) succeeded, want error", f)
+		}
+		if _, err := faultinj.Apply(prog, f); err == nil {
+			t.Errorf("Apply(%v) succeeded, want error", f)
+		}
+	}
+}
+
+// Plant only reads the program: the planted function is a new one whose
+// faulted block is a copy and whose other blocks are the program's, and
+// the program dumps as before.
+func TestPlantSharesUnfaultedBlocks(t *testing.T) {
+	prog := compileTarget(t)
+	before := prog.Dump()
+	f := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: "helper", Block: 0, Index: 1}
+	fn, err := faultinj.Plant(prog, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := prog.Funcs["helper"]
+	if fn == orig {
+		t.Fatal("Plant returned the program's own function")
+	}
+	for i, b := range fn.Blocks {
+		if shared := b == orig.Blocks[i]; shared != (i != f.Block) {
+			t.Errorf("block %d shared=%v, want %v", i, shared, i != f.Block)
+		}
+	}
+	if got := fn.Blocks[0].Instrs[len(fn.Blocks[0].Instrs)-1]; got.Op != ir.OpTrap {
+		t.Errorf("faulted block ends in %v, want a trap", got.String())
+	}
+	if prog.Dump() != before {
+		t.Error("Plant changed the program")
+	}
+}
+
 func TestProfileSeparatesPhases(t *testing.T) {
 	prog := compileTarget(t)
 	o := libsim.New(mem.NewSpace())

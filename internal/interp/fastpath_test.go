@@ -53,7 +53,7 @@ func TestUnknownCalleeTraps(t *testing.T) {
 	// exist and drop the resolution cache.
 	call := &m.Prog.Funcs["main"].Blocks[0].Instrs[0]
 	call.Name = "missing"
-	call.Callee = nil
+	call.Callee = 0
 
 	out := m.Run(0)
 	if out.Kind != OutTrapped {
@@ -64,8 +64,9 @@ func TestUnknownCalleeTraps(t *testing.T) {
 	}
 }
 
-// TestResolvedCallFastPath: after New, OpCall instructions carry direct
-// *ir.Func pointers and OpGlobalAddr direct *ir.Global pointers.
+// TestResolvedCallFastPath: after New, OpCall instructions carry their
+// callee's index into the program's function list and OpGlobalAddr direct
+// *ir.Global pointers.
 func TestResolvedCallFastPath(t *testing.T) {
 	prog := ir.NewProgram()
 	prog.AddGlobal("g", 8, nil)
@@ -85,11 +86,57 @@ func TestResolvedCallFastPath(t *testing.T) {
 	if got[0].Global == nil || got[0].Global != m.Prog.Global("g") {
 		t.Errorf("OpGlobalAddr not resolved to this program's global")
 	}
-	if got[1].Callee != m.Prog.Funcs["callee"] {
+	if m.Prog.Callee(&got[1]) != m.Prog.Funcs["callee"] {
 		t.Errorf("OpCall not resolved to this program's callee")
 	}
 	if out := m.Run(0); out.Kind != OutExited || out.Code != 3 {
 		t.Fatalf("run = %+v, want exit 3", out)
+	}
+}
+
+// TestDerivedProgramCallsItsOwnCallee: a derived program shares its
+// base's caller, whose resolved call runs the derived program's own
+// callee on either backend, while the base keeps calling its own; linking
+// the derived program writes nothing into what it shares.
+func TestDerivedProgramCallsItsOwnCallee(t *testing.T) {
+	base := ir.NewProgram()
+	base.AddGlobal("g", 8, nil)
+	base.AddFunc(leafFunc("callee", 3, 0))
+	main := &ir.Func{Name: "main", NumRegs: 2}
+	mb := main.NewBlock("entry")
+	mb.Instrs = []ir.Instr{
+		{Op: ir.OpGlobalAddr, Dst: 1, Name: "g"},
+		{Op: ir.OpCall, Dst: 0, Name: "callee"},
+		{Op: ir.OpRet, A: 0},
+	}
+	base.AddFunc(main)
+	if err := Link(base); err != nil {
+		t.Fatal(err)
+	}
+	before := base.Dump()
+	shared := append([]ir.Instr(nil), main.Blocks[0].Instrs...)
+	derived := base.Derive(leafFunc("callee", 7, 0))
+	if derived.Owns(main) || !derived.Owns(derived.Funcs["callee"]) {
+		t.Fatal("derived program owns the wrong functions")
+	}
+	for _, backend := range []string{"tree", "bytecode"} {
+		for _, c := range []struct {
+			prog *ir.Program
+			want int64
+		}{{base, 3}, {derived, 7}, {base, 3}} {
+			m := newTestMachine(t, c.prog, nil)
+			if backend == "bytecode" {
+				if err := UseBytecode(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if out := m.Run(0); out.Kind != OutExited || out.Code != c.want {
+				t.Errorf("%s: run = %+v, want exit %d", backend, out, c.want)
+			}
+		}
+	}
+	if base.Dump() != before || !reflect.DeepEqual(main.Blocks[0].Instrs, shared) {
+		t.Error("linking the derived program wrote into the base")
 	}
 }
 

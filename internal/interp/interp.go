@@ -845,7 +845,7 @@ func (m *Machine) exec(f *Frame, in *ir.Instr) error {
 		}
 		m.Cycles += CostSimple
 	case ir.OpCall:
-		callee := in.Callee
+		callee := m.Prog.Callee(in)
 		if callee == nil {
 			// Slow path for programs mutated after load; an unknown
 			// callee is a simulated crash, never a host nil-deref.

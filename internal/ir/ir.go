@@ -197,11 +197,16 @@ type Instr struct {
 
 	// Callee (for OpCall) and Global (for OpGlobalAddr) are resolution
 	// caches filled by Program.Resolve so the interpreter's hot loop can
-	// skip per-instruction map lookups. Name stays authoritative: both
-	// pointers must refer to objects of the owning Program (Clone remaps
-	// them), and the interpreter falls back to a by-name lookup — trapping
-	// with TrapBadCall on failure — whenever Callee is nil.
-	Callee *Func
+	// skip per-instruction map lookups. Name stays authoritative. Callee
+	// is one plus the called function's Index, 0 while unresolved: an
+	// index, not a pointer, because a call resolves per program
+	// (Program.Callee), so an instruction shared by a program and one
+	// derived from it (Program.Derive) calls each program's own function
+	// of that name. Global must point at a global of the owning program
+	// (Clone remaps it; a derived program shares its base's globals). The
+	// interpreter falls back to a by-name lookup — trapping with
+	// TrapBadCall on failure — whenever Callee is 0.
+	Callee int32
 	Global *Global
 }
 
@@ -261,7 +266,9 @@ type Func struct {
 
 	// Index is the function's dense index in its program, in name order
 	// (FuncNames), filled by Program.Resolve so per-function tables are
-	// slices rather than maps keyed by *Func.
+	// slices rather than maps keyed by *Func. A program and the programs
+	// derived from it hold the same names, so a shared function's index
+	// is the same in all of them.
 	Index int
 }
 
@@ -306,6 +313,15 @@ type Program struct {
 	// NumSites is one past the highest Site assigned by the Library
 	// Interface Analyzer; gate state arrays are sized by it.
 	NumSites int
+
+	// funcs holds the functions in name order, indexed by Func.Index
+	// (and by OpCall's Callee, less one); Resolve builds it.
+	funcs []*Func
+
+	// base is the program this one was derived from (Derive), nil for a
+	// program that owns all its functions. A derived program owns only
+	// the functions its base does not hold.
+	base *Program
 
 	// link runs Link's work once; linkErr is its verdict.
 	link    sync.Once
@@ -369,7 +385,8 @@ func (p *Program) InstrCount() int {
 // Validate checks structural invariants: every block ends in exactly one
 // terminator, branch targets are in range, register indices are within the
 // function's register file, and called functions exist. It returns a
-// combined error describing every violation found.
+// combined error describing every violation found. A derived program
+// (Derive) checks only the functions it owns; its base checked the rest.
 func (p *Program) Validate() error {
 	var problems []string
 	addf := func(format string, args ...any) {
@@ -380,8 +397,12 @@ func (p *Program) Validate() error {
 			addf("entry function %q not defined", p.Entry)
 		}
 	}
-	for _, name := range p.FuncNames() {
+	names := p.FuncNames()
+	for _, name := range names {
 		f := p.Funcs[name]
+		if !p.Owns(f) {
+			continue
+		}
 		if f.NumRegs < f.Params {
 			addf("%s: NumRegs %d < Params %d", name, f.NumRegs, f.Params)
 		}
@@ -398,7 +419,7 @@ func (p *Program) Validate() error {
 						addf("%s.b%d.%d: terminator %s in mid-block", name, b.ID, i, opName(in.Op))
 					}
 				}
-				if err := checkInstr(p, f, in); err != nil {
+				if err := checkInstr(p, names, f, in); err != nil {
 					addf("%s.b%d.%d: %v", name, b.ID, i, err)
 				}
 			}
@@ -411,28 +432,41 @@ func (p *Program) Validate() error {
 }
 
 // Resolve fills the resolution caches: every function gets its dense
-// Index, OpCall a direct *Func pointer and OpGlobalAddr a direct *Global
+// Index, OpCall its callee's index and OpGlobalAddr a direct *Global
 // pointer, so the interpreter needs no map lookups on the hot path. It
 // is idempotent and cheap; Link runs it once before a program's first
 // load, and the transformation and fault-injection passes run it on their
-// outputs so instrumented programs arrive pre-resolved. Resolution never
-// changes observable semantics or the cost model — it only removes
-// lookups.
+// outputs so instrumented programs arrive pre-resolved. A derived program
+// resolves only the functions it owns and needs its base resolved first.
+// Resolution never changes observable semantics or the cost model — it
+// only removes lookups.
 func (p *Program) Resolve() error {
-	for i, name := range p.FuncNames() {
-		p.Funcs[name].Index = i
+	names := p.FuncNames()
+	p.funcs = make([]*Func, len(names))
+	for i, name := range names {
+		f := p.Funcs[name]
+		switch {
+		case p.Owns(f):
+			f.Index = i
+		case f.Index != i:
+			return fmt.Errorf("ir: resolve: shared function %s has index %d, want %d (resolve the base first)", name, f.Index, i)
+		}
+		p.funcs[i] = f
 	}
-	for _, f := range p.Funcs {
+	for _, f := range p.funcs {
+		if !p.Owns(f) {
+			continue
+		}
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				switch in.Op {
 				case OpCall:
-					callee := p.Funcs[in.Name]
-					if callee == nil {
+					j := sort.SearchStrings(names, in.Name)
+					if j == len(names) || names[j] != in.Name {
 						return fmt.Errorf("ir: resolve: call to undefined function %q in %s.b%d", in.Name, f.Name, b.ID)
 					}
-					in.Callee = callee
+					in.Callee = int32(j + 1)
 				case OpGlobalAddr:
 					g := p.Global(in.Name)
 					if g == nil {
@@ -446,6 +480,50 @@ func (p *Program) Resolve() error {
 	return nil
 }
 
+// Callee returns the function in, an OpCall, calls in p: the function at
+// its resolved index, so shared code calls each program's own function.
+// It returns nil while in or p is unresolved.
+func (p *Program) Callee(in *Instr) *Func {
+	if i := int(in.Callee) - 1; uint(i) < uint(len(p.funcs)) {
+		return p.funcs[i]
+	}
+	return nil
+}
+
+// Derive returns a program that shares p's entry, NumSites, globals and
+// functions, except that each function of owned replaces p's function of
+// the same name. The derived program owns only those: Validate, Resolve
+// and Link check, resolve and link them alone and write nothing into
+// what it shares with p, so any number of programs derived from one p
+// may be linked and loaded on any goroutines. Link links p first. Every
+// owned function must replace one of p's, because shared calls resolve
+// by index into the name-ordered function list.
+func (p *Program) Derive(owned ...*Func) *Program {
+	d := &Program{
+		Funcs:    make(map[string]*Func, len(p.Funcs)),
+		Globals:  p.Globals,
+		Entry:    p.Entry,
+		NumSites: p.NumSites,
+		base:     p,
+	}
+	for name, f := range p.Funcs {
+		d.Funcs[name] = f
+	}
+	for _, f := range owned {
+		if p.Funcs[f.Name] == nil {
+			panic(fmt.Sprintf("ir: Derive: %q replaces no function", f.Name))
+		}
+		d.Funcs[f.Name] = f
+	}
+	return d
+}
+
+// Owns reports whether f is one of p's own functions rather than one p
+// shares with the program it was derived from.
+func (p *Program) Owns(f *Func) bool {
+	return p.base == nil || p.base.Funcs[f.Name] != f
+}
+
 // Link readies p for loading, once: it validates p, resolves its
 // references (Resolve), gives every OpLib its library ID (lib maps a
 // library function's name to it) and lays its globals out from base, each
@@ -453,16 +531,27 @@ func (p *Program) Resolve() error {
 // later call returns the first call's verdict and writes nothing, so any
 // number of machines, on any number of goroutines, may load one linked
 // program. A linked program is immutable: passes that change a program
-// work on a Clone, and a clone starts unlinked.
+// work on a Clone, or on copies of the functions they change in a
+// derived program (Derive), and either starts unlinked. A derived
+// program links its base, then only the functions it owns; its globals
+// are its base's.
 func (p *Program) Link(base int64, lib func(name string) int32) error {
 	p.link.Do(func() {
+		if p.base != nil {
+			if p.linkErr = p.base.Link(base, lib); p.linkErr != nil {
+				return
+			}
+		}
 		if p.linkErr = p.Validate(); p.linkErr != nil {
 			return
 		}
 		if p.linkErr = p.Resolve(); p.linkErr != nil {
 			return
 		}
-		for _, f := range p.Funcs {
+		for _, f := range p.funcs {
+			if !p.Owns(f) {
+				continue
+			}
 			for _, b := range f.Blocks {
 				for i := range b.Instrs {
 					if in := &b.Instrs[i]; in.Op == OpLib {
@@ -470,6 +559,9 @@ func (p *Program) Link(base int64, lib func(name string) int32) error {
 					}
 				}
 			}
+		}
+		if p.base != nil {
+			return
 		}
 		addr := base
 		for _, g := range p.Globals {
@@ -480,7 +572,7 @@ func (p *Program) Link(base int64, lib func(name string) int32) error {
 	return p.linkErr
 }
 
-func checkInstr(p *Program, f *Func, in *Instr) error {
+func checkInstr(p *Program, names []string, f *Func, in *Instr) error {
 	checkReg := func(r int, what string) error {
 		if r < 0 || r >= f.NumRegs {
 			return fmt.Errorf("%s register %d out of range [0,%d)", what, r, f.NumRegs)
@@ -556,8 +648,8 @@ func checkInstr(p *Program, f *Func, in *Instr) error {
 		if !ok {
 			return fmt.Errorf("call to undefined function %q", in.Name)
 		}
-		if in.Callee != nil && in.Callee != callee {
-			return fmt.Errorf("stale resolved callee for %q (points outside this program)", in.Name)
+		if i := int(in.Callee) - 1; i >= 0 && (i >= len(names) || names[i] != in.Name) {
+			return fmt.Errorf("stale resolved callee for %q (index %d names another function)", in.Name, i)
 		}
 		if len(in.Args) != callee.Params {
 			return fmt.Errorf("call to %q with %d args, want %d", in.Name, len(in.Args), callee.Params)
@@ -740,12 +832,33 @@ func (p *Program) Dump() string {
 	return sb.String()
 }
 
-// Clone returns a deep copy of the program. The transformation passes
-// operate on copies so the vanilla program remains available as the
-// baseline for the benchmark harness.
+// Clone returns a deep copy of the program, which owns all its
+// functions. The transformation passes operate on copies so the vanilla
+// program remains available as the baseline for the benchmark harness.
 func (p *Program) Clone() *Program {
+	funcs := make([]*Func, 0, len(p.Funcs))
+	for _, f := range p.Funcs {
+		funcs = append(funcs, f.Clone())
+	}
+	cp := p.Rebuild(funcs...)
+	// Keep resolved-ness: callee indexes hold in the clone as they are
+	// (it has the same names).
+	if p.funcs != nil {
+		cp.funcs = make([]*Func, len(p.funcs))
+		for i, f := range p.funcs {
+			cp.funcs[i] = cp.Funcs[f.Name]
+		}
+	}
+	return cp
+}
+
+// Rebuild returns a program of funcs, which it takes as they are and
+// owns, with p's entry, p's NumSites and copies of p's globals. A
+// resolved OpGlobalAddr in funcs is pointed at the copy of its global:
+// left alone, it would refer to p's.
+func (p *Program) Rebuild(funcs ...*Func) *Program {
 	cp := &Program{
-		Funcs:    make(map[string]*Func, len(p.Funcs)),
+		Funcs:    make(map[string]*Func, len(funcs)),
 		Globals:  make([]*Global, len(p.Globals)),
 		Entry:    p.Entry,
 		NumSites: p.NumSites,
@@ -755,52 +868,34 @@ func (p *Program) Clone() *Program {
 		ng.Data = append([]byte(nil), g.Data...)
 		cp.Globals[i] = &ng
 	}
-	for name, f := range p.Funcs {
-		nf := &Func{
-			Name:      f.Name,
-			Params:    f.Params,
-			NumRegs:   f.NumRegs,
-			FrameSize: f.FrameSize,
-			Cloned:    f.Cloned,
-			EntryHTM:  f.EntryHTM,
-			EntrySTM:  f.EntrySTM,
-			Index:     f.Index,
-			Blocks:    make([]*Block, len(f.Blocks)),
-		}
-		for i, b := range f.Blocks {
-			nb := &Block{
-				ID:          b.ID,
-				Label:       b.Label,
-				Variant:     b.Variant,
-				Counterpart: b.Counterpart,
-				Instrs:      make([]Instr, len(b.Instrs)),
-			}
-			copy(nb.Instrs, b.Instrs)
-			for j := range nb.Instrs {
-				if b.Instrs[j].Args != nil {
-					nb.Instrs[j].Args = append([]int(nil), b.Instrs[j].Args...)
-				}
-			}
-			nf.Blocks[i] = nb
-		}
-		cp.Funcs[name] = nf
-	}
-	// Remap resolution caches: a copied Callee/Global pointer would refer
-	// to the *source* program, so a machine running the clone could execute
-	// the un-transformed (or un-faulted) original code. Point them at the
-	// clone's own objects instead, preserving resolved-ness.
-	for _, nf := range cp.Funcs {
-		for _, nb := range nf.Blocks {
-			for j := range nb.Instrs {
-				in := &nb.Instrs[j]
-				if in.Callee != nil {
-					in.Callee = cp.Funcs[in.Name]
-				}
-				if in.Global != nil {
+	for _, f := range funcs {
+		cp.Funcs[f.Name] = f
+		for _, b := range f.Blocks {
+			for j := range b.Instrs {
+				if in := &b.Instrs[j]; in.Global != nil {
 					in.Global = cp.Global(in.Name)
 				}
 			}
 		}
 	}
 	return cp
+}
+
+// Clone returns a deep copy of f: blocks, instructions and argument
+// lists of its own. Its resolution caches are f's.
+func (f *Func) Clone() *Func {
+	nf := *f
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nb := *b
+		nb.Instrs = make([]Instr, len(b.Instrs))
+		copy(nb.Instrs, b.Instrs)
+		for j := range nb.Instrs {
+			if b.Instrs[j].Args != nil {
+				nb.Instrs[j].Args = append([]int(nil), b.Instrs[j].Args...)
+			}
+		}
+		nf.Blocks[i] = &nb
+	}
+	return &nf
 }

@@ -20,8 +20,11 @@
 //     return register); the decision logic lives in the recovery runtime
 //     (package core).
 //
-// The input program is left untouched; Apply returns an instrumented deep
-// copy, so the vanilla program remains available as the benchmark baseline.
+// The input program is only read: Apply hardens a copy of each function,
+// so the vanilla program remains available as the benchmark baseline.
+// Reapply hardens a program that differs from an already hardened one in
+// a few functions, such as one with a planted fault, and shares every
+// hardened function the difference leaves as it was.
 package transform
 
 import (
@@ -43,34 +46,67 @@ type Result struct {
 
 	// Model is the library model used.
 	Model *libmodel.Model
+
+	// Src is the vanilla program Prog hardens. It is only read.
+	Src *ir.Program
 }
 
-// Apply runs the full pipeline over a deep copy of prog.
+// Apply runs the full pipeline over copies of prog's functions.
 func Apply(prog *ir.Program, model *libmodel.Model) (*Result, error) {
 	if model == nil {
 		model = libmodel.Default()
 	}
-	p := prog.Clone()
+	return harden(prog, model, nil)
+}
 
-	// Pass 1: Library Interface Analyzer.
-	res := analysis.Analyze(p, model)
+// Reapply hardens prog, a program derived from base.Src
+// (ir.Program.Derive), with base's model. The result equals Apply's, but
+// its program is derived from base.Prog: it shares every hardened
+// function whose vanilla body is base.Src's and whose sites analyze as
+// they did in base (analysis.FuncSites), and owns the functions it
+// hardens afresh. base.Prog must be resolved.
+func Reapply(base *Result, prog *ir.Program) (*Result, error) {
+	return harden(prog, base.Model, base)
+}
 
-	// Passes 2+3 per function.
-	for _, name := range p.FuncNames() {
-		f := p.Funcs[name]
+// harden runs the pipeline over prog, sharing what it can of base (nil:
+// nothing).
+func harden(prog *ir.Program, model *libmodel.Model, base *Result) (*Result, error) {
+	// Pass 1: Library Interface Analyzer. It numbers and classifies the
+	// sites without writing into prog.
+	res := analysis.Classify(prog, model)
+
+	// Passes 2+3 per function, on a copy of each function base cannot
+	// share.
+	var owned []*ir.Func
+	for i, name := range prog.FuncNames() {
+		vf := prog.Funcs[name]
+		if base != nil && base.Src.Funcs[name] == vf && base.Analysis.Funcs[i] == res.Funcs[i] {
+			continue
+		}
+		f := vf.Clone()
+		res.Number(i, f)
 		shapeFunc(f, res.ByID)
 		cloneFunc(f)
+		owned = append(owned, f)
 	}
+	var p *ir.Program
+	if base == nil {
+		p = prog.Rebuild(owned...)
+	} else {
+		p = base.Prog.Derive(owned...)
+	}
+	p.NumSites = len(res.ByID)
 
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("transform: instrumented program invalid: %w", err)
-	}
 	// Pre-resolve call and global references so instrumented programs hit
 	// the interpreter's load-time fast path without another pass.
 	if err := p.Resolve(); err != nil {
 		return nil, fmt.Errorf("transform: resolving instrumented program: %w", err)
 	}
-	return &Result{Prog: p, Analysis: res, Model: model}, nil
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("transform: instrumented program invalid: %w", err)
+	}
+	return &Result{Prog: p, Analysis: res, Model: model, Src: prog}, nil
 }
 
 // shapeFunc is the Adaptive Transaction Shaper: it splits blocks at Gate
