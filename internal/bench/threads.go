@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
@@ -11,23 +10,12 @@ import (
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
-	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/obsv"
-	"github.com/firestarter-go/firestarter/internal/sched"
 	"github.com/firestarter-go/firestarter/internal/workload"
 )
 
 // threadWorkerCounts are the scaling points of the threads campaign.
 var threadWorkerCounts = []int{1, 2, 4, 8}
-
-// threadsQuantum is the scheduling slice of the campaign, in instructions.
-// A request is a few hundred instructions (library calls are single
-// instructions with large cycle costs), so the slice must be well below
-// that for requests to actually overlap across workers — the default
-// 4096-instruction quantum would let one worker drain the whole accept
-// queue before anyone else runs.
-const threadsQuantum = 192
 
 // ThreadsRow is one worker-count measurement of the multi-worker server.
 type ThreadsRow struct {
@@ -54,74 +42,6 @@ type ThreadsResult struct {
 	Faulted   []ThreadsRow
 }
 
-// mtInstance is one booted multi-worker server: a scheduler over N+1
-// machines, with one recovery runtime per thread (hardened) joined
-// through a shared conflict domain.
-type mtInstance struct {
-	app *apps.App
-	os  *libsim.OS
-	s   *sched.Sched
-	rts []*core.Runtime
-}
-
-// bootMT hardens a multi-threaded app (optionally fault-planted) and
-// loads it under the cooperative scheduler, on the Runner's backend.
-func (r Runner) bootMT(app *apps.App, cfg core.Config, fault *faultinj.Fault) (*mtInstance, error) {
-	img, err := r.build(app, boot.Options{Fault: fault})
-	if err != nil {
-		return nil, err
-	}
-	osim, tr := img.NewOS(), img.TR
-	inst := &mtInstance{app: app, os: osim}
-	domain := htm.NewDomain()
-	factory := func(tid int) sched.ThreadRuntime {
-		cfg := cfg
-		// Each thread is its own core: distinct TSX instance and
-		// interrupt process, one shared conflict domain.
-		cfg.HTM.Seed = cfg.HTM.Seed + int64(tid)*1_000_003
-		rt := core.New(tr, osim, cfg)
-		rt.SetDomain(domain, tid)
-		inst.rts = append(inst.rts, rt)
-		return rt
-	}
-	s, err := sched.New(tr.Prog, osim, factory, sched.Options{Quantum: threadsQuantum})
-	if err != nil {
-		return nil, err
-	}
-	// Worker machines spawned later inherit the main machine's backend
-	// through interp.NewThread.
-	if err := img.SetBackend(s.Main(), r.Backend); err != nil {
-		return nil, err
-	}
-	inst.s = s
-	return inst, nil
-}
-
-// The workload driver fronts a scheduled instance through its Server
-// seam: connections on the shared OS, slices over every runnable thread,
-// and wall cycles (the largest per-thread count) as the throughput clock.
-func (inst *mtInstance) Connect(port int64) *libsim.Conn   { return inst.os.Connect(port) }
-func (inst *mtInstance) Slice(budget int64) interp.Outcome { return inst.s.Run(budget) }
-func (inst *mtInstance) Cycles() int64                     { return inst.s.WallCycles() }
-func (inst *mtInstance) Steps() int64                      { return inst.s.TotalSteps() }
-
-// driveMT runs the standard workload against a scheduled instance. The
-// client pool is widened to at least 8 so every worker of the largest
-// configuration has work.
-func (r Runner) driveMT(inst *mtInstance) workload.Result {
-	conc := r.Concurrency
-	if conc < 8 {
-		conc = 8
-	}
-	d := &workload.Driver{
-		Srv: inst, Port: inst.app.Port,
-		Gen:         workload.ForProtocol(inst.app.Protocol),
-		Concurrency: conc,
-		Seed:        r.Seed,
-	}
-	return d.Run(r.Requests)
-}
-
 // threadsConfig is the hardened configuration of the threads campaign.
 // Preemption-induced conflict aborts are transient — the line is free
 // again two context switches later — so the single-core policy default
@@ -139,46 +59,45 @@ func threadsConfig(seed int64) core.Config {
 }
 
 // threadsRow measures one worker count, hardened, optionally with a
-// planted fault.
+// planted fault. The client pool is widened to at least 8 so every worker
+// of the largest configuration has work.
 func (r Runner) threadsRow(workers int, fault *faultinj.Fault) (ThreadsRow, error) {
 	app := apps.NginxMT(workers)
-	inst, err := r.bootMT(app, threadsConfig(r.Seed), fault)
+	img, err := r.build(app, boot.Options{Fault: fault})
 	if err != nil {
 		return ThreadsRow{}, err
 	}
-	res := r.driveMT(inst)
-	row := ThreadsRow{
-		Workers:    workers,
-		Completed:  res.Completed,
-		BadResp:    res.BadResp,
-		WallPerReq: res.CyclesPerRequest(),
+	inst, err := r.bootImage(img, boot.Options{Core: threadsConfig(r.Seed)})
+	if err != nil {
+		return ThreadsRow{}, err
 	}
-	// Each thread's runtime publishes into the shared registry under its
-	// own thread label; the row reads cross-thread sums back out. The
-	// registry is the same aggregation path `firebench -metrics-out`
-	// exports, so the rendered table and the JSONL always agree.
-	reg := inst.Metrics()
-	row.HTMBegins = reg.Total("htm.begins")
-	row.Aborts = reg.Total("htm.aborts")
-	row.ByCapacity = reg.Total("htm.aborts_capacity")
-	row.ByInterrupt = reg.Total("htm.aborts_interrupt")
-	row.ByConfl = reg.Total("htm.aborts_conflict")
-	row.ByExpl = reg.Total("htm.aborts_explicit")
-	row.STMCommits = reg.Total("core.stm_commits")
-	row.Injections = reg.Total("core.injections")
-	row.Unrecovered = reg.Total("core.unrecovered")
-	return row, nil
-}
-
-// Metrics aggregates every thread runtime's counters into one registry,
-// each under its thread label, plus the scheduler's cycle accounting.
-func (inst *mtInstance) Metrics() *obsv.Registry {
-	reg := obsv.NewRegistry()
-	for tid, rt := range inst.rts {
-		rt.PublishMetrics(reg, obsv.L("thread", strconv.Itoa(tid)))
+	res := inst.Drive(workload.Schedule{
+		Kind: workload.ClosedLoop, Proto: app.Protocol, Seed: r.Seed,
+		Requests: r.Requests, Concurrency: max(r.Concurrency, 8),
+	})
+	// The cross-thread sums of every thread runtime's counters.
+	var tot obsv.Totals
+	for _, t := range inst.Sched.Threads() {
+		rt := t.RT.(*core.Runtime)
+		st, hs := rt.Stats(), rt.HTMStats()
+		core.AddTotals(&tot, &st)
+		htm.Metrics.AddTo(&tot, &hs)
 	}
-	inst.s.PublishMetrics(reg)
-	return reg
+	return ThreadsRow{
+		Workers:     workers,
+		Completed:   res.Completed,
+		BadResp:     res.BadResp,
+		WallPerReq:  res.CyclesPerRequest(),
+		HTMBegins:   tot.Get("htm.begins"),
+		Aborts:      tot.Get("htm.aborts"),
+		ByCapacity:  tot.Get("htm.aborts_capacity"),
+		ByInterrupt: tot.Get("htm.aborts_interrupt"),
+		ByConfl:     tot.Get("htm.aborts_conflict"),
+		ByExpl:      tot.Get("htm.aborts_explicit"),
+		STMCommits:  tot.Get("core.stm_commits"),
+		Injections:  tot.Get("core.injections"),
+		Unrecovered: tot.Get("core.unrecovered"),
+	}, nil
 }
 
 // Threads is the threads campaign (the multi-core half of the paper's

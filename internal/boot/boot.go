@@ -6,12 +6,12 @@
 // fault changes and shares the rest with the image it plants into.
 // Boot does the per-run work from an image: build the simulated OS and
 // run its setup, attach the recovery runtime, load, select the
-// interpreter backend and, for supervised boots, run to the quiesce
-// point. A microreboot boots again from the image it already holds; it
-// does not rebuild. The experiment harness, the flight recorder's replay
-// and the public API all boot through this package, so a replayed run
-// reboots its recorded world through the very code that booted the
-// original.
+// interpreter backend, put a threaded program under the scheduler and,
+// for supervised boots, run to the quiesce point. A microreboot boots
+// again from the image it already holds; it does not rebuild. The
+// experiment harness, the flight recorder's replay and the public API all
+// boot through this package, so a replayed run reboots its recorded world
+// through the very code that booted the original.
 package boot
 
 import (
@@ -22,11 +22,13 @@ import (
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/fleet"
+	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/mem"
+	"github.com/firestarter-go/firestarter/internal/sched"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/transform"
 	"github.com/firestarter-go/firestarter/internal/workload"
@@ -34,6 +36,14 @@ import (
 
 // startupSteps bounds the run from boot to the first block on I/O.
 const startupSteps = 5_000_000
+
+// threadsQuantum is the scheduling slice of a threaded boot, in
+// instructions. A request is a few hundred instructions (library calls
+// are single instructions with large cycle costs), so the slice must be
+// well below that for requests to actually overlap across workers — the
+// scheduler's default 4096-instruction quantum would let one worker drain
+// the whole accept queue before anyone else runs.
+const threadsQuantum = 192
 
 // Options configures a build and a boot. Build reads the build-time
 // fields (Vanilla, Fault, Model); Boot reads the boot-time ones (Core,
@@ -67,6 +77,11 @@ type Image struct {
 
 	setup func(*libsim.OS)
 
+	// threaded records that the app's program calls thread_create: its
+	// instances boot under the scheduler. Program boots, which callers
+	// run machine by machine, are never threaded.
+	threaded bool
+
 	lower    sync.Once
 	bytecode interp.Backend
 	lowerErr error
@@ -76,9 +91,13 @@ type Image struct {
 type Instance struct {
 	App *apps.App // nil for Program boots
 	OS  *libsim.OS
-	M   *interp.Machine
-	RT  *core.Runtime     // nil for vanilla boots
+	M   *interp.Machine   // the main thread's machine
+	RT  *core.Runtime     // the main thread's runtime; nil for vanilla boots
 	TR  *transform.Result // nil for vanilla boots
+
+	// Sched schedules M and every thread it spawns, each with a runtime
+	// of its own; nil unless the image is threaded.
+	Sched *sched.Sched
 }
 
 // CheckBackend reports whether name is an interpreter backend: "" or
@@ -109,8 +128,23 @@ func BuildCompiled(app *apps.App, prog *ir.Program, o Options) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	img.App = app
+	img.App, img.threaded = app, callsThreadCreate(prog)
 	return img, nil
+}
+
+// callsThreadCreate reports whether any function of prog calls
+// thread_create.
+func callsThreadCreate(prog *ir.Program) bool {
+	for _, fn := range prog.Funcs {
+		for _, b := range fn.Blocks {
+			for i := range b.Instrs {
+				if in := &b.Instrs[i]; in.Op == ir.OpLib && in.Name == "thread_create" {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // build hardens a copy of prog with o.Model unless o.Vanilla, links the
@@ -151,7 +185,7 @@ func (img *Image) Plant(f faultinj.Fault) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	planted := &Image{App: img.App, setup: img.setup}
+	planted := &Image{App: img.App, setup: img.setup, threaded: img.threaded}
 	if img.TR == nil {
 		// A vanilla image links the planted function itself, so it gets
 		// a copy that shares no block with img's.
@@ -196,18 +230,25 @@ func (img *Image) SetBackend(m *interp.Machine, name string) error {
 
 // Boot boots one instance from the image: a fresh OS, a recovery runtime
 // configured by o.Core for a hardened image, a machine loading the
-// image's program on o.Backend, and o.Prelatch pinned to STM.
+// image's program on o.Backend, and o.Prelatch pinned to STM. A threaded
+// image's machine is the main thread of a scheduler (Instance.Sched).
 func (img *Image) Boot(o Options) (*Instance, error) {
 	osim := img.NewOS()
 	inst := &Instance{App: img.App, OS: osim, TR: img.TR}
-	var err error
-	if img.TR == nil {
-		inst.M, err = interp.New(img.Prog, osim, nil)
-	} else {
+	var rt interp.Runtime
+	var spawn sched.RuntimeFactory
+	switch {
+	case img.TR != nil:
 		inst.RT = core.New(img.TR, osim, o.Core)
-		inst.M, err = interp.New(img.Prog, osim, inst.RT)
+		rt = inst.RT
+		if img.threaded {
+			spawn = img.threadRuntimes(inst.RT, osim, o.Core)
+		}
+	case img.threaded:
+		rt = sched.Direct{}
 	}
-	if err != nil {
+	var err error
+	if inst.M, err = interp.New(img.Prog, osim, rt); err != nil {
 		return nil, err
 	}
 	if err := img.SetBackend(inst.M, o.Backend); err != nil {
@@ -219,7 +260,30 @@ func (img *Image) Boot(o Options) (*Instance, error) {
 			inst.RT.LatchSTM(site)
 		}
 	}
+	if img.threaded {
+		// Spawned machines inherit the main machine's backend
+		// (interp.NewThread).
+		if inst.Sched, err = sched.New(inst.M, spawn, sched.Options{Quantum: threadsQuantum}); err != nil {
+			return nil, err
+		}
+	}
 	return inst, nil
+}
+
+// threadRuntimes joins main, the main thread's runtime, to a new conflict
+// domain and returns the factory of every spawned thread's runtime. Each
+// thread is its own core, in main's domain: its own TSX instance and
+// interrupt process, seeded with cfg's HTM seed plus tid*1_000_003.
+func (img *Image) threadRuntimes(main *core.Runtime, osim *libsim.OS, cfg core.Config) sched.RuntimeFactory {
+	domain := htm.NewDomain()
+	main.SetDomain(domain, 0)
+	return func(tid int) sched.ThreadRuntime {
+		cfg := cfg
+		cfg.HTM.Seed += int64(tid) * 1_000_003
+		rt := core.New(img.TR, osim, cfg)
+		rt.SetDomain(domain, tid)
+		return rt
+	}
 }
 
 // Program builds a compiled program with setup preparing its OS and
@@ -293,17 +357,33 @@ func (img *Image) Replica(o Options) fleet.BootFunc {
 // Drive drives sc, a closed-loop schedule, against the booted server: the
 // schedule's driver on the instance's OS and machine, aimed at its app's
 // port, run for sc.Requests requests. A hardened boot traces every
-// request into its runtime, with trace IDs above sc.TraceBase.
+// request into its runtime, with trace IDs above sc.TraceBase. A threaded
+// boot is driven through its scheduler, untraced: no one thread's
+// runtime sees every request.
 func (in *Instance) Drive(sc workload.Schedule) workload.Result {
 	d := sc.Driver()
 	d.OS, d.M, d.Port = in.OS, in.M, in.App.Port
-	if in.RT != nil {
+	switch {
+	case in.Sched != nil:
+		d.Srv = (*scheduled)(in)
+	case in.RT != nil:
 		// Guarded: a typed-nil *core.Runtime in the interface would
 		// defeat the driver's nil check.
 		d.Sink = in.RT
 	}
 	return d.Run(sc.Requests)
 }
+
+// scheduled fronts a threaded instance as the driver's Server:
+// connections on the shared OS, slices over every runnable thread, and
+// wall cycles (the largest per-thread count) as the throughput clock, so
+// adding workers shows as fewer cycles per request.
+type scheduled Instance
+
+func (s *scheduled) Connect(port int64) *libsim.Conn   { return s.OS.Connect(port) }
+func (s *scheduled) Slice(budget int64) interp.Outcome { return s.Sched.Run(budget) }
+func (s *scheduled) Cycles() int64                     { return s.Sched.WallCycles() }
+func (s *scheduled) Steps() int64                      { return s.Sched.TotalSteps() }
 
 // RunFleet drives sc against a fleet of the given number of replicas,
 // each booted from the hardened image (Replica with o) and supervised
@@ -354,12 +434,10 @@ func Profile(app *apps.App, prog *ir.Program, requests, clients int, seed int64,
 	inst.M.BlockHook = profile.HookFunc
 	inst.M.Run(startupSteps)
 	profile.MarkServing()
-	d := &workload.Driver{
-		OS: inst.OS, M: inst.M, Port: app.Port,
-		Gen:         workload.ForProtocol(app.Protocol),
-		Concurrency: clients, Seed: seed,
-	}
-	d.Run(requests)
+	inst.Drive(workload.Schedule{
+		Kind: workload.ClosedLoop, Proto: app.Protocol, Seed: seed,
+		Requests: requests, Concurrency: clients,
+	})
 	inst.M.BlockHook = nil
 	return &ServingProfile{prog: prog, blocks: profile.ServingBlocks(prog.Entry)}, nil
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"github.com/firestarter-go/firestarter/internal/interp"
-	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 )
 
@@ -47,9 +46,10 @@ type ThreadRuntime interface {
 	OnResume()
 }
 
-// RuntimeFactory builds the runtime for thread tid (0 = main). Under the
-// recovery runtime the factory is where per-thread TSX seeds and the
-// shared conflict domain are wired up.
+// RuntimeFactory builds the runtime for spawned thread tid (>= 1; the
+// main thread's runtime is its machine's). Under the recovery runtime the
+// factory is where per-thread TSX seeds and the shared conflict domain
+// are wired up (internal/boot).
 type RuntimeFactory func(tid int) ThreadRuntime
 
 // Direct is the pass-through ThreadRuntime for unprotected programs.
@@ -113,7 +113,6 @@ type Options struct {
 
 // Sched multiplexes threads over one shared Space/OS.
 type Sched struct {
-	prog    *ir.Program
 	os      *libsim.OS
 	factory RuntimeFactory
 	opts    Options
@@ -131,10 +130,15 @@ type Sched struct {
 
 var _ libsim.ThreadOps = (*Sched)(nil)
 
-// New builds a scheduler whose main thread (tid 0) runs the program's
-// entry function, and installs the scheduler behind the OS's pthread-style
-// calls. The factory is invoked once per thread, starting with tid 0.
-func New(prog *ir.Program, osim *libsim.OS, factory RuntimeFactory, opts Options) (*Sched, error) {
+// New builds a scheduler whose main thread (tid 0) is main, a booted
+// machine whose runtime is a ThreadRuntime, and installs the scheduler
+// behind its OS's pthread-style calls. The factory is invoked once per
+// spawned thread (tid >= 1); a nil factory gives every one Direct.
+func New(main *interp.Machine, factory RuntimeFactory, opts Options) (*Sched, error) {
+	rt, ok := main.RT.(ThreadRuntime)
+	if !ok {
+		return nil, fmt.Errorf("sched: main thread runtime %T is not a ThreadRuntime", main.RT)
+	}
 	if opts.Quantum <= 0 {
 		opts.Quantum = 4096
 	}
@@ -145,29 +149,14 @@ func New(prog *ir.Program, osim *libsim.OS, factory RuntimeFactory, opts Options
 		factory = func(int) ThreadRuntime { return Direct{} }
 	}
 	s := &Sched{
-		prog:    prog,
-		os:      osim,
+		os:      main.OS,
 		factory: factory,
 		opts:    opts,
 		mutexes: make(map[int64]*mutex),
+		threads: []*Thread{{ID: 0, M: main, RT: rt, state: stRunnable, servingFD: -1}},
 	}
-	rt := factory(0)
-	m, err := interp.New(prog, osim, rt)
-	if err != nil {
-		return nil, err
-	}
-	rt.Attach(m)
-	s.threads = []*Thread{{ID: 0, M: m, RT: rt, state: stRunnable, servingFD: -1}}
-	osim.SetThreads(s)
+	main.OS.SetThreads(s)
 	return s, nil
-}
-
-// SetBlockHook installs a basic-block profiling hook on every machine,
-// present and future (fault-injection profiling).
-func (s *Sched) SetBlockHook(h func(fn string, block int)) {
-	for _, t := range s.threads {
-		t.M.BlockHook = h
-	}
 }
 
 // Threads returns the thread table (tests and stats aggregation). Index 0
@@ -188,15 +177,6 @@ func (s *Sched) WallCycles() int64 {
 		}
 	}
 	return max
-}
-
-// TotalCycles is the summed per-thread cycle count (total work done).
-func (s *Sched) TotalCycles() int64 {
-	var sum int64
-	for _, t := range s.threads {
-		sum += t.M.Cycles
-	}
-	return sum
 }
 
 // TotalSteps sums executed instructions across threads.
@@ -360,7 +340,7 @@ func (s *Sched) waitingCommitLock(t *Thread) bool {
 
 // Create implements ThreadOps: spawn a thread running the named function.
 func (s *Sched) Create(fnName string, arg int64) (int64, error) {
-	fn := s.prog.Funcs[fnName]
+	fn := s.threads[0].M.Prog.Funcs[fnName]
 	if fn == nil {
 		s.os.Errno = libsim.EINVAL
 		return -1, nil

@@ -6,6 +6,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/core"
 	"github.com/firestarter-go/firestarter/internal/htm"
 	"github.com/firestarter-go/firestarter/internal/interp"
+	"github.com/firestarter-go/firestarter/internal/ir"
 	"github.com/firestarter-go/firestarter/internal/libsim"
 	"github.com/firestarter-go/firestarter/internal/mem"
 	"github.com/firestarter-go/firestarter/internal/minic"
@@ -42,11 +43,31 @@ func protectedSched(t *testing.T, tr *transform.Result, cfg core.Config, quantum
 		*rts = append(*rts, rt)
 		return rt
 	}
-	s, err := New(tr.Prog, osim, factory, Options{Quantum: quantum})
+	main := factory(0)
+	m, err := interp.New(tr.Prog, osim, main)
+	if err != nil {
+		t.Fatalf("interp.New: %v", err)
+	}
+	main.Attach(m)
+	s, err := New(m, factory, Options{Quantum: quantum})
 	if err != nil {
 		t.Fatalf("sched.New: %v", err)
 	}
 	return s, rts
+}
+
+// directSched boots an unprotected program under the scheduler.
+func directSched(t *testing.T, prog *ir.Program, opts Options) *Sched {
+	t.Helper()
+	m, err := interp.New(prog, libsim.New(mem.NewSpace()), Direct{})
+	if err != nil {
+		t.Fatalf("interp.New: %v", err)
+	}
+	s, err := New(m, nil, opts)
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	return s
 }
 
 // A racy two-thread counter: each iteration opens a transaction at the
@@ -209,11 +230,7 @@ int main() {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	osim := libsim.New(mem.NewSpace())
-	s, err := New(prog, osim, nil, Options{Quantum: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := directSched(t, prog, Options{Quantum: 37})
 	out := s.Run(0)
 	if out.Kind != interp.OutExited || out.Code != 0 {
 		t.Fatalf("unexpected outcome: %+v (sched: %s)", out, s)
@@ -262,11 +279,7 @@ int main() {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	osim := libsim.New(mem.NewSpace())
-	s, err := New(prog, osim, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := directSched(t, prog, Options{})
 	out := s.Run(0)
 	if out.Code != 0 {
 		t.Fatalf("exit code %d, want 0 (%+v)", out.Code, out)

@@ -294,20 +294,12 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		res.RecoveryLatency = obsv.NewHist()
 	}
 
-	startCycles := d.cycles()
-	startSteps := d.steps()
-	finish := func() OpenResult {
-		res.Cycles = d.cycles() - startCycles
-		res.Steps = d.steps() - startSteps
-		if d.Metrics != nil {
-			Metrics.Publish(d.Metrics, &res.Result)
-		}
-		return res
-	}
+	startCycles, startSteps := d.cycles(), d.steps()
 
 	// Let the server finish startup and block on its event loop.
 	if ok, _ := d.slice(&res.Result); !ok {
-		return finish()
+		d.finish(&res.Result, startCycles, startSteps)
+		return res
 	}
 
 	clock := &arrivalClock{
@@ -344,8 +336,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		}
 	}
 
-	idleRounds := 0
-	var idleCycles int64
+	var stall stallDetector
 	for terminals < cfg.Total {
 		progressed := false
 		roundStart := d.cycles()
@@ -572,7 +563,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		active = kept
 
 		if progressed {
-			idleRounds, idleCycles = 0, 0
+			stall = stallDetector{}
 			continue
 		}
 		if offered < cfg.Total && nextAt > now {
@@ -580,31 +571,17 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			// arrival is in the future — real time passes without server
 			// work, so jump the virtual clock. Never a stall.
 			now = nextAt
-			idleRounds, idleCycles = 0, 0
+			stall = stallDetector{}
 			continue
 		}
-		// Same stall accounting as the closed loop: compute-burst rounds
-		// charge only the cycle budget, blocked fixpoints the round limit.
-		idleCycles += d.cycles() - roundStart
-		if busy {
-			idleRounds = 0
-		} else {
-			idleRounds++
-		}
-		if idleRounds > stallRounds || idleCycles > DefaultStallCycles {
+		if stall.idle(d.cycles()-roundStart, busy) {
 			res.Stalled = true
 			break
 		}
 	}
 
 	// Terminal accounting for everything still in the system.
-	cause := "run-end"
-	switch {
-	case res.ServerDied:
-		cause = "server-died"
-	case res.Stalled:
-		cause = "stalled"
-	}
+	cause := res.endCause()
 	for _, c := range active {
 		for _, a := range c.inflight {
 			res.Outstanding++
@@ -620,5 +597,6 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		c.fragLeft = nil
 	}
 	res.Wall = now
-	return finish()
+	d.finish(&res.Result, startCycles, startSteps)
+	return res
 }

@@ -166,22 +166,59 @@ type Driver struct {
 // DefaultStallCycles bounds the backend cycles the driver lets
 // progress-free rounds consume before declaring the run stalled:
 // generous enough for any legitimate compute burst or supervised reboot
-// wait, small enough that a livelocked server is still caught. It
-// replaces the old progress-free *round* counter as the primary stall
-// detector: a long in-server compute burst — slices that exhaust their
-// step budget without a response ready yet — consumes cycles but is real
-// work, and no longer trips the detector until the budget is spent. A
-// server that is *blocked* with requests queued and nothing moving is
-// stuck now (its clock barely advances, so a cycle budget alone would
-// never fire); that zero-progress fixpoint still stalls after
-// stallRounds consecutive blocked rounds, matching the old closed-loop
-// behavior.
+// wait, small enough that a livelocked server is still caught. A long
+// in-server compute burst (slices that exhaust their step budget without
+// a response ready yet) is real work and trips only this budget.
 const DefaultStallCycles = 50_000_000
 
 // stallRounds is the consecutive-blocked-round limit: a server that is
-// blocked (not step-limited) while nothing progresses is already at a
-// fixpoint, and this preserves the old detector's promptness there.
+// blocked (not step-limited) with requests queued and nothing moving is
+// at a fixpoint, and its clock barely advances, so the cycle budget alone
+// would never fire.
 const stallRounds = 10
+
+// stallDetector is the stall accounting Run and RunOpen share: a busy
+// progress-free round (its slice exhausted the step budget mid-work)
+// charges only DefaultStallCycles, a blocked one stallRounds too.
+type stallDetector struct {
+	rounds int
+	cycles int64
+}
+
+// idle charges a progress-free round that consumed cycles and reports
+// whether the run has stalled.
+func (s *stallDetector) idle(cycles int64, busy bool) bool {
+	s.cycles += cycles
+	if busy {
+		s.rounds = 0
+	} else {
+		s.rounds++
+	}
+	return s.rounds > stallRounds || s.cycles > DefaultStallCycles
+}
+
+// endCause is the req-lost cause of a request still in flight when the
+// run ended.
+func (r *Result) endCause() string {
+	switch {
+	case r.ServerDied:
+		return "server-died"
+	case r.Stalled:
+		return "stalled"
+	}
+	return "run-end"
+}
+
+// finish charges res with the cycles and steps consumed since the run
+// started at startCycles and startSteps, and publishes it into d.Metrics,
+// if set.
+func (d *Driver) finish(res *Result, startCycles, startSteps int64) {
+	res.Cycles = d.cycles() - startCycles
+	res.Steps = d.steps() - startSteps
+	if d.Metrics != nil {
+		Metrics.Publish(d.Metrics, res)
+	}
+}
 
 type clientState struct {
 	conn    *libsim.Conn
@@ -216,17 +253,11 @@ func (d *Driver) Run(total int) Result {
 		res.RecoveryLatency = obsv.NewHist()
 	}
 	nextTrace := d.TraceBase
-
-	startCycles := d.cycles()
-	startSteps := d.steps()
+	startCycles, startSteps := d.cycles(), d.steps()
 
 	// Let the server finish startup and block on epoll_wait.
 	if ok, _ := d.slice(&res); !ok {
-		res.Cycles = d.cycles() - startCycles
-		res.Steps = d.steps() - startSteps
-		if d.Metrics != nil {
-			Metrics.Publish(d.Metrics, &res)
-		}
+		d.finish(&res, startCycles, startSteps)
 		return res
 	}
 
@@ -235,8 +266,7 @@ func (d *Driver) Run(total int) Result {
 		clients[i] = &clientState{rng: rand.New(rand.NewSource(d.Seed ^ int64(i)))}
 	}
 
-	idleRounds := 0
-	var idleCycles int64
+	var stall stallDetector
 	for res.Completed+res.BadResp < total {
 		progressed := false
 		roundStart := d.cycles()
@@ -322,46 +352,23 @@ func (d *Driver) Run(total int) Result {
 		}
 
 		if progressed {
-			idleRounds, idleCycles = 0, 0
-		} else {
-			// Progress-free round. A busy server (slice exhausted its
-			// step budget mid-computation) is doing real work: charge the
-			// cycle budget only. A blocked one is at a fixpoint — more
-			// rounds cost almost nothing and change nothing — so the
-			// consecutive-round limit fires at the old promptness.
-			idleCycles += d.cycles() - roundStart
-			if busy {
-				idleRounds = 0
-			} else {
-				idleRounds++
-			}
-			if idleRounds > stallRounds || idleCycles > DefaultStallCycles {
-				res.Stalled = true
-				break
-			}
+			stall = stallDetector{}
+		} else if stall.idle(d.cycles()-roundStart, busy) {
+			res.Stalled = true
+			break
 		}
 	}
+	cause := res.endCause()
 	for _, c := range clients {
 		if c.pending {
 			res.Outstanding++
 			if d.Sink != nil {
-				cause := "run-end"
-				switch {
-				case res.ServerDied:
-					cause = "server-died"
-				case res.Stalled:
-					cause = "stalled"
-				}
 				d.Sink.ReqLost(c.trace, cause)
 				c.trace = 0
 			}
 		}
 	}
-	res.Cycles = d.cycles() - startCycles
-	res.Steps = d.steps() - startSteps
-	if d.Metrics != nil {
-		Metrics.Publish(d.Metrics, &res)
-	}
+	d.finish(&res, startCycles, startSteps)
 	return res
 }
 
@@ -394,35 +401,28 @@ func (d *Driver) steps() int64 {
 // exhausted its step budget mid-work (the stall detector must not count
 // such rounds as idle).
 func (d *Driver) slice(res *Result) (ok, busy bool) {
-	for {
-		var out interp.Outcome
-		switch {
-		case d.Srv != nil:
-			out = d.Srv.Slice(d.StepBudget)
-		default:
-			out = d.M.Run(d.StepBudget)
-		}
-		switch out.Kind {
-		case interp.OutBlocked:
-			return true, false
-		case interp.OutStepLimit:
-			// Long-running slice (an accept/handle burst); treat like a
-			// block so the driver can drain and keep feeding.
-			return true, true
-		case interp.OutTrapped:
-			res.ServerDied = true
-			res.TrapCode = out.Code
-			return false, false
-		case interp.OutWatch:
-			// A replay watchpoint froze the machine at its target
-			// boundary. Terminal for the run, but not a death: the server
-			// is intact, merely halted for inspection.
-			return false, false
-		case interp.OutExited:
-			return false, false
-		default:
-			return false, false
-		}
+	var out interp.Outcome
+	if d.Srv != nil {
+		out = d.Srv.Slice(d.StepBudget)
+	} else {
+		out = d.M.Run(d.StepBudget)
+	}
+	switch out.Kind {
+	case interp.OutBlocked:
+		return true, false
+	case interp.OutStepLimit:
+		// Long-running slice (an accept/handle burst); treat like a
+		// block so the driver can drain and keep feeding.
+		return true, true
+	case interp.OutTrapped:
+		res.ServerDied = true
+		res.TrapCode = out.Code
+		return false, false
+	default:
+		// Exited, or a replay watchpoint froze the machine at its target
+		// boundary (OutWatch): terminal for the run, but not a death —
+		// a watched server is intact, merely halted for inspection.
+		return false, false
 	}
 }
 
