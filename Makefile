@@ -126,19 +126,27 @@ diff-smoke: smoke-tools
 	cmp $(SMOKE_DIR)/diff-tree.txt $(SMOKE_DIR)/diff-bytecode.txt
 	@echo diff-smoke OK
 
-# Flight-recorder smoke: a chaos campaign with -record-out captures a
-# replay manifest for every incarnation that ended unrecovered or with
-# the breaker open, and the open-loop sweep one for every failing rung;
-# each one must then (a) re-execute to completion with every span
-# verified against the recorded hash chain and the replayed stream
-# byte-identical to the companion file, (b) halt at the recorded
-# faulting instruction under the default -stop-at-cycle -1, and (c) for
-# an incarnation manifest, survive a -reverse-step (re-execution to the
-# boundary one retired instruction earlier, cross-checked against the
-# checkpoint ring). firetrace accepts -reverse-step only for incarnation
-# manifests, so the openloop ones skip (c). Any divergence — one span,
-# one digest — fails the build.
+# Flight-recorder smoke. First the committed fixture
+# (cmd/firetrace/testdata/manifest.json, recorded by an older build)
+# must still replay to completion and survive a -reverse-step, so a
+# change that breaks existing recordings fails here. Then a chaos
+# campaign with -record-out captures a replay manifest for every
+# incarnation that ended unrecovered or with the breaker open, and the
+# open-loop sweep one for every failing rung; each one must then (a)
+# re-execute to completion with every span verified against the
+# recorded hash chain and the replayed stream byte-identical to the
+# companion file, (b) halt at the recorded faulting instruction under
+# the default -stop-at-cycle -1, and (c) for an incarnation manifest,
+# survive a -reverse-step (re-execution to the boundary one retired
+# instruction earlier, cross-checked against the checkpoint ring).
+# firetrace accepts -reverse-step only for incarnation manifests, so the
+# openloop ones skip (c). Any divergence — one span, one digest — fails
+# the build.
 replay-smoke: smoke-tools
+	$(BIN)/firetrace -replay cmd/firetrace/testdata/manifest.json \
+		-stop-at-cycle 0 > /dev/null
+	$(BIN)/firetrace -replay cmd/firetrace/testdata/manifest.json \
+		-reverse-step -ckpt-every 1000 > /dev/null
 	rm -rf $(SMOKE_DIR)/replay $(SMOKE_DIR)/replay2 $(SMOKE_DIR)/replay-open
 	$(BIN)/firebench -experiment chaos -requests 24 -faults 1 \
 		-concurrency 2 -seed 3 -parallel 4 \

@@ -62,7 +62,7 @@ func run() int {
 	}
 
 	if *sites {
-		res := analysis.Analyze(prog.Clone(), libmodel.Default())
+		res := analysis.Classify(prog, libmodel.Default())
 		gates, embeds, breaks := res.Counts()
 		fmt.Printf("library call sites: %d total — %d gates, %d embedded, %d breaks\n",
 			len(res.Sites), gates, embeds, breaks)

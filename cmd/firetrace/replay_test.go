@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -52,6 +53,27 @@ func TestLoadFixtureRecording(t *testing.T) {
 	}
 	if rec.Manifest.Outcome != replay.OutcomeBreakerOpen {
 		t.Fatalf("outcome = %q", rec.Manifest.Outcome)
+	}
+}
+
+// The committed fixture, recorded by an older build whose core config
+// carried keys this one no longer has, still replays to completion:
+// unknown manifest keys are ignored, and every recorded span verifies
+// against the live run.
+func TestReplayFixtureRecording(t *testing.T) {
+	rec, err := replay.Load("testdata/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&replay.Runner{Rec: rec}).Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stopped || res.Verified != 56 || len(rec.Spans) != 56 {
+		t.Errorf("stopped=%v verified %d/%d spans, want 56/56 to completion", res.Stopped, res.Verified, len(rec.Spans))
+	}
+	if got := fmt.Sprintf("%016x", res.Fingerprint); got != "9b76ea4f6cdbf421" {
+		t.Errorf("fingerprint %s, want 9b76ea4f6cdbf421", got)
 	}
 }
 

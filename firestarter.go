@@ -327,7 +327,7 @@ func (s *Server) DriveWorkload(proto string, port int64, requests, concurrency i
 // returns per-role site counts (gates, embedded, breaks) — the static
 // recovery-surface view.
 func AnalyzeSites(p *Program) (gates, embeds, breaks int) {
-	res := analysis.Analyze(p.ir.Clone(), libmodel.Default())
+	res := analysis.Classify(p.ir, libmodel.Default())
 	return res.Counts()
 }
 

@@ -112,22 +112,11 @@ func (r *Result) Counts() (gates, embeds, breaks int) {
 	return gates, embeds, breaks
 }
 
-// Analyze assigns a unique Site ID to every OpLib instruction in the
-// program (mutating the instructions' Site fields) and classifies each
-// site. Unknown library functions (no model entry) are treated
-// conservatively as irrecoverable Break sites.
-func Analyze(prog *ir.Program, model *libmodel.Model) *Result {
-	res := Classify(prog, model)
-	for i, name := range prog.FuncNames() {
-		res.Number(i, prog.Funcs[name])
-	}
-	prog.NumSites = len(res.ByID)
-	return res
-}
-
-// Classify numbers and classifies every site of prog as Analyze does but
-// writes nothing into prog, so prog may share its functions: the IDs
-// reach a function's instructions only through Number, on a copy.
+// Classify assigns a unique Site ID to every OpLib instruction of prog
+// and classifies each site. Unknown library functions (no model entry)
+// are treated conservatively as irrecoverable Break sites. It writes
+// nothing into prog, so prog may share its functions: the IDs reach a
+// function's instructions only through Number, on a copy.
 func Classify(prog *ir.Program, model *libmodel.Model) *Result {
 	funcChecked := computeFuncChecked(prog)
 	names := prog.FuncNames()

@@ -15,7 +15,7 @@ func analyze(t *testing.T, src string) *analysis.Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return analysis.Analyze(prog, libmodel.Default())
+	return analysis.Classify(prog, libmodel.Default())
 }
 
 // siteFor returns the first site calling the named function.
@@ -172,7 +172,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.Analyze(prog, libmodel.Default())
+	res := analysis.Classify(prog, libmodel.Default())
 	if len(res.Sites) != 4 {
 		t.Fatalf("found %d sites, want 4", len(res.Sites))
 	}
@@ -183,8 +183,8 @@ int main() {
 		}
 		seen[s.ID] = true
 	}
-	if prog.NumSites != 5 {
-		t.Fatalf("NumSites = %d, want 5", prog.NumSites)
+	if len(res.ByID) != 5 {
+		t.Fatalf("len(ByID) = %d, want 5", len(res.ByID))
 	}
 	gates, embeds, breaks := res.Counts()
 	if gates != 3 || embeds != 1 || breaks != 0 {

@@ -135,11 +135,11 @@ func TestOpenLoopRecordsFailingRungs(t *testing.T) {
 		t.Fatalf("no failing rung recorded as openloop-000.json: %d files", len(files))
 	}
 	checkPinned(t, files, func(name string) bool { return strings.HasSuffix(name, ".json") }, map[string]string{
-		"openloop-000.json": "1424150947912f4590a39b4c5ab40a716640c55617b63be5d8f625a330cc3733",
-		"openloop-001.json": "ca9c415f969ccda2db062e00c63eb4e5e7cb7f01dd852abc2b034b0c220e2cfb",
-		"openloop-002.json": "86d413091e8803bbc2193644aa9c516c72ba3655422e7389520e988ffe3300d1",
-		"openloop-003.json": "b91091d377dd0f88dcfffe952d8f197c6f3676cd428ac3f0b3b25182dea3e771",
-		"openloop-004.json": "7d2c0aa494779f5f6af197866c4edc9797f9735470049fef918660c3eb281a9a",
+		"openloop-000.json": "e49cd882d9761288490f7fb62a42a61108f8e9746746d8a766eda442af8698b4",
+		"openloop-001.json": "dd73832ccfacddc9062eee4a3ea6852dbe90ad3f917425c807c9031730ce358e",
+		"openloop-002.json": "8ddf7284e9f62d7e61bab479bf259dc6491d72eb3161ad67631a6a04ea965335",
+		"openloop-003.json": "850d591609d0275bf02b3ae48d37fa31afcc95d6e9a0fa657d9ff22df54047a4",
+		"openloop-004.json": "442976a052268a3ba454545170018ce5afbc3dd7db9f7fbf56868e544efddcea",
 	})
 	for name := range files {
 		if !strings.HasSuffix(name, ".json") {

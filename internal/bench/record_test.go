@@ -103,7 +103,7 @@ func TestChaosFingerprintAndRecordingInvariance(t *testing.T) {
 		t.Fatal("no recordings written")
 	}
 	checkPinned(t, a, func(string) bool { return true }, map[string]string{
-		"chaos-000.json":        "33525efbbd9821627f79ce5b057a2e38dcc663ccecdecaf453181b68e362c6cf",
+		"chaos-000.json":        "fccb79b74db99c9ce02132c6fead210f75e02540a1118d61a7488c95d8fd36d1",
 		"chaos-000.spans.jsonl": "19472e3a52e1035df71f628817205a99fe965f4942990e262b56dadd473d5eb5",
 	})
 	if len(a) != len(b) {

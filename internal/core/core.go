@@ -105,6 +105,30 @@ const (
 	costDomainDiscard = 30
 )
 
+// Fixed recovery-policy bounds.
+const (
+	// maxSheds bounds the request-shedding rung: once the runtime has
+	// shed this many requests it stops absorbing otherwise-fatal crashes
+	// and lets the process die (escalating to the supervisor rung). The
+	// bound exists because a fault that fires before the server touches a
+	// new connection sheds nothing observable and would otherwise loop
+	// forever. Shedding is inert anyway until ArmQuiesce registers a
+	// quiesce point.
+	maxSheds = 32
+
+	// domainUndoMin is the per-commit mean undo-log volume (entries per
+	// STM commit, sampled every SampleSize commits) above which an
+	// STM-latched gate latches onward to the rewind strategy — the point
+	// where O(1) discard beats per-store undo logging.
+	domainUndoMin = 24
+
+	// domainBackoffMax bounds rewind-strategy back-off: after this many
+	// domain transactions that overflowed their arena into the heap
+	// (escaping O(1) discard), the gate re-latches to STM and the undo
+	// threshold doubles.
+	domainBackoffMax = 4
+)
+
 // Config parameterizes the runtime.
 type Config struct {
 	Mode Mode
@@ -131,20 +155,6 @@ type Config struct {
 	// process, seed).
 	HTM htm.Config
 
-	// TraceLimit caps the recovery trace / span log (0 means the default,
-	// obsv.DefaultSpanLimit). Past the cap a terminal "truncated" marker
-	// is recorded and further events only increment the dropped counter.
-	TraceLimit int
-
-	// MaxSheds bounds the request-shedding rung: once the runtime has
-	// shed this many requests it stops absorbing otherwise-fatal crashes
-	// and lets the process die (escalating to the supervisor rung). The
-	// bound exists because a fault that fires before the server touches a
-	// new connection sheds nothing observable and would otherwise loop
-	// forever. 0 means the default (32); shedding is inert anyway until
-	// ArmQuiesce registers a quiesce point.
-	MaxSheds int
-
 	// EnableDomains switches on the rewind-and-discard checkpoint
 	// strategy as a third option beside HTM and STM: per-request arenas
 	// are carved from domain-tagged memory, the §IV-C policy may latch a
@@ -153,19 +163,6 @@ type Config struct {
 	// byte-identical to a build without this feature. ModeRewind implies
 	// it. Single-threaded runs only (the scheduler tier excludes it).
 	EnableDomains bool
-
-	// DomainUndoMin is the per-commit mean undo-log volume (entries per
-	// STM commit, sampled every SampleSize commits) above which an
-	// STM-latched gate latches onward to the rewind strategy — the point
-	// where O(1) discard beats per-store undo logging. 0 means the
-	// default (24).
-	DomainUndoMin int64
-
-	// DomainBackoffMax bounds rewind-strategy back-off: after this many
-	// domain transactions that overflowed their arena into the heap
-	// (escaping O(1) discard), the gate re-latches to STM and the undo
-	// threshold doubles. 0 means the default (4).
-	DomainBackoffMax int
 }
 
 // withDefaults fills zero values with the paper's defaults.
@@ -182,17 +179,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryTransient == 0 {
 		c.RetryTransient = 1
 	}
-	if c.MaxSheds == 0 {
-		c.MaxSheds = 32
-	}
 	if c.Mode == ModeRewind {
 		c.EnableDomains = true
-	}
-	if c.DomainUndoMin == 0 {
-		c.DomainUndoMin = 24
-	}
-	if c.DomainBackoffMax == 0 {
-		c.DomainBackoffMax = 4
 	}
 	return c
 }
@@ -499,7 +487,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 		gs:       make([]gateState, gates),
 		executed: newSiteSet(len(tr.Analysis.ByID)),
 	}
-	rt.spans = &obsv.SpanLog{Limit: cfg.TraceLimit}
+	rt.spans = &obsv.SpanLog{}
 	rt.pending.strat = stratHTM // what a TxBegin before any gate begins
 	if cfg.EnableDomains {
 		// Per-request arenas over protection domains: the libsim arena
@@ -1005,10 +993,10 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 }
 
 // undoMin returns the gate's current undo-volume latch threshold (the
-// configured default until back-off doubles it).
+// domainUndoMin until back-off doubles it).
 func (rt *Runtime) undoMin(st *gateState) int64 {
 	if st.undoMin == 0 {
-		return rt.cfg.DomainUndoMin
+		return domainUndoMin
 	}
 	return st.undoMin
 }
@@ -1041,7 +1029,7 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 
 // domCommitPolicy applies rewind-strategy back-off: a domain transaction
 // that overflowed its arena into the heap escaped O(1) discard. After
-// DomainBackoffMax such commits the gate re-latches to STM and the undo
+// domainBackoffMax such commits the gate re-latches to STM and the undo
 // threshold doubles, so a gate only returns to domains once its undo
 // volume clears a strictly higher bar.
 func (rt *Runtime) domCommitPolicy(tx *txState) {
@@ -1053,7 +1041,7 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 		return
 	}
 	st.domBackoff++
-	if st.domBackoff < rt.cfg.DomainBackoffMax {
+	if st.domBackoff < domainBackoffMax {
 		return
 	}
 	st.undoMin = 2 * rt.undoMin(st)
@@ -1061,7 +1049,7 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 	st.domBackoff = 0
 	st.stmTxs, st.stmUndo = 0, 0
 	rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
-		detailf("fallbacks=%d undo_min=%d", int64(rt.cfg.DomainBackoffMax), st.undoMin))
+		detailf("fallbacks=%d undo_min=%d", domainBackoffMax, st.undoMin))
 }
 
 // Store implements interp.Runtime.
@@ -1254,7 +1242,7 @@ func (rt *Runtime) QuiesceArmed() bool { return rt.quiesce != nil }
 
 // canShed reports whether the shed rung may absorb a fatal crash.
 func (rt *Runtime) canShed() bool {
-	return rt.quiesce != nil && rt.stats.Sheds < int64(rt.cfg.MaxSheds)
+	return rt.quiesce != nil && rt.stats.Sheds < maxSheds
 }
 
 // shed is the last in-process rung of the recovery ladder: drop the

@@ -36,7 +36,7 @@ func TestUndoVolumeLatchesDomains(t *testing.T) {
 
 	// SampleSize defaults to 4: three heavy commits must not latch (the
 	// sample window is not full), the fourth must. Mean undo volume
-	// 30 >= DomainUndoMin default 24.
+	// 30 >= domainUndoMin (24).
 	for i := 0; i < 3; i++ {
 		rt.stmCommitPolicy(site, 30)
 		if st.latched == stratDomain {
@@ -127,7 +127,7 @@ func TestDomainBackoffRelatchesSTMWithDoubledThreshold(t *testing.T) {
 
 	// Each commit of a transaction whose arena overflowed into the heap
 	// (fallbackMark below the manager's counter) counts one back-off
-	// strike; the DomainBackoffMax'th (default 4) re-latches STM.
+	// strike; the domainBackoffMax'th (4) re-latches STM.
 	overflowed := &txState{site: site, strat: stratDomain, fallbackMark: -1}
 	for i := 0; i < 3; i++ {
 		rt.domCommitPolicy(overflowed)

@@ -18,14 +18,20 @@ import (
 // shed exhaustion — cannot be reached through ordinary execution).
 func newLadderRuntime(t testing.TB, cfg Config) (*Runtime, *interp.Machine) {
 	t.Helper()
-	src := `
+	return newRuntime(t, `
 int main() {
 	char *p = malloc(16);
 	if (!p) { return 1; }
 	free(p);
 	return 0;
 }
-`
+`, cfg)
+}
+
+// newRuntime builds a hardened runtime and its attached machine around
+// the program src.
+func newRuntime(t testing.TB, src string, cfg Config) (*Runtime, *interp.Machine) {
+	t.Helper()
 	prog, err := minic.Compile(src, minic.Config{KnownLib: libsim.Known})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -78,18 +84,20 @@ func TestShedAbsorbsCrashOutsideTransaction(t *testing.T) {
 }
 
 func TestShedExhaustionEscalatesToDeath(t *testing.T) {
-	rt, m := newLadderRuntime(t, Config{MaxSheds: 1})
+	rt, m := newLadderRuntime(t, Config{})
 	rt.EnableSpans()
 	rt.ArmQuiesce(m)
 
-	if act := rt.handleCrash(m, nil); act != interp.ActionContinue {
-		t.Fatalf("first crash: action = %v, want continue (shed)", act)
+	for i := 1; i <= maxSheds; i++ {
+		if act := rt.handleCrash(m, nil); act != interp.ActionContinue {
+			t.Fatalf("crash %d: action = %v, want continue (shed)", i, act)
+		}
 	}
 	if act := rt.handleCrash(m, nil); act != interp.ActionDie {
-		t.Fatalf("second crash: action = %v, want die (sheds exhausted)", act)
+		t.Fatalf("crash %d: action = %v, want die (sheds exhausted)", maxSheds+1, act)
 	}
 	s := rt.Stats()
-	if s.Sheds != 1 || s.Unrecovered != 1 {
+	if s.Sheds != maxSheds || s.Unrecovered != 1 {
 		t.Fatalf("sheds = %d, unrecovered = %d", s.Sheds, s.Unrecovered)
 	}
 	if _, ok := findSpan(rt, obsv.SpanUnrecovered); !ok {

@@ -11,57 +11,6 @@ import (
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
-// crashStormSrc crashes once per loop iteration: every malloc is followed
-// by a persistent null dereference, so each pass runs the full recovery
-// story (HTM abort, STM crash, retry, crash, inject) until the injected
-// ENOMEM diverts into the handled branch.
-const crashStormSrc = `
-int main() {
-	int handled = 0;
-	for (int i = 0; i < 20; i++) {
-		char *p = malloc(64);
-		if (!p) {
-			handled++;
-			continue;
-		}
-		int *q = NULL;
-		*q = 1;
-		free(p);
-	}
-	return handled;
-}`
-
-// TestTraceTruncationIsSurfaced drives a crash storm past a tiny trace
-// cap: the trace must end with a terminal truncated marker carrying the
-// dropped count instead of losing events silently (the old behaviour).
-func TestTraceTruncationIsSurfaced(t *testing.T) {
-	h := newHarness(t, crashStormSrc, core.Config{TraceLimit: 8})
-	h.rt.EnableTrace()
-	h.runToExit(t, 20)
-
-	if h.rt.TraceDropped() == 0 {
-		t.Fatal("crash storm did not overflow the trace; raise the storm or lower the cap")
-	}
-	events := h.rt.Spans()
-	if len(events) != 8+1 {
-		t.Fatalf("got %d events, want cap 8 + 1 marker", len(events))
-	}
-	last := events[len(events)-1]
-	if last.Kind != obsv.SpanTruncated {
-		t.Fatalf("last event = %v, want truncated marker", last)
-	}
-	if !strings.Contains(last.Detail, "dropped=") || !strings.Contains(last.Detail, "limit=8") {
-		t.Errorf("marker detail = %q, want dropped count and limit", last.Detail)
-	}
-	rendered := h.rt.RenderTrace()
-	if !strings.Contains(rendered, "truncated") || !strings.Contains(rendered, "dropped=") {
-		t.Errorf("RenderTrace does not surface truncation:\n%s", rendered)
-	}
-	if strings.Count(rendered, "\n") != len(events) {
-		t.Errorf("rendered %d lines for %d events", strings.Count(rendered, "\n"), len(events))
-	}
-}
-
 // TestSpansRecordTransactionLifecycle checks the structured span log: with
 // EnableSpans every transaction contributes a begin and a commit event,
 // abort events carry their cause, and the JSONL export parses.
@@ -126,7 +75,7 @@ int main() {
 // TestSpanAbortsCarryCause checks that abort span events name the abort
 // cause (capacity/interrupt/conflict/explicit).
 func TestSpanAbortsCarryCause(t *testing.T) {
-	h := newHarness(t, crashStormSrc, core.Config{})
+	h := newHarness(t, core.CrashStormSrc, core.Config{})
 	h.rt.EnableSpans()
 	h.runToExit(t, 20)
 	found := false
@@ -147,7 +96,7 @@ func TestSpanAbortsCarryCause(t *testing.T) {
 // tentpole's reconciliation criterion: registry totals must equal the
 // hand-rolled core.Stats / htm.Stats counters exactly.
 func TestPublishMetricsReconciles(t *testing.T) {
-	h := newHarness(t, crashStormSrc, core.Config{})
+	h := newHarness(t, core.CrashStormSrc, core.Config{})
 	h.runToExit(t, 20)
 
 	reg := obsv.NewRegistry()
@@ -214,7 +163,7 @@ func TestPublishMetricsReconciles(t *testing.T) {
 // faults included, the per-function flat cycle attribution must sum to
 // the machine's total charged cycles exactly.
 func TestProfilerAttributionSumsToMachineTotal(t *testing.T) {
-	h := newHarness(t, crashStormSrc, core.Config{})
+	h := newHarness(t, core.CrashStormSrc, core.Config{})
 	prof := obsv.NewProfile()
 	h.m.SetProfiler(prof)
 	h.runToExit(t, 20)

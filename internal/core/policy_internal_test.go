@@ -46,7 +46,7 @@ const policyScript = "cxcicxch" + "cxxc" + "hhhhxc" + "ssssc"
 const capacityScript = "hchchchh" + "xc" + "ssss" + "hhhhc"
 
 // heavyStores is the store count of evHeavy: more than the L1 ways of one
-// set and more than twice DomainUndoMin.
+// set and more than twice domainUndoMin.
 const heavyStores = 64
 
 func TestStrategyPolicyPinned(t *testing.T) {

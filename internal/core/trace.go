@@ -35,7 +35,7 @@ func (rt *Runtime) Spans() []obsv.SpanEvent { return rt.spans.Events() }
 func (rt *Runtime) SpanLog() *obsv.SpanLog { return rt.spans }
 
 // TraceDropped returns how many events were discarded once the trace
-// buffer filled (crash storms past the configured TraceLimit).
+// buffer filled (crash storms past obsv.DefaultSpanLimit).
 func (rt *Runtime) TraceDropped() int64 { return rt.spans.Dropped() }
 
 // SpanFingerprint returns the span log's incremental hash-chain value

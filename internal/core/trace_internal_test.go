@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/analysis"
+	"github.com/firestarter-go/firestarter/internal/interp"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
@@ -114,7 +115,8 @@ func TestEmitPastCapBuildsNothing(t *testing.T) {
 // reads back — bytes, truncated marker and fingerprint — exactly like a
 // log into which each span was built and then refused by Append.
 func TestRecoverySpansPastCapFormatNothing(t *testing.T) {
-	rt, m := newLadderRuntime(t, Config{TraceLimit: 6})
+	rt, m := newLadderRuntime(t, Config{})
+	rt.spans.Limit = 6
 	rt.EnableSpans()
 	site := gateSite(t, rt)
 	entry := rt.gate(site).Entry
@@ -171,5 +173,59 @@ func TestRecoverySpansPastCapFormatNothing(t *testing.T) {
 	}
 	if rt.SpanFingerprint() != ref.Fingerprint() {
 		t.Errorf("fingerprint = %#x, want %#x", rt.SpanFingerprint(), ref.Fingerprint())
+	}
+}
+
+// CrashStormSrc crashes once per loop iteration: every malloc is followed
+// by a persistent null dereference, so each pass runs the full recovery
+// story (HTM abort, STM crash, retry, crash, inject) until the injected
+// ENOMEM diverts into the handled branch.
+const CrashStormSrc = `
+int main() {
+	int handled = 0;
+	for (int i = 0; i < 20; i++) {
+		char *p = malloc(64);
+		if (!p) {
+			handled++;
+			continue;
+		}
+		int *q = NULL;
+		*q = 1;
+		free(p);
+	}
+	return handled;
+}`
+
+// TestTraceTruncationIsSurfaced drives a crash storm past a tiny trace
+// cap: the trace must end with a terminal truncated marker carrying the
+// dropped count instead of losing events silently (the old behaviour).
+func TestTraceTruncationIsSurfaced(t *testing.T) {
+	rt, m := newRuntime(t, CrashStormSrc, Config{})
+	rt.spans.Limit = 8
+	rt.EnableTrace()
+	if out := m.Run(20_000_000); out.Kind != interp.OutExited || m.ExitCode() != 20 {
+		t.Fatalf("outcome = %v (trap %+v, exit %d), want exit 20", out.Kind, out.Trap, m.ExitCode())
+	}
+
+	if rt.TraceDropped() == 0 {
+		t.Fatal("crash storm did not overflow the trace; raise the storm or lower the cap")
+	}
+	events := rt.Spans()
+	if len(events) != 8+1 {
+		t.Fatalf("got %d events, want cap 8 + 1 marker", len(events))
+	}
+	last := events[len(events)-1]
+	if last.Kind != obsv.SpanTruncated {
+		t.Fatalf("last event = %v, want truncated marker", last)
+	}
+	if !strings.Contains(last.Detail, "dropped=") || !strings.Contains(last.Detail, "limit=8") {
+		t.Errorf("marker detail = %q, want dropped count and limit", last.Detail)
+	}
+	rendered := rt.RenderTrace()
+	if !strings.Contains(rendered, "truncated") || !strings.Contains(rendered, "dropped=") {
+		t.Errorf("RenderTrace does not surface truncation:\n%s", rendered)
+	}
+	if strings.Count(rendered, "\n") != len(events) {
+		t.Errorf("rendered %d lines for %d events", strings.Count(rendered, "\n"), len(events))
 	}
 }

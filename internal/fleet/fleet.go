@@ -33,12 +33,6 @@ import (
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
-// Pick policies.
-const (
-	PolicyRoundRobin       = "round-robin"
-	PolicyLeastOutstanding = "least-outstanding"
-)
-
 // Handoff causes (span Cause values on SpanHandoff events).
 const (
 	CauseFailover     = "failover"      // the conn's replica died mid-request
@@ -85,10 +79,6 @@ type Config struct {
 	// Replicas is the number of supervised backends (default 1).
 	Replicas int
 
-	// Policy selects the pick policy for new assignments: PolicyRoundRobin
-	// (default) or PolicyLeastOutstanding.
-	Policy string
-
 	// Port is the endpoint the balancer serves and every replica listens on.
 	Port int64
 
@@ -96,11 +86,6 @@ type Config struct {
 	// Seed + seedStride*r so incarnation seeds never collide across
 	// replicas.
 	Sup supervisor.Config
-
-	// DrainWindow is the breaker-window occupancy at which a replica is
-	// drained instead of taking new work (default MaxRestarts-1, min 1):
-	// one more death inside the window would open its breaker.
-	DrainWindow int
 }
 
 // seedStride separates the replicas' supervision seeds.
@@ -113,19 +98,6 @@ const drainCycles = 2_000_000
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.Policy == "" {
-		c.Policy = PolicyRoundRobin
-	}
-	if c.DrainWindow == 0 {
-		mr := c.Sup.MaxRestarts
-		if mr == 0 {
-			mr = 8 // supervisor default
-		}
-		c.DrainWindow = mr - 1
-		if c.DrainWindow < 1 {
-			c.DrainWindow = 1
-		}
 	}
 	return c
 }
@@ -194,16 +166,15 @@ const (
 
 // replica is one supervised backend slot.
 type replica struct {
-	id          int
-	sup         *supervisor.Supervisor
-	be          *Backend
-	state       repState
-	inc         int   // current incarnation number
-	bootClock   int64 // campaign clock at the incarnation's boot (span rebase offset)
-	lastCycles  int64 // Exec.Cycles at the last supervisor Advance
-	rebootAt    int64 // campaign clock at which the next incarnation is due
-	drainStart  int64 // wall clock when the current drain episode began
-	outstanding int   // live conns assigned here
+	id         int
+	sup        *supervisor.Supervisor
+	be         *Backend
+	state      repState
+	inc        int   // current incarnation number
+	bootClock  int64 // campaign clock at the incarnation's boot (span rebase offset)
+	lastCycles int64 // Exec.Cycles at the last supervisor Advance
+	rebootAt   int64 // campaign clock at which the next incarnation is due
+	drainStart int64 // wall clock when the current drain episode began
 }
 
 func (rep *replica) live() bool { return rep.state == repUp || rep.state == repDraining }
@@ -258,6 +229,11 @@ type Fleet struct {
 	boot BootFunc
 	reps []*replica
 
+	// drainWindow is the breaker-window occupancy at which a replica is
+	// drained instead of taking new work: one more death inside the
+	// window would open its breaker.
+	drainWindow int
+
 	conns  []*vconn
 	nconn  int64
 	rr     int              // round-robin cursor
@@ -282,11 +258,16 @@ type Fleet struct {
 // New builds a fleet; nothing boots until the first Slice.
 func New(cfg Config, boot BootFunc) *Fleet {
 	cfg = cfg.withDefaults()
+	mr := cfg.Sup.MaxRestarts
+	if mr == 0 {
+		mr = 8 // supervisor default
+	}
 	f := &Fleet{
-		cfg:     cfg,
-		boot:    boot,
-		touched: map[int64]bool{},
-		reg:     obsv.NewRegistry(),
+		cfg:         cfg,
+		boot:        boot,
+		drainWindow: max(mr-1, 1),
+		touched:     map[int64]bool{},
+		reg:         obsv.NewRegistry(),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		sc := cfg.Sup
@@ -516,20 +497,20 @@ func (f *Fleet) anyUp() bool {
 }
 
 // refreshHealth applies the ladder's health signals: a replica whose
-// breaker window occupancy reached DrainWindow drains (one more death
+// breaker window occupancy reached drainWindow drains (one more death
 // would open its breaker); occupancy decaying below the threshold ends
 // the drain; a drain past its deadline forces the remaining conns off.
 func (f *Fleet) refreshHealth() {
 	for _, rep := range f.reps {
 		switch rep.state {
 		case repUp:
-			if f.cfg.Replicas > 1 && rep.sup.WindowOccupancy() >= f.cfg.DrainWindow {
+			if f.cfg.Replicas > 1 && rep.sup.WindowOccupancy() >= f.drainWindow {
 				rep.state = repDraining
 				rep.drainStart = f.wall
 				f.stats.DrainsStarted++
 			}
 		case repDraining:
-			if rep.sup.WindowOccupancy() < f.cfg.DrainWindow {
+			if rep.sup.WindowOccupancy() < f.drainWindow {
 				rep.state = repUp
 				rep.drainStart = 0
 			} else if f.wall-rep.drainStart >= drainCycles {
@@ -618,22 +599,10 @@ func (f *Fleet) bootReplica(rep *replica) {
 
 // --- connection plumbing -------------------------------------------------
 
-// pick selects an up replica for a new assignment under the configured
-// policy, or -1 when none is assignable. Draining, down and broken
-// replicas never receive new work.
+// pick selects the next up replica round-robin for a new assignment,
+// or -1 when none is assignable. Draining, down and broken replicas
+// never receive new work.
 func (f *Fleet) pick() int {
-	if f.cfg.Policy == PolicyLeastOutstanding {
-		best := -1
-		for _, rep := range f.reps {
-			if rep.state != repUp {
-				continue
-			}
-			if best < 0 || rep.outstanding < f.reps[best].outstanding {
-				best = rep.id
-			}
-		}
-		return best
-	}
 	n := len(f.reps)
 	for k := 0; k < n; k++ {
 		i := (f.rr + k) % n
@@ -657,7 +626,6 @@ func (f *Fleet) attach(vc *vconn, t int) bool {
 	vc.back = back
 	vc.rep = t
 	vc.fwd = 0
-	f.reps[t].outstanding++
 	if vc.handoffCause != "" {
 		f.stats.Handoffs++
 		switch vc.handoffCause {
@@ -692,9 +660,6 @@ func (f *Fleet) attach(vc *vconn, t int) bool {
 // back counts as touched by recovery — its completion went through the
 // fail-over machinery.
 func (f *Fleet) migrate(vc *vconn, cause string) {
-	if vc.rep >= 0 {
-		f.reps[vc.rep].outstanding--
-	}
 	if vc.trace != 0 && vc.fwd > 0 {
 		f.touched[vc.trace] = true
 	}
@@ -717,9 +682,6 @@ func (f *Fleet) migrate(vc *vconn, cause string) {
 // drain expiring mid-response) is left open, as before: closing it
 // would show the replica an EOF it never saw.
 func (f *Fleet) release(vc *vconn) {
-	if vc.rep >= 0 {
-		f.reps[vc.rep].outstanding--
-	}
 	if vc.back != nil && vc.back.ServerClosed() {
 		vc.back.ClientClose()
 	}
@@ -847,20 +809,12 @@ func (f *Fleet) pump() bool {
 
 // --- death, drain expiry, harvest ---------------------------------------
 
-// replicaDied harvests the dead incarnation and disposes of its
-// connections: a conn already shed by the dying server propagates its
-// close (never replayed — the request was deliberately dropped); a conn
-// whose request has not begun answering fails over with its buffered
-// request; everything else closes toward the client. The loss count
-// feeds the supervisor's RecordDeath, whose backoff decides the replica's
-// reboot point (or opens its breaker).
-func (f *Fleet) replicaDied(rep *replica, cause, detail string) {
-	now := rep.sup.Clock()
-	f.harvest(rep)
-	// Not assignable from here on: the fail-over picks below must never
-	// land a connection back on the replica that is dying.
-	rep.state = repDown
-	lost := 0
+// evacuate disposes of every connection on rep: a conn already shed by
+// its server propagates its close (never replayed — the request was
+// deliberately dropped); a conn whose request has not begun answering
+// migrates for cause with its buffered request; everything else closes
+// toward the client and counts as lost.
+func (f *Fleet) evacuate(rep *replica, cause string) (lost int) {
 	for _, vc := range f.conns {
 		if vc.closed || vc.rep != rep.id {
 			continue
@@ -873,12 +827,26 @@ func (f *Fleet) replicaDied(rep *replica, cause, detail string) {
 		}
 		f.drainBack(vc)
 		if vc.phase == phaseRequest {
-			f.migrate(vc, CauseFailover)
+			f.migrate(vc, cause)
 		} else {
 			f.release(vc)
 			lost++
 		}
 	}
+	return lost
+}
+
+// replicaDied harvests the dead incarnation and evacuates its
+// connections, failing over the unanswered ones. The loss count feeds
+// the supervisor's RecordDeath, whose backoff decides the replica's
+// reboot point (or opens its breaker).
+func (f *Fleet) replicaDied(rep *replica, cause, detail string) {
+	now := rep.sup.Clock()
+	f.harvest(rep)
+	// Not assignable from here on: the fail-over picks below must never
+	// land a connection back on the replica that is dying.
+	rep.state = repDown
+	lost := f.evacuate(rep, CauseFailover)
 	f.stats.Deaths++
 	f.stats.ConnsLost += lost
 	backoff, open := rep.sup.RecordDeath(rep.inc, lost)
@@ -909,23 +877,7 @@ func (f *Fleet) expireDrain(rep *replica) {
 		rep.drainStart = f.wall
 		return
 	}
-	for _, vc := range f.conns {
-		if vc.closed || vc.rep != rep.id {
-			continue
-		}
-		vc.refreshStarted()
-		if vc.back.ServerClosed() {
-			f.drainBack(vc)
-			f.release(vc)
-			continue
-		}
-		f.drainBack(vc)
-		if vc.phase == phaseRequest {
-			f.migrate(vc, CauseDrainExpired)
-		} else {
-			f.release(vc)
-		}
-	}
+	f.evacuate(rep, CauseDrainExpired)
 	rep.drainStart = f.wall
 }
 

@@ -157,12 +157,9 @@ func (r *fakeRep) Run(int64) interp.Outcome {
 func (r *fakeRep) Cycles() int64 { return r.cyc }
 func (r *fakeRep) Steps() int64  { return r.steps }
 
-// quickSup is a supervision policy with short, deterministic backoffs.
+// quickSup is a supervision policy whose breaker window never forgives.
 func quickSup() supervisor.Config {
-	return supervisor.Config{
-		Seed: 1, MaxRestarts: 8, WindowCycles: 1 << 40,
-		BackoffBase: 10_000, BackoffFactor: 2, BackoffMax: 80_000,
-	}
+	return supervisor.Config{Seed: 1, MaxRestarts: 8, WindowCycles: 1 << 40}
 }
 
 // fleetOf builds a fleet whose replica incarnations are fakeReps with
@@ -173,7 +170,7 @@ func fleetOf(t *testing.T, cfg Config, mode func(rep, inc int) string) (*Fleet, 
 	if cfg.Port == 0 {
 		cfg.Port = 80
 	}
-	if cfg.Sup.BackoffBase == 0 {
+	if cfg.Sup == (supervisor.Config{}) {
 		cfg.Sup = quickSup()
 	}
 	var fakes []*fakeRep
@@ -258,18 +255,6 @@ func TestRoundRobinSpreadsConns(t *testing.T) {
 		if vc.rep != want[i] {
 			t.Errorf("conn %d on replica %d, want %d", i, vc.rep, want[i])
 		}
-	}
-}
-
-func TestLeastOutstandingPicksIdleReplica(t *testing.T) {
-	f, _ := fleetOf(t, Config{Replicas: 2, Policy: PolicyLeastOutstanding}, echoMode)
-	f.reps[0].outstanding = 5 // replica 0 artificially loaded
-	if f.Connect(80); f.conns[0].rep != 1 {
-		t.Errorf("conn on replica %d, want the idle replica 1", f.conns[0].rep)
-	}
-	f.reps[1].outstanding = 7 // now replica 0 is the lighter one
-	if f.Connect(80); f.conns[1].rep != 0 {
-		t.Errorf("conn on replica %d, want 0", f.conns[1].rep)
 	}
 }
 
@@ -494,8 +479,8 @@ func TestClientResetMidDrain(t *testing.T) {
 	if out := f.Slice(0); out.Kind != interp.OutBlocked {
 		t.Fatalf("slice = %+v", out)
 	}
-	if !f.conns[0].closed || f.reps[0].outstanding != 0 {
-		t.Errorf("conn closed=%v outstanding=%d", f.conns[0].closed, f.reps[0].outstanding)
+	if !f.conns[0].closed {
+		t.Error("reset conn not closed")
 	}
 	if st := f.Stats(); st.Handoffs != 0 || st.ConnsLost != 0 || st.ConnsClosed != 1 {
 		t.Errorf("stats = %+v", st)
@@ -521,7 +506,7 @@ func TestParkedConnReplaysAfterReboot(t *testing.T) {
 	})
 	front := f.Connect(80)
 	send(t, f, front, "ping\n", 7)
-	rebootEarliest := f.wall + 10_000 // BackoffBase
+	rebootEarliest := f.wall + 50_000 // the first restart's backoff
 	(*fakes)[0].die = true
 	if out := f.Slice(0); out.Kind != interp.OutBlocked {
 		t.Fatalf("slice = %+v", out)
@@ -569,9 +554,9 @@ func TestBreakerExhaustionTrapsFleet(t *testing.T) {
 // and the occupancy decaying below the threshold returns it to rotation.
 func TestDrainFollowsWindowOccupancy(t *testing.T) {
 	sup := quickSup()
-	sup.WindowCycles = 60_000
-	sup.BackoffBase = 200
-	f, fakes := fleetOf(t, Config{Replicas: 2, Sup: sup, DrainWindow: 1}, echoMode)
+	sup.MaxRestarts = 2 // drains at window occupancy 1
+	sup.WindowCycles = 100_000
+	f, fakes := fleetOf(t, Config{Replicas: 2, Sup: sup}, echoMode)
 	(*fakes)[0].die = true
 	if out := f.Slice(0); out.Kind != interp.OutBlocked {
 		t.Fatalf("slice = %+v", out)
@@ -579,7 +564,7 @@ func TestDrainFollowsWindowOccupancy(t *testing.T) {
 	// The wall reaching the backoff point reboots the replica; it comes
 	// back with window occupancy 1 and the health check drains it.
 	draining := false
-	for i := 0; i < 50 && !draining; i++ {
+	for i := 0; i < 1000 && !draining; i++ {
 		if out := f.Slice(0); out.Kind != interp.OutBlocked {
 			t.Fatalf("slice = %+v", out)
 		}
@@ -733,7 +718,7 @@ func TestSpansPinnedAcrossDrainAndFailover(t *testing.T) {
 	if err := obsv.Sequence(spans).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "d0432fb8ed68ce826f92c02481cdcc31bb5e7425aaf14190ce6eb683fbb39f42"; got != want {
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "7f590b81b74a1b7e58d653e0bf577b04919b3882aa8ae2984d31643c5680c85a"; got != want {
 		t.Errorf("%d spans export to %s, want %s", len(spans), got, want)
 	}
 	if cap(spans) != len(spans) {

@@ -41,12 +41,6 @@ type Arena struct {
 // Dom returns the arena's protection domain ID.
 func (a *Arena) Dom() int32 { return a.dom }
 
-// Base returns the slab base address.
-func (a *Arena) Base() int64 { return a.base }
-
-// Used returns the current bump offset.
-func (a *Arena) Used() int64 { return a.used }
-
 // ArenaStats is the arena manager's accounting, reconciled against the
 // core.arena_* metrics.
 type ArenaStats struct {
@@ -118,9 +112,6 @@ func (o *OS) SetArenaHooks(enter, retire func(dom int32)) {
 
 // ArenaStats returns the manager's counters.
 func (o *OS) ArenaStats() ArenaStats { return o.arena.stats }
-
-// ActiveArena returns the live arena (nil when none).
-func (o *OS) ActiveArena() *Arena { return o.arena.cur }
 
 // ActiveArenaDom returns the live arena's domain, or 0.
 func (o *OS) ActiveArenaDom() int32 {

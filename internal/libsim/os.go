@@ -271,9 +271,6 @@ func (o *OS) Pid() int64 { return pid }
 // Now returns the simulated clock in nanoseconds.
 func (o *OS) Now() int64 { return o.clock }
 
-// AdvanceClock moves the simulated clock forward.
-func (o *OS) AdvanceClock(ns int64) { o.clock += ns }
-
 // allocFD finds the lowest free descriptor slot, appends if necessary.
 // The table is a value slab: the FD is copied into the slot, so the
 // steady state (slot reuse after CloseFD) allocates nothing.

@@ -12,9 +12,6 @@ type Listener struct {
 	Opts map[int64]int64
 }
 
-// Pending returns the number of connections waiting to be accepted.
-func (l *Listener) Pending() int { return len(l.queue) }
-
 // Conn is one established connection. The server side reads from in and
 // writes to out; the client endpoint (package netsim) does the reverse.
 type Conn struct {
@@ -301,15 +298,6 @@ func (o *OS) Unbind(port int64) bool {
 	l.Port = 0
 	delete(o.ports, port)
 	return true
-}
-
-// PortOfFD returns the bound port of a listener descriptor, or -1.
-func (o *OS) PortOfFD(fd int64) int64 {
-	s := o.lookupFD(fd)
-	if s == nil || s.Kind != FDListener {
-		return -1
-	}
-	return s.Listener.Port
 }
 
 // SockOutLen returns the bytes queued toward the client on a connection

@@ -107,9 +107,10 @@ type Options struct {
 	// 4096). Smaller quanta interleave threads more finely — more
 	// transaction overlap, more conflict aborts.
 	Quantum int64
-	// MaxThreads caps thread_create (default 64).
-	MaxThreads int
 }
+
+// maxThreads caps thread_create.
+const maxThreads = 64
 
 // Sched multiplexes threads over one shared Space/OS.
 type Sched struct {
@@ -141,9 +142,6 @@ func New(main *interp.Machine, factory RuntimeFactory, opts Options) (*Sched, er
 	}
 	if opts.Quantum <= 0 {
 		opts.Quantum = 4096
-	}
-	if opts.MaxThreads <= 0 {
-		opts.MaxThreads = 64
 	}
 	if factory == nil {
 		factory = func(int) ThreadRuntime { return Direct{} }
@@ -345,7 +343,7 @@ func (s *Sched) Create(fnName string, arg int64) (int64, error) {
 		s.os.Errno = libsim.EINVAL
 		return -1, nil
 	}
-	if len(s.threads) >= s.opts.MaxThreads {
+	if len(s.threads) >= maxThreads {
 		s.os.Errno = libsim.EAGAIN
 		return -1, nil
 	}

@@ -23,6 +23,14 @@ import (
 	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
+// The restart backoff schedule: the first restart waits backoffBase
+// cycles, each further one backoffFactor times longer, up to backoffMax.
+const (
+	backoffBase   = 50_000
+	backoffFactor = 2
+	backoffMax    = 5_000_000
+)
+
 // Config parameterizes the supervision policy.
 type Config struct {
 	// MaxRestarts is the crash-loop breaker: more than this many restarts
@@ -32,13 +40,6 @@ type Config struct {
 	// WindowCycles is the sliding window the breaker counts restarts in
 	// (default 200M cycles).
 	WindowCycles int64
-
-	// BackoffBase is the first restart's backoff in cycles (default 50k);
-	// each further restart doubles it (BackoffFactor) up to BackoffMax
-	// (default 5M).
-	BackoffBase   int64
-	BackoffFactor int64
-	BackoffMax    int64
 
 	// Seed is the campaign seed; incarnation i runs with Seed+i so every
 	// incarnation is deterministic but distinct.
@@ -52,15 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowCycles == 0 {
 		c.WindowCycles = 200_000_000
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 50_000
-	}
-	if c.BackoffFactor == 0 {
-		c.BackoffFactor = 2
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 5_000_000
 	}
 	return c
 }
@@ -210,17 +202,11 @@ func (s *Supervisor) SpanLog() *obsv.SpanLog { return &s.spans }
 
 // backoff returns the k-th restart's backoff (k is 1-based).
 func (s *Supervisor) backoff(k int) int64 {
-	b := s.cfg.BackoffBase
-	for i := 1; i < k; i++ {
-		b *= s.cfg.BackoffFactor
-		if b >= s.cfg.BackoffMax {
-			return s.cfg.BackoffMax
-		}
+	b := int64(backoffBase)
+	for i := 1; i < k && b < backoffMax; i++ {
+		b *= backoffFactor
 	}
-	if b > s.cfg.BackoffMax {
-		return s.cfg.BackoffMax
-	}
-	return b
+	return min(b, backoffMax)
 }
 
 // BeginIncarnation starts the next incarnation incrementally: it returns

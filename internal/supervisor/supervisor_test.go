@@ -9,8 +9,8 @@ import (
 )
 
 func TestBackoffIsExponentialAndCapped(t *testing.T) {
-	s := New(Config{BackoffBase: 100, BackoffFactor: 2, BackoffMax: 1000})
-	want := []int64{100, 200, 400, 800, 1000, 1000}
+	s := New(Config{})
+	want := []int64{50_000, 100_000, 200_000, 400_000, 800_000, 1_600_000, 3_200_000, 5_000_000, 5_000_000}
 	for i, w := range want {
 		if got := s.backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %d, want %d", i+1, got, w)
@@ -19,7 +19,7 @@ func TestBackoffIsExponentialAndCapped(t *testing.T) {
 }
 
 func TestSuperviseRestartsUntilDone(t *testing.T) {
-	s := New(Config{Seed: 10, BackoffBase: 100, BackoffFactor: 2, BackoffMax: 1000})
+	s := New(Config{Seed: 10})
 	var seeds []int64
 	err := s.Supervise(func(inc int, seed int64) (RunResult, error) {
 		seeds = append(seeds, seed)
@@ -41,15 +41,15 @@ func TestSuperviseRestartsUntilDone(t *testing.T) {
 	if st.BreakerOpen {
 		t.Error("breaker opened on a completing campaign")
 	}
-	// Campaign clock: 4 incarnations x 50 cycles + backoffs 100+200+400.
-	if st.BackoffCycles != 700 || st.ClockCycles != 200+700 {
+	// Campaign clock: 4 incarnations x 50 cycles + backoffs 50k+100k+200k.
+	if st.BackoffCycles != 350_000 || st.ClockCycles != 200+350_000 {
 		t.Errorf("backoff = %d, clock = %d", st.BackoffCycles, st.ClockCycles)
 	}
 	if len(st.Reboots) != 3 {
 		t.Fatalf("reboots = %+v", st.Reboots)
 	}
 	// The reboot timeline is deterministic in the cycle domain.
-	wantAt := []int64{50, 200, 450} // death stamps on the campaign clock
+	wantAt := []int64{50, 50_100, 150_150} // death stamps on the campaign clock
 	for i, rb := range st.Reboots {
 		if rb.Incarnation != i || rb.AtCycles != wantAt[i] {
 			t.Errorf("reboot %d = %+v, want at %d", i, rb, wantAt[i])
@@ -97,7 +97,7 @@ func TestBreakerOpensOnCrashLoop(t *testing.T) {
 func TestBreakerWindowForgivesSpacedCrashes(t *testing.T) {
 	// Deaths spaced wider than the window never accumulate: the campaign
 	// keeps restarting (and here eventually completes).
-	s := New(Config{MaxRestarts: 2, WindowCycles: 100, BackoffBase: 1, BackoffFactor: 1, BackoffMax: 1})
+	s := New(Config{MaxRestarts: 2, WindowCycles: 100})
 	err := s.Supervise(func(inc int, seed int64) (RunResult, error) {
 		if inc < 10 {
 			return RunResult{Died: true, Cycles: 500}, nil
@@ -173,7 +173,7 @@ func TestPublishMetricsReconcilesWithStats(t *testing.T) {
 }
 
 func TestPhaseAndHealthSurface(t *testing.T) {
-	s := New(Config{MaxRestarts: 2, WindowCycles: 1 << 40, BackoffBase: 100, BackoffFactor: 2, BackoffMax: 1000})
+	s := New(Config{MaxRestarts: 2, WindowCycles: 1 << 40})
 	if s.Phase() != PhaseIdle {
 		t.Fatalf("phase = %v before first incarnation", s.Phase())
 	}
@@ -186,13 +186,13 @@ func TestPhaseAndHealthSurface(t *testing.T) {
 		t.Fatalf("clock = %d", s.Clock())
 	}
 	backoff, open := s.RecordDeath(inc, 3)
-	if open || backoff != 100 {
+	if open || backoff != 50_000 {
 		t.Fatalf("RecordDeath = (%d, %v)", backoff, open)
 	}
-	if s.Phase() != PhaseBackoff || s.CurrentBackoff() != 100 || s.WindowOccupancy() != 1 {
+	if s.Phase() != PhaseBackoff || s.CurrentBackoff() != 50_000 || s.WindowOccupancy() != 1 {
 		t.Fatalf("phase %v backoff %d window %d", s.Phase(), s.CurrentBackoff(), s.WindowOccupancy())
 	}
-	if s.Clock() != 150 {
+	if s.Clock() != 50_050 {
 		t.Fatalf("clock = %d after backoff charge", s.Clock())
 	}
 
@@ -201,7 +201,7 @@ func TestPhaseAndHealthSurface(t *testing.T) {
 		t.Fatalf("phase = %v after restart", s.Phase())
 	}
 	s.Advance(10)
-	if backoff, open = s.RecordDeath(inc, 0); open || backoff != 200 {
+	if backoff, open = s.RecordDeath(inc, 0); open || backoff != 100_000 {
 		t.Fatalf("RecordDeath = (%d, %v)", backoff, open)
 	}
 	if s.WindowOccupancy() != 2 {
@@ -218,13 +218,13 @@ func TestPhaseAndHealthSurface(t *testing.T) {
 		t.Fatalf("phase %v, BreakerOpen %v", s.Phase(), s.BreakerOpen())
 	}
 	st := s.Stats()
-	if st.LastBackoff != 200 || st.Window != 2 {
+	if st.LastBackoff != 100_000 || st.Window != 2 {
 		t.Fatalf("stats health fields = %+v", st)
 	}
 }
 
 func TestWindowOccupancyDecaysWithClock(t *testing.T) {
-	s := New(Config{MaxRestarts: 8, WindowCycles: 100, BackoffBase: 1, BackoffFactor: 1, BackoffMax: 1})
+	s := New(Config{MaxRestarts: 8, WindowCycles: 100_000})
 	inc, _ := s.BeginIncarnation()
 	s.Advance(10)
 	s.RecordDeath(inc, 0)
@@ -233,7 +233,7 @@ func TestWindowOccupancyDecaysWithClock(t *testing.T) {
 	}
 	// The clock moving past the window forgives the restart without any
 	// further death: occupancy is a pure function of clock and stamps.
-	s.Advance(200)
+	s.Advance(200_000)
 	if s.WindowOccupancy() != 0 {
 		t.Fatalf("window = %d after decay", s.WindowOccupancy())
 	}

@@ -79,18 +79,21 @@ type OpenConfig struct {
 	ChurnEvery int `json:"churn_every,omitempty"`
 
 	// SlowEvery marks every Nth distinct client a slow reader that
-	// drains at most SlowBytes (default 3) per round instead of
-	// everything — the slow-loris shape (0 = no slow readers).
+	// drains at most slowBytes per round instead of everything — the
+	// slow-loris shape (0 = no slow readers).
 	SlowEvery int `json:"slow_every,omitempty"`
-	SlowBytes int `json:"slow_bytes,omitempty"`
 
-	// FragmentEvery delivers every Nth arrival's request in FragSize
-	// (default 4) byte fragments across consecutive rounds instead of one
-	// write (0 = no fragmentation). Oversized requests exercise the same
-	// path: any request longer than FragSize is split when selected.
+	// FragmentEvery delivers every Nth arrival's request in fragSize byte
+	// fragments across consecutive rounds instead of one write (0 = no
+	// fragmentation). Oversized requests exercise the same path: any
+	// request longer than fragSize is split when selected.
 	FragmentEvery int `json:"fragment_every,omitempty"`
-	FragSize      int `json:"frag_size,omitempty"`
 }
+
+const (
+	slowBytes = 3 // bytes a slow reader drains per round
+	fragSize  = 4 // bytes per fragment of a fragmented request
+)
 
 func (cfg *OpenConfig) defaults() {
 	if cfg.Shape == "" {
@@ -113,12 +116,6 @@ func (cfg *OpenConfig) defaults() {
 	}
 	if cfg.Patience <= 0 {
 		cfg.Patience = 2_000_000
-	}
-	if cfg.SlowBytes <= 0 {
-		cfg.SlowBytes = 3
-	}
-	if cfg.FragSize <= 0 {
-		cfg.FragSize = 4
 	}
 }
 
@@ -244,7 +241,7 @@ type openClient struct {
 	scanned  int            // resp[:scanned] holds no complete response
 	fragLeft []byte         // undelivered tail of queue[0]
 	last     int64          // trace of the most recently delivered request
-	slow     bool           // drains SlowBytes per round
+	slow     bool           // drains slowBytes per round
 	churn    bool           // close the connection after the next drain
 	active   bool           // in the round's active set
 }
@@ -361,7 +358,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			}
 			a := &openArrival{at: nextAt, idx: offered}
 			a.req = d.Gen.Next(id, &c.rng)
-			if cfg.FragmentEvery > 0 && (offered+1)%cfg.FragmentEvery == 0 && len(a.req) > cfg.FragSize {
+			if cfg.FragmentEvery > 0 && (offered+1)%cfg.FragmentEvery == 0 && len(a.req) > fragSize {
 				a.frag = true
 			}
 			if d.Sink != nil {
@@ -423,7 +420,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			// A half-delivered request owns the connection until its
 			// last fragment lands.
 			if len(c.fragLeft) > 0 {
-				n := min(cfg.FragSize, len(c.fragLeft))
+				n := min(fragSize, len(c.fragLeft))
 				c.conn.ClientDeliver(c.fragLeft[:n])
 				c.fragLeft = c.fragLeft[n:]
 				progressed = true
@@ -446,8 +443,8 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 				a := c.queue[0]
 				body := a.req
 				if a.frag {
-					body = a.req[:cfg.FragSize]
-					c.fragLeft = a.req[cfg.FragSize:]
+					body = a.req[:fragSize]
+					c.fragLeft = a.req[fragSize:]
 				}
 				if d.Sink != nil {
 					c.conn.ClientDeliverTraced(body, a.trace)
@@ -485,7 +482,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			}
 			had := len(c.resp)
 			if c.slow {
-				c.resp = append(c.resp, c.conn.ClientTakeN(cfg.SlowBytes)...)
+				c.resp = append(c.resp, c.conn.ClientTakeN(slowBytes)...)
 			} else {
 				c.resp = c.conn.ClientTakeAppend(c.resp)
 			}

@@ -92,7 +92,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 		cfg := OpenConfig{
 			Shape: shape, Total: 80, Clients: 24, RatePerMcycle: 300,
 			MaxConns: 8, PipelineDepth: 2, ChurnEvery: 7,
-			SlowEvery: 3, SlowBytes: 2, FragmentEvery: 5, FragSize: 2,
+			SlowEvery: 3, FragmentEvery: 5,
 		}
 		a := newEchoDriver(t).RunOpen(cfg)
 		b := newEchoDriver(t).RunOpen(cfg)
@@ -219,7 +219,7 @@ func TestOpenLoopTracedTerminals(t *testing.T) {
 	res := d.RunOpen(OpenConfig{
 		Total: 120, Clients: 32, RatePerMcycle: 400,
 		MaxConns: 8, PipelineDepth: 3, ChurnEvery: 9,
-		SlowEvery: 4, SlowBytes: 2, FragmentEvery: 6, FragSize: 2,
+		SlowEvery: 4, FragmentEvery: 6,
 	})
 	if res.ServerDied || res.Stalled {
 		t.Fatalf("result = %+v", res.Result)
