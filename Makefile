@@ -131,7 +131,8 @@ diff-smoke: smoke-tools
 # must still replay to completion and survive a -reverse-step, so a
 # change that breaks existing recordings fails here. Then a chaos
 # campaign with -record-out captures a replay manifest for every
-# incarnation that ended unrecovered or with the breaker open, and the
+# incarnation that ended unrecovered or with the breaker open, the
+# heap-domain containment matrix (-experiment domains) likewise, and the
 # open-loop sweep one for every failing rung; each one must then (a)
 # re-execute to completion with every span verified against the
 # recorded hash chain and the replayed stream byte-identical to the
@@ -147,7 +148,8 @@ replay-smoke: smoke-tools
 		-stop-at-cycle 0 > /dev/null
 	$(BIN)/firetrace -replay cmd/firetrace/testdata/manifest.json \
 		-reverse-step -ckpt-every 1000 > /dev/null
-	rm -rf $(SMOKE_DIR)/replay $(SMOKE_DIR)/replay2 $(SMOKE_DIR)/replay-open
+	rm -rf $(SMOKE_DIR)/replay $(SMOKE_DIR)/replay2 $(SMOKE_DIR)/replay-open \
+		$(SMOKE_DIR)/replay-dom
 	$(BIN)/firebench -experiment chaos -requests 24 -faults 1 \
 		-concurrency 2 -seed 3 -parallel 4 \
 		-record-out $(SMOKE_DIR)/replay -fingerprint > /dev/null
@@ -156,10 +158,13 @@ replay-smoke: smoke-tools
 		-record-out $(SMOKE_DIR)/replay2 -fingerprint > /dev/null
 	$(BIN)/firebench -experiment openloop -requests 600 -seed 2 -parallel 4 \
 		-record-out $(SMOKE_DIR)/replay-open -fingerprint > /dev/null
+	$(BIN)/firebench -experiment domains -requests 60 -faults 4 \
+		-concurrency 2 -parallel 4 \
+		-record-out $(SMOKE_DIR)/replay-dom > /dev/null
 	ls $(SMOKE_DIR)/replay/*.json $(SMOKE_DIR)/replay2/*.json \
-		$(SMOKE_DIR)/replay-open/*.json > /dev/null
+		$(SMOKE_DIR)/replay-open/*.json $(SMOKE_DIR)/replay-dom/*.json > /dev/null
 	for m in $(SMOKE_DIR)/replay/*.json $(SMOKE_DIR)/replay2/*.json \
-		$(SMOKE_DIR)/replay-open/*.json; do \
+		$(SMOKE_DIR)/replay-open/*.json $(SMOKE_DIR)/replay-dom/*.json; do \
 		$(BIN)/firetrace -manifest $$m > /dev/null || exit 1; \
 		$(BIN)/firetrace -replay $$m -stop-at-cycle 0 \
 			-replay-spans $$m.replayed.jsonl > /dev/null || exit 1; \

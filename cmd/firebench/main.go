@@ -45,10 +45,10 @@
 // global span log, which carries replica/incarnation stamps on every
 // replica-attributed event.
 //
-// -record-out arms the flight recorder for the chaos and openloop
-// experiments: every incarnation that ends unrecovered (or with the
-// crash-loop breaker open) is captured as a replay manifest plus a
-// companion span stream, replayable and reverse-steppable with
+// -record-out arms the flight recorder for the chaos, openloop and
+// domains experiments: every incarnation that ends unrecovered (or
+// with the crash-loop breaker open) is captured as a replay manifest
+// plus a companion span stream, replayable and reverse-steppable with
 // firetrace -replay. -fingerprint appends the span log's hash-chain
 // value to the output of every experiment that has one (chaos, fleet,
 // domains, openloop and the per-app runs) — one line that commits to
@@ -397,7 +397,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (per-app runs)")
 	fs.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
 	fs.BoolVar(&out.fingerprint, "fingerprint", false, "print the span log's hash-chain fingerprint (chaos, fleet, domains, openloop, per-app runs)")
-	recordOut := fs.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
+	recordOut := fs.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop, domains; see firetrace -replay)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {

@@ -194,9 +194,9 @@ func (r Runner) AblationGeometry() (GeometryResult, error) {
 		return out, err
 	}
 	for _, kib := range []int{8, 16, 32, 64, 128} {
-		sets := kib * 1024 / 64 / 8 // lines / ways
+		sets := kib * 1024 / 64 / htm.Ways // lines / ways
 		cfg := core.Config{
-			HTM: htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
+			HTM: htm.Config{Sets: sets, Seed: r.Seed},
 		}
 		inst, res, err := r.measureImage(img, boot.Options{Core: cfg})
 		if err != nil {

@@ -135,11 +135,11 @@ func TestOpenLoopRecordsFailingRungs(t *testing.T) {
 		t.Fatalf("no failing rung recorded as openloop-000.json: %d files", len(files))
 	}
 	checkPinned(t, files, func(name string) bool { return strings.HasSuffix(name, ".json") }, map[string]string{
-		"openloop-000.json": "e49cd882d9761288490f7fb62a42a61108f8e9746746d8a766eda442af8698b4",
-		"openloop-001.json": "dd73832ccfacddc9062eee4a3ea6852dbe90ad3f917425c807c9031730ce358e",
-		"openloop-002.json": "8ddf7284e9f62d7e61bab479bf259dc6491d72eb3161ad67631a6a04ea965335",
-		"openloop-003.json": "850d591609d0275bf02b3ae48d37fa31afcc95d6e9a0fa657d9ff22df54047a4",
-		"openloop-004.json": "442976a052268a3ba454545170018ce5afbc3dd7db9f7fbf56868e544efddcea",
+		"openloop-000.json": "6939ebf34a719751e9044adda0b83c431e20688053ccb90a9437936a10e8cee3",
+		"openloop-001.json": "ad63c07a18ede82b5a68f2791178fff4f0d3ad8f724135ed9e90f8a01d2035e2",
+		"openloop-002.json": "c93a8dba19bf4ffd96949e613acca387a9992b2a2159213c8457dff98ee70d73",
+		"openloop-003.json": "5f56c01db093d86873ae82cc1a4af65a06855943566547d5c740ac80bba9c5a0",
+		"openloop-004.json": "471b4b5fcfab98166cba738901267d9223db12017b3ae3f647e28112d34b026b",
 	})
 	for name := range files {
 		if !strings.HasSuffix(name, ".json") {

@@ -45,14 +45,27 @@ type ChaosResult struct {
 	stream
 }
 
-// chaosKinds are the fault models the soak sweeps: the paper's fail-stop
-// plus HSFI's fail-silent mutations.
-var chaosKinds = []faultinj.Kind{
-	faultinj.FailStop,
+// silentKinds are HSFI's fail-silent mutations: every silent-corruption
+// fault model, excluding fail-stop (which cannot scribble).
+var silentKinds = []faultinj.Kind{
 	faultinj.FlipBranch,
 	faultinj.CorruptConst,
 	faultinj.WrongOperator,
 	faultinj.OffByOne,
+}
+
+// chaosKinds are the fault models the chaos soak, the fleet and Table IV
+// sweep: the paper's fail-stop plus the fail-silent mutations.
+var chaosKinds = append([]faultinj.Kind{faultinj.FailStop}, silentKinds...)
+
+// faultBudget bounds the faults a fault matrix plans per app and kind:
+// FaultsPerServer fail-stop faults, and the silent kinds share about as
+// many.
+func (r Runner) faultBudget(kind faultinj.Kind) int {
+	if kind == faultinj.FailStop {
+		return r.FaultsPerServer
+	}
+	return r.FaultsPerServer/len(silentKinds) + 1
 }
 
 // Chaos runs the chaos soak campaign: seeded faults of every kind planted
@@ -65,12 +78,7 @@ var chaosKinds = []faultinj.Kind{
 func (r Runner) Chaos() (ChaosResult, error) {
 	r = r.withDefaults()
 	out := ChaosResult{Requests: r.Requests}
-	jobs, err := r.planMatrix("chaos", apps.All(), chaosKinds, func(kind faultinj.Kind) int {
-		if kind == faultinj.FailStop {
-			return r.FaultsPerServer
-		}
-		return r.FaultsPerServer/(len(chaosKinds)-1) + 1
-	})
+	jobs, err := r.planMatrix("chaos", apps.All(), chaosKinds, r.faultBudget)
 	if err != nil {
 		return out, err
 	}

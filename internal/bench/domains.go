@@ -7,9 +7,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/apps"
 	"github.com/firestarter-go/firestarter/internal/boot"
 	"github.com/firestarter-go/firestarter/internal/core"
-	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/htm"
-	"github.com/firestarter-go/firestarter/internal/libmodel"
 	"github.com/firestarter-go/firestarter/internal/obsv"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 	"github.com/firestarter-go/firestarter/internal/workload"
@@ -94,11 +92,11 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("domains %s: %w", app.Name, err)
 		}
-		if imgs[i], err = r.build(app, boot.Options{Fault: &f, Model: libmodel.WithArena()}); err != nil {
+		if imgs[i], err = r.build(app, boot.Options{Fault: &f}); err != nil {
 			return out, fmt.Errorf("domains %s: %w", app.Name, err)
 		}
 	}
-	capImg, err := r.build(apps.LighttpdPool(), boot.Options{Model: libmodel.WithArena()})
+	capImg, err := r.build(apps.LighttpdPool(), boot.Options{})
 	if err != nil {
 		return out, fmt.Errorf("domains capacity: %w", err)
 	}
@@ -140,9 +138,9 @@ func (r Runner) AblationDomains() (DomainsResult, error) {
 			return nil
 		}
 		j := capJobs[i-nStrat]
-		sets := j.kib * 1024 / 64 / 8 // lines / ways
+		sets := j.kib * 1024 / 64 / htm.Ways // lines / ways
 		cfg := core.Config{
-			HTM:           htm.Config{Sets: sets, Ways: 8, Seed: r.Seed},
+			HTM:           htm.Config{Sets: sets, Seed: r.Seed},
 			EnableDomains: j.domains,
 		}
 		inst, _, err := r.measureImage(capImg, boot.Options{Core: cfg})
@@ -222,15 +220,6 @@ type ContainResult struct {
 	stream
 }
 
-// containKinds is the fail-silent fault matrix: every silent-corruption
-// mutation model, excluding fail-stop (which cannot scribble).
-var containKinds = []faultinj.Kind{
-	faultinj.FlipBranch,
-	faultinj.CorruptConst,
-	faultinj.WrongOperator,
-	faultinj.OffByOne,
-}
-
 // Containment runs the fail-silent chaos matrix against the pool servers
 // with heap domains enabled under the full recovery escalation ladder,
 // and audits every connection write's domain provenance: no post-recovery
@@ -240,9 +229,7 @@ var containKinds = []faultinj.Kind{
 func (r Runner) Containment() (ContainResult, error) {
 	r = r.withDefaults()
 	out := ContainResult{Requests: r.Requests}
-	jobs, err := r.planMatrix("containment", apps.PoolApps(), containKinds, func(faultinj.Kind) int {
-		return r.FaultsPerServer/len(containKinds) + 1
-	})
+	jobs, err := r.planMatrix("containment", apps.PoolApps(), silentKinds, r.faultBudget)
 	if err != nil {
 		return out, err
 	}
@@ -251,7 +238,6 @@ func (r Runner) Containment() (ContainResult, error) {
 			return r.ladderRun(jobs[i].app, boot.Options{
 				Core:  core.Config{EnableDomains: true},
 				Fault: &jobs[i].fault,
-				Model: libmodel.WithArena(),
 			}, supervisor.Config{Seed: r.Seed + 1000*int64(i+1)})
 		})
 	if err != nil {

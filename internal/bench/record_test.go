@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/apps"
@@ -12,6 +14,7 @@ import (
 	"github.com/firestarter-go/firestarter/internal/faultinj"
 	"github.com/firestarter-go/firestarter/internal/libmodel"
 	"github.com/firestarter-go/firestarter/internal/obsv"
+	"github.com/firestarter-go/firestarter/internal/replay"
 	"github.com/firestarter-go/firestarter/internal/supervisor"
 )
 
@@ -103,7 +106,7 @@ func TestChaosFingerprintAndRecordingInvariance(t *testing.T) {
 		t.Fatal("no recordings written")
 	}
 	checkPinned(t, a, func(string) bool { return true }, map[string]string{
-		"chaos-000.json":        "fccb79b74db99c9ce02132c6fead210f75e02540a1118d61a7488c95d8fd36d1",
+		"chaos-000.json":        "6c49d972fb2f5e401e99e027e998a425a9ee8fd9ff8b3238f8477c8699ebb6de",
 		"chaos-000.spans.jsonl": "19472e3a52e1035df71f628817205a99fe965f4942990e262b56dadd473d5eb5",
 	})
 	if len(a) != len(b) {
@@ -158,8 +161,8 @@ func TestLadderRecordsOnlyReplayableBoots(t *testing.T) {
 		t.Fatalf("default boot: failing %v, %d recordings; want a recorded failure", failing(def), len(def.Recordings))
 	}
 	for name, o := range map[string]boot.Options{
-		"arena model": {Fault: &fault, Model: libmodel.WithArena()},
-		"prelatched":  {Fault: &fault, Prelatch: []int{1}},
+		"masked model": {Fault: &fault, Model: libmodel.DefaultMasked()},
+		"prelatched":   {Fault: &fault, Prelatch: []int{1}},
 	} {
 		lr, err := r.ladderRun(app, o, supervisor.Config{})
 		if err != nil {
@@ -170,6 +173,48 @@ func TestLadderRecordsOnlyReplayableBoots(t *testing.T) {
 		}
 		if len(lr.Recordings) != 0 {
 			t.Errorf("%s: captured %d recordings replay cannot reproduce", name, len(lr.Recordings))
+		}
+	}
+}
+
+// Heap-domain campaigns boot under the default model, so their failures
+// are recorded like any other: a containment run records the same files
+// at any Parallelism, and every manifest replays each of its spans.
+func TestContainmentRecordsReplayable(t *testing.T) {
+	// At this size one redis-pool flip-branch campaign opens its breaker.
+	serial := Runner{Requests: 60, Concurrency: 2, FaultsPerServer: 4, RecordDir: t.TempDir()}
+	parallel := serial
+	parallel.Parallelism, parallel.RecordDir = 4, t.TempDir()
+	if _, err := serial.Containment(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parallel.Containment(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := readDir(t, serial.RecordDir), readDir(t, parallel.RecordDir)
+	if len(a) == 0 {
+		t.Fatal("no containment recordings written")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("serial wrote %d files, parallel %d, or their bytes differ", len(a), len(b))
+	}
+	for name := range a {
+		if !strings.HasSuffix(name, ".json") {
+			continue
+		}
+		rec, err := replay.Load(filepath.Join(serial.RecordDir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !rec.Manifest.Core.EnableDomains {
+			t.Errorf("%s: recorded core config %+v lacks heap domains", name, rec.Manifest.Core)
+		}
+		res, err := (&replay.Runner{Rec: rec}).Replay()
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		if res.Stopped || res.Verified != len(rec.Spans) {
+			t.Errorf("%s: stopped %v, verified %d of %d spans", name, res.Stopped, res.Verified, len(rec.Spans))
 		}
 	}
 }

@@ -143,90 +143,42 @@ type TableIVResult struct {
 func (r Runner) TableIV() (TableIVResult, error) {
 	r = r.withDefaults()
 	var out TableIVResult
-	for _, app := range apps.All() {
-		row := TableIVRow{Server: app.Name}
-
-		failStop, err := r.planFaults(app, faultinj.FailStop, r.FaultsPerServer)
+	jobs, err := r.planMatrix("table IV", apps.All(), chaosKinds, r.faultBudget)
+	if err != nil {
+		return out, err
+	}
+	// Every cell of every app fans across the pool; the outcomes fold in
+	// job order, so counters and latency samples match a serial campaign.
+	type outcome struct {
+		crashed   bool // the fault crashed the server, recovered or not
+		triggered bool // a crash, an unrecovered one, or a death
+		died      bool
+		latency   []int64
+	}
+	runs := make([]outcome, len(jobs))
+	if err := r.forEach(len(jobs), func(i int) error {
+		inst, res, err := r.measure(jobs[i].app, boot.Options{Fault: &jobs[i].fault})
 		if err != nil {
-			return out, fmt.Errorf("table IV %s: %w", app.Name, err)
+			return err
 		}
-		// Fan the per-fault runs across the pool; the outcomes reduce in
-		// fault-plan order, so counters and latency samples match the
-		// serial campaign.
-		type fsOutcome struct {
-			triggered bool
-			died      bool
-			latency   []int64 // web servers only
+		st := inst.RT.Stats()
+		runs[i] = outcome{
+			crashed:   st.Crashes > 0 || res.ServerDied,
+			triggered: st.Crashes > 0 || st.Unrecovered > 0 || res.ServerDied,
+			died:      res.ServerDied,
+			latency:   st.LatencyCycles,
 		}
-		web := isWebServer(app.Name)
-		fsResults := make([]fsOutcome, len(failStop))
-		if err := r.forEach(len(failStop), func(i int) error {
-			inst, res, err := r.measure(app, boot.Options{Fault: &failStop[i]})
-			if err != nil {
-				return err
-			}
-			st := inst.RT.Stats()
-			fsResults[i] = fsOutcome{
-				triggered: st.Crashes > 0 || st.Unrecovered > 0 || res.ServerDied,
-				died:      res.ServerDied,
-			}
-			if web {
-				fsResults[i].latency = st.LatencyCycles
-			}
-			return nil
-		}); err != nil {
-			return out, err
-		}
-		var latency []int64
-		for _, o := range fsResults {
-			latency = append(latency, o.latency...)
-			if !o.triggered {
-				continue // the workload never reached the fault
-			}
-			row.FSInjected++
-			if !o.died {
-				row.FSRecovered++
-			}
-		}
-		if web {
-			out.Latency = append(out.Latency, figure5Row(app.Name, latency))
-		}
+		return nil
+	}); err != nil {
+		return out, err
+	}
 
-		// Fail-silent faults: mix the HSFI corruption types. Planning
-		// stays serial (each plan is a profiling run feeding the next
-		// stage); the runs themselves fan out as one flat job list.
-		kinds := []faultinj.Kind{
-			faultinj.FlipBranch, faultinj.CorruptConst,
-			faultinj.WrongOperator, faultinj.OffByOne,
-		}
-		var silFaults []faultinj.Fault
-		for _, kind := range kinds {
-			faults, err := r.planFaults(app, kind, r.FaultsPerServer/len(kinds)+1)
-			if err != nil {
-				return out, err
-			}
-			silFaults = append(silFaults, faults...)
-		}
-		type silOutcome struct {
-			crashed bool
-			died    bool
-		}
-		silResults := make([]silOutcome, len(silFaults))
-		if err := r.forEach(len(silFaults), func(i int) error {
-			inst, res, err := r.measure(app, boot.Options{Fault: &silFaults[i]})
-			if err != nil {
-				return err
-			}
-			st := inst.RT.Stats()
-			silResults[i] = silOutcome{
-				crashed: st.Crashes > 0 || res.ServerDied,
-				died:    res.ServerDied,
-			}
-			return nil
-		}); err != nil {
-			return out, err
-		}
-		for _, o := range silResults {
+	var rows rowFold[string, TableIVRow]
+	latency := map[string][]int64{}
+	for i, j := range jobs {
+		o := runs[i]
+		row := rows.row(j.app.Name, func() TableIVRow { return TableIVRow{Server: j.app.Name} })
+		if j.kind != faultinj.FailStop {
 			row.SilInjected++
 			if o.crashed {
 				row.SilTriggered++
@@ -234,8 +186,22 @@ func (r Runner) TableIV() (TableIVResult, error) {
 					row.SilRecovered++
 				}
 			}
+			continue
 		}
-		out.Rows = append(out.Rows, row)
+		latency[j.app.Name] = append(latency[j.app.Name], o.latency...)
+		if !o.triggered {
+			continue // the workload never reached the fault
+		}
+		row.FSInjected++
+		if !o.died {
+			row.FSRecovered++
+		}
+	}
+	out.Rows = rows.rows
+	for _, row := range out.Rows {
+		if isWebServer(row.Server) {
+			out.Latency = append(out.Latency, figure5Row(row.Server, latency[row.Server]))
+		}
 	}
 	return out, nil
 }

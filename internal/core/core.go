@@ -131,29 +131,29 @@ const (
 
 // Config parameterizes the runtime.
 type Config struct {
-	Mode Mode
+	Mode Mode `json:"Mode,omitempty"`
 
 	// Threshold is the HTM abort-rate bound θ above which a gate latches
 	// to STM (paper default 1%).
-	Threshold float64
+	Threshold float64 `json:"Threshold,omitempty"`
 
 	// SampleSize S: the threshold is checked every S-th HTM abort of a
 	// gate (paper's best: 4; Fig. 3 uses 128).
-	SampleSize int64
+	SampleSize int64 `json:"SampleSize,omitempty"`
 
 	// RetryTransient is the number of rollback-and-re-execute attempts
 	// (under STM) before a crash is declared persistent and a fault is
 	// injected.
-	RetryTransient int
+	RetryTransient int `json:"RetryTransient,omitempty"`
 
 	// StickyDivert keeps a gate permanently diverted after an injection
 	// (gracefully disabling the crashing path) instead of re-arming
 	// after the transaction commits.
-	StickyDivert bool
+	StickyDivert bool `json:"StickyDivert,omitempty"`
 
 	// HTM parameterizes the hardware model (cache geometry, interrupt
 	// process, seed).
-	HTM htm.Config
+	HTM htm.Config `json:"HTM,omitempty"`
 
 	// EnableDomains switches on the rewind-and-discard checkpoint
 	// strategy as a third option beside HTM and STM: per-request arenas
@@ -162,7 +162,7 @@ type Config struct {
 	// crash cause. Off by default — the domains-off fast path is
 	// byte-identical to a build without this feature. ModeRewind implies
 	// it. Single-threaded runs only (the scheduler tier excludes it).
-	EnableDomains bool
+	EnableDomains bool `json:"EnableDomains,omitempty"`
 }
 
 // withDefaults fills zero values with the paper's defaults.

@@ -43,14 +43,14 @@ const srPages = 6
 
 // srParams picks one case; every field is derived from fuzz input.
 type srParams struct {
-	mode, op   int
-	flags      uint8 // bit 0: finish (HTM/STM) or doom (conflict) the transaction first
-	holes      uint8 // bit i: page i of the region is unmapped
-	deny       uint8 // bit i: page i belongs to a foreign protection domain
-	sets, ways int
-	addr, src  int64
-	n          int64
-	seed       int64
+	mode, op  int
+	flags     uint8 // bit 0: finish (HTM/STM) or doom (conflict) the transaction first
+	holes     uint8 // bit i: page i of the region is unmapped
+	deny      uint8 // bit i: page i belongs to a foreign protection domain
+	sets      int
+	addr, src int64
+	n         int64
+	seed      int64
 }
 
 func srParamsFrom(mode, op, flags, holes, deny, geom uint8, off, length, srcOff uint16, seed int64) srParams {
@@ -62,7 +62,6 @@ func srParamsFrom(mode, op, flags, holes, deny, geom uint8, off, length, srcOff 
 		holes: holes & (1<<srPages - 1),
 		deny:  deny & (1<<srPages - 1),
 		sets:  1 << (geom & 3),
-		ways:  1 + int(geom>>2&3),
 		addr:  mem.HeapBase + int64(off)%span,
 		src:   mem.HeapBase + int64(srcOff)%span,
 		n:     int64(length) % (3*mem.PageSize + 1),
@@ -140,7 +139,7 @@ func newSRWorld(p srParams) *srWorld {
 		}
 		return last
 	}
-	cfg := htm.Config{Sets: p.sets, Ways: p.ways}
+	cfg := htm.Config{Sets: p.sets}
 	switch p.mode {
 	case srHTM:
 		w.tsx = htm.New(cfg)
@@ -334,8 +333,9 @@ func FuzzStoreRangeEquivalence(f *testing.F) {
 			// Finished / doomed transaction.
 			f.Add(mode, op, uint8(1), uint8(0), uint8(0), uint8(0x05), uint16(77), uint16(500), uint16(3), int64(11))
 		}
-		// Small geometry: a capacity abort lands mid-range.
-		f.Add(mode, uint8(srWrite), uint8(0), uint8(0), uint8(0), uint8(0x01), uint16(60), uint16(700), uint16(0), int64(13))
+		// Small geometry (one set of eight lines): a capacity abort lands
+		// mid-range.
+		f.Add(mode, uint8(srWrite), uint8(0), uint8(0), uint8(0), uint8(0x00), uint16(60), uint16(700), uint16(0), int64(13))
 		// memcpy whose source runs into a hole: the load faults mid-copy.
 		f.Add(mode, uint8(srMemcpy), uint8(0), uint8(1<<1), uint8(0), uint8(0x0f), uint16(3*pg), uint16(900), uint16(pg-300), int64(17))
 		// memcpy with dst in (src, src+n): the forward copy smears.
@@ -358,7 +358,7 @@ func TestStoreRangeTraps(t *testing.T) {
 	// the mapped half before faulting; STM faults on its undo-log load
 	// and writes nothing.
 	for _, mode := range []int{srDirect, srHTM, srSTM} {
-		p := srParams{mode: mode, op: srWrite, holes: 1 << 1, sets: 64, ways: 8, addr: base + pg - 4, n: 16, seed: 1}
+		p := srParams{mode: mode, op: srWrite, holes: 1 << 1, sets: 64, addr: base + pg - 4, n: 16, seed: 1}
 		w := newSRWorld(p)
 		before, _ := w.space.ReadBytes(base+pg-4, 4)
 		logged := w.rt.undo.Len()
@@ -377,10 +377,10 @@ func TestStoreRangeTraps(t *testing.T) {
 	}
 
 	// A capacity abort is charged through the unit holding the first byte
-	// of the line that overflowed: one set of two ways holds lines base
-	// and base+64; the line at base+128 overflows, and its first byte is
-	// byte 68 of a range starting at base+60, in unit 8.
-	p := srParams{mode: srHTM, op: srWrite, sets: 1, ways: 2, addr: base + 60, n: 200, seed: 2}
+	// of the line that overflowed: one set of eight ways holds lines base
+	// to base+448; the line at base+512 overflows, and its first byte is
+	// byte 452 of a range starting at base+60, in unit 56.
+	p := srParams{mode: srHTM, op: srWrite, sets: 1, addr: base + 60, n: 600, seed: 2}
 	w := newSRWorld(p)
 	w.tx.Abort(htm.AbortExplicit) // drop the prior stores
 	w.tx = w.tsx.Begin(w.space)
@@ -388,8 +388,8 @@ func TestStoreRangeTraps(t *testing.T) {
 	image := w.space.Digest()
 	units, err := w.rt.routeStoreRange(p.addr, w.data)
 	var abort *htm.AbortError
-	if units != 9 || !errors.As(err, &abort) || abort.Cause != htm.AbortCapacity {
-		t.Fatalf("capacity: units %d, err %v; want 9 units and a capacity abort", units, err)
+	if units != 57 || !errors.As(err, &abort) || abort.Cause != htm.AbortCapacity {
+		t.Fatalf("capacity: units %d, err %v; want 57 units and a capacity abort", units, err)
 	}
 	if w.space.Digest() != image {
 		t.Error("capacity abort left the range's writes in memory")
@@ -413,7 +413,7 @@ func TestStoreRangeTraps(t *testing.T) {
 	// the source's third line and read the destination's first, so the
 	// copy's first unit dooms it and later units must load the restored
 	// source.
-	p = srParams{mode: srHTMConflict, op: srMemcpy, sets: 8, ways: 4, addr: base + 2*pg, src: base, n: 256, seed: 4}
+	p = srParams{mode: srHTMConflict, op: srMemcpy, sets: 8, addr: base + 2*pg, src: base, n: 256, seed: 4}
 	checkStoreRange(t, p, func(w *srWorld) {
 		w.tx.Abort(htm.AbortExplicit)
 		w.peerTx.Abort(htm.AbortExplicit)

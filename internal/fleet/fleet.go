@@ -258,22 +258,18 @@ type Fleet struct {
 // New builds a fleet; nothing boots until the first Slice.
 func New(cfg Config, boot BootFunc) *Fleet {
 	cfg = cfg.withDefaults()
-	mr := cfg.Sup.MaxRestarts
-	if mr == 0 {
-		mr = 8 // supervisor default
-	}
 	f := &Fleet{
-		cfg:         cfg,
-		boot:        boot,
-		drainWindow: max(mr-1, 1),
-		touched:     map[int64]bool{},
-		reg:         obsv.NewRegistry(),
+		cfg:     cfg,
+		boot:    boot,
+		touched: map[int64]bool{},
+		reg:     obsv.NewRegistry(),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		sc := cfg.Sup
 		sc.Seed = cfg.Sup.Seed + seedStride*int64(i)
 		f.reps = append(f.reps, &replica{id: i, sup: supervisor.New(sc)})
 	}
+	f.drainWindow = max(f.reps[0].sup.MaxRestarts()-1, 1)
 	f.stats.Replicas = cfg.Replicas
 	return f
 }

@@ -777,3 +777,18 @@ func TestOpenLoopChurnBoundsQueuePools(t *testing.T) {
 		}
 	}
 }
+
+// The drain threshold is one restart short of the supervisor's resolved
+// breaker bound (at least 1), so it follows the supervisor's default.
+func TestDrainWindowFollowsSupervisor(t *testing.T) {
+	for _, mr := range []int{0, 1, 3} {
+		f := New(Config{Replicas: 2, Port: 80, Sup: supervisor.Config{MaxRestarts: mr}}, nil)
+		want := max(supervisor.New(supervisor.Config{MaxRestarts: mr}).MaxRestarts()-1, 1)
+		if f.drainWindow != want {
+			t.Errorf("MaxRestarts %d: drain window %d, want %d", mr, f.drainWindow, want)
+		}
+	}
+	if f := New(Config{Port: 80}, nil); f.drainWindow != 7 {
+		t.Errorf("default drain window %d, want 7 (supervisor default 8 - 1)", f.drainWindow)
+	}
+}

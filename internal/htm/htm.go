@@ -84,29 +84,29 @@ func abortError(c AbortCause) *AbortError {
 	return &AbortError{Cause: c}
 }
 
+// Ways is the L1D write buffer's associativity: every set holds this
+// many lines.
+const Ways = 8
+
 // Config parameterizes the TSX model.
 type Config struct {
-	// Sets and Ways describe the L1D write-buffer geometry. Zero values
-	// default to 64 sets × 8 ways (32 KiB of 64-byte lines), the
+	// Sets is the number of cache sets of the L1D write buffer, of Ways
+	// lines each. Zero defaults to 64 sets (32 KiB of 64-byte lines), the
 	// Skylake-era L1D the paper's i7-6700K testbed has.
-	Sets int
-	Ways int
+	Sets int `json:"Sets,omitempty"`
 
 	// MeanInstrsPerInterrupt is the expected number of retired
 	// instructions between asynchronous aborts, modelling timer
 	// interrupts and page faults. Zero disables interrupt aborts.
-	MeanInstrsPerInterrupt float64
+	MeanInstrsPerInterrupt float64 `json:"MeanInstrsPerInterrupt,omitempty"`
 
 	// Seed feeds the deterministic interrupt process.
-	Seed int64
+	Seed int64 `json:"Seed,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
 	if c.Sets == 0 {
 		c.Sets = 64
-	}
-	if c.Ways == 0 {
-		c.Ways = 8
 	}
 	return c
 }
@@ -246,7 +246,7 @@ func (t *TSX) Begin(space *mem.Space) *Tx {
 		tx = &Tx{
 			owner:  t,
 			space:  space,
-			tags:   make([]int64, t.cfg.Sets*t.cfg.Ways),
+			tags:   make([]int64, t.cfg.Sets*Ways),
 			perSet: make([]int8, t.cfg.Sets),
 		}
 	}
@@ -339,7 +339,7 @@ func (tx *Tx) set(line int64) int {
 // dirty reports whether line is in the write set.
 func (tx *Tx) dirty(line int64) bool {
 	set := tx.set(line)
-	base := set * tx.owner.cfg.Ways
+	base := set * Ways
 	for _, l := range tx.tags[base : base+int(tx.perSet[set])] {
 		if l == line {
 			return true
@@ -360,7 +360,7 @@ func (tx *Tx) touch(line int64) error {
 	set := tx.set(line)
 	used := int(tx.perSet[set])
 	// A full set aborts; so does a full cache, which has every set full.
-	if used >= tx.owner.cfg.Ways {
+	if used >= Ways {
 		tx.rollback(AbortCapacity)
 		return abortError(AbortCapacity)
 	}
@@ -370,7 +370,7 @@ func (tx *Tx) touch(line int64) error {
 		tx.snaps = tx.snaps[:off]
 		return err
 	}
-	tx.tags[set*tx.owner.cfg.Ways+used] = line
+	tx.tags[set*Ways+used] = line
 	tx.perSet[set]++
 	tx.lines = append(tx.lines, line)
 	return nil

@@ -63,7 +63,7 @@ func TestAbortRestoresMemory(t *testing.T) {
 
 func TestCapacityAbortOnTotalLines(t *testing.T) {
 	s := newSpace(t)
-	h := New(Config{Sets: 4, Ways: 2}) // tiny cache: 8 lines
+	h := New(Config{Sets: 1}) // tiny cache: 8 lines
 	tx := h.Begin(s)
 	var abortErr *AbortError
 	for i := 0; i < 100; i++ {
@@ -92,7 +92,7 @@ func TestAssociativityAbort(t *testing.T) {
 	if err := s.Map(mem.HeapBase, 1<<22); err != nil {
 		t.Fatal(err)
 	}
-	h := New(Config{Sets: 64, Ways: 2})
+	h := New(Config{Sets: 64})
 	tx := h.Begin(s)
 	// Hammer one set: addresses that differ by Sets*LineSize map to the
 	// same set.
@@ -354,10 +354,10 @@ func TestInterruptClockSpansTransactions(t *testing.T) {
 // restores the previous transaction's snapshot.
 func TestRecycledTxForgetsWriteSet(t *testing.T) {
 	s := newSpace(t)
-	h := New(Config{Sets: 4, Ways: 2})
+	h := New(Config{Sets: 4})
 	stride := int64(4 * mem.CacheLineSize) // same set
 	tx := h.Begin(s)
-	for i := int64(0); i < 2; i++ {
+	for i := int64(0); i < Ways; i++ {
 		if err := tx.Store(mem.HeapBase+i*stride, 7, 8); err != nil {
 			t.Fatal(err)
 		}
@@ -366,13 +366,13 @@ func TestRecycledTxForgetsWriteSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx = h.Begin(s)
-	for i := int64(0); i < 2; i++ {
+	for i := int64(0); i < Ways; i++ {
 		if err := tx.Store(mem.HeapBase+i*stride, 9, 8); err != nil {
 			t.Fatalf("recycled transaction: %v", err)
 		}
 	}
-	if n := tx.WriteSetLines(); n != 2 {
-		t.Fatalf("write set = %d lines, want 2", n)
+	if n := tx.WriteSetLines(); n != Ways {
+		t.Fatalf("write set = %d lines, want %d", n, Ways)
 	}
 	tx.Abort(AbortExplicit)
 	if v, _ := s.Load(mem.HeapBase+stride, 8); v != 7 {

@@ -419,6 +419,27 @@ func Default() *Model {
 	m.add(&Entry{Name: "putint", Class: NoReversion})
 	m.add(&Entry{Name: "errno", Class: NoReversion})
 
+	// --- Per-request arenas (not part of the canonical 101) ----------------
+	// The rewind-and-discard backend's request pool. arena_alloc is
+	// modelled exactly like malloc (state restoration needed, divertable,
+	// NULL/ENOMEM on failure); its compensation routes through the free
+	// handler, which treats arena addresses as no-ops (bump arenas reclaim
+	// wholesale). arena_reset is the application's request-end marker: no
+	// reversion, not divertable — it cannot fail.
+	m.add(&Entry{
+		Name: "arena_alloc", Class: StateRestore, Divertable: true,
+		ErrorReturn: 0, Errno: libsim.ENOMEM,
+		Compensate: func(o *libsim.OS, c Call, _ any) {
+			if c.Ret > 0 {
+				// Heap fallback chunks are really freed; arena chunks
+				// are bump-allocated and the transaction's rewind (or
+				// the request's discard) reclaims them.
+				o.Call("free", []int64{c.Ret})
+			}
+		},
+	})
+	m.add(&Entry{Name: "arena_reset", Class: NoReversion})
+
 	// --- Threads (pthread analogs; not part of the canonical 101) ----------
 	// mutex_lock is a divertable boundary: pthread_mutex_lock documents
 	// EINVAL, callers check it, and diverting into the error path simply
@@ -503,32 +524,6 @@ func DefaultMasked() *Model {
 		}
 		m.byID[id] = &masked
 	}
-	return m
-}
-
-// WithArena builds the knowledge base extended with the per-request
-// arena calls of the rewind-and-discard backend. arena_alloc is modelled
-// exactly like malloc (state restoration needed, divertable, NULL/ENOMEM
-// on failure); its compensation routes through the free handler, which
-// treats arena addresses as no-ops (bump arenas reclaim wholesale).
-// arena_reset is the application's request-end marker: no reversion, not
-// divertable — it cannot fail. Both stay out of Table II (InTable=false)
-// so the paper's 61/40 totals are untouched.
-func WithArena() *Model {
-	m := Default()
-	m.add(&Entry{
-		Name: "arena_alloc", Class: StateRestore, Divertable: true,
-		ErrorReturn: 0, Errno: libsim.ENOMEM,
-		Compensate: func(o *libsim.OS, c Call, _ any) {
-			if c.Ret > 0 {
-				// Heap fallback chunks are really freed; arena chunks
-				// are bump-allocated and the transaction's rewind (or
-				// the request's discard) reclaims them.
-				o.Call("free", []int64{c.Ret})
-			}
-		},
-	})
-	m.add(&Entry{Name: "arena_reset", Class: NoReversion})
 	return m
 }
 

@@ -263,6 +263,7 @@ func TestEveryImplementedCallHasModelEntry(t *testing.T) {
 		"open", "open64", "fstat", "stat", "pread", "pwrite", "lseek",
 		"unlink", "rename", "fsync", "getpid", "time", "clock_gettime",
 		"gettimeofday", "usleep", "puts", "printf", "putint",
+		"arena_alloc", "arena_reset",
 	} {
 		if m.Lookup(name) == nil {
 			t.Errorf("no model entry for implemented call %q", name)
@@ -353,7 +354,7 @@ func TestEntriesByIDMatchByName(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		m    *Model
-	}{{"Default", Default()}, {"DefaultMasked", DefaultMasked()}, {"WithArena", WithArena()}} {
+	}{{"Default", Default()}, {"DefaultMasked", DefaultMasked()}} {
 		names := c.m.Names()
 		if len(names) < 101 {
 			t.Fatalf("%s: %d entries", c.name, len(names))
@@ -383,7 +384,7 @@ func TestModelsBuildConcurrently(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				models[i] = WithArena()
+				models[i] = Default()
 			} else {
 				models[i] = DefaultMasked()
 			}

@@ -150,6 +150,9 @@ func New(cfg Config) *Supervisor {
 	return &Supervisor{cfg: cfg.withDefaults()}
 }
 
+// MaxRestarts returns the breaker's restart bound, after defaults.
+func (s *Supervisor) MaxRestarts() int { return s.cfg.MaxRestarts }
+
 // Clock returns the campaign clock: cycles consumed by every incarnation
 // so far plus accumulated backoff. Run callbacks use it as the offset to
 // rebase per-incarnation span timestamps onto the campaign timeline.
