@@ -52,16 +52,15 @@ func (r Runner) Observe(appName string) (*ObserveResult, error) {
 	prof := obsv.NewProfile()
 	inst.M.SetProfiler(prof)
 
-	reg := obsv.NewRegistry()
-	d := &workload.Driver{
-		OS: inst.OS, M: inst.M, Port: inst.App.Port,
-		Gen:         workload.ForProtocol(inst.App.Protocol),
-		Concurrency: r.Concurrency,
+	res := inst.Drive(workload.Schedule{
+		Kind:        workload.ClosedLoop,
+		Proto:       inst.App.Protocol,
 		Seed:        r.Seed,
-		Metrics:     reg,
-		Sink:        inst.RT,
-	}
-	res := d.Run(r.Requests)
+		Requests:    r.Requests,
+		Concurrency: r.Concurrency,
+	})
+	reg := obsv.NewRegistry()
+	workload.Metrics.Publish(reg, &res)
 	prof.Finish(inst.M.Cycles, inst.M.Steps)
 	inst.RT.PublishMetrics(reg)
 

@@ -83,11 +83,12 @@ func (b *bytecodeBackend) Name() string { return "bytecode" }
 // Run implements Backend. The executor retires source instructions with
 // the tree-walker's exact accounting — one budget unit, one Steps
 // increment, one cost charge and one runtime Tick per source instruction,
-// in the same order — while dispatching over the flat fused stream. It
-// runs its own copies only of the pure register and memory operations
-// and of calls; every runtime event (library call, return, trap, gate,
-// txbegin/txend, regsave) is a bytecode.OpEvent executed by the
-// tree-walker's Machine.exec.
+// in the same order — while dispatching over the flat stream, which holds
+// one bytecode instruction per source instruction. It runs its own copies
+// only of the pure register and memory operations and of calls; every
+// runtime event (library call, return, trap, gate, txbegin/txend,
+// regsave) is a bytecode.OpEvent executed by the tree-walker's
+// Machine.exec.
 //
 // Frame positions stay in source (block, index) coordinates so snapshots
 // interoperate with the tree-walker. While ticks are live the coordinates
@@ -147,13 +148,14 @@ resync:
 		}
 		f = &m.frames[len(m.frames)-1]
 		code = b.prog.Code(f.Fn)
-		aligned := false
+		ok := false
 		if code != nil {
-			pc, aligned = code.PCAt(f.Blk, f.Idx)
+			pc, ok = code.PCAt(f.Blk, f.Idx)
 		}
-		if !aligned {
-			// Mid-superinstruction resume (or an unknown function): retire
-			// one source instruction on the tree-walker, then realign.
+		if !ok {
+			// A function the lowering does not know, or coordinates
+			// outside it: retire one source instruction on the
+			// tree-walker, then re-derive the position.
 			if limited {
 				if m.budget <= 0 {
 					goto stop
@@ -185,7 +187,7 @@ resync:
 				m.budget--
 			}
 			m.Steps++
-			if in.BlockStart && m.BlockHook != nil {
+			if in.Idx == 0 && m.BlockHook != nil {
 				m.BlockHook(f.Fn.Name, in.Blk)
 			}
 
@@ -289,172 +291,6 @@ resync:
 				} else {
 					pc = in.Else
 				}
-
-			// The fused ops retire each component like a single
-			// instruction: a tick (deferred or delivered at the next
-			// component's coordinates), then a budget unit and a Steps
-			// increment. Their bins never trap: Compile never fuses
-			// div/rem.
-			case bytecode.OpCmpBr:
-				// Component 1: the compare.
-				v, _ := in.Bin.Eval(regs[in.A], regs[in.B])
-				regs[in.Dst] = v
-				m.Cycles += CostSimple
-				if tickLive {
-					if tickGas > 0 {
-						tickGas--
-						pending++
-					} else {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						err = m.RT.Tick(m, pending+1)
-						pending = 0
-						if err != nil {
-							goto fail
-						}
-						if batcher != nil {
-							tickGas = batcher.TickBudget()
-						}
-					}
-				}
-				if limited {
-					if m.budget <= 0 {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						goto stop
-					}
-					m.budget--
-				}
-				m.Steps++
-				// Component 2: the branch.
-				m.Cycles += CostSimple
-				if v != 0 {
-					pc = in.Then
-				} else {
-					pc = in.Else
-				}
-
-			case bytecode.OpConstBin:
-				// Component 1: the constant.
-				regs[in.C] = in.Imm
-				m.Cycles += CostSimple
-				if tickLive {
-					if tickGas > 0 {
-						tickGas--
-						pending++
-					} else {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						err = m.RT.Tick(m, pending+1)
-						pending = 0
-						if err != nil {
-							goto fail
-						}
-						if batcher != nil {
-							tickGas = batcher.TickBudget()
-						}
-					}
-				}
-				if limited {
-					if m.budget <= 0 {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						goto stop
-					}
-					m.budget--
-				}
-				m.Steps++
-				// Component 2: the bin.
-				regs[in.Dst], _ = in.Bin.Eval(regs[in.A], regs[in.B])
-				m.Cycles += CostSimple
-				pc++
-
-			case bytecode.OpLoadBinStore:
-				// Component 1: the load (flush deferred ticks first, as
-				// for OpLoad).
-				if pending > 0 {
-					err = m.RT.Tick(m, pending)
-					pending = 0
-					if err != nil {
-						f.Blk, f.Idx = in.Blk, in.Idx
-						goto fail
-					}
-				}
-				addr := regs[in.A] + in.Imm
-				v, lerr := m.RT.Load(m, addr, in.Width)
-				if lerr != nil {
-					f.Blk, f.Idx = in.Blk, in.Idx
-					err = m.accessError(lerr, addr)
-					goto fail
-				}
-				regs[in.Dst] = v
-				m.Cycles += CostMem
-				if tickLive {
-					if tickGas > 0 {
-						tickGas--
-						pending++
-					} else {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						err = m.RT.Tick(m, pending+1)
-						pending = 0
-						if err != nil {
-							goto fail
-						}
-						if batcher != nil {
-							tickGas = batcher.TickBudget()
-						}
-					}
-				}
-				if limited {
-					if m.budget <= 0 {
-						f.Blk, f.Idx = in.Blk, in.Idx+1
-						goto stop
-					}
-					m.budget--
-				}
-				m.Steps++
-				// Component 2: the bin.
-				regs[in.B], _ = in.Bin.Eval(regs[in.C], regs[in.D])
-				m.Cycles += CostSimple
-				if tickLive {
-					if tickGas > 0 {
-						tickGas--
-						pending++
-					} else {
-						f.Blk, f.Idx = in.Blk, in.Idx+2
-						err = m.RT.Tick(m, pending+1)
-						pending = 0
-						if err != nil {
-							goto fail
-						}
-						if batcher != nil {
-							tickGas = batcher.TickBudget()
-						}
-					}
-				}
-				if limited {
-					if m.budget <= 0 {
-						f.Blk, f.Idx = in.Blk, in.Idx+2
-						goto stop
-					}
-					m.budget--
-				}
-				m.Steps++
-				// Component 3: the store. The address register is re-read
-				// (the bin may have clobbered it); deferred ticks flush
-				// first, as for OpStore.
-				if pending > 0 {
-					err = m.RT.Tick(m, pending)
-					pending = 0
-					if err != nil {
-						f.Blk, f.Idx = in.Blk, in.Idx+2
-						goto fail
-					}
-				}
-				m.Cycles += CostMem
-				addr = regs[in.A] + in.Imm
-				if serr := m.RT.Store(m, addr, regs[in.B], in.Width, in.Stm); serr != nil {
-					f.Blk, f.Idx = in.Blk, in.Idx+2
-					err = m.accessError(serr, addr)
-					goto fail
-				}
-				pc++
 
 			case bytecode.OpCall:
 				args := m.marshalArgs(code.Args(in), regs)

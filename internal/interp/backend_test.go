@@ -11,11 +11,11 @@ import (
 	"github.com/firestarter-go/firestarter/internal/mem"
 )
 
-// buildFusionProgram hand-assembles a loop hitting every superinstruction
-// pattern: the loop head is a compare-and-branch, the body increments a
-// global through a load-bin-store and the induction variable through a
-// const-into-bin. Returns 10 iterations of g += 3, so exit code 30.
-func buildFusionProgram(t testing.TB) *ir.Program {
+// buildLoopProgram hand-assembles a counting loop: the loop head is a
+// compare and a branch, the body increments a global through a load, a
+// bin and a store and the induction variable through a constant and a
+// bin. Returns 10 iterations of g += 3, so exit code 30.
+func buildLoopProgram(t testing.TB) *ir.Program {
 	t.Helper()
 	p := ir.NewProgram()
 	p.AddGlobal("g", 8, nil)
@@ -27,12 +27,12 @@ func buildFusionProgram(t testing.TB) *ir.Program {
 		{Op: ir.OpConst, Dst: 2, Imm: 10},
 		{Op: ir.OpJmp, Then: 1},
 	}
-	b1 := f.NewBlock("head") // fuses to cmp+br
+	b1 := f.NewBlock("head")
 	b1.Instrs = []ir.Instr{
 		{Op: ir.OpBin, Dst: 3, A: 1, B: 2, Bin: ir.BinLt},
 		{Op: ir.OpBr, A: 3, Then: 2, Else: 3},
 	}
-	b2 := f.NewBlock("body") // fuses to load-bin-store and const+bin
+	b2 := f.NewBlock("body")
 	b2.Instrs = []ir.Instr{
 		{Op: ir.OpConst, Dst: 6, Imm: 3},
 		{Op: ir.OpLoad, Dst: 4, A: 0, Width: 8},
@@ -107,13 +107,12 @@ func compareOutcomes(t *testing.T, stage string, ot, ob interp.Outcome) {
 	}
 }
 
-// TestBytecodeLockstepFusionProgram single-steps both backends through the
-// fusion-heavy program: with a budget of one instruction per Run call,
-// every stop lands mid-superinstruction somewhere, so this exercises both
-// the mid-fusion budget stop and the source-level resume path.
-func TestBytecodeLockstepFusionProgram(t *testing.T) {
+// TestBytecodeLockstepLoopProgram steps both backends through the loop
+// program with budgets of one to seven instructions per Run call, so
+// every instruction is a budget stop and a resume point for some quantum.
+func TestBytecodeLockstepLoopProgram(t *testing.T) {
 	for _, quantum := range []int64{1, 2, 3, 7} {
-		prog := buildFusionProgram(t)
+		prog := buildLoopProgram(t)
 		mt, mb := newBackendPair(t, prog, nil, nil)
 		for i := 0; i < 10_000; i++ {
 			ot := mt.Run(quantum)
@@ -133,14 +132,13 @@ func TestBytecodeLockstepFusionProgram(t *testing.T) {
 	}
 }
 
-// TestBytecodeSnapshotRestoreInsideFusedRegion stops both backends after
-// every possible instruction count, snapshots (the bytecode machine's
-// position may be in the middle of a fused region), runs a few more
+// TestBytecodeSnapshotRestoreAtEveryPrefix stops both backends after
+// every possible instruction count, snapshots, runs a few more
 // instructions, restores, and completes. Positions, costs and results
 // must track the tree-walker through the whole cycle.
-func TestBytecodeSnapshotRestoreInsideFusedRegion(t *testing.T) {
+func TestBytecodeSnapshotRestoreAtEveryPrefix(t *testing.T) {
 	// Total step count of the program, measured on the tree-walker.
-	ref, err := interp.New(buildFusionProgram(t), libsim.New(mem.NewSpace()), nil)
+	ref, err := interp.New(buildLoopProgram(t), libsim.New(mem.NewSpace()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,7 @@ func TestBytecodeSnapshotRestoreInsideFusedRegion(t *testing.T) {
 	total := ref.Steps
 
 	for k := int64(1); k < total; k++ {
-		prog := buildFusionProgram(t)
+		prog := buildLoopProgram(t)
 		mt, mb := newBackendPair(t, prog, nil, nil)
 		compareOutcomes(t, "prefix", mt.Run(k), mb.Run(k))
 		compareMachines(t, "prefix", mt, mb)
@@ -246,7 +244,7 @@ func TestBytecodeGateLockstep(t *testing.T) {
 // retired count reaches failAt (0: never). Handle records every event it
 // is handed and continues or dies as scripted. It drives the executor's
 // tick-batching exits: deferred flushes at runtime interactions, budget
-// stops and failures inside and between fused components.
+// stops and failures at every instruction.
 type batchRT struct {
 	scriptRT
 	budget int64
@@ -286,7 +284,7 @@ func (s *batchRT) Handle(m *interp.Machine, err error) interp.Action {
 	return interp.ActionContinue
 }
 
-// TestBytecodeTickBatchingExits runs the fusion and gate programs on both
+// TestBytecodeTickBatchingExits runs the loop and gate programs on both
 // backends under a batching runtime, for every tick-failure point, with a
 // step budget of one or three instructions per Run call or none. Outcome,
 // trap PC, Steps, Cycles, the tick total and the event stream must match.
@@ -295,7 +293,7 @@ func TestBytecodeTickBatchingExits(t *testing.T) {
 		name  string
 		build func(*testing.T) *ir.Program
 	}{
-		{"fusion", func(t *testing.T) *ir.Program { return buildFusionProgram(t) }},
+		{"loop", func(t *testing.T) *ir.Program { return buildLoopProgram(t) }},
 		{"gate", buildGateProgram},
 	}
 	for _, p := range progs {

@@ -9,9 +9,10 @@ import (
 	"github.com/firestarter-go/firestarter/internal/mem"
 )
 
-// buildHotLoop returns a program spinning a fusable arithmetic loop over a
-// global counter: the dispatch-bound shape the superinstruction set
-// targets (compare-and-branch, load-op-store, const-into-bin).
+// buildHotLoop returns a program spinning an arithmetic loop over a
+// global counter, nine instructions per iteration (a compare and branch,
+// a load-add-store, a constant increment and a jump): the dispatch-bound
+// shape, with no runtime event inside the loop.
 func buildHotLoop(iters int64) *ir.Program {
 	p := ir.NewProgram()
 	p.AddGlobal("g", 8, nil)

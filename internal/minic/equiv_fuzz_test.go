@@ -63,7 +63,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			}
 		}
 
-		// Lockstep phase: single-instruction quanta so every fused-region
+		// Lockstep phase: single-instruction quanta so every instruction
 		// boundary is also a stop/resume point.
 		const lockstepSteps = 3000
 		done := false

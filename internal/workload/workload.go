@@ -146,10 +146,6 @@ type Driver struct {
 	// StepBudget bounds each machine slice (default 2M instructions).
 	StepBudget int64
 
-	// Metrics, when non-nil, receives the run's outcome counters when Run
-	// returns. Collection-time only: the drive loop never touches it.
-	Metrics *obsv.Registry
-
 	// Sink, when non-nil, turns on request tracing: every request is
 	// stamped with a deterministic trace ID (TraceBase+1, TraceBase+2, …
 	// in delivery order) and every terminal outcome is reported to the
@@ -210,14 +206,10 @@ func (r *Result) endCause() string {
 }
 
 // finish charges res with the cycles and steps consumed since the run
-// started at startCycles and startSteps, and publishes it into d.Metrics,
-// if set.
+// started at startCycles and startSteps.
 func (d *Driver) finish(res *Result, startCycles, startSteps int64) {
 	res.Cycles = d.cycles() - startCycles
 	res.Steps = d.steps() - startSteps
-	if d.Metrics != nil {
-		Metrics.Publish(d.Metrics, res)
-	}
 }
 
 type clientState struct {
