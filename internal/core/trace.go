@@ -38,9 +38,9 @@ func (rt *Runtime) SpanLog() *obsv.SpanLog { return rt.spans }
 // buffer filled (crash storms past obsv.DefaultSpanLimit).
 func (rt *Runtime) TraceDropped() int64 { return rt.spans.Dropped() }
 
-// SpanFingerprint returns the span log's incremental hash-chain value
-// (obsv.FingerprintSeed while empty) — the divergence detector of the
-// record/replay layer.
+// SpanFingerprint returns the span log's hash-chain value, folded when
+// called (obsv.FingerprintSeed while empty) — the divergence detector of
+// the record/replay layer.
 func (rt *Runtime) SpanFingerprint() uint64 { return rt.spans.Fingerprint() }
 
 // WriteTrace writes the recorded spans as JSONL, one event per line.

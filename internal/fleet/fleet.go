@@ -413,28 +413,10 @@ func (f *Fleet) Slice(budget int64) interp.Outcome {
 	return interp.Outcome{Kind: interp.OutBlocked}
 }
 
-// compact drops retired vconns once they dominate the table, keeping pump
-// linear in live connections across a long churny campaign.
+// compact drops closed vconns, so each pump walks only live ones. Open
+// order is kept: pump order is visible to the guest.
 func (f *Fleet) compact() {
-	if len(f.conns) < 64 {
-		return
-	}
-	live := 0
-	for _, vc := range f.conns {
-		if !vc.closed {
-			live++
-		}
-	}
-	if live*2 >= len(f.conns) {
-		return
-	}
-	kept := f.conns[:0]
-	for _, vc := range f.conns {
-		if !vc.closed {
-			kept = append(kept, vc)
-		}
-	}
-	f.conns = kept
+	f.conns = slices.DeleteFunc(f.conns, func(vc *vconn) bool { return vc.closed })
 }
 
 // --- workload.TraceSink --------------------------------------------------

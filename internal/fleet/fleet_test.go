@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ type fakeRep struct {
 	die  bool // trap at the start of the next Run
 }
 
-func newFake(t *testing.T, port int64, mode string) *fakeRep {
+func newFake(t testing.TB, port int64, mode string) *fakeRep {
 	t.Helper()
 	sp := mem.NewSpace()
 	if err := sp.Map(mem.GlobalBase, 1<<16); err != nil {
@@ -165,7 +166,7 @@ func quickSup() supervisor.Config {
 // fleetOf builds a fleet whose replica incarnations are fakeReps with
 // per-(replica, incarnation) modes, records every booted fake, and runs
 // the first Slice so all replicas are up.
-func fleetOf(t *testing.T, cfg Config, mode func(rep, inc int) string) (*Fleet, *[]*fakeRep) {
+func fleetOf(t testing.TB, cfg Config, mode func(rep, inc int) string) (*Fleet, *[]*fakeRep) {
 	t.Helper()
 	if cfg.Port == 0 {
 		cfg.Port = 80
@@ -775,6 +776,84 @@ func TestOpenLoopChurnBoundsQueuePools(t *testing.T) {
 		if p.n == 0 || p.n > 2*cfg.MaxConns {
 			t.Errorf("%s pool holds %d slices after %d conns, want 1..%d", p.name, p.n, opened, 2*cfg.MaxConns)
 		}
+	}
+}
+
+// openOrderCheck fronts a fleet for a driver and checks every Slice: the
+// vconns the slice walks are exactly those open before it, in open order.
+type openOrderCheck struct {
+	*Fleet
+	t     *testing.T
+	round int
+}
+
+func (s *openOrderCheck) Slice(budget int64) interp.Outcome {
+	var want []int64
+	for _, vc := range s.conns {
+		if !vc.closed {
+			want = append(want, vc.id)
+		}
+	}
+	out := s.Fleet.Slice(budget)
+	got := make([]int64, 0, len(s.conns))
+	for _, vc := range s.conns {
+		got = append(got, vc.id)
+	}
+	if !slices.Equal(got, want) && !s.t.Failed() {
+		s.t.Errorf("slice %d walked vconns %v, want the open ones %v", s.round, got, want)
+	}
+	s.round++
+	return out
+}
+
+// TestSliceDropsClosedConns drives a churning open-loop crowd through the
+// balancer: no vconn closed before a Slice survives into it, and the live
+// ones keep the order they were opened in (pump order is guest-visible).
+func TestSliceDropsClosedConns(t *testing.T) {
+	f, _ := fleetOf(t, Config{Replicas: 2}, echoMode)
+	cfg := workload.OpenConfig{
+		Total: 300, Clients: 40, RatePerMcycle: 2000,
+		MaxConns: 6, PipelineDepth: 2, ChurnEvery: 2, Patience: 1 << 40,
+	}
+	srv := &openOrderCheck{Fleet: f, t: t}
+	d := &workload.Driver{Srv: srv, Port: 80, Gen: &lineGen{}, Seed: 3}
+	res := d.RunOpen(cfg)
+	if res.Completed != cfg.Total || res.Stalled {
+		t.Fatalf("completed %d of %d: %+v", res.Completed, cfg.Total, res.Result)
+	}
+	if closed := f.Stats().ConnsClosed; closed < 10*cfg.MaxConns {
+		t.Fatalf("only %d conns closed: no churn", closed)
+	}
+}
+
+// BenchmarkPumpChurn times one Slice of a balancer whose connections
+// churn: each op opens a connection, echoes one line through it and has
+// the client of the oldest of two open ones hang up, so as many conns
+// close as open and the pump must not walk the closed ones.
+func BenchmarkPumpChurn(b *testing.B) {
+	const open = 2
+	f, _ := fleetOf(b, Config{Replicas: 2}, echoMode)
+	var fronts []*libsim.Conn
+	op := func() {
+		front := f.Connect(80)
+		front.ClientDeliver([]byte("ping\n"))
+		fronts = append(fronts, front)
+		if len(fronts) > open {
+			fronts[0].ClientClose()
+			fronts = fronts[1:]
+		}
+		f.Slice(0)
+		if got := front.ClientTake(); string(got) != "ping\n" {
+			b.Fatalf("echo = %q", got)
+		}
+	}
+	for i := 0; i < 4*open; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 

@@ -1,11 +1,11 @@
 package obsv
 
-// Span-stream fingerprinting. A SpanLog maintains an FNV-1a hash chain
-// over its events, updated at append time: after event i the chain value
-// is ChainFingerprint(chain_{i-1}, e_i), with chain_{-1} =
-// FingerprintSeed. Because every field that enters the hash is stamped
-// before the append returns, Fingerprint(log.Events()) always equals
-// log.Fingerprint() — the one exception is engineered: a truncated
+// Span-stream fingerprinting. The fingerprint of a span stream is an
+// FNV-1a hash chain over its events: after event i the chain value is
+// ChainFingerprint(chain_{i-1}, e_i), with chain_{-1} = FingerprintSeed.
+// A SpanLog folds its stored events, then its truncated marker, when
+// Fingerprint is called, so appending costs no hashing and
+// Fingerprint(log.Events()) always equals log.Fingerprint(). A truncated
 // marker's Detail is rendered from the dropped count, which later drops
 // change, so it is excluded from the chain.
 //
@@ -70,12 +70,18 @@ func Fingerprint(events []SpanEvent) uint64 {
 	return h
 }
 
-// Fingerprint returns the incremental hash-chain value over every event
-// appended so far (FingerprintSeed for an empty log). Maintained at
-// append time, so reading it is O(1).
+// Fingerprint returns the hash-chain value over every event appended so
+// far, the truncated marker last (FingerprintSeed for an empty log). It
+// folds the stored events on every call: O(Len).
 func (l *SpanLog) Fingerprint() uint64 {
-	if l.seq == 0 {
-		return FingerprintSeed
+	h := FingerprintSeed
+	for _, b := range l.blocks {
+		for _, e := range b {
+			h = ChainFingerprint(h, e)
+		}
 	}
-	return l.fp
+	if l.dropped > 0 {
+		h = ChainFingerprint(h, l.marker)
+	}
+	return h
 }

@@ -26,7 +26,7 @@ func TestFingerprintIncrementalMatchesBatch(t *testing.T) {
 		l.Append(e)
 	}
 	if got, want := l.Fingerprint(), Fingerprint(l.Events()); got != want {
-		t.Errorf("incremental %#x != batch-over-Events %#x", got, want)
+		t.Errorf("log %#x != batch-over-Events %#x", got, want)
 	}
 }
 
@@ -54,9 +54,9 @@ func TestFingerprintDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-// The truncated marker's Detail is rewritten in place as later events are
-// dropped; the chain must exclude it so the incremental value keeps
-// matching a batch recomputation over Events().
+// The truncated marker's Detail changes as later events are dropped; the
+// chain must exclude it so the log's value keeps matching a batch
+// recomputation over Events().
 func TestFingerprintStableAcrossTruncation(t *testing.T) {
 	l := SpanLog{Limit: 4}
 	for _, e := range fpEvents(10) {
@@ -67,7 +67,7 @@ func TestFingerprintStableAcrossTruncation(t *testing.T) {
 	}
 	after := l.Fingerprint()
 	if got := Fingerprint(l.Events()); got != after {
-		t.Errorf("batch %#x != incremental %#x after truncation", got, after)
+		t.Errorf("batch %#x != log %#x after truncation", got, after)
 	}
 	// Further drops rewrite the marker Detail but never move the chain.
 	l.Append(SpanEvent{Kind: SpanCrash})
@@ -75,6 +75,6 @@ func TestFingerprintStableAcrossTruncation(t *testing.T) {
 		t.Error("dropped event moved the fingerprint")
 	}
 	if got := Fingerprint(l.Events()); got != after {
-		t.Errorf("batch %#x != incremental %#x after more drops", got, after)
+		t.Errorf("batch %#x != log %#x after more drops", got, after)
 	}
 }

@@ -109,7 +109,6 @@ type SpanLog struct {
 	marker  SpanEvent // the truncated marker, once dropped > 0
 	dropped int64
 	seq     int64
-	fp      uint64 // incremental hash chain (see fingerprint.go)
 }
 
 // limit resolves the effective cap.
@@ -134,7 +133,6 @@ func (l *SpanLog) Append(e SpanEvent) bool {
 	}
 	l.seq++
 	e.Seq = l.seq
-	l.chain(e)
 	l.push(e)
 	return true
 }
@@ -152,7 +150,6 @@ func (l *SpanLog) Drop(cycles int64, thread int) {
 	}
 	l.seq++
 	l.marker = SpanEvent{Seq: l.seq, Cycles: cycles, Thread: thread, Kind: SpanTruncated}
-	l.chain(l.marker)
 }
 
 // push stores e in the open block, starting a new block when it is full.
@@ -170,14 +167,6 @@ func (l *SpanLog) push(e SpanEvent) {
 	}
 	l.blocks[last] = append(l.blocks[last], e)
 	l.n++
-}
-
-// chain folds a stored event into the incremental fingerprint.
-func (l *SpanLog) chain(e SpanEvent) {
-	if l.seq == 1 {
-		l.fp = FingerprintSeed
-	}
-	l.fp = ChainFingerprint(l.fp, e)
 }
 
 // Len returns the number of stored events (including a truncated marker).

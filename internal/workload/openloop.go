@@ -490,11 +490,13 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 				progressed = true
 			}
 			// Split is a pure function of the buffer: rescan only once it
-			// has grown past the last prefix that held no response.
+			// has grown past the last prefix that held no response. Once
+			// the response's length is known, that prefix runs up to one
+			// byte short of it, so a slow body costs no rescans at all.
 			for len(c.inflight) > 0 && len(c.resp) > c.scanned {
 				n := d.Gen.Split(c.resp)
-				if n == 0 {
-					c.scanned = len(c.resp)
+				if n == 0 || n > len(c.resp) {
+					c.scanned = max(len(c.resp), n-1)
 					break
 				}
 				a := c.inflight[0]

@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/interp"
@@ -391,6 +393,87 @@ func BenchmarkRunOpen(b *testing.B) {
 		res := d.RunOpen(crowdConfig)
 		if res.Offered != crowdConfig.Total {
 			b.Fatalf("offered %d, want %d", res.Offered, crowdConfig.Total)
+		}
+	}
+}
+
+// bigHTTPFake is a Go-side HTTP server that answers every request with a
+// 200 whose body is far longer than a slow reader drains in a round.
+type bigHTTPFake struct {
+	conns []*libsim.Conn
+	resp  []byte
+	clock int64
+}
+
+func newBigHTTPFake(body int) *bigHTTPFake {
+	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", body)
+	return &bigHTTPFake{resp: append([]byte(head), make([]byte, body)...)}
+}
+
+func (s *bigHTTPFake) Connect(port int64) *libsim.Conn {
+	c := libsim.NewConn()
+	s.conns = append(s.conns, c)
+	return c
+}
+
+func (s *bigHTTPFake) Slice(budget int64) interp.Outcome {
+	s.clock += 1000
+	s.conns = slices.DeleteFunc(s.conns, (*libsim.Conn).ClientGone)
+	for _, c := range s.conns {
+		data, _ := c.ProxyTake()
+		for n := bytes.Count(data, []byte("\r\n\r\n")); n > 0; n-- {
+			c.ProxyDeliver(s.resp)
+		}
+	}
+	return interp.Outcome{Kind: interp.OutBlocked}
+}
+
+func (s *bigHTTPFake) Cycles() int64 { return s.clock }
+func (s *bigHTTPFake) Steps() int64  { return s.clock }
+
+// splitCounter counts the Split calls a driver makes.
+type splitCounter struct {
+	*HTTPGen
+	calls int
+}
+
+func (g *splitCounter) Split(buf []byte) int {
+	g.calls++
+	return g.HTTPGen.Split(buf)
+}
+
+// slowHTTPConfig has one slow reader fetch responses one after another.
+var slowHTTPConfig = OpenConfig{Total: 4, Clients: 1, SlowEvery: 1, Patience: 1 << 40}
+
+// TestSlowReaderFramesEachResponseOnce checks that a slow reader frames a
+// response once its header is in: Split runs while the header trickles in
+// and once more when the body is complete, whatever the body size.
+func TestSlowReaderFramesEachResponseOnce(t *testing.T) {
+	for _, body := range []int{16 << 10, 48 << 10} {
+		srv := newBigHTTPFake(body)
+		g := &splitCounter{HTTPGen: &HTTPGen{Paths: []HTTPPath{{Path: "/big.bin", Status: 200}}}}
+		d := &Driver{Srv: srv, Port: 80, Gen: g, Seed: 1}
+		res := d.RunOpen(slowHTTPConfig)
+		if res.Completed != slowHTTPConfig.Total {
+			t.Fatalf("body %d: completed %d of %d: %+v", body, res.Completed, slowHTTPConfig.Total, res.Result)
+		}
+		header := len(srv.resp) - body
+		if limit := res.Completed * (header/slowBytes + 2); g.calls > limit {
+			t.Errorf("body %d: %d Split calls for %d responses, want at most %d", body, g.calls, res.Completed, limit)
+		}
+	}
+}
+
+// BenchmarkRunOpenSlowHTTP times the open-loop driver on a slow reader
+// fetching 48 KB HTTP responses: the driver's cost per byte moved when a
+// response takes thousands of rounds to drain.
+func BenchmarkRunOpenSlowHTTP(b *testing.B) {
+	b.ReportAllocs()
+	gen := &HTTPGen{Paths: []HTTPPath{{Path: "/big.bin", Status: 200}}}
+	for i := 0; i < b.N; i++ {
+		d := &Driver{Srv: newBigHTTPFake(48 << 10), Port: 80, Gen: gen, Seed: 1}
+		if res := d.RunOpen(slowHTTPConfig); res.Completed != slowHTTPConfig.Total {
+			b.Fatalf("completed %d of %d", res.Completed, slowHTTPConfig.Total)
 		}
 	}
 }

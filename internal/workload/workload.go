@@ -32,8 +32,12 @@ type Generator interface {
 	// Next returns the next request for client i.
 	Next(i int, rng *rand.Rand) []byte
 
-	// Split returns the length of the first complete response in buf, or
-	// 0 if more bytes are needed.
+	// Split returns the length of the first response in buf as soon as
+	// buf holds enough of it to tell (for HTTP, the complete header), or
+	// 0 while it cannot. The length may exceed len(buf): the response is
+	// complete once buf holds that many bytes. Split is a pure function
+	// of buf, so a caller that learned the length need not call it again
+	// until the bytes are in.
 	Split(buf []byte) int
 
 	// Check validates a response to the given request. resp is a window
@@ -308,7 +312,7 @@ func (d *Driver) Run(total int) Result {
 			}
 			for c.pending {
 				n := d.Gen.Split(c.resp)
-				if n == 0 {
+				if n == 0 || n > len(c.resp) {
 					break
 				}
 				ok := d.Gen.Check(c.req, c.resp[:n])
@@ -473,7 +477,8 @@ func (g *HTTPGen) Next(i int, rng *rand.Rand) []byte {
 	return append(req, httpReqTail...)
 }
 
-// Split implements Generator: HTTP framing via Content-Length.
+// Split implements Generator: HTTP framing via Content-Length. The
+// length is known once the header is complete, before the body is in.
 func (g *HTTPGen) Split(buf []byte) int {
 	head := bytes.Index(buf, []byte("\r\n\r\n"))
 	if head < 0 {
@@ -491,9 +496,6 @@ func (g *HTTPGen) Split(buf []byte) int {
 			}
 			cl = n
 		}
-	}
-	if len(buf) < bodyStart+cl {
-		return 0
 	}
 	return bodyStart + cl
 }

@@ -24,7 +24,9 @@ func TestHTTPSplit(t *testing.T) {
 	}{
 		{"empty", nil, 0},
 		{"headers only", []byte("HTTP/1.1 200 OK\r\n"), 0},
-		{"header complete body missing", []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhe"), 0},
+		// The complete header fixes the length before the body is in.
+		{"header complete body missing", []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhe"), len(full)},
+		{"malformed content length", []byte("HTTP/1.1 200 OK\r\nContent-Length: 5x\r\n\r\nhello"), 0},
 		{"exact", full, len(full)},
 		{"with trailing next response", append(append([]byte{}, full...), "HTTP/1.1 404"...), len(full)},
 		{"zero length body", []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"), 38},
